@@ -25,6 +25,7 @@ from functools import lru_cache
 from . import homclass as hc_mod
 from .abelian import Ambient
 from .errors import (
+    ActionNotClosed,
     InternalMismatch,
     NotInGroup,
     NotSubgroup,
@@ -33,31 +34,25 @@ from .errors import (
 from .homclass import (
     CommutingTuple,
     HomClass,
+    _BlockCosets,
     classify,
     enumerate_hom_classes,
     realize,
 )
-from .perm import Perm, PermGroup, _compose, _inverse, _coset_table
+from .perm import (
+    Perm,
+    PermGroup,
+    _commute_images,
+    _commuting_tuples,
+    _compose,
+    _conj_images,
+    _coset_table,
+    _inverse,
+    _orbit_reps,
+)
 
 GENERIC_TABLE_CAP = 10 ** 4
 INDEX_CAP = 10 ** 5
-
-
-def _conj_images(c, s):
-    # c * s * c^{-1} on image tuples
-    n = len(c)
-    out = [0] * n
-    for i in range(n):
-        out[c[i]] = c[s[i]]
-    return tuple(out)
-
-
-def _commute_images(a, b):
-    n = len(a)
-    for i in range(n):
-        if a[b[i]] != b[a[i]]:
-            return False
-    return True
 
 
 class SymmetricClassTable:
@@ -118,11 +113,7 @@ class GenericClassTable:
         self.lam = lam
         self.degree = group.degree
         cap = lam.p ** lam.k
-        pool = [
-            g.images
-            for g in group.iter_elements()
-            if cap % _perm_order_images(g.images) == 0
-        ]
+        pool = [g.images for g in group.iter_elements() if cap % g.order() == 0]
         conjugators = [g.images for g in group.iter_elements()]
         lookup = {}
         classes = []
@@ -165,39 +156,6 @@ class GenericClassTable:
 
     def class_id(self, key) -> str:
         return ";".join(Perm(s).cycles() for s in key)
-
-
-def _perm_order_images(images) -> int:
-    n = len(images)
-    seen = [False] * n
-    order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-            length += 1
-        order = math.lcm(order, length)
-    return order
-
-
-def _commuting_tuples(pool, h):
-    """All h-tuples from pool with pairwise-commuting entries, in lex order."""
-
-    def rec(chosen):
-        if len(chosen) == h:
-            yield tuple(chosen)
-            return
-        for s in pool:
-            if all(_commute_images(s, c) for c in chosen):
-                chosen.append(s)
-                yield from rec(chosen)
-                chosen.pop()
-
-    yield from rec([])
 
 
 @lru_cache(maxsize=None)
@@ -316,34 +274,6 @@ class _GenericCosets:
         return out
 
 
-class _BlockCosets:
-    """Left cosets of the standard block subgroup as ordered partitions."""
-
-    def __init__(self, degree: int, block: int):
-        self.degree = degree
-        self.block = block
-        self.partitions = hc_mod.enumerate_block_partitions(degree, block)
-        if len(self.partitions) > INDEX_CAP:
-            raise ResourceLimit("index %d exceeds cap" % len(self.partitions))
-        self.tokens = tuple(self.partitions)
-
-    def rep_images(self, token):
-        images = []
-        for blk in token:
-            images.extend(blk)
-        return tuple(images)
-
-    def act(self, c_images, token):
-        return hc_mod.partition_act(c_images, token)
-
-    def fixed(self, alpha_images):
-        return [
-            part
-            for part in self.partitions
-            if all(hc_mod.partition_fixed(s, part) for s in alpha_images)
-        ]
-
-
 def _standard_block_size(G: PermGroup, H: PermGroup):
     """Block size if H is exactly the full subgroup preserving consecutive
     equal blocks inside the full symmetric group G, else None."""
@@ -407,60 +337,30 @@ class TransferDatum:
         return not self.records
 
 
-def _closure_images(gen_images, degree, cap):
-    seen = {tuple(range(degree))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gen_images:
-                prod = _compose(g, h)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > cap:
-                        raise ResourceLimit("closure exceeded cap")
-        frontier = nxt
-    return seen
+def _beta_images(g, alpha):
+    """g^{-1} * s * g for each s in alpha: the action moved into H by g."""
+    ginv = _inverse(g)
+    return tuple(_conj_images(ginv, s) for s in alpha)
 
 
-def _build_datum(g_table, h_table, system, alpha_key) -> TransferDatum:
+def _build_datum(g_table, h_table, system, alpha_key, fixed) -> TransferDatum:
+    """Orbit records for one class, given its alpha-stable cosets ``fixed``."""
     alpha = g_table.rep_images(alpha_key)
-    fixed = system.fixed(alpha)
     cent_order = g_table.centralizer_order(alpha_key)
     gen_images = [g.images for g in g_table.centralizer_generators(alpha_key)]
-    H = h_table.group
-
-    pool = set(fixed)
-    unseen = set(fixed)
+    try:
+        orbits = _orbit_reps(fixed, gen_images, system.act)
+    except ActionNotClosed as exc:
+        raise InternalMismatch("centralizer left the fixed coset set") from exc
     records = []
-    for start in sorted(unseen):
-        if start not in unseen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for token in frontier:
-                for c in gen_images:
-                    moved = system.act(c, token)
-                    if moved not in pool:
-                        raise InternalMismatch("centralizer left the fixed coset set")
-                    if moved not in orbit:
-                        orbit.add(moved)
-                        nxt.append(moved)
-            frontier = nxt
-        unseen -= orbit
-        token = min(orbit)
-        size = len(orbit)
+    for token, size in orbits:
         if cent_order % size:
             raise InternalMismatch("orbit size does not divide centralizer order")
         stab_order = cent_order // size
         g = system.rep_images(token)
-        ginv = _inverse(g)
-        beta = tuple(_compose(ginv, _compose(s, g)) for s in alpha)
+        beta = _beta_images(g, alpha)
         h_key = h_table.key_of_images(beta)
-        _verify_stabilizer(system, token, g, alpha, beta, H, stab_order, cent_order)
+        _verify_stabilizer(system, token, g, alpha, beta, h_table.group, stab_order)
         records.append(
             OrbitRecord(
                 coset_rep=Perm(g),
@@ -479,7 +379,7 @@ def _build_datum(g_table, h_table, system, alpha_key) -> TransferDatum:
     )
 
 
-def _verify_stabilizer(system, token, g, alpha, beta, H, stab_order, cent_order):
+def _verify_stabilizer(system, token, g, alpha, beta, H, stab_order):
     """Check that the stabilizer of the coset is g * C_H(beta) * g^{-1}.
 
     The set g*C_H(beta)*g^{-1} is shown to consist of elements of the
@@ -496,9 +396,8 @@ def _verify_stabilizer(system, token, g, alpha, beta, H, stab_order, cent_order)
             "conjugated subgroup centralizer has order %d, stabilizer has order %d"
             % (len(c_h_beta), stab_order)
         )
-    ginv = _inverse(g)
     for c in c_h_beta:
-        conj = _compose(g, _compose(c, ginv))
+        conj = _conj_images(g, c)
         if not all(_commute_images(conj, s) for s in alpha):
             raise InternalMismatch("claimed stabilizer element is not in the centralizer")
         if system.act(conj, token) != token:
@@ -516,14 +415,11 @@ def _induction_data(g_table_key, h_table_key):
     for alpha_key in g_table.classes:
         alpha = g_table.rep_images(alpha_key)
         fixed = system.fixed(alpha)
-        keys = []
-        for token in fixed:
-            g = system.rep_images(token)
-            ginv = _inverse(g)
-            beta = tuple(_compose(ginv, _compose(s, g)) for s in alpha)
-            keys.append(h_table.key_of_images(beta))
-        plain[alpha_key] = tuple(keys)
-        data[alpha_key] = _build_datum(g_table, h_table, system, alpha_key)
+        plain[alpha_key] = tuple(
+            h_table.key_of_images(_beta_images(system.rep_images(token), alpha))
+            for token in fixed
+        )
+        data[alpha_key] = _build_datum(g_table, h_table, system, alpha_key, fixed)
     return plain, data
 
 
@@ -594,7 +490,8 @@ def transfer_datum(G: PermGroup, H: PermGroup, alpha, lam: Ambient = None) -> Tr
     else:
         imgs = tuple(p.images for p in alpha)
         alpha_key = g_table.key_of_images(imgs)
-    return _build_datum(g_table, h_table, system, alpha_key)
+    fixed = system.fixed(g_table.rep_images(alpha_key))
+    return _build_datum(g_table, h_table, system, alpha_key, fixed)
 
 
 def ideal_trivial(G: PermGroup, H: PermGroup, alpha, t_is_zero: bool, lam: Ambient = None) -> bool:

@@ -13,12 +13,19 @@ import sys
 from . import abelian, accept, classfun, decomp, fgl, homclass
 from .classfun import GenClassFunction, class_table
 from .errors import (
+    BadParameters,
     DomainError,
     InternalMismatch,
     ResourceLimit,
     TranschromeError,
 )
-from .perm import ENV_MAX_ELEMENTS, Perm, block_subgroup, symmetric_group
+from .perm import (
+    ENV_MAX_ELEMENTS,
+    Perm,
+    block_subgroup,
+    max_group_elements,
+    symmetric_group,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -342,6 +349,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    try:
+        max_group_elements()
+    except BadParameters as exc:
+        print("usage error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except InternalMismatch as exc:

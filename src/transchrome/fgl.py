@@ -299,11 +299,12 @@ class Series:
         return (
             isinstance(other, Series)
             and self.nvars == other.nvars
+            and self.D == other.D
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted((e, tuple(sorted(c.items()))) for e, c in self.coeffs.items()))))
+        return hash((self.nvars, self.D, tuple(sorted((e, tuple(sorted(c.items()))) for e, c in self.coeffs.items()))))
 
     def compose(self, args):
         """Substitute args[i] (series without constant term) for variable i."""

@@ -8,6 +8,11 @@ classes, realizes them as concrete permutations, and computes the invariants
 used by the component decomposition: centralizer structure, minimal block
 level, diagonal factorization, dual image, and the fixed-coset fibration
 over block subgroups.
+
+The cosets of a standard block subgroup are modelled here, and only here, as
+ordered block partitions (``_BlockCosets``: enumeration, action, stable
+filter, coset representative); ``classfun`` uses the same model for its
+block coset systems, and centralizer orbits go through ``perm._orbit_reps``.
 """
 
 from __future__ import annotations
@@ -19,13 +24,22 @@ from functools import lru_cache
 
 from .abelian import Ambient, AbSubgroup, check_prime, subgroups_of_ambient
 from .errors import (
+    ActionNotClosed,
     BadParameters,
     InternalMismatch,
     NotCommuting,
     OrderNotPPower,
     ResourceLimit,
 )
-from .perm import Perm, _compose
+from .perm import (
+    Perm,
+    _commuting_tuples,
+    _compose,
+    _conj_images,
+    _inverse,
+    _orbit_reps,
+    symmetric_group,
+)
 
 LAMBDA_ORDER_CAP = 10 ** 4
 DEGREE_CAP = 16
@@ -424,21 +438,42 @@ def partition_fixed(images, partition) -> bool:
     return True
 
 
+class _BlockCosets:
+    """Left cosets of the standard block subgroup as ordered block partitions.
+
+    The partitions are enumerated once per instance; a token is a partition
+    and ``act``, ``fixed`` and ``rep_images`` are the coset action, the
+    alpha-stable filter and the lex-minimal coset representative.
+    """
+
+    def __init__(self, degree: int, block: int):
+        self.tokens = tuple(enumerate_block_partitions(degree, block))
+
+    act = staticmethod(partition_act)
+
+    @staticmethod
+    def rep_images(token):
+        # sends base block j onto block j of the partition, in order
+        images = []
+        for blk in token:
+            images.extend(blk)
+        return tuple(images)
+
+    def fixed(self, alpha_images):
+        return [
+            part
+            for part in self.tokens
+            if all(partition_fixed(s, part) for s in alpha_images)
+        ]
+
+
 def partition_coset_rep(partition) -> Perm:
     """Lex-minimal coset representative sending base block j onto block j."""
-    images = []
-    for blk in partition:
-        images.extend(blk)
-    return Perm(images)
+    return Perm(_BlockCosets.rep_images(partition))
 
 
 def fixed_block_partitions(perms, degree: int, block: int):
-    imgs = [s.images for s in perms]
-    return [
-        part
-        for part in enumerate_block_partitions(degree, block)
-        if all(partition_fixed(img, part) for img in imgs)
-    ]
+    return _BlockCosets(degree, block).fixed([s.images for s in perms])
 
 
 @dataclass(frozen=True)
@@ -468,46 +503,30 @@ def coset_fiber(hc: HomClass, m: int, blocks=None):
         blocks = degree // block
     if block * blocks != degree:
         raise BadParameters("blocks do not tile the permuted points")
-    t = realize(hc)
-    fixed = fixed_block_partitions(t.perms, degree, block)
+    alpha = [s.images for s in realize(hc).perms]
+    system = _BlockCosets(degree, block)
+    fixed = system.fixed(alpha)
     gens = [g.images for g in centralizer_generators(hc)]
     order = centralizer_order(hc)
-    pool = set(fixed)
+    try:
+        # centralizer elements permute the alpha-stable partitions
+        orbits = _orbit_reps(fixed, gens, system.act)
+    except ActionNotClosed as exc:
+        raise InternalMismatch("centralizer left the fixed set") from exc
     records = []
-    unseen = set(fixed)
-    for start in sorted(unseen):
-        if start not in unseen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for part in frontier:
-                for g in gens:
-                    moved = partition_act(g, part)
-                    # centralizer elements permute the alpha-stable partitions
-                    if moved not in pool:
-                        raise InternalMismatch("centralizer left the fixed set")
-                    if moved not in orbit:
-                        orbit.add(moved)
-                        nxt.append(moved)
-            frontier = nxt
-        unseen -= orbit
-        rep = min(orbit)
-        size = len(orbit)
+    for rep, size in orbits:
         if order % size:
             raise InternalMismatch("orbit size does not divide the centralizer order")
         g = partition_coset_rep(rep)
-        ginv = g.inverse()
-        conj = [ginv * s * g for s in t.perms]
+        ginv = _inverse(g.images)
+        conj = [_conj_images(ginv, s) for s in alpha]
         block_classes = []
         for j in range(blocks):
             base = j * block
-            local = []
-            for s in conj:
-                imgs = s.images
-                local.append(Perm(tuple(imgs[base + r] - base for r in range(block))))
-            block_classes.append(classify(CommutingTuple(block, tuple(local)), lam))
+            local = tuple(
+                Perm(tuple(imgs[base + r] - base for r in range(block))) for imgs in conj
+            )
+            block_classes.append(classify(CommutingTuple(block, local), lam))
         records.append(
             FiberOrbit(
                 partition=rep,
@@ -517,7 +536,6 @@ def coset_fiber(hc: HomClass, m: int, blocks=None):
                 stabilizer_order=order // size,
             )
         )
-    records.sort(key=lambda r: r.partition)
     return records
 
 
@@ -526,37 +544,8 @@ def commuting_tuple_count(degree: int, p: int, k: int, h: int) -> int:
     permutations of p-power order dividing p^k in Sym(degree)."""
     cap = p ** k
     pool = [
-        s
-        for s in itertools.permutations(range(degree))
-        if cap % _perm_order(s) == 0
+        s.images
+        for s in symmetric_group(degree).iter_elements()
+        if cap % s.order() == 0
     ]
-    count = 0
-
-    def rec(chosen, depth):
-        nonlocal count
-        if depth == h:
-            count += 1
-            return
-        for s in pool:
-            if all(_compose(s, c) == _compose(c, s) for c in chosen):
-                rec(chosen + [s], depth + 1)
-
-    rec([], 0)
-    return count
-
-
-def _perm_order(images) -> int:
-    n = len(images)
-    seen = [False] * n
-    order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+    return sum(1 for _ in _commuting_tuples(pool, h))

@@ -6,6 +6,10 @@ most nine points, where brute force is simple, deterministic and directly
 checkable against independent counts.  There are deliberately no stabilizer
 chains and no backtrack search.
 
+``_orbit_reps`` is the one orbit walk for a group given by generators acting
+on a finite set; ``coset_orbits`` here, the transfer data in ``classfun`` and
+the partition fibers in ``homclass`` all go through it.
+
 Points are 0-based throughout; the transposition of the first two points
 prints as ``(0 1)``.
 """
@@ -20,6 +24,7 @@ from functools import lru_cache
 
 from .errors import (
     ActionNotClosed,
+    BadParameters,
     DegreeMismatch,
     NotInGroup,
     NotSubgroup,
@@ -31,15 +36,23 @@ ENV_MAX_ELEMENTS = "TRANSCHROME_MAX_ELEMENTS"
 
 
 def max_group_elements() -> int:
-    """Group-order cap for closures; override with TRANSCHROME_MAX_ELEMENTS."""
+    """Group-order cap for closures; override with TRANSCHROME_MAX_ELEMENTS.
+
+    Raises BadParameters when the variable is set but is not a positive
+    integer.
+    """
     raw = os.environ.get(ENV_MAX_ELEMENTS)
     if raw is None:
         return DEFAULT_MAX_ELEMENTS
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_MAX_ELEMENTS
-    return value if value > 0 else DEFAULT_MAX_ELEMENTS
+        value = 0
+    if value <= 0:
+        raise BadParameters(
+            "%s must be a positive integer, got %r" % (ENV_MAX_ELEMENTS, raw)
+        )
+    return value
 
 
 def _compose(a, b):
@@ -52,6 +65,70 @@ def _inverse(a):
     for i, v in enumerate(a):
         inv[v] = i
     return tuple(inv)
+
+
+def _conj_images(c, s):
+    # c * s * c^{-1} on image tuples
+    n = len(c)
+    out = [0] * n
+    for i in range(n):
+        out[c[i]] = c[s[i]]
+    return tuple(out)
+
+
+def _commute_images(a, b):
+    n = len(a)
+    for i in range(n):
+        if a[b[i]] != b[a[i]]:
+            return False
+    return True
+
+
+def _commuting_tuples(pool, h):
+    """All h-tuples from pool with pairwise-commuting entries, in lex order."""
+
+    def rec(chosen):
+        if len(chosen) == h:
+            yield tuple(chosen)
+            return
+        for s in pool:
+            if all(_commute_images(s, c) for c in chosen):
+                chosen.append(s)
+                yield from rec(chosen)
+                chosen.pop()
+
+    yield from rec([])
+
+
+def _orbit_reps(points, gens, act):
+    """Orbits of the group generated by ``gens`` on ``points``.
+
+    ``act(g, x)`` is the image of point x under generator g.  Returns
+    ``[(min point, orbit size)]`` sorted by min point; raises ActionNotClosed
+    if a generator moves a point off ``points``.
+    """
+    pool = set(points)
+    seen = set()
+    out = []
+    for start in sorted(pool):
+        if start in seen:
+            continue
+        before = len(seen)
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = act(g, x)
+                    if y not in seen:
+                        if y not in pool:
+                            raise ActionNotClosed("group moves a point outside the given set")
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        out.append((start, len(seen) - before))
+    return out
 
 
 class Perm:
@@ -487,24 +564,8 @@ def coset_orbits(C: PermGroup, cosets):
         return moved
 
     gens = [g.images for g in C.working_generators()]
-    unseen = set(pool)
     orbits = []
-    for start in sorted(unseen):
-        if start not in unseen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for rep in frontier:
-                for c in gens:
-                    moved = act_images(c, rep)
-                    if moved not in orbit:
-                        orbit.add(moved)
-                        nxt.append(moved)
-            frontier = nxt
-        unseen -= orbit
-        rep_images = min(orbit)
+    for rep_images, _ in _orbit_reps(pool, gens, act_images):
         stab = [
             c
             for c in C.iter_elements()

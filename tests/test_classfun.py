@@ -15,7 +15,7 @@ from transchrome.classfun import (
     transfer_datum,
     verify_mainthm_instance,
 )
-from transchrome.errors import NotSubgroup, ResourceLimit
+from transchrome.errors import InternalMismatch, NotSubgroup, ResourceLimit
 from transchrome.homclass import classify, lam_group, make_tuple
 from transchrome.perm import (
     Perm,
@@ -255,6 +255,22 @@ def test_transfer_stabilizer_identity_independent(s4_setup):
                 (g * c * g.inverse()).images for c in centralizer(H, beta)
             }
             assert claimed == {s.images for s in stab.elements}
+
+
+def test_centralizer_leaving_fixed_cosets_is_a_mismatch(s4_setup):
+    # a fixed-coset list the centralizer does not preserve is a bug, not bad
+    # input: it surfaces as InternalMismatch (exit 4), not as a domain error
+    from transchrome.classfun import _build_datum, _coset_system
+
+    S4, H, lam = s4_setup
+    g_table = class_table(S4, lam)
+    h_table = class_table(H, lam)
+    system = _coset_system(S4, H)
+    key = sym_class(["(0 1)(2 3)"], 2, 1, 2)
+    fixed = system.fixed(g_table.rep_images(key))
+    assert len(fixed) == 2
+    with pytest.raises(InternalMismatch):
+        _build_datum(g_table, h_table, system, key, fixed[:1])
 
 
 def test_ideal_trivial_rules(s4_setup):

@@ -24,15 +24,32 @@ def test_homs_table(capsys):
     assert "|C|=24" in out and "|C|=8" in out
 
 
-def test_homs_golden_json(capsys):
-    code, out, _ = run_cli(capsys, "homs", "--p", "2", "--h", "1", "--k", "2", "--json")
+GOLDEN = [
+    ("homs_p2_h1_k2", ("homs", "--p", "2", "--h", "1", "--k", "2")),
+    ("transfer_p2_h1_k2_alpha", ("transfer", "--p", "2", "--h", "1", "--k", "2",
+                                 "--alpha", "(0 1)(2 3)")),
+    ("transfer_p3_h1_k2", ("transfer", "--p", "3", "--h", "1", "--k", "2",
+                           "--class-id", "p3.k2.h1:[(U<1>:idx1,m3),(U<3>:idx3,m2)]")),
+    ("transfer_p2_h2_k2_m1", ("transfer", "--p", "2", "--h", "2", "--k", "2",
+                              "--m", "1", "--alpha", "(0 1);(2 3)")),
+    ("decompose_p2_n2_t1_k2", ("decompose", "--p", "2", "--n", "2", "--t", "1",
+                               "--k", "2")),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_homs_golden_json(capsys, name, argv):
+    # canonical JSON must stay byte-identical across refactors of the
+    # transfer and decomposition paths
+    code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
-    with open(os.path.join(FIXTURES, "homs_p2_h1_k2.json")) as fh:
+    with open(os.path.join(FIXTURES, name + ".json")) as fh:
         golden = fh.read()
     assert out == golden
-    data = json.loads(out)
-    orders = [rec["centralizer_order"] for rec in data["classes"]]
-    assert orders == [24, 4, 8, 4]
+    if name == "homs_p2_h1_k2":
+        data = json.loads(out)
+        orders = [rec["centralizer_order"] for rec in data["classes"]]
+        assert orders == [24, 4, 8, 4]
 
 
 def test_decompose_json_round_trips(capsys):
@@ -161,7 +178,8 @@ def test_json_outputs_are_canonical(capsys):
     assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == out1
 
 
-def test_env_var_overrides_group_cap(monkeypatch):
+def test_env_var_overrides_group_cap(monkeypatch, capsys):
+    from transchrome.errors import BadParameters
     from transchrome.perm import Perm, generate, max_group_elements
 
     monkeypatch.setenv("TRANSCHROME_MAX_ELEMENTS", "10")
@@ -169,8 +187,13 @@ def test_env_var_overrides_group_cap(monkeypatch):
     gens = [Perm.from_cycles("(0 1)", 4), Perm.from_cycles("(0 1 2 3)", 4)]
     with pytest.raises(Exception):
         generate(4, gens)
-    monkeypatch.setenv("TRANSCHROME_MAX_ELEMENTS", "not-a-number")
-    assert max_group_elements() == 10 ** 6
+    for bad in ("not-a-number", "0", "-5"):
+        monkeypatch.setenv("TRANSCHROME_MAX_ELEMENTS", bad)
+        with pytest.raises(BadParameters, match="TRANSCHROME_MAX_ELEMENTS"):
+            max_group_elements()
+        code, _, err = run_cli(capsys, "count-sub", "--h", "1", "--p", "3", "--m", "2")
+        assert code == 1
+        assert "TRANSCHROME_MAX_ELEMENTS" in err
 
 
 def test_console_entry_point():

@@ -166,6 +166,15 @@ def test_integrality_of_reduced_laws(height2, height2_p3):
                 assert 0 < c < ctx.ring.mod
 
 
+def test_series_equality_respects_truncation(mult):
+    # equal coefficients claim equality only below the same x-degree
+    x8 = mult.x_var()
+    x5 = Series(mult.ring, 1, 5, x8.coeffs)
+    assert x5.coeffs == x8.coeffs
+    assert x5 != x8
+    assert x5 == Series(mult.ring, 1, 5, x8.coeffs)
+
+
 def test_weierstrass_prep_multiplicative(mult):
     s2 = n_series(mult, 2)
     f, u = weierstrass_prep(mult, s2, 2)

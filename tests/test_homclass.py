@@ -296,17 +296,18 @@ def test_fiber_orbit_sizes_sum_to_fixed_partitions():
             assert sum(rec.orbit_size for rec in orbits) == len(fixed)
 
 
-def test_coset_fiber_matches_generic_coset_orbits():
+@pytest.mark.parametrize("p,h,k", [(2, 1, 2), (2, 2, 2)])
+def test_coset_fiber_matches_generic_coset_orbits(p, h, k):
     # the partition-orbit machinery agrees with the exhaustive coset version
     from transchrome.perm import block_subgroup, coset_orbits, fixed_cosets
 
-    S4 = symmetric_group(4)
-    H = block_subgroup(2, 2)
-    for hc in enumerate_hom_classes(2, 1, 2):
+    G = symmetric_group(p ** k)
+    H = block_subgroup(p ** (k - 1), p)
+    for hc in enumerate_hom_classes(p, h, k):
         perms = list(realize(hc).perms)
-        C = centralizer(S4, perms)
-        generic = coset_orbits(C, fixed_cosets(S4, H, perms))
-        fiber = coset_fiber(hc, 1)
+        C = centralizer(G, perms)
+        generic = coset_orbits(C, fixed_cosets(G, H, perms))
+        fiber = coset_fiber(hc, k - 1)
         assert len(fiber) == len(generic)
         generic_data = sorted(
             (coset.rep.images, stab.order) for coset, stab in generic

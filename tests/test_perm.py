@@ -206,6 +206,19 @@ def test_coset_orbits_action_not_closed():
         coset_orbits(S4, cosets[:2])
 
 
+def test_orbit_reps_sizes_and_closure():
+    from transchrome.perm import _orbit_reps
+
+    def act(g, x):
+        return g[x]
+
+    c = P("(0 1 2)(3 4)", 6).images
+    assert _orbit_reps(range(6), [c], act) == [(0, 3), (3, 2), (5, 1)]
+    assert _orbit_reps([], [c], act) == []
+    with pytest.raises(ActionNotClosed):
+        _orbit_reps([0, 1], [c], act)
+
+
 def test_orbit_sizes_partition_cosets():
     S4 = symmetric_group(4)
     H = generate(4, [P("(0 1 2 3)", 4)])
