@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import BadParameters, NotPrime, ResourceLimit
+from .errors import BadParameters, InternalMismatch, NotPrime, ResourceLimit
 
 AMBIENT_CAP = 10 ** 4
 
@@ -215,10 +215,14 @@ class _SubgroupLattice:
 
     Level m+1 subgroups are obtained from level-m ones by adjoining an
     element x with p*x in the subgroup (every maximal chain realizes this),
-    deduplicating by element list.  Candidates are scanned in ascending
-    order and every element of a freshly built extension is marked as
-    covered, so each extension is built at most p-1 times per maximal
-    subgroup.
+    deduplicating by element list.  The candidates for a subgroup S are read
+    off the fibres of multiplication by p, ``preimage[y] = [x : p*x = y]``,
+    built once per ambient: they are the x outside S in the fibres over the
+    elements of S, so no level rescans the ambient group.  Because p*x lies
+    in S, the extension S + <x> is the union of the p cosets S + i*x for
+    i < p.  Candidates are taken in ascending order and every element of a
+    freshly built extension is marked as covered, so each extension is built
+    at most p-1 times per maximal subgroup.
     """
 
     def __init__(self, ambient: Ambient):
@@ -226,24 +230,35 @@ class _SubgroupLattice:
         self.levels = [(AbSubgroup.trivial(ambient),)]
         self.max_level = ambient.k * ambient.h
 
+    @cached_property
+    def preimage(self):
+        ambient = self.ambient
+        preimage = {}
+        for x in ambient.elements():
+            preimage.setdefault(ambient.scale(ambient.p, x), []).append(x)
+        return preimage
+
     def up_to(self, m: int):
         ambient = self.ambient
         p = ambient.p
-        all_elems = ambient.elements()
         while len(self.levels) <= min(m, self.max_level):
+            preimage = self.preimage
             found = {}
             for sub in self.levels[-1]:
                 eset = sub._eset
-                candidates = [
-                    x
-                    for x in all_elems
-                    if x not in eset and ambient.scale(p, x) in eset
-                ]
+                candidates = sorted(
+                    x for y in sub.elements for x in preimage.get(y, ()) if x not in eset
+                )
                 covered = set()
                 for x in candidates:
                     if x in covered:
                         continue
-                    bigger = AbSubgroup.span(ambient, list(sub.generators()) + [x])
+                    members = set(eset)
+                    shift = x
+                    for _ in range(1, p):
+                        members.update(ambient.add(s, shift) for s in sub.elements)
+                        shift = ambient.add(shift, x)
+                    bigger = AbSubgroup(ambient, members)
                     found.setdefault(bigger.elements, bigger)
                     covered.update(bigger._eset)
             self.levels.append(tuple(sorted(found.values())))
@@ -294,28 +309,59 @@ def subgroups_of_ambient(ambient: Ambient, order=None):
 def count_sublattices(h: int, p: int, m: int) -> int:
     """Number of order-p^m subgroups of the h-fold Pruefer p-group.
 
-    Closed form: sum over compositions a_1 + ... + a_h = m of
-    p^(sum_i (i-1) a_i), the count of index-p^m sublattices of Z^h in
-    column-reduced echelon form.  Independently cross-checked against
+    Closed form: the Gaussian binomial [m+h-1 choose h-1]_p, in O(h)
+    big-int operations.  It is checked on every call against the count of
+    index-p^m sublattices of Z^h in column-reduced echelon form, the sum
+    over compositions a_1 + ... + a_h = m of p^(sum_i (i-1) a_i), evaluated
+    by an O(h m) dynamic program over the parts instead of term by term; a
+    disagreement raises InternalMismatch.  Both are cross-checked against
     enumerate_subgroups wherever that is feasible.
     """
     check_prime(p)
     if h < 1 or m < 0:
         raise BadParameters("need h >= 1 and m >= 0")
-    total = 0
-    for comp in _compositions(m, h):
-        exponent = sum(i * a for i, a in enumerate(comp))
-        total += p ** exponent
-    return total
+    gauss = _gaussian_binomial(m + h - 1, h - 1, p)
+    echelon = _echelon_count(h, p, m)
+    if gauss != echelon:
+        raise InternalMismatch(
+            "Gaussian binomial %d != echelon count %d for (h, p, m) = (%d, %d, %d)"
+            % (gauss, echelon, h, p, m)
+        )
+    return gauss
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _gaussian_binomial(n: int, k: int, q: int) -> int:
+    """[n choose k]_q as the product of (q^(n-k+i) - 1) / (q^i - 1), i <= k.
+
+    After step i the running value is [n-k+i choose i]_q, an integer, so
+    every division is exact.
+    """
+    value = 1
+    top = q ** (n - k)
+    bottom = 1
+    for _ in range(k):
+        top *= q
+        bottom *= q
+        value = value * (top - 1) // (bottom - 1)
+    return value
+
+
+def _echelon_count(h: int, p: int, m: int) -> int:
+    """Sum over compositions of m into h parts of p^(sum_i (i-1) a_i).
+
+    A dynamic program over the parts: ways[s] is the sum over the parts
+    placed so far that total s.  Part 1 has weight 1, so every total starts
+    with one term.  Part i multiplies a term by p^((i-1) a_i); a term of
+    total s either leaves part i empty (ways[s] of the previous parts) or
+    takes one more unit of it from a term of total s-1, so each part costs
+    O(m) big-int operations.
+    """
+    ways = [1] * (m + 1)
+    for i in range(1, h):
+        weight = p ** i
+        for s in range(1, m + 1):
+            ways[s] += weight * ways[s - 1]
+    return ways[m]
 
 
 def sub_leq_count(h: int, p: int, k: int) -> int:

@@ -43,6 +43,14 @@ class PolyRing:
         self.mod = p ** a
         self.zero_exp = (0,) * nparams
 
+    def __eq__(self, other):
+        return isinstance(other, PolyRing) and (self.p, self.a, self.b, self.r) == (
+            other.p, other.a, other.b, other.r
+        )
+
+    def __hash__(self):
+        return hash(("PolyRing", self.p, self.a, self.b, self.r))
+
     def zero(self):
         return {}
 
@@ -150,6 +158,12 @@ class QPolyRing:
         self.b = b
         self.r = nparams
         self.zero_exp = (0,) * nparams
+
+    def __eq__(self, other):
+        return isinstance(other, QPolyRing) and (self.b, self.r) == (other.b, other.r)
+
+    def __hash__(self):
+        return hash(("QPolyRing", self.b, self.r))
 
     def zero(self):
         return {}
@@ -298,13 +312,14 @@ class Series:
     def __eq__(self, other):
         return (
             isinstance(other, Series)
+            and self.ring == other.ring
             and self.nvars == other.nvars
             and self.D == other.D
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.D, tuple(sorted((e, tuple(sorted(c.items()))) for e, c in self.coeffs.items()))))
+        return hash((self.ring, self.nvars, self.D, tuple(sorted((e, tuple(sorted(c.items()))) for e, c in self.coeffs.items()))))
 
     def compose(self, args):
         """Substitute args[i] (series without constant term) for variable i."""

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transchrome import abelian
 from transchrome.abelian import (
     Ambient,
     AbSubgroup,
@@ -12,7 +13,7 @@ from transchrome.abelian import (
     sub_leq_count,
     subgroups_of_ambient,
 )
-from transchrome.errors import BadParameters, NotPrime, ResourceLimit
+from transchrome.errors import BadParameters, InternalMismatch, NotPrime, ResourceLimit
 
 
 def brute_force_subgroups(ambient, order):
@@ -25,6 +26,59 @@ def brute_force_subgroups(ambient, order):
             if sub.order == order:
                 found.add(sub.elements)
     return found
+
+
+def span_extension_levels(ambient):
+    """Oracle: the lattice levels built by re-spanning generators plus one
+    element, scanning the whole ambient group for candidates."""
+    p = ambient.p
+    levels = [(AbSubgroup.trivial(ambient),)]
+    for _ in range(ambient.k * ambient.h):
+        found = {}
+        for sub in levels[-1]:
+            candidates = [
+                x for x in ambient.elements()
+                if x not in sub and ambient.scale(p, x) in sub
+            ]
+            covered = set()
+            for x in candidates:
+                if x in covered:
+                    continue
+                bigger = AbSubgroup.span(ambient, list(sub.generators()) + [x])
+                found.setdefault(bigger.elements, bigger)
+                covered.update(bigger.elements)
+        levels.append(tuple(sorted(found.values())))
+    return levels
+
+
+def compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def composition_count(h, p, m):
+    """Oracle: p^(sum_i (i-1) a_i) summed over every composition of m into h parts."""
+    return sum(p ** sum(i * a for i, a in enumerate(comp)) for comp in compositions(m, h))
+
+
+@pytest.mark.parametrize("p,k,h", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 1), (2, 1, 2)])
+def test_lattice_levels_match_closure_oracle(p, k, h):
+    amb = Ambient(p, k, h)
+    for m in range(k * h + 1):
+        level = subgroups_of_ambient(amb, order=p ** m)
+        assert {s.elements for s in level} == brute_force_subgroups(amb, p ** m)
+        assert [s.elements for s in level] == sorted(s.elements for s in level)
+
+
+@pytest.mark.parametrize("p,k,h", [(2, 3, 2), (5, 1, 2)])
+def test_lattice_levels_match_span_extension(p, k, h):
+    amb = Ambient(p, k, h)
+    subgroups_of_ambient(amb)
+    assert abelian._lattice(amb).levels == span_extension_levels(amb)
 
 
 def test_enumerate_subgroups_z4_squared():
@@ -88,6 +142,20 @@ def test_count_sublattices_values():
 def test_count_sublattices_matches_enumeration():
     for h, p, m in [(1, 2, 3), (2, 2, 2), (2, 3, 1), (3, 2, 1), (2, 2, 3), (1, 5, 2)]:
         assert count_sublattices(h, p, m) == len(enumerate_subgroups(h, p, m, p ** m))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 8))
+def test_count_closed_forms_agree(p, h, m):
+    gauss = abelian._gaussian_binomial(m + h - 1, h - 1, p)
+    assert gauss == abelian._echelon_count(h, p, m) == composition_count(h, p, m)
+    assert count_sublattices(h, p, m) == gauss
+
+
+def test_count_closed_form_disagreement_is_a_mismatch(monkeypatch):
+    monkeypatch.setattr(abelian, "_echelon_count", lambda h, p, m: 8)
+    with pytest.raises(InternalMismatch):
+        count_sublattices(2, 2, 2)
 
 
 def test_sub_leq_count_values():

@@ -135,6 +135,26 @@ def test_count_sub(capsys):
     assert "= 7" in out
 
 
+def _q_binomial(n, k, q):
+    """[n choose k]_q by the q-Pascal rule [n,k] = [n-1,k-1] + q^k [n-1,k]."""
+    row = [1]
+    for i in range(1, n + 1):
+        row = [
+            (row[j - 1] if j >= 1 else 0) + (q ** j * row[j] if j < i else 0)
+            for j in range(i + 1)
+        ]
+    return row[k]
+
+
+def test_count_sub_large_rank_answers_from_closed_form(capsys):
+    # the composition sum here had C(69, 39) terms and never finished
+    code, out, _ = run_cli(capsys, "count-sub", "--h", "40", "--p", "2", "--m", "30", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["bruteforce"] is None and data["match"] is None
+    assert data["count"] == _q_binomial(69, 39, 2)
+
+
 def test_fgl_subcommand(capsys):
     code, out, _ = run_cli(capsys, "fgl", "--p", "2", "--law", "multiplicative",
                            "--k", "2", "--json")

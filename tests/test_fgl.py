@@ -175,6 +175,17 @@ def test_series_equality_respects_truncation(mult):
     assert x5 == Series(mult.ring, 1, 5, x8.coeffs)
 
 
+def test_series_equality_respects_ring():
+    # equal coefficients over Z/16 and Z/256 are different series
+    coarse = PolyRing(2, 4, 8, 0)
+    fine = PolyRing(2, 8, 8, 0)
+    coeffs = {(1,): {(): 1}, (2,): {(): 3}}
+    assert coarse != fine and coarse == PolyRing(2, 4, 8, 0)
+    assert Series(coarse, 1, 5, coeffs) != Series(fine, 1, 5, coeffs)
+    assert Series(coarse, 1, 5, coeffs) == Series(PolyRing(2, 4, 8, 0), 1, 5, coeffs)
+    assert hash(Series(coarse, 1, 5, coeffs)) == hash(Series(PolyRing(2, 4, 8, 0), 1, 5, coeffs))
+
+
 def test_weierstrass_prep_multiplicative(mult):
     s2 = n_series(mult, 2)
     f, u = weierstrass_prep(mult, s2, 2)
