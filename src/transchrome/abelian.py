@@ -12,11 +12,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import BadParameters, InternalMismatch, NotPrime, ResourceLimit
 
 AMBIENT_CAP = 10 ** 4
+# Trial division up to sqrt(PRIME_CAP) takes about 0.1 s.
+PRIME_CAP = 10 ** 12
+# Bound on h * (h + m) * bit_length(p) for count_sublattices; see there.
+COUNT_SIZE_CAP = 2 * 10 ** 5
 
 
 def is_prime(p: int) -> bool:
@@ -31,8 +35,17 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int):
+    """Raise NotPrime unless p is prime; above PRIME_CAP, where trial
+    division would run for seconds, raise ResourceLimit instead."""
+    if p > PRIME_CAP:
+        raise ResourceLimit("p = %d exceeds the primality-test cap %d" % (p, PRIME_CAP))
     if not is_prime(p):
         raise NotPrime("%r is not prime" % (p,))
+
+
+def power_exceeds(p: int, e: int, cap: int) -> bool:
+    """p**e > cap for p >= 2, without forming p**e when e is large."""
+    return e > cap.bit_length() or p ** e > cap
 
 
 @dataclass(frozen=True)
@@ -210,74 +223,53 @@ def annihilator(subgroup: AbSubgroup) -> AbSubgroup:
     return subgroup.annihilator()
 
 
-class _SubgroupLattice:
-    """Subgroups of an ambient group, computed lazily level by level.
+def _subgroup_levels(ambient: Ambient, top: int):
+    """Levels 0..top of the subgroup lattice: level m lists the order-p^m
+    subgroups, canonically sorted.  Nothing is kept between calls.
 
     Level m+1 subgroups are obtained from level-m ones by adjoining an
     element x with p*x in the subgroup (every maximal chain realizes this),
     deduplicating by element list.  The candidates for a subgroup S are read
     off the fibres of multiplication by p, ``preimage[y] = [x : p*x = y]``,
-    built once per ambient: they are the x outside S in the fibres over the
+    built once per call: they are the x outside S in the fibres over the
     elements of S, so no level rescans the ambient group.  Because p*x lies
     in S, the extension S + <x> is the union of the p cosets S + i*x for
     i < p.  Candidates are taken in ascending order and every element of a
     freshly built extension is marked as covered, so each extension is built
-    at most p-1 times per maximal subgroup.
+    at most p-1 times per maximal subgroup.  Levels above k*h are empty and
+    are not listed.
     """
-
-    def __init__(self, ambient: Ambient):
-        self.ambient = ambient
-        self.levels = [(AbSubgroup.trivial(ambient),)]
-        self.max_level = ambient.k * ambient.h
-
-    @cached_property
-    def preimage(self):
-        ambient = self.ambient
-        preimage = {}
-        for x in ambient.elements():
-            preimage.setdefault(ambient.scale(ambient.p, x), []).append(x)
-        return preimage
-
-    def up_to(self, m: int):
-        ambient = self.ambient
-        p = ambient.p
-        while len(self.levels) <= min(m, self.max_level):
-            preimage = self.preimage
-            found = {}
-            for sub in self.levels[-1]:
-                eset = sub._eset
-                candidates = sorted(
-                    x for y in sub.elements for x in preimage.get(y, ()) if x not in eset
-                )
-                covered = set()
-                for x in candidates:
-                    if x in covered:
-                        continue
-                    members = set(eset)
-                    shift = x
-                    for _ in range(1, p):
-                        members.update(ambient.add(s, shift) for s in sub.elements)
-                        shift = ambient.add(shift, x)
-                    bigger = AbSubgroup(ambient, members)
-                    found.setdefault(bigger.elements, bigger)
-                    covered.update(bigger._eset)
-            self.levels.append(tuple(sorted(found.values())))
-        return self.levels
-
-    def level(self, m: int):
-        if m > self.max_level or m < 0:
-            return ()
-        self.up_to(m)
-        return self.levels[m]
-
-
-@lru_cache(maxsize=None)
-def _lattice(ambient: Ambient) -> _SubgroupLattice:
     if ambient.order > AMBIENT_CAP:
         raise ResourceLimit(
             "ambient group of order %d exceeds cap %d" % (ambient.order, AMBIENT_CAP)
         )
-    return _SubgroupLattice(ambient)
+    p = ambient.p
+    levels = [(AbSubgroup.trivial(ambient),)]
+    top = min(top, ambient.k * ambient.h)
+    preimage = {}
+    for x in ambient.elements():
+        preimage.setdefault(ambient.scale(p, x), []).append(x)
+    while len(levels) <= top:
+        found = {}
+        for sub in levels[-1]:
+            eset = sub._eset
+            candidates = sorted(
+                x for y in sub.elements for x in preimage.get(y, ()) if x not in eset
+            )
+            covered = set()
+            for x in candidates:
+                if x in covered:
+                    continue
+                members = set(eset)
+                shift = x
+                for _ in range(1, p):
+                    members.update(ambient.add(s, shift) for s in sub.elements)
+                    shift = ambient.add(shift, x)
+                bigger = AbSubgroup(ambient, members)
+                found.setdefault(bigger.elements, bigger)
+                covered.update(bigger._eset)
+        levels.append(tuple(sorted(found.values())))
+    return levels
 
 
 def _order_exponent(order: int, p: int) -> int:
@@ -294,16 +286,17 @@ def _order_exponent(order: int, p: int) -> int:
 def enumerate_subgroups(h: int, p: int, K: int, order: int):
     """All subgroups of (Z/p^K)^h with the given order, canonically sorted."""
     ambient = Ambient(p, K, h)
-    m = _order_exponent(order, p)
-    return list(_lattice(ambient).level(m))
+    return subgroups_of_ambient(ambient, order)
 
 
 def subgroups_of_ambient(ambient: Ambient, order=None):
-    lattice = _lattice(ambient)
+    """The subgroups of the given order, or all of them level by level."""
     if order is None:
-        lattice.up_to(lattice.max_level)
-        return [s for level in lattice.levels for s in level]
-    return list(lattice.level(_order_exponent(order, ambient.p)))
+        levels = _subgroup_levels(ambient, ambient.k * ambient.h)
+        return [s for level in levels for s in level]
+    m = _order_exponent(order, ambient.p)
+    levels = _subgroup_levels(ambient, m)
+    return list(levels[m]) if m < len(levels) else []
 
 
 def count_sublattices(h: int, p: int, m: int) -> int:
@@ -316,10 +309,20 @@ def count_sublattices(h: int, p: int, m: int) -> int:
     by an O(h m) dynamic program over the parts instead of term by term; a
     disagreement raises InternalMismatch.  Both are cross-checked against
     enumerate_subgroups wherever that is feasible.
+
+    The dynamic program takes O(h m) big-int operations on numbers of up to
+    h m log2(p) bits, and the Gaussian product h exact divisions of numbers
+    of up to (m + h) log2(p) bits, so h (h + m) bit_length(p) is capped at
+    COUNT_SIZE_CAP (ResourceLimit) before any of that work.
     """
     check_prime(p)
     if h < 1 or m < 0:
         raise BadParameters("need h >= 1 and m >= 0")
+    size = h * (h + m) * p.bit_length()
+    if size > COUNT_SIZE_CAP:
+        raise ResourceLimit(
+            "count size h(h+m)log2(p) = %d exceeds cap %d" % (size, COUNT_SIZE_CAP)
+        )
     gauss = _gaussian_binomial(m + h - 1, h - 1, p)
     echelon = _echelon_count(h, p, m)
     if gauss != echelon:

@@ -49,6 +49,7 @@ from .perm import (
     _coset_table,
     _inverse,
     _orbit_reps,
+    centralizer,
 )
 
 GENERIC_TABLE_CAP = 10 ** 4
@@ -70,16 +71,10 @@ class SymmetricClassTable:
         self.group = symmetric_group(self.degree)
         self.classes = tuple(enumerate_hom_classes(lam.p, lam.h, lam.k))
         self._reps = {}
-        self._classify_memo = {}
 
     def key_of_images(self, imgs):
-        memo = self._classify_memo
-        key = memo.get(imgs)
-        if key is None:
-            perms = tuple(Perm(t) for t in imgs)
-            key = classify(CommutingTuple(self.degree, perms), self.lam)
-            memo[imgs] = key
-        return key
+        perms = tuple(Perm(t) for t in imgs)
+        return classify(CommutingTuple(self.degree, perms), self.lam)
 
     def rep_images(self, key: HomClass):
         reps = self._reps.get(key)
@@ -147,12 +142,7 @@ class GenericClassTable:
         return self._cent_orders[key]
 
     def centralizer_generators(self, key):
-        out = [
-            g
-            for g in self.group.iter_elements()
-            if all(_commute_images(g.images, s) for s in key)
-        ]
-        return out
+        return centralizer(self.group, [Perm(s) for s in key]).elements
 
     def class_id(self, key) -> str:
         return ";".join(Perm(s).cycles() for s in key)
@@ -336,6 +326,22 @@ class TransferDatum:
     def is_empty(self) -> bool:
         return not self.records
 
+    def ideal_trivial(self, p: int, t_is_zero: bool) -> bool:
+        """Decide whether the transfer ideal attached to the class is the
+        whole ring.
+
+        With p inverted (t_is_zero) any nonzero transfer is already
+        surjective, so the ideal is trivial exactly when some coset is
+        alpha-stable.  In the p-local case the transfer composed with
+        restriction multiplies by the orbit index, so an index prime to p
+        makes the transfer surjective; otherwise every contribution lands in
+        the ideal (p) + augmentation of a connected local-type ring and the
+        quotient is nonzero.
+        """
+        if t_is_zero:
+            return self.fixed_count > 0
+        return any(rec.index % p != 0 for rec in self.records)
+
 
 def _beta_images(g, alpha):
     """g^{-1} * s * g for each s in alpha: the action moved into H by g."""
@@ -386,11 +392,7 @@ def _verify_stabilizer(system, token, g, alpha, beta, H, stab_order):
     centralizer that fix the coset, and to have the stabilizer's exact
     cardinality (orbit-stabilizer); containment plus count gives equality.
     """
-    c_h_beta = [
-        h.images
-        for h in H.iter_elements()
-        if all(_commute_images(h.images, s) for s in beta)
-    ]
+    c_h_beta = [h.images for h in centralizer(H, [Perm(s) for s in beta]).elements]
     if len(c_h_beta) != stab_order:
         raise InternalMismatch(
             "conjugated subgroup centralizer has order %d, stabilizer has order %d"
@@ -495,20 +497,10 @@ def transfer_datum(G: PermGroup, H: PermGroup, alpha, lam: Ambient = None) -> Tr
 
 
 def ideal_trivial(G: PermGroup, H: PermGroup, alpha, t_is_zero: bool, lam: Ambient = None) -> bool:
-    """Decide whether the transfer ideal attached to [alpha] is the whole ring.
-
-    With p inverted (t_is_zero) any nonzero transfer is already surjective,
-    so the ideal is trivial exactly when some coset is alpha-stable.  In the
-    p-local case the transfer composed with restriction multiplies by the
-    orbit index, so an index prime to p makes the transfer surjective;
-    otherwise every contribution lands in the ideal (p) + augmentation of a
-    connected local-type ring and the quotient is nonzero.
-    """
-    datum = transfer_datum(G, H, alpha, lam)
-    if t_is_zero:
-        return datum.fixed_count > 0
+    """Decide whether the transfer ideal attached to [alpha] is the whole
+    ring; see ``TransferDatum.ideal_trivial``."""
     p = lam.p if lam is not None else alpha.lam.p
-    return any(rec.index % p != 0 for rec in datum.records)
+    return transfer_datum(G, H, alpha, lam).ideal_trivial(p, t_is_zero)
 
 
 def verify_mainthm_instance(G: PermGroup, H: PermGroup, chi: GenClassFunction) -> bool:

@@ -128,6 +128,7 @@ def _cmd_transfer(args):
     m = args.m if args.m is not None else args.k - 1
     if not 0 <= m <= args.k:
         raise DomainError("need 0 <= m <= k")
+    homclass.enumerate_hom_classes(args.p, args.h, args.k)  # size caps before any group
     G = symmetric_group(args.p ** args.k)
     H = block_subgroup(args.p ** m, args.p ** (args.k - m))
     key = _resolve_class(args, lam)
@@ -148,8 +149,8 @@ def _cmd_transfer(args):
         "fixed_cosets": datum.fixed_count,
         "centralizer_order": datum.centralizer_order,
         "orbits": records,
-        "trivial_if_t_zero": datum.fixed_count > 0,
-        "trivial_if_t_positive": any(r.index % args.p != 0 for r in datum.records),
+        "trivial_if_t_zero": datum.ideal_trivial(args.p, True),
+        "trivial_if_t_positive": datum.ideal_trivial(args.p, False),
     }
     if args.json:
         _emit_json(payload)
@@ -169,6 +170,7 @@ def _cmd_transfer(args):
 def _cmd_induce(args):
     lam = homclass.lam_group(args.p, args.h, args.k)
     m = args.m if args.m is not None else args.k - 1
+    homclass.enumerate_hom_classes(args.p, args.h, args.k)  # size caps before any group
     G = symmetric_group(args.p ** args.k)
     H = block_subgroup(args.p ** m, args.p ** (args.k - m))
     h_table = class_table(H, lam)

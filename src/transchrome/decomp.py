@@ -57,27 +57,36 @@ class DecompositionReport:
         return [r for r in self.records if not r.ideal_trivial]
 
 
-def fiber_rank(L: AbSubgroup, p: int, n: int, t: int, k: int) -> int:
-    """Order-p^k subgroups of (Z/p^k)^t + (Z/p^k)^{n-t} projecting onto L.
+def fiber_ranks(p: int, n: int, t: int, k: int) -> dict:
+    """Every fiber rank at once: {projection element tuple: count}.
 
-    Counted by brute force over the split model, with the formal part the
-    first t coordinates and the etale part the last n-t.
+    Each order-p^k subgroup of the split model (Z/p^k)^t + (Z/p^k)^{n-t},
+    the formal part the first t coordinates and the etale part the last
+    n-t, is projected onto the etale part exactly once; the count under a
+    subgroup L's sorted element tuple is the number of subgroups projecting
+    exactly onto L.
     """
+    if not 0 <= t < n:
+        raise BadParameters("need 0 <= t < n")
+    abelian.check_prime(p)
+    if abelian.power_exceeds(p, k * n, FIBER_AMBIENT_CAP):
+        raise ResourceLimit("split model (Z/%d^%d)^%d exceeds cap" % (p, k, n))
+    ranks = {}
+    for sub in abelian.subgroups_of_ambient(Ambient(p, k, n), order=p ** k):
+        proj = tuple(sorted({vec[t:] for vec in sub.elements}))
+        ranks[proj] = ranks.get(proj, 0) + 1
+    return ranks
+
+
+def fiber_rank(L: AbSubgroup, p: int, n: int, t: int, k: int) -> int:
+    """Order-p^k subgroups of (Z/p^k)^t + (Z/p^k)^{n-t} projecting onto L,
+    read off ``fiber_ranks``."""
     h = n - t
     if L.ambient != Ambient(p, k, h):
         raise BadParameters("L lives in the wrong ambient group")
     if L.order > p ** k:
         raise BadParameters("label subgroup has order above p^k")
-    full = Ambient(p, k, n)
-    if full.order > FIBER_AMBIENT_CAP:
-        raise ResourceLimit("split model of order %d exceeds cap" % full.order)
-    target = set(L.elements)
-    count = 0
-    for sub in abelian.subgroups_of_ambient(full, order=p ** k):
-        proj = {vec[t:] for vec in sub.elements}
-        if proj == target:
-            count += 1
-    return count
+    return fiber_ranks(p, n, t, k).get(L.elements, 0)
 
 
 def _validate_params(p, n, t, k):
@@ -86,8 +95,8 @@ def _validate_params(p, n, t, k):
         raise BadParameters("need 0 <= t < n")
     if k < 1:
         raise BadParameters("need k >= 1")
-    if p ** k > 9:
-        raise ResourceLimit("p^k = %d exceeds the desk-scale cap of 9" % p ** k)
+    if abelian.power_exceeds(p, k, 9):
+        raise ResourceLimit("p^k = %d^%d exceeds the desk-scale cap of 9" % (p, k))
     if n - t > 3:
         raise ResourceLimit("etale rank n - t exceeds 3")
 
@@ -96,36 +105,32 @@ def decompose(p: int, n: int, t: int, k: int) -> DecompositionReport:
     """One record per class; triviality cross-validated; ranks attached."""
     _validate_params(p, n, t, k)
     h = n - t
+    ranks = fiber_ranks(p, n, t, k)
     classes = homclass.enumerate_hom_classes(p, h, k)
     G = symmetric_group(p ** k)
     H = block_subgroup(p ** (k - 1), p)
     records = []
     for hc in classes:
-        datum = classfun.transfer_datum(G, H, hc)
+        trivial = classfun.transfer_datum(G, H, hc).ideal_trivial(p, t == 0)
+        iso = homclass.is_isotypic(hc)
         if t == 0:
-            trivial = datum.fixed_count > 0
             # with p inverted, only classes with no stable coset survive;
             # for the p-block subgroup those are exactly the transitive ones
-            transitive = len(hc.orbit_types) == 1 and hc.orbit_types[0][1] == 1
+            transitive = iso and hc.orbit_types[0][1] == 1
             if trivial != (not transitive):
                 raise InternalMismatch(
                     "p-inverted triviality disagrees with transitivity on %s"
                     % hc.class_id()
                 )
-        else:
-            trivial = any(rec.index % p != 0 for rec in datum.records)
-            iso = homclass.is_isotypic(hc)
-            if trivial != (not iso):
-                raise InternalMismatch(
-                    "transfer-orbit criterion and diagonal criterion disagree on %s"
-                    % hc.class_id()
-                )
-        iso = homclass.is_isotypic(hc)
+        elif trivial != (not iso):
+            raise InternalMismatch(
+                "transfer-orbit criterion and diagonal criterion disagree on %s"
+                % hc.class_id()
+            )
         m = homclass.minimal_level(hc)
         L = homclass.dual_image(hc)
         if iso and L.order != p ** m:
             raise InternalMismatch("isotypic class with |L| != p^m: %s" % hc.class_id())
-        rank = None if trivial else fiber_rank(L, p, n, t, k)
         records.append(
             ComponentRecord(
                 hom_class=hc,
@@ -133,7 +138,7 @@ def decompose(p: int, n: int, t: int, k: int) -> DecompositionReport:
                 m=m,
                 dual_image=L,
                 ideal_trivial=trivial,
-                fiber_rank=rank,
+                fiber_rank=None if trivial else ranks.get(L.elements, 0),
                 centralizer_order=homclass.centralizer_order(hc),
             )
         )
@@ -180,12 +185,9 @@ def triangle_failures(report: DecompositionReport):
     failures = []
     survivors = report.nontrivial
     labels = [r.dual_image.elements for r in survivors]
+    levels = abelian._subgroup_levels(Ambient(p, k, h), k)
     orders = range(k + 1) if report.t > 0 else [k]
-    expected = []
-    for m in orders:
-        expected.extend(
-            s.elements for s in abelian.enumerate_subgroups(h, p, k, p ** m)
-        )
+    expected = [s.elements for m in orders for s in levels[m]]
     if sorted(labels) != sorted(expected):
         failures.append(
             "(a) dual images are not a bijective labelling by subgroups of order <= p^k"

@@ -12,17 +12,19 @@ over block subgroups.
 The cosets of a standard block subgroup are modelled here, and only here, as
 ordered block partitions (``_BlockCosets``: enumeration, action, stable
 filter, coset representative); ``classfun`` uses the same model for its
-block coset systems, and centralizer orbits go through ``perm._orbit_reps``.
+block coset systems; the point orbits in ``classify`` and the centralizer
+orbits go through ``perm._orbit_reps``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import Ambient, AbSubgroup, check_prime, subgroups_of_ambient
+from .abelian import Ambient, AbSubgroup, _subgroup_levels, check_prime, power_exceeds
 from .errors import (
     ActionNotClosed,
     BadParameters,
@@ -143,13 +145,10 @@ def make_tuple(perms, lam: Ambient) -> CommutingTuple:
 
 
 def _kernel_subgroups(lam: Ambient, max_index: int):
-    """Subgroups of lam whose index is a p-power dividing max_index."""
-    out = []
-    for sub in subgroups_of_ambient(lam):
-        if max_index % sub.index == 0:
-            out.append(sub)
-    out.sort(key=lambda s: (s.index, s.elements))
-    return out
+    """Subgroups of lam whose index is a p-power dividing max_index, sorted
+    by (index, elements): the lattice levels from the top down."""
+    levels = _subgroup_levels(lam, lam.k * lam.h)
+    return [sub for level in reversed(levels) for sub in level if max_index % sub.index == 0]
 
 
 @lru_cache(maxsize=None)
@@ -158,9 +157,9 @@ def enumerate_hom_classes(p: int, h: int, k: int):
     check_prime(p)
     if h < 1 or k < 0:
         raise BadParameters("need h >= 1 and k >= 0")
-    if p ** k > DEGREE_CAP:
-        raise ResourceLimit("degree %d exceeds cap %d" % (p ** k, DEGREE_CAP))
-    if p ** (k * h) > LAMBDA_ORDER_CAP:
+    if power_exceeds(p, k, DEGREE_CAP):
+        raise ResourceLimit("degree %d^%d exceeds cap %d" % (p, k, DEGREE_CAP))
+    if power_exceeds(p, k * h, LAMBDA_ORDER_CAP):
         raise ResourceLimit("source group order exceeds cap")
     lam = lam_group(p, h, k)
     degree = p ** k
@@ -229,31 +228,6 @@ def realize(hc: HomClass) -> CommutingTuple:
     return CommutingTuple(degree, perms)
 
 
-def _orbits_of_tuple(perms, degree):
-    """Orbits of the generated (abelian) group, in order of smallest point."""
-    imgs = [s.images for s in perms]
-    seen = [False] * degree
-    orbits = []
-    for start in range(degree):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for img in imgs:
-                    y = img[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        orbits.append(sorted(orbit))
-    return orbits
-
-
 def _power_tables(perms, modulus):
     tables = []
     for s in perms:
@@ -271,10 +245,9 @@ def classify(t: CommutingTuple, lam: Ambient) -> HomClass:
     _check_orders(t.perms, lam.p, lam.k)
     q = lam.modulus
     tables = _power_tables(t.perms, q)
-    orbits = _orbits_of_tuple(t.perms, t.degree)
+    imgs = [s.images for s in t.perms]
     counts = {}
-    for orbit in orbits:
-        base = orbit[0]
+    for base, _ in _orbit_reps(range(t.degree), imgs, operator.getitem):
         members = []
         for vec in lam.elements():
             x = base

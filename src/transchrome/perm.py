@@ -7,8 +7,9 @@ checkable against independent counts.  There are deliberately no stabilizer
 chains and no backtrack search.
 
 ``_orbit_reps`` is the one orbit walk for a group given by generators acting
-on a finite set; ``coset_orbits`` here, the transfer data in ``classfun`` and
-the partition fibers in ``homclass`` all go through it.
+on a finite set; ``coset_orbits`` here, the transfer data in ``classfun``,
+and the point orbits of ``classify`` and the partition fibers in
+``homclass`` all go through it.
 
 Points are 0-based throughout; the transposition of the first two points
 prints as ``(0 1)``.

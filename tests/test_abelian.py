@@ -77,8 +77,7 @@ def test_lattice_levels_match_closure_oracle(p, k, h):
 @pytest.mark.parametrize("p,k,h", [(2, 3, 2), (5, 1, 2)])
 def test_lattice_levels_match_span_extension(p, k, h):
     amb = Ambient(p, k, h)
-    subgroups_of_ambient(amb)
-    assert abelian._lattice(amb).levels == span_extension_levels(amb)
+    assert abelian._subgroup_levels(amb, k * h) == span_extension_levels(amb)
 
 
 def test_enumerate_subgroups_z4_squared():
@@ -150,6 +149,34 @@ def test_count_closed_forms_agree(p, h, m):
     gauss = abelian._gaussian_binomial(m + h - 1, h - 1, p)
     assert gauss == abelian._echelon_count(h, p, m) == composition_count(h, p, m)
     assert count_sublattices(h, p, m) == gauss
+
+
+def test_count_size_is_capped_before_work():
+    # h (h + m) bit_length(p) above the cap: refused before any big-int work,
+    # including the cases where a single factor is huge
+    for h, p, m in [(600, 2, 600), (50000, 2, 1), (1, 2, 10 ** 9), (10 ** 9, 2, 0)]:
+        assert h * (h + m) * p.bit_length() > abelian.COUNT_SIZE_CAP
+        with pytest.raises(ResourceLimit):
+            count_sublattices(h, p, m)
+
+
+def test_check_prime_caps_trial_division():
+    abelian.check_prime(999999999989)  # the largest prime below the cap
+    with pytest.raises(NotPrime):
+        abelian.check_prime(abelian.PRIME_CAP)
+    for big in (abelian.PRIME_CAP + 39, 10 ** 18 + 3):
+        with pytest.raises(ResourceLimit):
+            abelian.check_prime(big)
+        with pytest.raises(ResourceLimit):
+            Ambient(big, 1, 1)
+
+
+def test_power_exceeds_matches_power():
+    for p in (2, 3, 5, 7):
+        for e in range(40):
+            for cap in (1, 9, 16, 10 ** 4):
+                assert abelian.power_exceeds(p, e, cap) == (p ** e > cap)
+    assert abelian.power_exceeds(2, 10 ** 18, 9)
 
 
 def test_count_closed_form_disagreement_is_a_mismatch(monkeypatch):

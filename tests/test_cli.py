@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -33,6 +34,10 @@ GOLDEN = [
     ("transfer_p2_h2_k2_m1", ("transfer", "--p", "2", "--h", "2", "--k", "2",
                               "--m", "1", "--alpha", "(0 1);(2 3)")),
     ("decompose_p2_n2_t1_k2", ("decompose", "--p", "2", "--n", "2", "--t", "1",
+                               "--k", "2")),
+    ("decompose_p2_n3_t1_k3", ("decompose", "--p", "2", "--n", "3", "--t", "1",
+                               "--k", "3")),
+    ("decompose_p3_n3_t1_k2", ("decompose", "--p", "3", "--n", "3", "--t", "1",
                                "--k", "2")),
 ]
 
@@ -188,6 +193,39 @@ def test_exit_code_domain(capsys):
 def test_exit_code_resource(capsys):
     code, _, err = run_cli(capsys, "homs", "--p", "2", "--h", "1", "--k", "9")
     assert code == 3
+
+
+def test_huge_parameters_exit_3_before_work(capsys):
+    # trial division of a 19-digit prime, forming p^k, 2^n or p^(kh) for a
+    # huge exponent, or a count of size h(h+m)log2(p) = 720000 would run for
+    # seconds to minutes before any size cap
+    huge_p = "1000000000000000003"
+    start = time.perf_counter()
+    for argv in [
+        ("decompose", "--p", huge_p, "--n", "2", "--t", "1", "--k", "1"),
+        ("homs", "--p", huge_p, "--h", "1", "--k", "1"),
+        ("count-sub", "--h", "2", "--p", huge_p, "--m", "1"),
+        ("decompose", "--p", "2", "--n", "2", "--t", "1", "--k", "1000000000000"),
+        ("decompose", "--p", "2", "--n", "1000000000", "--t", "999999999", "--k", "1"),
+        ("homs", "--p", "2", "--h", "1000000000000", "--k", "1"),
+        ("count-sub", "--h", "600", "--p", "2", "--m", "600"),
+    ]:
+        code, _, err = run_cli(capsys, *argv, "--json")
+        assert code == 3, argv
+        assert "resource limit" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_transfer_checks_caps_before_building_groups(monkeypatch, capsys):
+    from transchrome import cli
+
+    def refuse(degree):
+        raise AssertionError("Sym(%d) built before the size caps" % degree)
+
+    monkeypatch.setattr(cli, "symmetric_group", refuse)
+    params = ("--p", "2", "--h", "1", "--k", "20")
+    assert run_cli(capsys, "transfer", *params, "--alpha", "(0 1)")[0] == 3
+    assert run_cli(capsys, "induce", *params, "--chi", "unused.json")[0] == 3
 
 
 def test_json_outputs_are_canonical(capsys):

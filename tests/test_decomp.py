@@ -2,12 +2,14 @@ import math
 
 import pytest
 
-from transchrome import decomp
+from transchrome import abelian, decomp
 from transchrome.abelian import (
+    Ambient,
     AbSubgroup,
     count_sublattices,
     enumerate_subgroups,
     sub_leq_count,
+    subgroups_of_ambient,
 )
 from transchrome.errors import BadParameters, ResourceLimit
 from transchrome.homclass import enumerate_hom_classes, lam_group
@@ -85,6 +87,47 @@ def test_fiber_rank_extremes_match_closed_forms():
         cyclic = AbSubgroup.span(lam, [(1,) + (0,) * (h - 1)])
         assert cyclic.order == p ** k
         assert decomp.fiber_rank(cyclic, p, n, t, k) == p ** (k * t)
+
+
+def per_label_rank(L, p, n, t, k):
+    """Oracle: the per-component count, one projection scan per label."""
+    target = set(L.elements)
+    return sum(
+        1
+        for sub in subgroups_of_ambient(Ambient(p, k, n), order=p ** k)
+        if {vec[t:] for vec in sub.elements} == target
+    )
+
+
+@pytest.mark.parametrize("p,n,t,k", [(2, 2, 1, 2), (2, 3, 1, 1), (2, 3, 2, 1), (3, 2, 1, 1), (2, 2, 0, 2)])
+def test_fiber_ranks_match_per_label_scan(p, n, t, k):
+    ranks = decomp.fiber_ranks(p, n, t, k)
+    labels = [L for m in range(k + 1) for L in enumerate_subgroups(n - t, p, k, p ** m)]
+    assert set(ranks) <= {L.elements for L in labels}
+    for L in labels:
+        assert ranks.get(L.elements, 0) == per_label_rank(L, p, n, t, k)
+    assert sum(ranks.values()) == count_sublattices(n, p, k)
+
+
+def test_decompose_projects_the_split_model_once(monkeypatch):
+    calls = []
+    original = abelian.subgroups_of_ambient
+
+    def counting(ambient, order=None):
+        calls.append(ambient)
+        return original(ambient, order)
+
+    monkeypatch.setattr(abelian, "subgroups_of_ambient", counting)
+    report = decomp.decompose(2, 3, 1, 2)
+    assert len(report.nontrivial) > 1
+    assert calls == [Ambient(2, 2, 3)]
+
+
+def test_fiber_ranks_cap_before_work():
+    with pytest.raises(ResourceLimit):
+        decomp.fiber_ranks(2, 10 ** 9, 10 ** 9 - 1, 1)
+    with pytest.raises(BadParameters):
+        decomp.fiber_ranks(2, 2, 2, 1)
 
 
 def test_component_counts_match_closed_form():
