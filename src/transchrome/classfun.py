@@ -17,6 +17,7 @@ statement; the genuine module structure is out of scope.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,7 @@ from .homclass import (
     realize,
 )
 from .perm import (
+    BlockSubgroup,
     Perm,
     PermGroup,
     _commute_images,
@@ -50,6 +52,7 @@ from .perm import (
     _inverse,
     _orbit_reps,
     centralizer,
+    symmetric_group,
 )
 
 GENERIC_TABLE_CAP = 10 ** 4
@@ -66,8 +69,6 @@ class SymmetricClassTable:
     def __init__(self, lam: Ambient):
         self.lam = lam
         self.degree = lam.p ** lam.k
-        from .perm import symmetric_group
-
         self.group = symmetric_group(self.degree)
         self.classes = tuple(enumerate_hom_classes(lam.p, lam.h, lam.k))
         self._reps = {}
@@ -148,12 +149,55 @@ class GenericClassTable:
         return ";".join(Perm(s).cycles() for s in key)
 
 
+class ProductClassTable(GenericClassTable):
+    """Hom classes into a Young subgroup Sym(b)^c, read blockwise off one
+    exhaustive table of Sym(b).
+
+    Conjugation acts blockwise, so the lex-minimal conjugate of a tuple is
+    the join of its blockwise lex-minimal conjugates: keys, class order, ids
+    and centralizer orders are exactly ``GenericClassTable``'s.
+    """
+
+    def __init__(self, group: BlockSubgroup, lam: Ambient):
+        if group.order > GENERIC_TABLE_CAP:
+            raise ResourceLimit(
+                "group of order %d too large for exhaustive class table" % group.order
+            )
+        self.group, self.lam, self.degree = group, lam, group.degree
+        self.factor = GenericClassTable(symmetric_group(group.block_size), lam)
+        self._cent_orders = {
+            self._join(parts): math.prod(map(self.factor.centralizer_order, parts))
+            for parts in itertools.product(self.factor.classes, repeat=group.blocks)
+        }
+        self.classes = tuple(sorted(self._cent_orders))
+
+    def _join(self, parts):
+        b = self.group.block_size
+        return tuple(
+            tuple(j * b + v for j, part in enumerate(parts) for v in part[i])
+            for i in range(self.lam.h)
+        )
+
+    def key_of_images(self, imgs):
+        if any(len(s) != self.degree for s in imgs):
+            raise NotInGroup("tuple is not an action inside this group")
+        b = self.group.block_size
+        # a block image outside the block is no Sym(b) tuple: NotInGroup
+        return self._join([
+            self.factor.key_of_images(tuple(tuple(v - lo for v in s[lo:lo + b]) for s in imgs))
+            for lo in range(0, self.degree, b)
+        ])
+
+
 @lru_cache(maxsize=None)
 def class_table(group: PermGroup, lam: Ambient):
-    """The canonical class table for a group; full symmetric groups of degree
-    p^k get the invariant-based table, everything else the exhaustive one."""
+    """The canonical class table for a group: full symmetric groups of degree
+    p^k get the invariant-based table, Young subgroups the product table,
+    everything else the exhaustive one."""
     if group.is_full_symmetric() and group.degree == lam.p ** lam.k:
         return SymmetricClassTable(lam)
+    if isinstance(group, BlockSubgroup):
+        return ProductClassTable(group, lam)
     return GenericClassTable(group, lam)
 
 
@@ -212,12 +256,17 @@ class GenClassFunction:
 
     @classmethod
     def from_json_dict(cls, table, data) -> "GenClassFunction":
+        if not isinstance(data, dict):
+            raise ValueError("a class function is a JSON object {class id: value}")
         by_id = {table.class_id(key): key for key in table.classes}
         values = {}
         for cid, text in data.items():
             if cid not in by_id:
                 raise ValueError("unknown class id %r" % cid)
-            values[by_id[cid]] = Fraction(text)
+            try:
+                values[by_id[cid]] = Fraction(text)
+            except (TypeError, ZeroDivisionError) as exc:
+                raise ValueError("bad value %r for class %s" % (text, cid)) from exc
         return cls(table, values)
 
     def __repr__(self):
@@ -244,9 +293,6 @@ class _GenericCosets:
 
     def __init__(self, G: PermGroup, H: PermGroup):
         cosets, index = _coset_table(G, H)
-        if len(cosets) > INDEX_CAP:
-            raise ResourceLimit("index %d exceeds cap" % len(cosets))
-        self.tokens = tuple(range(len(cosets)))
         self._reps = tuple(c.rep.images for c in cosets)
         self._index = index
 
@@ -257,48 +303,17 @@ class _GenericCosets:
         return self._index[_compose(c_images, self._reps[token])]
 
     def fixed(self, alpha_images):
-        out = []
-        for token in self.tokens:
-            if all(self.act(s, token) == token for s in alpha_images):
-                out.append(token)
-        return out
+        tokens = range(len(self._reps))
+        return [t for t in tokens if all(self.act(s, t) == t for s in alpha_images)]
 
 
-def _standard_block_size(G: PermGroup, H: PermGroup):
-    """Block size if H is exactly the full subgroup preserving consecutive
-    equal blocks inside the full symmetric group G, else None."""
-    if not G.is_full_symmetric():
-        return None
-    n = G.degree
-    for b in range(1, n + 1):
-        if n % b:
-            continue
-        c = n // b
-        if H.order != math.factorial(b) ** c:
-            continue
-        ok = True
-        for g in H.iter_elements():
-            for j in range(c):
-                base = j * b
-                if any(not base <= g.images[base + r] < base + b for r in range(b)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return b
-    return None
-
-
-@lru_cache(maxsize=None)
 def _coset_system(G: PermGroup, H: PermGroup):
     if not H.is_subgroup_of(G):
         raise NotSubgroup("H is not a subgroup of G")
     if G.order // H.order > INDEX_CAP:
         raise ResourceLimit("index exceeds cap")
-    b = _standard_block_size(G, H)
-    if b is not None:
-        return _BlockCosets(G.degree, b)
+    if G.is_full_symmetric() and isinstance(H, BlockSubgroup):
+        return _BlockCosets(G.degree, H.block_size)
     return _GenericCosets(G, H)
 
 
@@ -409,9 +424,9 @@ def _verify_stabilizer(system, token, g, alpha, beta, H, stab_order):
 @lru_cache(maxsize=None)
 def _induction_data(g_table_key, h_table_key):
     G, H, lam = g_table_key[0], h_table_key[0], g_table_key[1]
+    system = _coset_system(G, H)  # index cap before any class table
     g_table = class_table(G, lam)
     h_table = class_table(H, lam)
-    system = _coset_system(G, H)
     plain = {}
     data = {}
     for alpha_key in g_table.classes:
@@ -481,17 +496,14 @@ def transfer_datum(G: PermGroup, H: PermGroup, alpha, lam: Ambient = None) -> Tr
         lam = alpha.lam
     elif lam is None:
         raise ValueError("lam is required when alpha is a permutation tuple")
+    system = _coset_system(G, H)  # index cap before any class table
     g_table = class_table(G, lam)
     h_table = class_table(H, lam)
-    system = _coset_system(G, H)
-    if isinstance(alpha, HomClass):
-        alpha_key = alpha if isinstance(g_table, SymmetricClassTable) else None
-        if alpha_key is None:
-            imgs = tuple(p.images for p in realize(alpha).perms)
-            alpha_key = g_table.key_of_images(imgs)
+    if isinstance(alpha, HomClass) and isinstance(g_table, SymmetricClassTable):
+        alpha_key = alpha
     else:
-        imgs = tuple(p.images for p in alpha)
-        alpha_key = g_table.key_of_images(imgs)
+        perms = realize(alpha).perms if isinstance(alpha, HomClass) else alpha
+        alpha_key = g_table.key_of_images(tuple(p.images for p in perms))
     fixed = system.fixed(g_table.rep_images(alpha_key))
     return _build_datum(g_table, h_table, system, alpha_key, fixed)
 

@@ -123,14 +123,22 @@ def _resolve_class(args, lam):
     raise DomainError("need --class-id or --alpha")
 
 
-def _cmd_transfer(args):
+def _young_pair(args):
+    """(lam, m, Sym(p^k), its Young subgroup on blocks of p^m), m defaulting
+    to k - 1; the size and index caps are checked before any group is built."""
     lam = homclass.lam_group(args.p, args.h, args.k)
     m = args.m if args.m is not None else args.k - 1
     if not 0 <= m <= args.k:
         raise DomainError("need 0 <= m <= k")
-    homclass.enumerate_hom_classes(args.p, args.h, args.k)  # size caps before any group
-    G = symmetric_group(args.p ** args.k)
-    H = block_subgroup(args.p ** m, args.p ** (args.k - m))
+    homclass.enumerate_hom_classes(args.p, args.h, args.k)
+    degree, block = args.p ** args.k, args.p ** m
+    if homclass.block_partition_count(degree, block) > classfun.INDEX_CAP:
+        raise ResourceLimit("index of the block subgroup exceeds cap %d" % classfun.INDEX_CAP)
+    return lam, m, symmetric_group(degree), block_subgroup(block, degree // block)
+
+
+def _cmd_transfer(args):
+    lam, m, G, H = _young_pair(args)
     key = _resolve_class(args, lam)
     datum = classfun.transfer_datum(G, H, key)
     h_table = class_table(H, lam)
@@ -168,11 +176,7 @@ def _cmd_transfer(args):
 
 
 def _cmd_induce(args):
-    lam = homclass.lam_group(args.p, args.h, args.k)
-    m = args.m if args.m is not None else args.k - 1
-    homclass.enumerate_hom_classes(args.p, args.h, args.k)  # size caps before any group
-    G = symmetric_group(args.p ** args.k)
-    H = block_subgroup(args.p ** m, args.p ** (args.k - m))
+    lam, _, G, H = _young_pair(args)
     h_table = class_table(H, lam)
     with open(args.chi) as fh:
         data = json.load(fh)
@@ -236,8 +240,8 @@ def _cmd_fgl(args):
         ctx = fgl.multiplicative_context(args.p, a=args.prec_p, D=args.deg or 8)
     else:
         ctx = fgl.build_ptypical(args.p, args.n, a=args.prec_p, b=args.prec_u, D=args.deg)
+    rank = fgl.torsion_rank(ctx, args.k)  # refuses D <= p^{kn} before any series
     series = fgl.n_series(ctx, args.p ** args.k)
-    rank = fgl.torsion_rank(ctx, args.k)
     payload = {
         "law": ctx.label,
         "precision": {"p_adic": ctx.ring.a, "u_degree": ctx.ring.b, "x_degree": ctx.D},

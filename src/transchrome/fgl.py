@@ -532,20 +532,16 @@ def multiplicative_context(p, a=4, D=8) -> FGLContext:
 
 
 def n_series(ctx: FGLContext, m: int) -> Series:
-    """[m](x): [0] = 0 and [m] = F(x, [m-1]), exact below degree D."""
+    """[m](x): [0] = 0, [1] = x and [m] = F(x, [m-1]), exact below degree D;
+    the cache holds [0..j], and [j+1..m] are built in a loop, not by recursion."""
     if m < 0:
         raise BadParameters("need m >= 0")
     cache = ctx._nseries_cache
-    if m in cache:
-        return cache[m]
-    if m == 0:
-        out = Series.zero(ctx.ring, 1, ctx.D)
-    elif m == 1:
-        out = ctx.x_var()
-    else:
-        out = ctx.F.compose([ctx.x_var(), n_series(ctx, m - 1)])
-    cache[m] = out
-    return out
+    if not cache:
+        cache.update({0: Series.zero(ctx.ring, 1, ctx.D), 1: ctx.x_var()})
+    for i in range(len(cache), m + 1):
+        cache[i] = ctx.F.compose([ctx.x_var(), cache[i - 1]])
+    return cache[m]
 
 
 def fgl_sum(ctx: FGLContext, s1: Series, s2: Series) -> Series:

@@ -9,11 +9,11 @@ used by the component decomposition: centralizer structure, minimal block
 level, diagonal factorization, dual image, and the fixed-coset fibration
 over block subgroups.
 
-The cosets of a standard block subgroup are modelled here, and only here, as
-ordered block partitions (``_BlockCosets``: enumeration, action, stable
-filter, coset representative); ``classfun`` uses the same model for its
-block coset systems; the point orbits in ``classify`` and the centralizer
-orbits go through ``perm._orbit_reps``.
+The cosets of a Young subgroup Sym(b)^c are modelled here, and only here,
+as ordered block partitions (``_BlockCosets``), which ``classfun`` shares;
+the alpha-stable ones are built by packing the orbits of alpha into blocks,
+never by filtering all partitions.  Point orbits, the packed orbits and the
+centralizer orbits all go through ``perm._orbits``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .perm import (
     _conj_images,
     _inverse,
     _orbit_reps,
+    _orbits,
     symmetric_group,
 )
 
@@ -370,83 +371,69 @@ def dual_image(hc: HomClass) -> AbSubgroup:
 
 
 def block_partition_count(degree: int, block: int) -> int:
-    blocks = degree // block
-    total = math.factorial(degree)
-    for _ in range(blocks):
-        total //= math.factorial(block)
-    return total
-
-
-def enumerate_block_partitions(degree: int, block: int):
-    """All ordered partitions of {0..degree-1} into equal blocks, as tuples
-    of sorted tuples.  These are in bijection with the left cosets of the
-    standard block subgroup, the partition listing each block's image."""
-    if degree % block:
-        raise BadParameters("block size %d does not divide degree %d" % (block, degree))
-    if block_partition_count(degree, block) > PARTITION_CAP:
-        raise ResourceLimit("too many block partitions")
-    out = []
-
-    def rec(rest, acc):
-        if not rest:
-            out.append(tuple(acc))
-            return
-        for combo in itertools.combinations(rest, block):
-            acc.append(combo)
-            rec(tuple(x for x in rest if x not in combo), acc)
-            acc.pop()
-
-    rec(tuple(range(degree)), [])
-    return out
+    return math.factorial(degree) // math.factorial(block) ** (degree // block)
 
 
 def partition_act(images, partition):
     return tuple(tuple(sorted(images[x] for x in blk)) for blk in partition)
 
 
-def partition_fixed(images, partition) -> bool:
-    for blk in partition:
-        if tuple(sorted(images[x] for x in blk)) != blk:
-            return False
-    return True
-
-
 class _BlockCosets:
-    """Left cosets of the standard block subgroup as ordered block partitions.
-
-    The partitions are enumerated once per instance; a token is a partition
-    and ``act``, ``fixed`` and ``rep_images`` are the coset action, the
-    alpha-stable filter and the lex-minimal coset representative.
-    """
+    """Left cosets of the Young subgroup Sym(block)^(degree/block): a token
+    is an ordered partition into blocks, each a sorted tuple; ``act``,
+    ``fixed`` and ``rep_images`` are the coset action, the alpha-stable
+    partitions and the lex-minimal coset representative."""
 
     def __init__(self, degree: int, block: int):
-        self.tokens = tuple(enumerate_block_partitions(degree, block))
+        if degree % block:
+            raise BadParameters("block size %d does not divide degree %d" % (block, degree))
+        if block_partition_count(degree, block) > PARTITION_CAP:
+            raise ResourceLimit("too many block partitions")
+        self.degree = degree
+        self.block = block
 
     act = staticmethod(partition_act)
 
     @staticmethod
     def rep_images(token):
         # sends base block j onto block j of the partition, in order
-        images = []
-        for blk in token:
-            images.extend(blk)
-        return tuple(images)
+        return tuple(itertools.chain(*token))
 
     def fixed(self, alpha_images):
-        return [
-            part
-            for part in self.tokens
-            if all(partition_fixed(s, part) for s in alpha_images)
-        ]
+        """The partitions whose blocks are unions of orbits of alpha, sorted.
 
+        The orbits are packed into unordered blocks, each led by the orbit of
+        the least unplaced point; every ordering of a packing is one stable
+        partition.  With orbits of p-power size every partial packing
+        completes, so the work is proportional to the output."""
+        orbits = _orbits(range(self.degree), alpha_images, operator.getitem)
+        if max(len(o) for o in orbits) > self.block:
+            return []
+        last = self.degree // self.block - 1
+        packings = []
 
-def partition_coset_rep(partition) -> Perm:
-    """Lex-minimal coset representative sending base block j onto block j."""
-    return Perm(_BlockCosets.rep_images(partition))
+        def pack(rest, acc):
+            if len(acc) == last:  # the rest is the last block
+                packings.append(acc + (tuple(sorted(itertools.chain(*rest))),))
+                return
+            lead, others = rest[0], rest[1:]
+            by_size = {}
+            for i, orbit in enumerate(others):
+                by_size.setdefault(len(orbit), []).append(i)
+            sizes = sorted(by_size)
+            room = self.block - len(lead)
+            for take in itertools.product(*(range(len(by_size[d]) + 1) for d in sizes)):
+                if sum(a * d for a, d in zip(take, sizes)) != room:
+                    continue
+                groups = [itertools.combinations(by_size[d], a) for d, a in zip(sizes, take)]
+                for choice in itertools.product(*groups):
+                    chosen = set().union(*choice)
+                    blk = itertools.chain(lead, *(others[i] for i in chosen))
+                    left = [o for i, o in enumerate(others) if i not in chosen]
+                    pack(left, acc + (tuple(sorted(blk)),))
 
-
-def fixed_block_partitions(perms, degree: int, block: int):
-    return _BlockCosets(degree, block).fixed([s.images for s in perms])
+        pack(orbits, ())
+        return sorted(itertools.chain.from_iterable(map(itertools.permutations, packings)))
 
 
 @dataclass(frozen=True)
@@ -460,7 +447,7 @@ class FiberOrbit:
     stabilizer_order: int
 
 
-def coset_fiber(hc: HomClass, m: int, blocks=None):
+def coset_fiber(hc: HomClass, m: int):
     """Centralizer orbits of alpha-stable partitions into blocks of p^m.
 
     Each orbit record carries the canonical representative partition, the
@@ -469,15 +456,9 @@ def coset_fiber(hc: HomClass, m: int, blocks=None):
     of the stabilizer in the centralizer), and the stabilizer order.
     """
     lam = hc.lam
-    p = lam.p
-    degree = hc.points
-    block = p ** m
-    if blocks is None:
-        blocks = degree // block
-    if block * blocks != degree:
-        raise BadParameters("blocks do not tile the permuted points")
-    alpha = [s.images for s in realize(hc).perms]
+    degree, block = hc.points, lam.p ** m
     system = _BlockCosets(degree, block)
+    alpha = [s.images for s in realize(hc).perms]
     fixed = system.fixed(alpha)
     gens = [g.images for g in centralizer_generators(hc)]
     order = centralizer_order(hc)
@@ -490,16 +471,15 @@ def coset_fiber(hc: HomClass, m: int, blocks=None):
     for rep, size in orbits:
         if order % size:
             raise InternalMismatch("orbit size does not divide the centralizer order")
-        g = partition_coset_rep(rep)
+        g = Perm(system.rep_images(rep))
         ginv = _inverse(g.images)
         conj = [_conj_images(ginv, s) for s in alpha]
-        block_classes = []
-        for j in range(blocks):
-            base = j * block
-            local = tuple(
-                Perm(tuple(imgs[base + r] - base for r in range(block))) for imgs in conj
-            )
-            block_classes.append(classify(CommutingTuple(block, local), lam))
+        block_classes = [
+            classify(CommutingTuple(block, tuple(
+                Perm(v - base for v in s[base:base + block]) for s in conj
+            )), lam)
+            for base in range(0, degree, block)
+        ]
         records.append(
             FiberOrbit(
                 partition=rep,

@@ -6,9 +6,10 @@ most nine points, where brute force is simple, deterministic and directly
 checkable against independent counts.  There are deliberately no stabilizer
 chains and no backtrack search.
 
-``_orbit_reps`` is the one orbit walk for a group given by generators acting
-on a finite set; ``coset_orbits`` here, the transfer data in ``classfun``,
-and the point orbits of ``classify`` and the partition fibers in
+``_orbits`` is the one orbit walk for a group given by generators acting on
+a finite set, and ``_orbit_reps`` its (minimum, size) view; ``coset_orbits``
+here, the transfer data in ``classfun``, and the point orbits of
+``classify``, the stable block partitions and the partition fibers in
 ``homclass`` all go through it.
 
 Points are 0-based throughout; the transposition of the first two points
@@ -101,12 +102,12 @@ def _commuting_tuples(pool, h):
     yield from rec([])
 
 
-def _orbit_reps(points, gens, act):
+def _orbits(points, gens, act):
     """Orbits of the group generated by ``gens`` on ``points``.
 
-    ``act(g, x)`` is the image of point x under generator g.  Returns
-    ``[(min point, orbit size)]`` sorted by min point; raises ActionNotClosed
-    if a generator moves a point off ``points``.
+    ``act(g, x)`` is the image of point x under generator g.  Returns member
+    lists, each led by its minimum, sorted by it; raises ActionNotClosed if
+    a generator moves a point off ``points``.
     """
     pool = set(points)
     seen = set()
@@ -114,8 +115,8 @@ def _orbit_reps(points, gens, act):
     for start in sorted(pool):
         if start in seen:
             continue
-        before = len(seen)
         seen.add(start)
+        members = [start]
         frontier = [start]
         while frontier:
             nxt = []
@@ -127,9 +128,15 @@ def _orbit_reps(points, gens, act):
                             raise ActionNotClosed("group moves a point outside the given set")
                         seen.add(y)
                         nxt.append(y)
+            members.extend(nxt)
             frontier = nxt
-        out.append((start, len(seen) - before))
+        out.append(members)
     return out
+
+
+def _orbit_reps(points, gens, act):
+    """``[(min point, orbit size)]`` for the orbits of ``_orbits``."""
+    return [(orbit[0], len(orbit)) for orbit in _orbits(points, gens, act)]
 
 
 class Perm:
@@ -412,7 +419,16 @@ def generate(degree: int, gens, max_elements=None) -> PermGroup:
     return PermGroup(degree, seen.values(), generators=gens)
 
 
-def block_subgroup(block_size: int, blocks: int) -> PermGroup:
+class BlockSubgroup(PermGroup):
+    """A Young subgroup Sym(block_size)^blocks that keeps its shape."""
+
+    def __init__(self, block_size, blocks, elements, generators):
+        super().__init__(block_size * blocks, elements, generators)
+        self.block_size = block_size
+        self.blocks = blocks
+
+
+def block_subgroup(block_size: int, blocks: int) -> BlockSubgroup:
     """The direct product of symmetric groups on consecutive equal blocks.
 
     ``block_subgroup(2, 2)`` is the subgroup of Sym(4) preserving {0,1} and
@@ -421,26 +437,17 @@ def block_subgroup(block_size: int, blocks: int) -> PermGroup:
     degree = block_size * blocks
     if math.factorial(block_size) ** blocks > max_group_elements():
         raise ResourceLimit("block subgroup too large to materialize")
-    per_block = list(itertools.permutations(range(block_size)))
-    elems = []
-    for combo in itertools.product(per_block, repeat=blocks):
-        images = [0] * degree
-        for j, local in enumerate(combo):
-            base = j * block_size
-            for r in range(block_size):
-                images[base + r] = base + local[r]
-        elems.append(Perm(images))
-    gens = []
-    for j in range(blocks):
-        base = j * block_size
-        if block_size >= 2:
-            gens.append(Perm.from_cycles("(%d %d)" % (base, base + 1), degree))
-        if block_size >= 3:
-            images = list(range(degree))
-            for r in range(block_size):
-                images[base + r] = base + (r + 1) % block_size
-            gens.append(Perm(images))
-    return PermGroup(degree, elems, generators=gens)
+    bases = range(0, degree, block_size)
+    factor = symmetric_group(block_size)
+    per_block = [[tuple(base + v for v in g.images) for g in factor] for base in bases]
+    elems = [Perm(itertools.chain(*combo)) for combo in itertools.product(*per_block)]
+    ident = tuple(range(degree))
+    gens = [
+        Perm(ident[:base] + tuple(base + v for v in g.images) + ident[base + block_size:])
+        for base in bases
+        for g in factor.generators
+    ]
+    return BlockSubgroup(block_size, blocks, elems, gens)
 
 
 def centralizer(ambient: PermGroup, perms) -> PermGroup:

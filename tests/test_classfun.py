@@ -15,7 +15,7 @@ from transchrome.classfun import (
     transfer_datum,
     verify_mainthm_instance,
 )
-from transchrome.errors import InternalMismatch, NotSubgroup, ResourceLimit
+from transchrome.errors import InternalMismatch, NotInGroup, NotSubgroup, ResourceLimit
 from transchrome.homclass import classify, lam_group, make_tuple
 from transchrome.perm import (
     Perm,
@@ -297,20 +297,23 @@ def test_nontrivial_ideal_means_every_index_divisible():
 
 
 def test_block_and_generic_coset_systems_agree(s4_setup):
-    # same group given two ways: the partition fast path and the generic
-    # enumeration must produce identical induction tables
+    # same group given two ways: the partition model and the generic coset
+    # table must list the same alpha-stable cosets, in the same order, for
+    # every class, the identity (every coset stable) included
     from transchrome.classfun import _BlockCosets, _GenericCosets
 
-    S4, H, lam = s4_setup
-    blocks = _BlockCosets(4, 2)
-    generic = _GenericCosets(S4, H)
-    block_reps = sorted(blocks.rep_images(t) for t in blocks.tokens)
-    generic_reps = sorted(generic.rep_images(t) for t in generic.tokens)
-    assert block_reps == generic_reps
-    alpha = (P("(0 1)(2 3)", 4).images,)
-    fixed_b = {blocks.rep_images(t) for t in blocks.fixed(alpha)}
-    fixed_g = {generic.rep_images(t) for t in generic.fixed(alpha)}
-    assert fixed_b == fixed_g
+    S4 = s4_setup[0]
+    identity = (tuple(range(4)),)
+    for block, index in ((2, 6), (1, 24)):
+        blocks = _BlockCosets(4, block)
+        generic = _GenericCosets(S4, block_subgroup(block, 4 // block))
+        assert len(blocks.fixed(identity)) == index
+        for h in (1, 2):
+            gt = class_table(S4, lam_group(2, h, 2))
+            for alpha in [identity * h] + [gt.rep_images(key) for key in gt.classes]:
+                fixed_b = [blocks.rep_images(t) for t in blocks.fixed(alpha)]
+                fixed_g = [generic.rep_images(t) for t in generic.fixed(alpha)]
+                assert fixed_b == fixed_g
 
 
 def test_class_function_json_round_trip(s4_setup):
@@ -344,3 +347,32 @@ def test_generic_table_cap():
 
     with pytest.raises(ResourceLimit):
         GenericClassTable(symmetric_group(8), lam_group(2, 1, 3))
+
+
+@pytest.mark.parametrize("block,blocks,p,h,k", [
+    (2, 2, 2, 1, 2), (2, 2, 2, 2, 2), (2, 2, 2, 3, 2),
+    (4, 2, 2, 1, 3), (4, 2, 2, 2, 3),
+    (3, 3, 3, 1, 2), (3, 3, 3, 2, 2),
+    (1, 4, 2, 2, 2), (1, 3, 3, 1, 1),
+])
+def test_product_table_matches_generic_table(block, blocks, p, h, k):
+    # the Young subgroup's table read blockwise must be the exhaustive one
+    from transchrome.classfun import GenericClassTable, ProductClassTable
+
+    H = block_subgroup(block, blocks)
+    lam = lam_group(p, h, k)
+    product = ProductClassTable(H, lam)
+    generic = GenericClassTable(H, lam)
+    # uncached: the cache may hold an equal group given by generators
+    assert isinstance(class_table.__wrapped__(H, lam), ProductClassTable)
+    assert product.classes == generic.classes
+    for key in generic.classes:
+        assert product.class_id(key) == generic.class_id(key)
+        assert product.centralizer_order(key) == generic.centralizer_order(key)
+    for imgs, key in generic._lookup.items():
+        assert product.key_of_images(imgs) == key
+    # swapping the first and the last point leaves every block
+    swap = list(range(H.degree))
+    swap[0], swap[-1] = swap[-1], swap[0]
+    with pytest.raises(NotInGroup):
+        product.key_of_images((tuple(swap),) * h)

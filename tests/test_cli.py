@@ -5,6 +5,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from transchrome import decomp
 from transchrome.cli import main
@@ -39,6 +41,15 @@ GOLDEN = [
                                "--k", "3")),
     ("decompose_p3_n3_t1_k2", ("decompose", "--p", "3", "--n", "3", "--t", "1",
                                "--k", "2")),
+    # Young subgroups served by the product class table: S8 > S4xS4, S9 > S3^3
+    ("transfer_p2_h2_k3", ("transfer", "--p", "2", "--h", "2", "--k", "3", "--class-id",
+                           "p2.k3.h2:[(U<0.1|1.0>:idx1,m2),(U<0.1|2.0>:idx2,m1),"
+                           "(U<0.2|1.0>:idx2,m1),(U<0.2|1.1>:idx2,m1)]")),
+    ("transfer_p3_h2_k2", ("transfer", "--p", "3", "--h", "2", "--k", "2", "--class-id",
+                           "p3.k2.h2:[(U<0.1|1.0>:idx1,m3),(U<0.1|3.0>:idx3,m1),"
+                           "(U<0.3|1.1>:idx3,m1)]")),
+    ("induce_p2_h1_k3", ("induce", "--p", "2", "--h", "1", "--k", "3",
+                         "--chi", os.path.join(FIXTURES, "chi_p2_h1_k3.json"))),
 ]
 
 
@@ -188,6 +199,10 @@ def test_exit_code_domain(capsys):
     code, _, err = run_cli(capsys, "transfer", "--p", "2", "--h", "1", "--k", "2",
                            "--class-id", "nope")
     assert code == 2
+    # D = 5 <= 2^12: refused before the 4096 compositions of [2^12](x)
+    code, _, err = run_cli(capsys, "fgl", "--p", "2", "--n", "1", "--k", "12")
+    assert code == 2
+    assert "D > p^{kn}" in err
 
 
 def test_exit_code_resource(capsys):
@@ -261,3 +276,69 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "= 1" in proc.stdout
+
+
+# -- in-process CLI fuzz: every argv gets an exit code, never a traceback --
+
+PRIMES = st.sampled_from([-2, 0, 1, 2, 3, 4, 5, 6])
+EXPONENTS = st.sampled_from([-1, 0, 1, 2, 3, 12, 13])
+SMALL = st.sampled_from([-1, 0, 1, 2])
+ALPHAS = st.sampled_from([
+    "e", "e;e", "(0 1)", "(0 1)(2 3)", "(0 1 2 3)", "(0 1 2)", "(0 1);(2 3)",
+    "(0 1);(1 2)", "(0 9)", "(0 0)", "((", "", ";", "(0 1);e;(2 3)", "(a b)",
+])
+CHI_FILES = st.sampled_from([
+    '{"e": "1"}', '{"e": "1/0"}', '{"e": null}', '{"e": [1]}', "[1, 2]", "{",
+    '"e"', "{}", '{"(0 1)": "x"}', None,
+])
+
+
+def _argv(command, **flags):
+    argv = [command]
+    for name, value in flags.items():
+        if value is not None:
+            argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv
+
+
+def _fuzz_argv():
+    group = dict(p=PRIMES, h=SMALL, k=EXPONENTS)
+    # m = k is left out: H is then all of Sym(p^k), and the stabilizer check
+    # scans it (about 9 s at p^k = 9)
+    block = dict(group, m=st.sampled_from([None, -1, 0, 1, 4, 14]))
+    return st.one_of(
+        st.builds(lambda **f: _argv("homs", **f), **group),
+        st.builds(lambda **f: _argv("decompose", **f), p=PRIMES, n=SMALL, t=SMALL, k=EXPONENTS),
+        st.builds(lambda **f: _argv("transfer", **f), alpha=ALPHAS, **block),
+        st.builds(lambda **f: _argv("transfer", **f), class_id=st.sampled_from(
+            ["nope", "p2.k2.h1:[(U<1>:idx1,m4)]"]), **block),
+        st.builds(lambda chi, **f: (_argv("induce", **f), chi), chi=CHI_FILES, **block),
+        st.builds(lambda **f: _argv("count-sub", **f),
+                  h=SMALL, p=PRIMES, m=st.sampled_from([-1, 0, 1, 2, 3])),
+        st.builds(lambda **f: _argv("fgl", **f), p=PRIMES, n=SMALL, k=EXPONENTS,
+                  deg=st.sampled_from([-1, 0, 1, 4, 8, 12, 16]),
+                  law=st.sampled_from([None, "multiplicative"]),
+                  prec_p=st.sampled_from([None, -1, 0, 1]),
+                  prec_u=st.sampled_from([None, 0, 1])),
+    )
+
+
+@settings(max_examples=150, deadline=5000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_fuzz_argv())
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path, capsys, case):
+    # bounded ranges keep every example under a few seconds: no subprocess,
+    # no slow hom-class enumeration, --deg always given to fgl
+    if isinstance(case, tuple):
+        argv, chi = case
+        path = tmp_path / "chi.json"
+        if chi is None:
+            path = tmp_path / "missing.json"
+        else:
+            path.write_text(chi)
+        argv = argv + ["--chi", str(path)]
+    else:
+        argv = case
+    code = main(argv + ["--json"])
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3, 4), argv

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,14 @@ def n_series_via_rational_log(ctx, m):
         if v:
             out[e] = v
     return Series(ring, 1, ctx.D, out)
+
+
+def test_n_series_iterates_past_the_recursion_limit(mult):
+    # [m](x) = (1+x)^m - 1; an m beyond the recursion limit must not recurse
+    m = sys.getrecursionlimit() + 10
+    sm = n_series(mult, m)
+    for e in range(1, mult.D):
+        assert coeff_int(sm, e) == math.comb(m, e) % mult.ring.mod
 
 
 def test_n_series_matches_rational_log_route(height2, height2_p3):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import timeit
 
 import pytest
 
@@ -6,6 +8,7 @@ from transchrome.abelian import AbSubgroup
 from transchrome.errors import NotCommuting, NotPrime, OrderNotPPower, ResourceLimit
 from transchrome.homclass import (
     HomClass,
+    _BlockCosets,
     centralizer_generators,
     centralizer_order,
     classify,
@@ -285,15 +288,80 @@ def test_fiber_orbits_match_independent_lift_count(p, h, k, m):
         assert len(keys) == len(orbits)
 
 
-def test_fiber_orbit_sizes_sum_to_fixed_partitions():
-    from transchrome.homclass import fixed_block_partitions
+def enumerate_block_partitions(degree, block):
+    """Every ordered partition of range(degree) into blocks of ``block``
+    points, each block sorted: with ``filter_fixed``, the exhaustive oracle
+    for the orbit packing in ``_BlockCosets.fixed``."""
+    out = []
 
+    def rec(rest, acc):
+        if not rest:
+            out.append(tuple(acc))
+            return
+        for combo in itertools.combinations(rest, block):
+            acc.append(combo)
+            rec(tuple(x for x in rest if x not in combo), acc)
+            acc.pop()
+
+    rec(tuple(range(degree)), [])
+    return out
+
+
+def filter_fixed(partitions, alpha):
+    """The partitions every permutation in ``alpha`` maps blockwise to itself."""
+    return [
+        part
+        for part in partitions
+        if all(tuple(sorted(s[x] for x in blk)) == blk for s in alpha for blk in part)
+    ]
+
+
+def test_fiber_orbit_sizes_sum_to_fixed_partitions():
     for p, h, k in [(2, 1, 2), (2, 1, 3), (3, 1, 2)]:
+        partitions = enumerate_block_partitions(p ** k, p ** (k - 1))
         for hc in enumerate_hom_classes(p, h, k):
-            t = realize(hc)
-            fixed = fixed_block_partitions(t.perms, p ** k, p ** (k - 1))
+            alpha = [s.images for s in realize(hc).perms]
             orbits = coset_fiber(hc, k - 1)
-            assert sum(rec.orbit_size for rec in orbits) == len(fixed)
+            assert sum(rec.orbit_size for rec in orbits) == len(filter_fixed(partitions, alpha))
+
+
+@pytest.mark.parametrize("p,k,m", [(2, 2, 1), (2, 3, 2), (3, 2, 1), (2, 3, 1)])
+def test_orbit_packing_matches_enumerate_and_filter(p, k, m):
+    partitions = enumerate_block_partitions(p ** k, p ** m)
+    system = _BlockCosets(p ** k, p ** m)
+    for h in (1, 2):
+        for hc in enumerate_hom_classes(p, h, k):
+            alpha = [s.images for s in realize(hc).perms]
+            assert system.fixed(alpha) == filter_fixed(partitions, alpha)
+
+
+@pytest.mark.parametrize("degree,block", [(16, 8), (8, 1)])
+def test_orbit_packing_on_the_identity_is_no_slower_than_the_filter(degree, block):
+    # every partition is stable, so the packing does the most work it can
+    identity = [tuple(range(degree))]
+    system = _BlockCosets(degree, block)
+
+    def best(run):
+        return min(timeit.repeat(run, number=1, repeat=2))
+
+    packed = best(lambda: system.fixed(identity))
+    filtered = best(lambda: filter_fixed(enumerate_block_partitions(degree, block), identity))
+    assert system.fixed(identity) == enumerate_block_partitions(degree, block)
+    assert packed <= filtered
+
+
+def test_partition_cap_refuses_before_any_work(monkeypatch):
+    from transchrome import homclass
+
+    def refuse(*args):
+        raise AssertionError("work started before the partition cap")
+
+    monkeypatch.setattr(homclass, "_orbits", refuse)
+    monkeypatch.setattr(homclass, "realize", refuse)
+    with pytest.raises(ResourceLimit):
+        _BlockCosets(16, 2)
+    with pytest.raises(ResourceLimit):
+        coset_fiber(class_of(["e"], 2, 1, 4), 1)
 
 
 @pytest.mark.parametrize("p,h,k", [(2, 1, 2), (2, 2, 2)])
