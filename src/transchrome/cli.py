@@ -15,6 +15,7 @@ from .classfun import GenClassFunction, class_table
 from .errors import (
     BadParameters,
     DomainError,
+    IntegralityFailure,
     InternalMismatch,
     ResourceLimit,
     TranschromeError,
@@ -237,11 +238,14 @@ def _series_terms(ctx, series):
 
 def _cmd_fgl(args):
     if args.law == "multiplicative":
-        ctx = fgl.multiplicative_context(args.p, a=args.prec_p, D=args.deg or 8)
+        D = args.deg or 8
+        fgl.check_work(args.p, 1, args.k, args.prec_p, 1, D, args.law)
+        ctx = fgl.multiplicative_context(args.p, a=args.prec_p, D=D)
     else:
+        fgl.check_work(args.p, args.n, args.k, args.prec_p, args.prec_u, args.deg)
         ctx = fgl.build_ptypical(args.p, args.n, a=args.prec_p, b=args.prec_u, D=args.deg)
-    rank = fgl.torsion_rank(ctx, args.k)  # refuses D <= p^{kn} before any series
-    series = fgl.n_series(ctx, args.p ** args.k)
+    series, f, _ = fgl.prepare_p_series(ctx, args.k)
+    rank = f.degree()
     payload = {
         "law": ctx.label,
         "precision": {"p_adic": ctx.ring.a, "u_degree": ctx.ring.b, "x_degree": ctx.D},
@@ -362,7 +366,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except InternalMismatch as exc:
+    except (InternalMismatch, IntegralityFailure) as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return EXIT_VERIFY
     except ResourceLimit as exc:

@@ -5,25 +5,27 @@ Every context fixes a truncation triple (a, b, D): coefficients live in
 series are exact below x-degree D.  All stated equalities hold under that
 contract and under nothing stronger.
 
-The p-typical construction works over an exact rational lift first: the
-logarithm is built from the standard recursion with the top coefficient set
-to one, the group law is recovered by series reversion, every coefficient is
-checked to be p-integral, and only then is the law reduced into the modular
-coefficient ring.  A failed integrality check is a bug, never tolerated.
+The p-typical law is built in integers: the scaled logarithm g(x) = f(px)/p
+has no denominators (Hazewinkel's functional-equation lemma), so neither has
+G = g^{-1}(g(x) + g(y)) = F(px, py)/p, and F_d = G_d / p^{d-1} must divide
+exactly.  A failed division is an integrality failure: a bug, never
+tolerated.  ``check_work`` bounds a request's predicted work before any
+series is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+import math
+from dataclasses import dataclass
 
-from .abelian import check_prime
+from .abelian import check_prime, power_exceeds
 from .errors import (
     BadParameters,
     IntegralityFailure,
     InternalMismatch,
     NotWeierstrass,
     PrecisionExhausted,
+    ResourceLimit,
     TruncationTooSmall,
 )
 
@@ -151,83 +153,6 @@ class PolyRing:
         return " + ".join(terms)
 
 
-class QPolyRing:
-    """Q[u_1..u_r] truncated below total degree b, with Fraction coefficients."""
-
-    def __init__(self, b, nparams):
-        self.b = b
-        self.r = nparams
-        self.zero_exp = (0,) * nparams
-
-    def __eq__(self, other):
-        return isinstance(other, QPolyRing) and (self.b, self.r) == (other.b, other.r)
-
-    def __hash__(self):
-        return hash(("QPolyRing", self.b, self.r))
-
-    def zero(self):
-        return {}
-
-    def one(self):
-        return {self.zero_exp: Fraction(1)}
-
-    def const(self, c):
-        c = Fraction(c)
-        return {self.zero_exp: c} if c else {}
-
-    def param(self, i):
-        exp = tuple(1 if j == i - 1 else 0 for j in range(self.r))
-        return {exp: Fraction(1)} if self.b > 1 else {}
-
-    def add(self, f, g):
-        out = dict(f)
-        for e, c in g.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return out
-
-    def neg(self, f):
-        return {e: -c for e, c in f.items()}
-
-    def mul(self, f, g):
-        out = {}
-        b = self.b
-        for e1, c1 in f.items():
-            d1 = sum(e1)
-            for e2, c2 in g.items():
-                if d1 + sum(e2) >= b:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return out
-
-    def scale(self, c, f):
-        c = Fraction(c)
-        if not c:
-            return {}
-        return {e: c * v for e, v in f.items()}
-
-    def is_p_integral(self, f, p) -> bool:
-        return all(c.denominator % p != 0 for c in f.values())
-
-    def reduce(self, f, target: PolyRing):
-        out = {}
-        for e, c in f.items():
-            if c.denominator % target.p == 0:
-                raise IntegralityFailure("coefficient %s is not %d-integral" % (c, target.p))
-            v = (c.numerator * pow(c.denominator, -1, target.mod)) % target.mod
-            if v:
-                out[e] = v
-        return out
-
-
 class Series:
     """A truncated power series in ``nvars`` variables over ``ring``;
     coefficients indexed by exponent tuples of total degree < D."""
@@ -322,34 +247,45 @@ class Series:
         return hash((self.ring, self.nvars, self.D, tuple(sorted((e, tuple(sorted(c.items()))) for e, c in self.coeffs.items()))))
 
     def compose(self, args):
-        """Substitute args[i] (series without constant term) for variable i."""
+        """Substitute args[i] (series without constant term) for variable i.
+
+        Terms are grouped by their exponent of the first variable, nested
+        over the rest: each power of a substituted series is built once and
+        multiplies the sum of the terms it heads once, so a two-variable law
+        costs O(D) products of full series, and each term only a scaling."""
         if len(args) != self.nvars:
             raise BadParameters("need one substitution per variable")
         for s in args:
             if s.min_degree() < 1:
                 raise BadParameters("substituted series must have zero constant term")
-        target = args[0]
-        ring, nvars, D = target.ring, target.nvars, target.D
+        ring, nvars, D = args[0].ring, args[0].nvars, args[0].D
         one = Series(ring, nvars, D, {(0,) * nvars: ring.one()})
-        powers = [{0: one} for _ in args]
+        powers = [[one] for _ in args]
 
-        def get_power(i, j):
+        def power(i, j):
             cache = powers[i]
-            if j not in cache:
-                cache[j] = get_power(i, j - 1).mul(args[i])
+            while len(cache) <= j:
+                cache.append(cache[-1].mul(args[i]))
             return cache[j]
 
+        def evaluate(terms, i):
+            # sum of c * args[i]^e[0] * args[i+1]^e[1] * ... over (e, c) in terms
+            if i == len(args):
+                return one.scale_poly(terms[0][1])
+            groups = {}
+            for e, c in terms:
+                groups.setdefault(e[0], []).append((e[1:], c))
+            out = Series.zero(ring, nvars, D)
+            for j in sorted(groups):
+                out = out.add(power(i, j).mul(evaluate(groups[j], i + 1)))
+            return out
+
         mins = [s.min_degree() for s in args]
-        result = Series.zero(ring, nvars, D)
-        for e in sorted(self.coeffs, key=sum):
-            if sum(ei * mi for ei, mi in zip(e, mins)) >= D:
-                continue
-            term = one
-            for i, ei in enumerate(e):
-                if ei:
-                    term = term.mul(get_power(i, ei))
-            result = result.add(term.scale_poly(self.coeffs[e]))
-        return result
+        terms = [
+            (e, c) for e, c in self.coeffs.items()
+            if sum(ei * mi for ei, mi in zip(e, mins)) < D
+        ]
+        return evaluate(terms, 0)
 
     def term_list(self):
         return [(e, self.coeffs[e]) for e in sorted(self.coeffs)]
@@ -364,7 +300,7 @@ class Series:
                 for i, d in enumerate(e)
                 if d
             )
-            cs = ring.poly_str(c) if hasattr(ring, "poly_str") else str(dict(c))
+            cs = ring.poly_str(c)
             if "+" in cs or "*" in cs:
                 cs = "(%s)" % cs
             parts.append(cs if not mono else "%s*%s" % (cs, mono))
@@ -389,17 +325,14 @@ def series_inverse(s: Series) -> Series:
         v = ring.mul(c0_inv, ring.neg(acc)) if acc else ring.zero()
         if v:
             out[(d,)] = v
-    result = Series(ring, 1, D, out)
-    return result
+    return Series(ring, 1, D, out)
 
 
 @dataclass
 class FGLContext:
     """A formal group law over a truncated local coefficient ring.
 
-    ``F`` is the two-variable law, exact below x,y-degree D over ``ring``;
-    ``log_rational`` is the rational-lift logarithm when one was used in the
-    construction.
+    ``F`` is the two-variable law, exact below x,y-degree D over ``ring``.
     """
 
     p: int
@@ -407,107 +340,167 @@ class FGLContext:
     ring: PolyRing
     D: int
     F: Series
-    log_rational: object = None
     label: str = "fgl"
-    _nseries_cache: dict = field(default_factory=dict, repr=False)
 
     def x_var(self, nvars=1, i=0):
         return Series.variable(self.ring, nvars, self.D, i)
 
 
-def _rational_log(p, n, b, D):
-    """log(x) = sum lambda_i x^{p^i} from the standard p-typical recursion
-    p*lambda_i = sum_{0<j<=i} lambda_{i-j} v_j^{p^{i-j}}, with v_n = 1,
-    v_j = u_j below n, and zero above."""
-    qring = QPolyRing(b, n - 1)
-    lambdas = [qring.one()]
+def _scaled_log(p, n, ring, D):
+    """g(x) = f(px)/p = sum mu_i p^{p^i-1-i} x^{p^i} for the p-typical
+    logarithm f = sum lambda_i x^{p^i}, with mu_i = p^i lambda_i from
+    mu_i = sum_{0<j<=i} p^{j-1} mu_{i-j} v_j^{p^{i-j}}, v_n = 1, v_j = u_j
+    below n and zero above.  No step divides, and p^i - 1 >= i, so every
+    coefficient is integral."""
+    mus = [ring.one()]
     i = 1
     while p ** i < D:
-        acc = qring.zero()
-        for j in range(1, i + 1):
-            if j < n:
-                v = qring.param(j)
-            elif j == n:
-                v = qring.one()
+        acc = ring.zero()
+        for j in range(1, min(i, n) + 1):
+            e = p ** (i - j)
+            if j == n:
+                power = ring.one()
+            elif e < ring.b:
+                power = {tuple(e if t == j - 1 else 0 for t in range(ring.r)): 1}
             else:
-                v = qring.zero()
-            if not v:
                 continue
-            power = qring.one()
-            for _ in range(p ** (i - j)):
-                power = qring.mul(power, v)
-            acc = qring.add(acc, qring.mul(lambdas[i - j], power))
-        lambdas.append(qring.scale(Fraction(1, p), acc))
+            acc = ring.add(acc, ring.scale(p ** (j - 1), ring.mul(mus[i - j], power)))
+        mus.append(acc)
         i += 1
-    coeffs = {(p ** i,): lam for i, lam in enumerate(lambdas) if lam}
-    return Series(qring, 1, D, coeffs)
+    coeffs = {(p ** i,): ring.scale(p ** (p ** i - 1 - i), mu) for i, mu in enumerate(mus)}
+    return Series(ring, 1, D, coeffs)
 
 
 def _reversion(log_series: Series) -> Series:
     """exp with exp(log(x)) = x below degree D; log = x + higher terms."""
-    qring, D = log_series.ring, log_series.D
-    if log_series.coeffs.get((1,)) != qring.one():
+    ring, D = log_series.ring, log_series.D
+    if log_series.coeffs.get((1,)) != ring.one():
         raise BadParameters("logarithm must start with x")
     powers = {1: log_series}
     for m in range(2, D):
         powers[m] = powers[m - 1].mul(log_series)
-    exp_coeffs = {(1,): qring.one()}
+    exp_coeffs = {(1,): ring.one()}
     for d in range(2, D):
-        acc = qring.zero()
+        acc = ring.zero()
         for m in range(1, d):
             em = exp_coeffs.get((m,))
             lm = powers[m].coeffs.get((d,))
             if em and lm:
-                acc = qring.add(acc, qring.mul(em, lm))
+                acc = ring.add(acc, ring.mul(em, lm))
         if acc:
-            exp_coeffs[(d,)] = qring.neg(acc)
-    return Series(qring, 1, D, exp_coeffs)
+            exp_coeffs[(d,)] = ring.neg(acc)
+    return Series(ring, 1, D, exp_coeffs)
+
+
+def _times_log_sum(g: Series, H: dict, D: int) -> dict:
+    """(g(x) + g(y)) * H below degree D, for a two-variable series H given by
+    its coefficient dict: each g_q * H_(i,j) is formed once and added at
+    (i + q, j) and (i, j + q)."""
+    ring = g.ring
+    out = {}
+    for (q,), s in g.coeffs.items():
+        for (i, j), c in H.items():
+            if i + j + q >= D:
+                continue
+            v = ring.mul(s, c)
+            for e in ((i + q, j), (i, j + q)):
+                acc = out.get(e)
+                out[e] = v if acc is None else ring.add(acc, v)
+    return {e: c for e, c in out.items() if c}
 
 
 def build_ptypical(p, n, a=4, b=8, D=None) -> FGLContext:
-    """The p-typical law of height n: asserts p-integrality of the group law
-    before reducing it into (Z/p^a)[u_1..u_{n-1}] / (u-degree >= b)."""
+    """The p-typical law of height n over (Z/p^a)[u_1..u_{n-1}] / (u-degree
+    >= b), exact below degree D.
+
+    G = g^{-1}(g(x) + g(y)) = F(px, py)/p is built from the scaled logarithm
+    g in integers mod p^{a+D-2}; then F_d = G_d / p^{d-1} in each degree
+    d < D.  That division must be exact: a p in the denominator of F_d would
+    leave v_p(G_d) < d - 1, and raises ``IntegralityFailure``.
+    """
     check_prime(p)
     if n < 1:
         raise BadParameters("height must be >= 1")
     if D is None:
-        D = p ** (2 * n) + 1
-    if D < p ** n + 1:
+        D = default_degree(p, n)
+    if power_exceeds(p, n, D - 1):
         raise TruncationTooSmall("need D >= p^n + 1")
-    log = _rational_log(p, n, b, D)
-    exp = _reversion(log)
-    qring = log.ring
-    # S = log(x) + log(y) as a sparse two-variable series
-    s_coeffs = {}
-    for (e,), c in log.coeffs.items():
-        s_coeffs[(e, 0)] = c
-        s_coeffs[(0, e)] = dict(c)
-    S = Series(qring, 2, D, s_coeffs)
-    one2 = Series(qring, 2, D, {(0, 0): qring.one()})
-    F_q = Series.zero(qring, 2, D)
-    power = one2
-    for m in range(1, D):
-        power = power.mul(S)
-        if not power.coeffs:
-            break
-        em = exp.coeffs.get((m,))
-        if em:
-            F_q = F_q.add(power.scale_poly(em))
     ring = PolyRing(p, a, b, n - 1)
+    wide = PolyRing(p, a + D - 2, b, n - 1)
+    g = _scaled_log(p, n, wide, D)
+    exp = _reversion(g)
+    # G = sum_m e_m S^m by Horner: H_m = e_m + S*H_{m+1}, needed below
+    # degree D - m because S^m starts in degree m
+    H = {}
+    for m in range(D - 1, 0, -1):
+        H = _times_log_sum(g, H, D - m)
+        H[(0, 0)] = wide.add(H.get((0, 0), {}), exp.coeff((m,)))
+    G = _times_log_sum(g, H, D)
     reduced = {}
-    for e, c in F_q.coeffs.items():
-        if not qring.is_p_integral(c, p):
+    for e, c in G.items():
+        shift = p ** (sum(e) - 1)
+        if any(v % shift for v in c.values()):
             raise IntegralityFailure(
                 "group-law coefficient at x^%d y^%d is not %d-integral" % (e[0], e[1], p)
             )
-        v = qring.reduce(c, ring)
-        if v:
-            reduced[e] = v
-    F = Series(ring, 2, D, reduced)
+        reduced[e] = ring.scale(1, {u: v // shift for u, v in c.items()})
     return FGLContext(
-        p=p, n=n, ring=ring, D=D, F=F, log_rational=log,
+        p=p, n=n, ring=ring, D=D, F=Series(ring, 2, D, reduced),
         label="ptypical(p=%d, n=%d)" % (p, n),
     )
+
+
+def default_degree(p, n) -> int:
+    """The default x-degree truncation D = p^{2n} + 1 of a p-typical law."""
+    return p ** (2 * n) + 1
+
+
+# Predicted series-term products one fgl request may cost: at 0.1-1.5 us
+# each (Python 3.11, 2 vCPUs) the slowest admitted request timed took 1.6 s.
+WORK_CAP = 2 * 10 ** 6
+
+
+def check_work(p, n, k, a, b, D=None, law="ptypical"):
+    """Raise ResourceLimit if the prepared [p^k]-series of a law is predicted
+    to cost more than WORK_CAP products of series terms.  A law the builders
+    refuse is left to them; a level k that cannot be prepared below D is
+    refused here, before the law is built.
+
+    A p-typical law has terms in a share rho = 1/(p-1) of the degrees.  Its
+    build visits L*rho*D^3/3 term pairs (L logarithm terms); each doubling of
+    [m] but the first 4*rho^2*D^3, each added x half that (D^2 per step for
+    x + y + xy, n = b = 1); the preparation up to 2(a+b+2)*rho^2*D^2.  Pairs
+    are weighted by parameter monomials per coefficient and integer width.
+    """
+    check_prime(p)
+    if n < 1 or a < 1 or b < 1:
+        return
+    if D is None:
+        if power_exceeds(p, 2 * n, WORK_CAP):
+            raise ResourceLimit("default D = %d^%d + 1 exceeds the fgl work cap" % (p, 2 * n))
+        D = default_degree(p, n)
+    if D > WORK_CAP or a + b > WORK_CAP:
+        raise ResourceLimit("D = %d or a + b = %d exceeds the fgl work cap %d" % (D, a + b, WORK_CAP))
+    if power_exceeds(p, n, D - 1):
+        return
+    _check_level(p, n, k, D)
+    m = p ** k
+    doublings, adds = m.bit_length() - 1, bin(m).count("1") - 1
+    steps = 4 * max(doublings - 1, 0) + 2 * adds
+    if law == "multiplicative":
+        rho = 1.0
+        work = steps * D ** 2
+    else:
+        rho = 1 / (p - 1)
+        logs = 0
+        while p ** logs < D:
+            logs += 1
+        work = logs * rho * D ** 3 / 3 + steps * D * (rho * D) ** 2
+    work += 2 * (a + b + 2) * (rho * D) ** 2
+    monomials = math.comb(b + n - 2, n - 1) * (p - 1) / (p ** n - 1)
+    work *= max(1.0, monomials) * (1 + (a + D) * p.bit_length() / 1500)
+    if work > WORK_CAP:
+        raise ResourceLimit("predicted fgl work %.3g exceeds cap %d" % (work, WORK_CAP))
 
 
 def multiplicative_context(p, a=4, D=8) -> FGLContext:
@@ -520,28 +513,23 @@ def multiplicative_context(p, a=4, D=8) -> FGLContext:
         ring, 2, D,
         {(1, 0): ring.one(), (0, 1): ring.one(), (1, 1): ring.one()},
     )
-    qring = QPolyRing(1, 0)
-    log = Series(
-        qring, 1, D,
-        {(m,): {(): Fraction((-1) ** (m + 1), m)} for m in range(1, D)},
-    )
-    return FGLContext(
-        p=p, n=1, ring=ring, D=D, F=F, log_rational=log,
-        label="multiplicative(p=%d)" % p,
-    )
+    return FGLContext(p=p, n=1, ring=ring, D=D, F=F, label="multiplicative(p=%d)" % p)
 
 
 def n_series(ctx: FGLContext, m: int) -> Series:
-    """[m](x): [0] = 0, [1] = x and [m] = F(x, [m-1]), exact below degree D;
-    the cache holds [0..j], and [j+1..m] are built in a loop, not by recursion."""
+    """[m](x) by doubling and adding along the binary digits of m:
+    [2j] = F([j], [j]) and [2j+1] = F([2j], x), so O(log m) compositions;
+    exact below degree D."""
     if m < 0:
         raise BadParameters("need m >= 0")
-    cache = ctx._nseries_cache
-    if not cache:
-        cache.update({0: Series.zero(ctx.ring, 1, ctx.D), 1: ctx.x_var()})
-    for i in range(len(cache), m + 1):
-        cache[i] = ctx.F.compose([ctx.x_var(), cache[i - 1]])
-    return cache[m]
+    if m == 0:
+        return Series.zero(ctx.ring, 1, ctx.D)
+    out = x = ctx.x_var()
+    for bit in bin(m)[3:]:
+        out = ctx.F.compose([out, out])
+        if bit == "1":
+            out = ctx.F.compose([out, x])
+    return out
 
 
 def fgl_sum(ctx: FGLContext, s1: Series, s2: Series) -> Series:
@@ -603,16 +591,27 @@ def weierstrass_prep(ctx: FGLContext, g: Series, d: int):
     return f, u
 
 
-def torsion_rank(ctx: FGLContext, k: int) -> int:
-    """Degree of the prepared [p^k]-series; the p^k-torsion rank p^{kn}."""
+def _check_level(p, n, k, D):
+    """Refuse k < 0 and D <= p^{kn}: [p^k] cannot be prepared below D."""
     if k < 0:
         raise BadParameters("need k >= 0")
+    if power_exceeds(p, k * n, D - 1):
+        raise TruncationTooSmall("need D > p^{kn} = %d^%d" % (p, k * n))
+
+
+def prepare_p_series(ctx: FGLContext, k: int):
+    """([p^k](x), f, u) with [p^k] = f*u prepared at degree p^{kn}; refuses
+    D <= p^{kn} before any series is built."""
+    _check_level(ctx.p, ctx.n, k, ctx.D)
     d = ctx.p ** (k * ctx.n)
-    if ctx.D <= d:
-        raise TruncationTooSmall("need D > p^{kn} = %d" % d)
     g = n_series(ctx, ctx.p ** k)
-    f, _ = weierstrass_prep(ctx, g, d)
-    return max(e for (e,) in f.coeffs)
+    f, u = weierstrass_prep(ctx, g, d)
+    return g, f, u
+
+
+def torsion_rank(ctx: FGLContext, k: int) -> int:
+    """Degree of the prepared [p^k]-series; the p^k-torsion rank p^{kn}."""
+    return prepare_p_series(ctx, k)[1].degree()
 
 
 def residue_series(ctx: FGLContext, s: Series) -> dict:

@@ -199,7 +199,7 @@ def test_exit_code_domain(capsys):
     code, _, err = run_cli(capsys, "transfer", "--p", "2", "--h", "1", "--k", "2",
                            "--class-id", "nope")
     assert code == 2
-    # D = 5 <= 2^12: refused before the 4096 compositions of [2^12](x)
+    # D = 5 <= 2^12: refused before [2^12](x) is built
     code, _, err = run_cli(capsys, "fgl", "--p", "2", "--n", "1", "--k", "12")
     assert code == 2
     assert "D > p^{kn}" in err
@@ -212,8 +212,9 @@ def test_exit_code_resource(capsys):
 
 def test_huge_parameters_exit_3_before_work(capsys):
     # trial division of a 19-digit prime, forming p^k, 2^n or p^(kh) for a
-    # huge exponent, or a count of size h(h+m)log2(p) = 720000 would run for
-    # seconds to minutes before any size cap
+    # huge exponent, a count of size h(h+m)log2(p) = 720000, or the p-typical
+    # law at p = 17 and its default degree D = 290 would run for seconds to
+    # minutes before any size cap
     huge_p = "1000000000000000003"
     start = time.perf_counter()
     for argv in [
@@ -224,6 +225,7 @@ def test_huge_parameters_exit_3_before_work(capsys):
         ("decompose", "--p", "2", "--n", "1000000000", "--t", "999999999", "--k", "1"),
         ("homs", "--p", "2", "--h", "1000000000000", "--k", "1"),
         ("count-sub", "--h", "600", "--p", "2", "--m", "600"),
+        ("fgl", "--p", "17", "--n", "1"),
     ]:
         code, _, err = run_cli(capsys, *argv, "--json")
         assert code == 3, argv
@@ -316,7 +318,7 @@ def _fuzz_argv():
         st.builds(lambda **f: _argv("count-sub", **f),
                   h=SMALL, p=PRIMES, m=st.sampled_from([-1, 0, 1, 2, 3])),
         st.builds(lambda **f: _argv("fgl", **f), p=PRIMES, n=SMALL, k=EXPONENTS,
-                  deg=st.sampled_from([-1, 0, 1, 4, 8, 12, 16]),
+                  deg=st.sampled_from([None, -1, 0, 1, 4, 8, 12, 16]),
                   law=st.sampled_from([None, "multiplicative"]),
                   prec_p=st.sampled_from([None, -1, 0, 1]),
                   prec_u=st.sampled_from([None, 0, 1])),
@@ -328,7 +330,7 @@ def _fuzz_argv():
 @given(case=_fuzz_argv())
 def test_cli_fuzz_exits_with_a_documented_code(tmp_path, capsys, case):
     # bounded ranges keep every example under a few seconds: no subprocess,
-    # no slow hom-class enumeration, --deg always given to fgl
+    # no slow hom-class enumeration; fgl's work cap refuses slow laws
     if isinstance(case, tuple):
         argv, chi = case
         path = tmp_path / "chi.json"

@@ -5,26 +5,178 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transchrome import fgl
+from transchrome.cli import main
 from transchrome.errors import (
     BadParameters,
+    IntegralityFailure,
     NotWeierstrass,
+    ResourceLimit,
     TruncationTooSmall,
 )
 from transchrome.fgl import (
     PolyRing,
     Series,
+    _reversion,
     build_ptypical,
+    check_work,
     check_associativity,
     check_commutativity,
     check_unit_axiom,
     fgl_sum,
     multiplicative_context,
     n_series,
+    prepare_p_series,
     residue_series,
     series_inverse,
     torsion_rank,
     weierstrass_prep,
 )
+
+
+# -- the rational lift: the test oracle for the integral build --
+
+
+class QPolyRing:
+    """Q[u_1..u_r] truncated below total degree b, with Fraction coefficients."""
+
+    def __init__(self, b, nparams):
+        self.b = b
+        self.r = nparams
+        self.zero_exp = (0,) * nparams
+
+    def __eq__(self, other):
+        return isinstance(other, QPolyRing) and (self.b, self.r) == (other.b, other.r)
+
+    def __hash__(self):
+        return hash(("QPolyRing", self.b, self.r))
+
+    def zero(self):
+        return {}
+
+    def one(self):
+        return {self.zero_exp: Fraction(1)}
+
+    def param(self, i):
+        exp = tuple(1 if j == i - 1 else 0 for j in range(self.r))
+        return {exp: Fraction(1)} if self.b > 1 else {}
+
+    def add(self, f, g):
+        out = dict(f)
+        for e, c in g.items():
+            v = out.get(e, 0) + c
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+        return out
+
+    def neg(self, f):
+        return {e: -c for e, c in f.items()}
+
+    def mul(self, f, g):
+        out = {}
+        for e1, c1 in f.items():
+            d1 = sum(e1)
+            for e2, c2 in g.items():
+                if d1 + sum(e2) >= self.b:
+                    continue
+                e = tuple(x + y for x, y in zip(e1, e2))
+                v = out.get(e, 0) + c1 * c2
+                if v:
+                    out[e] = v
+                else:
+                    out.pop(e, None)
+        return out
+
+    def scale(self, c, f):
+        c = Fraction(c)
+        return {e: c * v for e, v in f.items()} if c else {}
+
+    def reduce(self, f, target: PolyRing):
+        out = {}
+        for e, c in f.items():
+            if c.denominator % target.p == 0:
+                raise IntegralityFailure("coefficient %s is not %d-integral" % (c, target.p))
+            v = (c.numerator * pow(c.denominator, -1, target.mod)) % target.mod
+            if v:
+                out[e] = v
+        return out
+
+
+def rational_log(p, n, b, D):
+    """log(x) = sum lambda_i x^{p^i} from the standard p-typical recursion
+    p*lambda_i = sum_{0<j<=i} lambda_{i-j} v_j^{p^{i-j}}, with v_n = 1,
+    v_j = u_j below n, and zero above."""
+    qring = QPolyRing(b, n - 1)
+    lambdas = [qring.one()]
+    i = 1
+    while p ** i < D:
+        acc = qring.zero()
+        for j in range(1, i + 1):
+            if j < n:
+                v = qring.param(j)
+            elif j == n:
+                v = qring.one()
+            else:
+                v = qring.zero()
+            if not v:
+                continue
+            power = qring.one()
+            for _ in range(p ** (i - j)):
+                power = qring.mul(power, v)
+            acc = qring.add(acc, qring.mul(lambdas[i - j], power))
+        lambdas.append(qring.scale(Fraction(1, p), acc))
+        i += 1
+    return Series(qring, 1, D, {(p ** i,): lam for i, lam in enumerate(lambdas) if lam})
+
+
+def multiplicative_log(D):
+    """log(1 + x) = sum (-1)^(m+1) x^m / m, the logarithm of x + y + xy."""
+    qring = QPolyRing(1, 0)
+    return Series(qring, 1, D, {(m,): {(): Fraction((-1) ** (m + 1), m)} for m in range(1, D)})
+
+
+def reduce_series(s, ring):
+    return Series(ring, s.nvars, s.D, {e: s.ring.reduce(c, ring) for e, c in s.coeffs.items()})
+
+
+def law_from_log(log, ring):
+    """exp(log x + log y) over the rational lift, reduced into ``ring``:
+    reducing raises IntegralityFailure on a p in a denominator."""
+    qring, D = log.ring, log.D
+    exp = _reversion(log)
+    s_coeffs = {}
+    for (e,), c in log.coeffs.items():
+        s_coeffs[(e, 0)] = c
+        s_coeffs[(0, e)] = c
+    S = Series(qring, 2, D, s_coeffs)
+    law = Series.zero(qring, 2, D)
+    power = Series(qring, 2, D, {(0, 0): qring.one()})
+    for m in range(1, D):
+        power = power.mul(S)
+        if not power.coeffs:
+            break
+        em = exp.coeffs.get((m,))
+        if em:
+            law = law.add(power.scale_poly(em))
+    return reduce_series(law, ring)
+
+
+def n_series_via_rational_log(ctx, log, m):
+    # independent route: [m](x) = exp(m * log(x)) over the rational lift,
+    # reduced into the modular coefficient ring afterwards
+    qring = log.ring
+    scaled = Series(qring, 1, ctx.D, {e: qring.scale(m, c) for e, c in log.coeffs.items()})
+    return reduce_series(_reversion(log).compose([scaled]), ctx.ring)
+
+
+def n_series_by_addition(ctx, m):
+    # [m] = F(x, [m-1]), m - 1 compositions
+    out = Series.zero(ctx.ring, 1, ctx.D)
+    for _ in range(m):
+        out = fgl_sum(ctx, ctx.x_var(), out)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -69,25 +221,6 @@ def test_multiplicative_n_series_closed_form(mult):
             assert coeff_int(sm, e) == math.comb(m, e) % mult.ring.mod
 
 
-def n_series_via_rational_log(ctx, m):
-    # independent route: [m](x) = exp(m * log(x)) over the rational lift,
-    # reduced into the modular coefficient ring afterwards
-    from transchrome.fgl import QPolyRing, _reversion
-
-    log = ctx.log_rational
-    qring = log.ring
-    exp = _reversion(log)
-    scaled = Series(qring, 1, ctx.D, {e: qring.scale(m, c) for e, c in log.coeffs.items()})
-    series_q = exp.compose([scaled])
-    ring = ctx.ring
-    out = {}
-    for e, c in series_q.coeffs.items():
-        v = qring.reduce(c, ring)
-        if v:
-            out[e] = v
-    return Series(ring, 1, ctx.D, out)
-
-
 def test_n_series_iterates_past_the_recursion_limit(mult):
     # [m](x) = (1+x)^m - 1; an m beyond the recursion limit must not recurse
     m = sys.getrecursionlimit() + 10
@@ -98,9 +231,43 @@ def test_n_series_iterates_past_the_recursion_limit(mult):
 
 def test_n_series_matches_rational_log_route(height2, height2_p3):
     h1 = build_ptypical(2, 1, a=4, b=1, D=9)
-    for ctx, ms in ((h1, (2, 3, 4)), (height2, (2, 3, 4)), (height2_p3, (2, 3))):
+    for ctx, b, ms in ((h1, 1, (2, 3, 4)), (height2, 8, (2, 3, 4)), (height2_p3, 6, (2, 3))):
+        log = rational_log(ctx.p, ctx.n, b, ctx.D)
         for m in ms:
-            assert n_series(ctx, m) == n_series_via_rational_log(ctx, m)
+            assert n_series(ctx, m) == n_series_via_rational_log(ctx, log, m)
+
+
+def test_n_series_doubling_matches_repeated_addition(mult, height2):
+    for ctx in (mult, height2):
+        for m in range(10):
+            assert n_series(ctx, m) == n_series_by_addition(ctx, m)
+
+
+@pytest.mark.parametrize("p,n,a,b,D", [
+    (2, 1, 4, 1, 9), (3, 1, 3, 1, 10), (2, 2, 4, 8, 17), (3, 2, 3, 6, 10),
+    (5, 1, 4, 8, 30), (3, 2, 4, 8, 40),
+])
+def test_integral_build_matches_rational_lift(p, n, a, b, D):
+    ctx = build_ptypical(p, n, a=a, b=b, D=D)
+    assert ctx.F == law_from_log(rational_log(p, n, b, D), ctx.ring)
+
+
+def test_broken_scaled_log_fails_the_divisibility_check(monkeypatch, capsys):
+    # one scaled-log coefficient off by one: some F_d = G_d / p^(d-1) is no
+    # longer exact, a verification failure (exit 4), not a domain error
+    scaled_log = fgl._scaled_log
+
+    def broken(p, n, ring, D):
+        g = scaled_log(p, n, ring, D)
+        coeffs = dict(g.coeffs)
+        coeffs[(p,)] = ring.add(coeffs[(p,)], ring.one())
+        return Series(ring, 1, D, coeffs)
+
+    monkeypatch.setattr(fgl, "_scaled_log", broken)
+    with pytest.raises(IntegralityFailure):
+        build_ptypical(2, 2, D=17)
+    assert main(["fgl", "--p", "2", "--n", "2", "--deg", "17", "--json"]) == 4
+    assert "verification failure" in capsys.readouterr().err
 
 
 def test_n_series_basics(mult, height2):
@@ -149,20 +316,23 @@ def test_honda_reduction_height2(height2, height2_p3):
 
 
 def test_multiplicative_log_is_log_one_plus_x(mult):
-    log = mult.log_rational
+    log = multiplicative_log(mult.D)
     for m in range(1, mult.D):
         assert log.coeffs[(m,)] == {(): Fraction((-1) ** (m + 1), m)}
+    assert law_from_log(log, mult.ring) == mult.F
 
 
 def test_rational_log_round_trip(height2):
-    # the stored logarithm really is the inverse of the reduced law's lift:
-    # exp(log x + log y) reproduces F, so log(F(x, x)) = 2 log(x) holds
-    # for the rational lift; spot-check the first coefficients instead
-    log = height2.log_rational
+    # the oracle's logarithm starts x + (u1/2) x^2; the production build's
+    # scaled logarithm g(x) = f(2x)/2 starts x + u1 x^2
+    log = rational_log(2, 2, 8, height2.D)
     qring = log.ring
     assert log.coeffs[(1,)] == qring.one()
-    lam1 = log.coeffs[(2,)]
-    assert lam1 == {(1,): Fraction(1, 2)}  # u1 / 2
+    assert log.coeffs[(2,)] == {(1,): Fraction(1, 2)}  # u1 / 2
+    ring = height2.ring
+    g = fgl._scaled_log(2, 2, ring, height2.D)
+    assert g.coeffs[(1,)] == ring.one()
+    assert g.coeffs[(2,)] == ring.param(1)
 
 
 def test_integrality_of_reduced_laws(height2, height2_p3):
@@ -293,6 +463,59 @@ def test_torsion_rank_values(mult, height2, height2_p3):
 def test_torsion_rank_requires_enough_precision(mult):
     with pytest.raises(TruncationTooSmall):
         torsion_rank(mult, 3)  # needs D > 8
+
+
+def test_torsion_rank_is_the_prepared_degree(height2_p3):
+    g, f, u = prepare_p_series(height2_p3, 1)
+    assert g == n_series(height2_p3, 3)
+    assert f.mul(u) == g
+    assert f.degree() == torsion_rank(height2_p3, 1) == 9
+
+
+@pytest.mark.parametrize("p,n,k,a,b,D,law", [
+    # tests/, the README and the fgl-cold benchmark requests
+    (2, 1, 2, 4, 8, None, "multiplicative"),
+    (2, 2, 1, 4, 4, 6, "ptypical"),
+    (2, 2, 1, 4, 8, 17, "ptypical"),
+    (3, 2, 1, 4, 8, 40, "ptypical"),
+    (2, 3, 1, 4, 8, 33, "ptypical"),
+    (2, 2, 2, 4, 8, None, "ptypical"),
+    (5, 1, 2, 4, 8, 30, "ptypical"),
+    # criterion 10, besides (2, 2, 1, 4, 8, 17)
+    (2, 1, 1, 4, 1, 8, "multiplicative"),
+    (3, 2, 1, 3, 6, 10, "ptypical"),
+    # fgl --p 3 --n 2 at its default degree
+    (3, 2, 1, 4, 8, None, "ptypical"),
+])
+def test_work_cap_admits_the_documented_requests(p, n, k, a, b, D, law):
+    if law == "multiplicative":
+        n, b, D = 1, 1, D or 8
+    check_work(p, n, k, a, b, D, law)
+
+
+@pytest.mark.parametrize("p,n,k,a,b,D,law", [
+    (17, 1, 1, 4, 8, None, "ptypical"),  # 25 s before the integral build
+    (3, 2, 2, 4, 8, None, "ptypical"),
+    (5, 2, 1, 4, 8, None, "ptypical"),
+    (2, 1, 1, 2000, 8, 20, "ptypical"),  # a wide precision makes every product slow
+    (2, 1, 1, 4, 1, 10 ** 4, "multiplicative"),
+    (2, 10 ** 9, 1, 4, 8, None, "ptypical"),  # D = 2^(2*10^9) + 1 is never formed
+    (2, 1, 1, 10 ** 400, 8, 9, "ptypical"),
+])
+def test_work_cap_refuses_before_work(p, n, k, a, b, D, law):
+    with pytest.raises(ResourceLimit):
+        check_work(p, n, k, a, b, D, law)
+
+
+@pytest.mark.parametrize("k,error", [(-1, BadParameters), (3, TruncationTooSmall)])
+def test_work_check_refuses_a_level_before_the_law_is_built(monkeypatch, k, error):
+    def refuse(*args):
+        raise AssertionError("the law was built before its level was checked")
+
+    monkeypatch.setattr(fgl, "build_ptypical", refuse)
+    with pytest.raises(error):
+        check_work(5, 2, k, 4, 8)
+    assert main(["fgl", "--p", "5", "--n", "2", "--k", str(k), "--json"]) == 2
 
 
 def test_build_guards():
