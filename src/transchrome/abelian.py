@@ -2,9 +2,11 @@
 
 Subgroups are stored as canonical sorted element lists; at desk scale the
 ambient group never exceeds 10^4 elements, so there is no need for
-Smith-normal-form canonicalization.  The closed-form sublattice count is
-kept deliberately independent of the brute-force enumeration so that each
-can act as an oracle for the other.
+Smith-normal-form canonicalization.  Spans, greedy generators and the
+subgroup lattice share one closure step, the cyclic extension ``_extend``;
+a subgroup's greedy generators are walked once and kept.  The closed-form
+sublattice count is kept deliberately independent of the brute-force
+enumeration so that each can act as an oracle for the other.
 """
 
 from __future__ import annotations
@@ -108,16 +110,28 @@ def _ambient_elements(ambient: Ambient):
     return tuple(itertools.product(range(q), repeat=ambient.h))
 
 
+def _extend(ambient: Ambient, members, x):
+    """The elements of S + <x>, S the subgroup with element set ``members``:
+    the union of the cosets S + i*x, up to the first i*x already in S."""
+    out = set(members)
+    shift = x
+    while shift not in members:
+        out.update(ambient.add(s, shift) for s in members)
+        shift = ambient.add(shift, x)
+    return out
+
+
 class AbSubgroup:
     """A subgroup of an Ambient, canonically a sorted tuple of elements."""
 
-    __slots__ = ("ambient", "elements", "_eset")
+    __slots__ = ("ambient", "elements", "_eset", "_gens")
 
     def __init__(self, ambient: Ambient, elements):
         self.ambient = ambient
         elems = tuple(sorted(set(elements)))
         self.elements = elems
         self._eset = frozenset(elems)
+        self._gens = None
         if ambient.zero() not in self._eset:
             raise ValueError("subgroup must contain zero")
 
@@ -126,19 +140,7 @@ class AbSubgroup:
         """Additive closure of a generating set."""
         members = {ambient.zero()}
         for g in gens:
-            g = tuple(v % ambient.modulus for v in g)
-            if g in members:
-                continue
-            # extend the current span by the cyclic group generated by g
-            shifts = []
-            cur = g
-            while cur not in members:
-                shifts.append(cur)
-                cur = ambient.add(cur, g)
-            new = set(members)
-            for s in shifts:
-                new.update(ambient.add(s, m) for m in members)
-            members = new
+            members = _extend(ambient, members, tuple(v % ambient.modulus for v in g))
         return cls(ambient, members)
 
     @classmethod
@@ -186,16 +188,18 @@ class AbSubgroup:
         return True
 
     def generators(self):
-        """Deterministic generating list: greedily take minimal new elements."""
-        gens = []
-        span = {self.ambient.zero()}
+        """Deterministic generating list: greedily take minimal new elements.
+        The walk runs on the first call; later calls read its list."""
+        if self._gens is None:
+            self._gens = tuple(self._greedy_generators())
+        return list(self._gens)
+
+    def _greedy_generators(self):
+        gens, span = [], {self.ambient.zero()}
         for x in self.elements:
-            if x in span:
-                continue
-            gens.append(x)
-            span = set(AbSubgroup.span(self.ambient, gens).elements)
-            if len(span) == self.order:
-                break
+            if x not in span:
+                gens.append(x)
+                span = _extend(self.ambient, span, x)
         return gens
 
     def intersection(self, other: "AbSubgroup") -> "AbSubgroup":
@@ -233,10 +237,10 @@ def _subgroup_levels(ambient: Ambient, top: int):
     off the fibres of multiplication by p, ``preimage[y] = [x : p*x = y]``,
     built once per call: they are the x outside S in the fibres over the
     elements of S, so no level rescans the ambient group.  Because p*x lies
-    in S, the extension S + <x> is the union of the p cosets S + i*x for
-    i < p.  Candidates are taken in ascending order and every element of a
-    freshly built extension is marked as covered, so each extension is built
-    at most p-1 times per maximal subgroup.  Levels above k*h are empty and
+    in S, the extension S + <x> built by ``_extend`` is the union of the p
+    cosets S + i*x for i < p.  Candidates are taken in ascending order and
+    every element of a freshly built extension is marked as covered, so
+    each extension is built at most p-1 times per maximal subgroup.  Levels above k*h are empty and
     are not listed.
     """
     if ambient.order > AMBIENT_CAP:
@@ -260,12 +264,7 @@ def _subgroup_levels(ambient: Ambient, top: int):
             for x in candidates:
                 if x in covered:
                     continue
-                members = set(eset)
-                shift = x
-                for _ in range(1, p):
-                    members.update(ambient.add(s, shift) for s in sub.elements)
-                    shift = ambient.add(shift, x)
-                bigger = AbSubgroup(ambient, members)
+                bigger = AbSubgroup(ambient, _extend(ambient, eset, x))
                 found.setdefault(bigger.elements, bigger)
                 covered.update(bigger._eset)
         levels.append(tuple(sorted(found.values())))

@@ -6,7 +6,10 @@ along H <= G is computed two independent ways: as a plain sum over the
 alpha-stable cosets, and as an orbit-grouped sum weighted by stabilizer
 indices.  Their pointwise agreement is the combinatorial content of the
 transfer formula, and the orbit data also drives the transfer-ideal
-triviality decision.
+triviality decision.  A Young subgroup H = Sym(b)^c is never enumerated:
+its class table is read blockwise off one table of Sym(b), its cosets are
+ordered block partitions, and C_H(beta) is a product of blockwise
+centralizers.
 
 The codomain of the underlying character theory is modelled by one rational
 scalar per class; the transfer along an inclusion of centralizers acts as
@@ -41,9 +44,9 @@ from .homclass import (
     realize,
 )
 from .perm import (
-    BlockSubgroup,
     Perm,
     PermGroup,
+    YoungSubgroup,
     _commute_images,
     _commuting_tuples,
     _compose,
@@ -158,7 +161,7 @@ class ProductClassTable(GenericClassTable):
     and centralizer orders are exactly ``GenericClassTable``'s.
     """
 
-    def __init__(self, group: BlockSubgroup, lam: Ambient):
+    def __init__(self, group: YoungSubgroup, lam: Ambient):
         if group.order > GENERIC_TABLE_CAP:
             raise ResourceLimit(
                 "group of order %d too large for exhaustive class table" % group.order
@@ -196,7 +199,7 @@ def class_table(group: PermGroup, lam: Ambient):
     everything else the exhaustive one."""
     if group.is_full_symmetric() and group.degree == lam.p ** lam.k:
         return SymmetricClassTable(lam)
-    if isinstance(group, BlockSubgroup):
+    if isinstance(group, YoungSubgroup):
         return ProductClassTable(group, lam)
     return GenericClassTable(group, lam)
 
@@ -312,7 +315,7 @@ def _coset_system(G: PermGroup, H: PermGroup):
         raise NotSubgroup("H is not a subgroup of G")
     if G.order // H.order > INDEX_CAP:
         raise ResourceLimit("index exceeds cap")
-    if G.is_full_symmetric() and isinstance(H, BlockSubgroup):
+    if G.is_full_symmetric() and isinstance(H, YoungSubgroup):
         return _BlockCosets(G.degree, H.block_size)
     return _GenericCosets(G, H)
 

@@ -1,10 +1,13 @@
 """Exact permutation-group machinery at desk scale.
 
-Groups are stored as explicit element lists and every operation is an
-exhaustive enumeration: the ambient groups used in this package act on at
-most nine points, where brute force is simple, deterministic and directly
-checkable against independent counts.  There are deliberately no stabilizer
-chains and no backtrack search.
+A Young subgroup Sym(b)^c (``YoungSubgroup``; Sym(n) is its one-block
+case) is read by its shape: order, generators, membership and centralizers
+come from the blocks, and its elements are enumerated lazily, only for the
+code that asks for them.  Every other group is an explicit element list and
+every operation on it is an exhaustive enumeration: the ambient groups used
+in this package act on at most nine points, where brute force is simple,
+deterministic and directly checkable against independent counts.  There are
+deliberately no stabilizer chains and no backtrack search.
 
 ``_orbits`` is the one orbit walk for a group given by generators acting on
 a finite set, and ``_orbit_reps`` its (minimum, size) view; ``coset_orbits``
@@ -270,8 +273,9 @@ class Perm:
 class PermGroup:
     """A finite permutation group stored as a sorted element list.
 
-    Immutable after construction.  ``generators`` is advisory (may be the
-    full element tuple for groups produced by filtering).
+    Immutable after construction.  ``generators``, when given, generate the
+    group; groups produced by filtering have none, and their working
+    generators are all their elements.
     """
 
     def __init__(self, degree, elements, generators=()):
@@ -307,11 +311,9 @@ class PermGroup:
         return self.order == math.factorial(self.degree)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        if self.degree != other.degree:
-            return False
-        if other.is_full_symmetric():
-            return True
-        return all(g in other for g in self.iter_elements())
+        return self.degree == other.degree and all(
+            g in other for g in self.working_generators()
+        )
 
     def is_abelian(self) -> bool:
         els = self.elements
@@ -334,62 +336,71 @@ class PermGroup:
     def __eq__(self, other):
         if not isinstance(other, PermGroup):
             return NotImplemented
-        if self.degree != other.degree or self.order != other.order:
-            return False
-        if self.is_full_symmetric():
-            return True
-        return self._eset == other._eset
+        # equal orders: one containment is equality
+        return self.order == other.order and other.is_subgroup_of(self)
 
     def __hash__(self):
-        # weak on purpose: avoids materializing lazy symmetric groups
+        # weak on purpose: avoids enumerating Young subgroups
         return hash((self.degree, self.order))
 
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
 
 
-class SymmetricGroup(PermGroup):
-    """The full symmetric group, with lazy element materialization."""
+class YoungSubgroup(PermGroup):
+    """The Young subgroup Sym(block_size)^blocks of Sym(block_size * blocks):
+    the permutations that map every block of consecutive points onto itself.
 
-    def __init__(self, degree):
-        self.degree = degree
-        self._elements = None
+    Sym(n) is the one-block case.  Order, generators and membership are read
+    off the shape; the elements are enumerated lazily, in lexicographic order
+    (the first block varies slowest), and only when asked for.
+    """
+
+    def __init__(self, block_size, blocks):
+        self.block_size = block_size
+        self.blocks = blocks
+        self.degree = block_size * blocks
+        # the embedded (lo lo+1) and (lo lo+1 ... hi-1) of every block
+        ident = tuple(range(self.degree))
         gens = []
-        if degree >= 2:
-            gens.append(Perm.from_cycles("(0 1)", degree))
-        if degree >= 3:
-            gens.append(Perm(tuple(range(1, degree)) + (0,)))
+        for lo in range(0, self.degree, block_size):
+            hi = lo + block_size
+            if block_size >= 2:
+                gens.append(Perm(ident[:lo] + (lo + 1, lo) + ident[lo + 2:]))
+            if block_size >= 3:
+                gens.append(Perm(ident[:lo] + ident[lo + 1:hi] + (lo,) + ident[hi:]))
         self.generators = tuple(gens)
 
     @property
     def order(self) -> int:
-        return math.factorial(self.degree)
+        return math.factorial(self.block_size) ** self.blocks
 
     @property
     def elements(self):
-        if self._elements is None:
-            self._elements = tuple(
-                Perm(t) for t in itertools.permutations(range(self.degree))
-            )
-        return self._elements
+        return tuple(self.iter_elements())
 
     def iter_elements(self):
-        # itertools.permutations yields tuples in lexicographic order
-        for t in itertools.permutations(range(self.degree)):
+        b = self.block_size
+        factors = [itertools.permutations(range(lo, lo + b)) for lo in range(0, self.degree, b)]
+        # one block streams; product() would first list all of Sym(n)
+        rows = factors[0] if self.blocks == 1 else (sum(c, ()) for c in itertools.product(*factors))
+        for t in rows:
             p = Perm.__new__(Perm)
             p.images = t
             yield p
 
     def __contains__(self, perm: Perm) -> bool:
-        return isinstance(perm, Perm) and perm.degree == self.degree
-
-    def is_full_symmetric(self) -> bool:
-        return True
+        b = self.block_size
+        return (
+            isinstance(perm, Perm)
+            and perm.degree == self.degree
+            and all(v // b == i // b for i, v in enumerate(perm.images))
+        )
 
 
 @lru_cache(maxsize=None)
-def symmetric_group(degree: int) -> SymmetricGroup:
-    return SymmetricGroup(degree)
+def symmetric_group(degree: int) -> YoungSubgroup:
+    return YoungSubgroup(degree, 1)
 
 
 def generate(degree: int, gens, max_elements=None) -> PermGroup:
@@ -419,58 +430,40 @@ def generate(degree: int, gens, max_elements=None) -> PermGroup:
     return PermGroup(degree, seen.values(), generators=gens)
 
 
-class BlockSubgroup(PermGroup):
-    """A Young subgroup Sym(block_size)^blocks that keeps its shape."""
-
-    def __init__(self, block_size, blocks, elements, generators):
-        super().__init__(block_size * blocks, elements, generators)
-        self.block_size = block_size
-        self.blocks = blocks
-
-
-def block_subgroup(block_size: int, blocks: int) -> BlockSubgroup:
+def block_subgroup(block_size: int, blocks: int) -> YoungSubgroup:
     """The direct product of symmetric groups on consecutive equal blocks.
 
     ``block_subgroup(2, 2)`` is the subgroup of Sym(4) preserving {0,1} and
-    {2,3} setwise; its order is (block_size!)^blocks.
+    {2,3} setwise; its order is (block_size!)^blocks, capped like a closure.
     """
-    degree = block_size * blocks
-    if math.factorial(block_size) ** blocks > max_group_elements():
-        raise ResourceLimit("block subgroup too large to materialize")
-    bases = range(0, degree, block_size)
-    factor = symmetric_group(block_size)
-    per_block = [[tuple(base + v for v in g.images) for g in factor] for base in bases]
-    elems = [Perm(itertools.chain(*combo)) for combo in itertools.product(*per_block)]
-    ident = tuple(range(degree))
-    gens = [
-        Perm(ident[:base] + tuple(base + v for v in g.images) + ident[base + block_size:])
-        for base in bases
-        for g in factor.generators
-    ]
-    return BlockSubgroup(block_size, blocks, elems, gens)
+    cap = max_group_elements()
+    if math.factorial(block_size) ** blocks > cap:
+        raise ResourceLimit("block subgroup order exceeds cap of %d elements" % cap)
+    return YoungSubgroup(block_size, blocks)
 
 
 def centralizer(ambient: PermGroup, perms) -> PermGroup:
-    """All elements of ``ambient`` commuting with every permutation in ``perms``."""
+    """All elements of ``ambient`` commuting with every permutation in ``perms``.
+
+    Inside a Young subgroup of several blocks the permutations act blockwise,
+    so the centralizer is the product of their blockwise centralizers in
+    Sym(b): c * b! candidates are scanned instead of (b!)^c.  Every other
+    group is scanned whole.
+    """
     perms = list(perms)
     for s in perms:
         if s not in ambient:
             raise NotInGroup("%r is not in the ambient group" % s)
     imgs = [s.images for s in perms]
-    n = ambient.degree
-    out = []
-    for g in ambient.iter_elements():
-        gi = g.images
-        ok = True
-        for s in imgs:
-            for i in range(n):
-                if gi[s[i]] != s[gi[i]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(g)
+    if isinstance(ambient, YoungSubgroup) and ambient.blocks > 1:
+        b = ambient.block_size
+        factors = []
+        for lo in range(0, ambient.degree, b):
+            local = [Perm(v - lo for v in s[lo:lo + b]) for s in imgs]
+            cent = centralizer(symmetric_group(b), local)
+            factors.append([tuple(lo + v for v in g.images) for g in cent])
+        return PermGroup(ambient.degree, [Perm(sum(c, ())) for c in itertools.product(*factors)])
+    out = [g for g in ambient.iter_elements() if all(_commute_images(g.images, s) for s in imgs)]
     return PermGroup(ambient.degree, out)
 
 

@@ -51,6 +51,34 @@ def span_extension_levels(ambient):
     return levels
 
 
+def old_span(ambient, gens):
+    """Oracle: additive closure, extending by the multiples of each generator."""
+    members = {ambient.zero()}
+    for g in gens:
+        shifts = []
+        cur = tuple(v % ambient.modulus for v in g)
+        while cur not in members:
+            shifts.append(cur)
+            cur = ambient.add(cur, g)
+        members = members | {ambient.add(s, m) for s in shifts for m in members}
+    return members
+
+
+def respan_generators(sub):
+    """Oracle: the greedy generators, re-spanning the list from scratch after
+    every pick."""
+    gens = []
+    span = {sub.ambient.zero()}
+    for x in sub.elements:
+        if x in span:
+            continue
+        gens.append(x)
+        span = old_span(sub.ambient, gens)
+        if len(span) == sub.order:
+            break
+    return gens
+
+
 def compositions(total, parts):
     if parts == 1:
         yield (total,)
@@ -221,6 +249,32 @@ def test_span_is_minimal_closure():
     assert sub.order == 4
     assert (2, 0) in sub
     assert sub.generators() == [(1, 2)]
+
+
+@pytest.mark.parametrize("p,k,h", [(2, 2, 2), (2, 1, 3), (2, 3, 2), (3, 2, 2)])
+def test_generators_match_respan_oracle(p, k, h):
+    amb = Ambient(p, k, h)
+    for sub in subgroups_of_ambient(amb):
+        gens = respan_generators(sub)
+        assert sub.generators() == gens
+        assert sub.generators() == gens  # the kept list, read again
+        assert set(AbSubgroup.span(amb, gens).elements) == old_span(amb, gens) == set(sub.elements)
+
+
+def test_report_walks_each_subgroup_once(monkeypatch):
+    from transchrome.decomp import decompose, report_to_dict
+
+    walks = {}
+    walk = AbSubgroup._greedy_generators
+
+    def counted(self):
+        walks.setdefault(id(self), [self, 0])[1] += 1
+        return walk(self)
+
+    monkeypatch.setattr(AbSubgroup, "_greedy_generators", counted)
+    report_to_dict(decompose(2, 3, 1, 3))
+    assert walks
+    assert max(count for _, count in walks.values()) == 1
 
 
 def test_element_order():

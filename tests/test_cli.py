@@ -245,6 +245,21 @@ def test_transfer_checks_caps_before_building_groups(monkeypatch, capsys):
     assert run_cli(capsys, "induce", *params, "--chi", "unused.json")[0] == 3
 
 
+def test_transfer_at_m_equal_k_builds_nothing_before_the_class_resolves(monkeypatch, capsys):
+    # H = Sym(9) is the one-block Young subgroup: an unknown class id is
+    # refused before any element of H (or G) is enumerated
+    from transchrome.perm import YoungSubgroup
+
+    def refuse(self):
+        raise AssertionError("enumerated the elements of %r" % self)
+
+    monkeypatch.setattr(YoungSubgroup, "iter_elements", refuse)
+    params = ("--p", "3", "--h", "1", "--k", "2", "--m", "2")
+    code, _, err = run_cli(capsys, "transfer", *params, "--class-id", "nope")
+    assert code == 2
+    assert "unknown class id" in err
+
+
 def test_json_outputs_are_canonical(capsys):
     _, out1, _ = run_cli(capsys, "homs", "--p", "2", "--h", "2", "--k", "1", "--json")
     _, out2, _ = run_cli(capsys, "homs", "--p", "2", "--h", "2", "--k", "1", "--json")
@@ -305,8 +320,9 @@ def _argv(command, **flags):
 
 def _fuzz_argv():
     group = dict(p=PRIMES, h=SMALL, k=EXPONENTS)
-    # m = k is left out: H is then all of Sym(p^k), and the stabilizer check
-    # scans it (about 9 s at p^k = 9)
+    # m = k is left out: H is then all of Sym(p^k), and at alpha = e the
+    # stabilizer check visits every element of C_H(e) = H (9! = 362880 at
+    # p^k = 9, about 4.6 s)
     block = dict(group, m=st.sampled_from([None, -1, 0, 1, 4, 14]))
     return st.one_of(
         st.builds(lambda **f: _argv("homs", **f), **group),

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,8 @@ from transchrome.errors import (
 )
 from transchrome.perm import (
     Perm,
+    PermGroup,
+    YoungSubgroup,
     block_subgroup,
     centralizer,
     conjugating_element,
@@ -297,3 +301,123 @@ def test_coset_equality_and_membership():
     assert c.rep in c
     assert all((c.rep * h) in c for h in H)
     assert cosets[0] != cosets[1]
+
+
+# -- Young subgroups read by their shape --
+
+SHAPES = [(1, 4), (2, 2), (2, 3), (3, 3), (4, 2)] + [(n, 1) for n in range(1, 6)]
+
+
+def eager_young_elements(b, c):
+    """Oracle: the sorted product of the blockwise symmetric groups."""
+    per_block = [
+        [tuple(lo + v for v in t) for t in itertools.permutations(range(b))]
+        for lo in range(0, b * c, b)
+    ]
+    return sorted(tuple(itertools.chain(*combo)) for combo in itertools.product(*per_block))
+
+
+@pytest.mark.parametrize("b,c", SHAPES)
+def test_young_elements_are_the_eager_product(b, c):
+    H = block_subgroup(b, c)
+    lazy = [g.images for g in H.iter_elements()]
+    assert lazy == eager_young_elements(b, c)
+    assert [g.images for g in H.elements] == lazy
+    assert H.order == len(lazy)
+    assert H.is_full_symmetric() == (c == 1)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_young_membership_is_the_element_set(n):
+    shapes = [(b, n // b) for b in range(1, n + 1) if n % b == 0]
+    for b, c in shapes:
+        H = block_subgroup(b, c)
+        members = set(eager_young_elements(b, c))
+        for t in itertools.permutations(range(n)):
+            assert (Perm(t) in H) == (t in members)
+        assert P("(0 1)", n + 1) not in H
+
+
+def test_symmetric_group_is_the_one_block_young_subgroup():
+    S4 = symmetric_group(4)
+    assert isinstance(S4, YoungSubgroup)
+    assert (S4.block_size, S4.blocks) == (4, 1)
+    assert S4 == block_subgroup(4, 1)
+    assert S4 == PermGroup(4, S4.elements)
+    assert block_subgroup(2, 2) != PermGroup(4, S4.elements)
+    assert block_subgroup(2, 2) == generate(4, [P("(0 1)", 4), P("(2 3)", 4)])
+
+
+def test_young_generators():
+    # the embedded (lo lo+1) and block cycle of every block, in block order
+    assert symmetric_group(1).generators == ()
+    assert symmetric_group(2).generators == (P("(0 1)", 2),)
+    assert symmetric_group(4).generators == (P("(0 1)", 4), P("(0 1 2 3)", 4))
+    assert block_subgroup(2, 2).generators == (P("(0 1)", 4), P("(2 3)", 4))
+    assert block_subgroup(3, 2).generators == (
+        P("(0 1)", 6), P("(0 1 2)", 6), P("(3 4)", 6), P("(3 4 5)", 6),
+    )
+    assert block_subgroup(1, 3).generators == ()
+    for b, c in SHAPES:
+        H = block_subgroup(b, c)
+        assert generate(H.degree, H.generators).order == H.order
+
+
+def test_block_subgroup_order_cap_before_work():
+    with pytest.raises(ResourceLimit, match="order exceeds cap"):
+        block_subgroup(10, 1)
+    with pytest.raises(ResourceLimit):
+        block_subgroup(4, 5)
+
+
+@pytest.mark.parametrize("b,c,p,k", [(2, 2, 2, 2), (4, 2, 2, 3), (3, 3, 3, 2), (1, 4, 2, 2)])
+def test_blockwise_centralizer_is_the_scan(b, c, p, k):
+    from transchrome.classfun import class_table
+    from transchrome.homclass import lam_group
+
+    H = block_subgroup(b, c)
+    explicit = PermGroup(H.degree, H.elements)
+    for h in (1, 2):
+        table = class_table(H, lam_group(p, h, k))
+        for key in table.classes:
+            beta = [Perm(s) for s in table.rep_images(key)]
+            assert centralizer(H, beta).elements == centralizer(explicit, beta).elements
+
+
+def test_blockwise_centralizer_rejects_a_tuple_leaving_a_block():
+    with pytest.raises(NotInGroup):
+        centralizer(block_subgroup(2, 2), [P("(1 2)", 4)])
+    with pytest.raises(NotInGroup):
+        centralizer(block_subgroup(3, 3), [Perm.identity(9), P("(0 3)", 9)])
+
+
+@pytest.fixture
+def multi_block_elements_refused(monkeypatch):
+    enumerate_lazily = YoungSubgroup.iter_elements
+
+    def guarded(self):
+        if self.blocks > 1:
+            raise AssertionError("enumerated the elements of %r" % self)
+        return enumerate_lazily(self)
+
+    monkeypatch.setattr(YoungSubgroup, "iter_elements", guarded)
+
+
+def test_decompose_never_builds_the_young_subgroup(multi_block_elements_refused):
+    from transchrome.decomp import decompose, report_to_dict, verify_triangle
+
+    report = decompose(2, 3, 1, 3)
+    assert verify_triangle(report)
+    assert report_to_dict(report)["rank_sum"] == report.total_degree
+
+
+def test_transfer_datum_never_builds_the_young_subgroup(multi_block_elements_refused):
+    from transchrome.classfun import class_table, transfer_datum
+    from transchrome.homclass import lam_group
+
+    S8, H = symmetric_group(8), block_subgroup(4, 2)
+    for h in (1, 2):
+        lam = lam_group(2, h, 3)
+        for key in class_table(S8, lam).classes:
+            datum = transfer_datum(S8, H, key)
+            assert sum(rec.index for rec in datum.records) == datum.fixed_count
