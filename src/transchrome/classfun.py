@@ -9,7 +9,9 @@ transfer formula, and the orbit data also drives the transfer-ideal
 triviality decision.  A Young subgroup H = Sym(b)^c is never enumerated:
 its class table is read blockwise off one table of Sym(b), its cosets are
 ordered block partitions, and C_H(beta) is a product of blockwise
-centralizers.
+centralizers.  Each coset stabilizer is verified factor by factor: the
+elements of the blockwise centralizers are checked, not their product
+(see ``_verify_stabilizer``).
 
 The codomain of the underlying character theory is modelled by one rational
 scalar per class; the transfer along an inclusion of centralizers acts as
@@ -55,6 +57,7 @@ from .perm import (
     _inverse,
     _orbit_reps,
     centralizer,
+    centralizer_factors,
     symmetric_group,
 )
 
@@ -384,7 +387,10 @@ def _build_datum(g_table, h_table, system, alpha_key, fixed) -> TransferDatum:
         g = system.rep_images(token)
         beta = _beta_images(g, alpha)
         h_key = h_table.key_of_images(beta)
-        _verify_stabilizer(system, token, g, alpha, beta, h_table.group, stab_order)
+        _verify_stabilizer(
+            system, token, g, alpha, beta, h_table.group, stab_order,
+            h_table.centralizer_order(h_key),
+        )
         records.append(
             OrbitRecord(
                 coset_rep=Perm(g),
@@ -403,25 +409,46 @@ def _build_datum(g_table, h_table, system, alpha_key, fixed) -> TransferDatum:
     )
 
 
-def _verify_stabilizer(system, token, g, alpha, beta, H, stab_order):
-    """Check that the stabilizer of the coset is g * C_H(beta) * g^{-1}.
+def _verify_stabilizer(system, token, g, alpha, beta, H, stab_order, table_order):
+    """Check that the stabilizer of the coset in C_G(alpha) is
+    g * C_H(beta) * g^{-1}, factor by factor.
 
-    The set g*C_H(beta)*g^{-1} is shown to consist of elements of the
-    centralizer that fix the coset, and to have the stabilizer's exact
-    cardinality (orbit-stabilizer); containment plus count gives equality.
+    ``perm.centralizer_factors`` gives C_H(beta) as direct factors f_i with
+    disjoint supports.  Each is a subgroup (the centralizer of beta in the
+    symmetric group of one block, or in H when there is one factor), and
+    factors with disjoint supports commute, so together they generate their
+    direct product, of order prod |f_i|.  Every element of every factor,
+    conjugated by g, is checked to commute with alpha and to fix the coset;
+    the stabilizer is a subgroup, so it contains the group those elements
+    generate, the conjugate of the product.  That order is checked to be
+    ``stab_order`` (orbit-stabilizer), so containment plus count gives
+    equality, with sum |f_i| element checks instead of prod |f_i|.  It is
+    also checked to be ``table_order``, the class table's |C_H(beta)|,
+    found without this scan (from a conjugation orbit, or from the orbit
+    types in Sym(p^k)): an element commuting with alpha once conjugated by
+    g commutes with beta, so the product lies in C_H(beta) and, with that
+    order, is all of it.  With one factor this is the element-wise check of
+    the whole centralizer.
     """
-    c_h_beta = [h.images for h in centralizer(H, [Perm(s) for s in beta]).elements]
-    if len(c_h_beta) != stab_order:
+    factors = centralizer_factors(H, [Perm(s) for s in beta])
+    order = math.prod(map(len, factors))
+    if order != stab_order:
         raise InternalMismatch(
             "conjugated subgroup centralizer has order %d, stabilizer has order %d"
-            % (len(c_h_beta), stab_order)
+            % (order, stab_order)
         )
-    for c in c_h_beta:
-        conj = _conj_images(g, c)
-        if not all(_commute_images(conj, s) for s in alpha):
-            raise InternalMismatch("claimed stabilizer element is not in the centralizer")
-        if system.act(conj, token) != token:
-            raise InternalMismatch("claimed stabilizer element moves the coset")
+    if order != table_order:
+        raise InternalMismatch(
+            "centralizer factors have order %d, the class table gives %d"
+            % (order, table_order)
+        )
+    for factor in factors:
+        for c in factor:
+            conj = _conj_images(g, c)
+            if not all(_commute_images(conj, s) for s in alpha):
+                raise InternalMismatch("claimed stabilizer element is not in the centralizer")
+            if system.act(conj, token) != token:
+                raise InternalMismatch("claimed stabilizer element moves the coset")
 
 
 @lru_cache(maxsize=None)

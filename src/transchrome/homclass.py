@@ -24,7 +24,14 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import Ambient, AbSubgroup, _subgroup_levels, check_prime, power_exceeds
+from .abelian import (
+    Ambient,
+    AbSubgroup,
+    _subgroup_levels,
+    check_prime,
+    count_sublattices,
+    power_exceeds,
+)
 from .errors import (
     ActionNotClosed,
     BadParameters,
@@ -46,6 +53,8 @@ from .perm import (
 
 LAMBDA_ORDER_CAP = 10 ** 4
 DEGREE_CAP = 16
+# Hom classes enumerated per request; (2, 2, 4) has 4929, (2, 3, 4) 984 771.
+HOM_CLASS_CAP = 10 ** 4
 PARTITION_CAP = 10 ** 5
 
 
@@ -152,9 +161,36 @@ def _kernel_subgroups(lam: Ambient, max_index: int):
     return [sub for level in reversed(levels) for sub in level if max_index % sub.index == 0]
 
 
+def hom_class_count(p: int, h: int, k: int) -> int:
+    """|Hom((Z/p^k)^h, Sym(p^k)) / conjugacy|, without enumerating.
+
+    A class is a multiset of transitive orbits lam/K, one kind per subgroup
+    K of index p^j <= p^k.  By duality there are as many such K as
+    subgroups of order p^j, and for j <= k those are the order-p^j
+    subgroups of the h-fold Pruefer group, so their number is
+    a_j = ``count_sublattices(h, p, j)``.  The count is the coefficient of
+    x^(p^k) in prod_{j <= k} (1 - x^(p^j))^(-a_j), each factor expanded as
+    sum_i C(a_j + i - 1, i) x^(i p^j) up to degree p^k.
+    """
+    degree = p ** k
+    coeffs = [1] + [0] * degree
+    for j in range(k + 1):
+        a, size = count_sublattices(h, p, j), p ** j
+        coeffs = [
+            sum(coeffs[d - i * size] * math.comb(a + i - 1, i) for i in range(d // size + 1))
+            for d in range(degree + 1)
+        ]
+    return coeffs[degree]
+
+
 @lru_cache(maxsize=None)
 def enumerate_hom_classes(p: int, h: int, k: int):
-    """All classes of actions of (Z/p^k)^h on p^k points, canonically sorted."""
+    """All classes of actions of (Z/p^k)^h on p^k points, canonically sorted.
+
+    Refused (ResourceLimit) before any enumeration when ``hom_class_count``
+    exceeds HOM_CLASS_CAP; the number enumerated must equal that count
+    (InternalMismatch otherwise).
+    """
     check_prime(p)
     if h < 1 or k < 0:
         raise BadParameters("need h >= 1 and k >= 0")
@@ -162,6 +198,12 @@ def enumerate_hom_classes(p: int, h: int, k: int):
         raise ResourceLimit("degree %d^%d exceeds cap %d" % (p, k, DEGREE_CAP))
     if power_exceeds(p, k * h, LAMBDA_ORDER_CAP):
         raise ResourceLimit("source group order exceeds cap")
+    count = hom_class_count(p, h, k)
+    if count > HOM_CLASS_CAP:
+        raise ResourceLimit(
+            "%d hom classes at (p, h, k) = (%d, %d, %d) exceed cap %d"
+            % (count, p, h, k, HOM_CLASS_CAP)
+        )
     lam = lam_group(p, h, k)
     degree = p ** k
     kernels = _kernel_subgroups(lam, degree)
@@ -183,6 +225,11 @@ def enumerate_hom_classes(p: int, h: int, k: int):
                 chosen.pop()
 
     extend(0, degree, [])
+    if len(classes) != count:
+        raise InternalMismatch(
+            "enumerated %d hom classes, the generating function gives %d"
+            % (len(classes), count)
+        )
     classes.sort(key=HomClass.sort_key)
     return tuple(classes)
 

@@ -25,7 +25,7 @@ import itertools
 import math
 import os
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import (
     ActionNotClosed,
@@ -442,13 +442,16 @@ def block_subgroup(block_size: int, blocks: int) -> YoungSubgroup:
     return YoungSubgroup(block_size, blocks)
 
 
-def centralizer(ambient: PermGroup, perms) -> PermGroup:
-    """All elements of ``ambient`` commuting with every permutation in ``perms``.
+def centralizer_factors(ambient: PermGroup, perms):
+    """The centralizer of ``perms`` in ``ambient`` as direct factors with
+    disjoint supports: a list of factors, each a list of image tuples, whose
+    product is the centralizer.  No ``Perm`` or ``PermGroup`` is built.
 
     Inside a Young subgroup of several blocks the permutations act blockwise,
-    so the centralizer is the product of their blockwise centralizers in
-    Sym(b): c * b! candidates are scanned instead of (b!)^c.  Every other
-    group is scanned whole.
+    so there is one factor per block, the elements of Sym(block) (fixing
+    every other point) that commute with the permutations there: c * b!
+    candidates are scanned instead of (b!)^c.  Every other group is one
+    factor, the scan of the whole group.
     """
     perms = list(perms)
     for s in perms:
@@ -457,14 +460,27 @@ def centralizer(ambient: PermGroup, perms) -> PermGroup:
     imgs = [s.images for s in perms]
     if isinstance(ambient, YoungSubgroup) and ambient.blocks > 1:
         b = ambient.block_size
+        ident = tuple(range(ambient.degree))
         factors = []
         for lo in range(0, ambient.degree, b):
-            local = [Perm(v - lo for v in s[lo:lo + b]) for s in imgs]
-            cent = centralizer(symmetric_group(b), local)
-            factors.append([tuple(lo + v for v in g.images) for g in cent])
-        return PermGroup(ambient.degree, [Perm(sum(c, ())) for c in itertools.product(*factors)])
-    out = [g for g in ambient.iter_elements() if all(_commute_images(g.images, s) for s in imgs)]
-    return PermGroup(ambient.degree, out)
+            hi = lo + b
+            factors.append([
+                ident[:lo] + t + ident[hi:]
+                for t in itertools.permutations(range(lo, hi))
+                # the permutations preserve the block, so t is checked there
+                if all(t[s[i] - lo] == s[t[i - lo]] for s in imgs for i in range(lo, hi))
+            ])
+        return factors
+    scan = (g.images for g in ambient.iter_elements())
+    return [[g for g in scan if all(_commute_images(g, s) for s in imgs)]]
+
+
+def centralizer(ambient: PermGroup, perms) -> PermGroup:
+    """All elements of ``ambient`` commuting with every permutation in
+    ``perms``: the product of ``centralizer_factors``."""
+    factors = centralizer_factors(ambient, perms)
+    out = (reduce(_compose, combo) for combo in itertools.product(*factors))
+    return PermGroup(ambient.degree, map(Perm, out))
 
 
 class Coset:

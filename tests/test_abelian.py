@@ -157,6 +157,56 @@ def test_annihilator_involution_exhaustive(p, k, h):
         assert ann.annihilator() == sub
 
 
+def scan_annihilator(sub):
+    """Oracle: every ambient element tested against every generator."""
+    amb = sub.ambient
+    gens = sub.generators()
+    return AbSubgroup(amb, [y for y in amb.elements() if all(amb.pairing(x, y) == 0 for x in gens)])
+
+
+@pytest.mark.parametrize("p,k,h", [
+    (2, 2, 2), (2, 3, 2), (2, 1, 3), (2, 2, 3), (3, 2, 2), (3, 1, 3),
+    (2, 3, 3), (5, 1, 2), (2, 4, 2), (3, 2, 3), (2, 1, 4),
+])
+def test_annihilator_matches_element_scan(p, k, h):
+    amb = Ambient(p, k, h)
+    for sub in subgroups_of_ambient(amb):
+        assert sub.annihilator() == scan_annihilator(sub)
+
+
+def test_annihilator_never_lists_the_ambient_group(monkeypatch):
+    amb = Ambient(3, 2, 3)
+    subs = subgroups_of_ambient(amb, 27)
+
+    def refuse(ambient):
+        raise AssertionError("listed the elements of %r" % (ambient,))
+
+    monkeypatch.setattr(abelian, "_ambient_elements", refuse)
+    for sub in subs:
+        assert sub.annihilator().order == amb.order // sub.order
+
+
+def test_annihilator_checks_its_solution(monkeypatch):
+    # the solve's generators are checked against the rows and its order
+    # against |ambient| / |subgroup|: corrupt the list handed to the span
+    amb = Ambient(2, 2, 2)
+    sub = AbSubgroup.span(amb, [(2, 0)])
+    real_span = AbSubgroup.span
+
+    def corrupt(edit):
+        def span(cls, ambient, gens):
+            edit(gens)
+            return real_span(ambient, gens)
+        monkeypatch.setattr(AbSubgroup, "span", classmethod(span))
+
+    corrupt(lambda gens: gens.append((1, 0)))
+    with pytest.raises(InternalMismatch, match="pairs nontrivially"):
+        sub.annihilator()
+    corrupt(lambda gens: gens.pop())
+    with pytest.raises(InternalMismatch, match="times subgroup order"):
+        sub.annihilator()
+
+
 def test_count_sublattices_values():
     assert count_sublattices(2, 2, 2) == 7
     assert count_sublattices(1, 2, 5) == 1

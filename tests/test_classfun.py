@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -376,3 +378,111 @@ def test_product_table_matches_generic_table(block, blocks, p, h, k):
     swap[0], swap[-1] = swap[-1], swap[0]
     with pytest.raises(NotInGroup):
         product.key_of_images((tuple(swap),) * h)
+
+
+# -- the stabilizer check, factor by factor --
+
+
+def _mutated_transfer(monkeypatch, h, cycles, mutate):
+    """transfer_datum over S8 > S4xS4 for one class, with the centralizer
+    factors handed to the stabilizer check passed through ``mutate``."""
+    from transchrome import classfun
+
+    real = classfun.centralizer_factors
+    monkeypatch.setattr(
+        classfun, "centralizer_factors", lambda H, perms: mutate(real(H, perms), H)
+    )
+    return transfer_datum(
+        symmetric_group(8), block_subgroup(4, 2), sym_class(cycles, 2, h, 3)
+    )
+
+
+def test_stabilizer_check_catches_a_dropped_factor_element(monkeypatch):
+    def drop(factors, H):
+        factors[0].pop()
+        return factors
+
+    with pytest.raises(InternalMismatch, match="has order"):
+        _mutated_transfer(monkeypatch, 1, ["(0 1)"], drop)
+
+
+def test_stabilizer_check_catches_an_element_moving_the_coset(monkeypatch):
+    # at alpha = e every element commutes with alpha; swapping the two
+    # blocks does not fix the coset
+    swap = tuple(range(4, 8)) + tuple(range(4))
+
+    def replace(factors, H):
+        factors[0][-1] = swap
+        return factors
+
+    with pytest.raises(InternalMismatch, match="moves the coset"):
+        _mutated_transfer(monkeypatch, 1, ["e"], replace)
+
+
+def test_stabilizer_check_catches_an_element_outside_the_centralizer(monkeypatch):
+    def replace(factors, H):
+        # at alpha = (0 1) one factor is a proper subgroup of Sym(4): put in
+        # an element of that block that is not in it
+        for lo, factor in zip((0, 4), factors):
+            for t in itertools.permutations(range(lo, lo + 4)):
+                image = tuple(range(lo)) + t + tuple(range(lo + 4, 8))
+                if image not in factor:
+                    factor[-1] = image
+                    return factors
+        raise AssertionError("every factor is all of Sym(4)")
+
+    with pytest.raises(InternalMismatch, match="not in the centralizer"):
+        _mutated_transfer(monkeypatch, 1, ["(0 1)"], replace)
+
+
+def test_stabilizer_check_catches_a_wrong_order(monkeypatch):
+    from transchrome import classfun
+
+    calls = []
+    real = classfun._verify_stabilizer
+    monkeypatch.setattr(classfun, "_verify_stabilizer", lambda *args: calls.append(args))
+    transfer_datum(symmetric_group(8), block_subgroup(4, 2), sym_class(["(0 1)"], 2, 1, 3))
+    assert calls
+    for args in calls:
+        real(*args)
+        stab_order, table_order = args[-2:]
+        assert stab_order == table_order
+        with pytest.raises(InternalMismatch, match="stabilizer has order"):
+            real(*args[:-2], 2 * stab_order, table_order)
+        with pytest.raises(InternalMismatch, match="class table gives"):
+            real(*args[:-2], stab_order, 2 * table_order)
+
+
+def test_stabilizer_check_makes_one_element_check_per_factor_element(monkeypatch):
+    # S8 > S4xS4: the check visits sum |f_i| elements per record, not the
+    # prod |f_i| elements of C_H(beta)
+    from transchrome import classfun
+
+    sizes, checks = [], []
+    real_factors, real_commute = classfun.centralizer_factors, classfun._commute_images
+
+    def factors(H, perms):
+        out = real_factors(H, perms)
+        sizes.append([len(f) for f in out])
+        return out
+
+    def commute(a, b):
+        checks.append(1)
+        return real_commute(a, b)
+
+    monkeypatch.setattr(classfun, "centralizer_factors", factors)
+    monkeypatch.setattr(classfun, "_commute_images", commute)
+    S8, H = symmetric_group(8), block_subgroup(4, 2)
+    saved = 0
+    for h in (1, 2):
+        for key in class_table(S8, lam_group(2, h, 3)).classes:
+            sizes.clear()
+            checks.clear()
+            datum = transfer_datum(S8, H, key)
+            assert len(sizes) == len(datum.records)
+            # one commutation test per component of alpha per element
+            assert len(checks) == h * sum(sum(s) for s in sizes)
+            for s, rec in zip(sizes, datum.records):
+                assert math.prod(s) == rec.stabilizer_order
+                saved += math.prod(s) - sum(s)
+    assert saved > 0

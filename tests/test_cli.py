@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -66,6 +67,20 @@ def test_homs_golden_json(capsys, name, argv):
         data = json.loads(out)
         orders = [rec["centralizer_order"] for rec in data["classes"]]
         assert orders == [24, 4, 8, 4]
+
+
+with open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "digests.json")) as _fh:
+    BENCH_DIGESTS = sorted(json.load(_fh).items())
+
+
+@pytest.mark.parametrize("request_argv,digest", BENCH_DIGESTS,
+                         ids=[argv for argv, _ in BENCH_DIGESTS])
+def test_benchmark_outputs_match_recorded_digests(capsys, request_argv, digest):
+    # the benchmark's fixed requests, some with no golden fixture here
+    # (decompose 2 2 0 3 and 3 2 0 2): stdout must keep its recorded sha256
+    code, out, _ = run_cli(capsys, *request_argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_decompose_json_round_trips(capsys):
@@ -213,8 +228,9 @@ def test_exit_code_resource(capsys):
 def test_huge_parameters_exit_3_before_work(capsys):
     # trial division of a 19-digit prime, forming p^k, 2^n or p^(kh) for a
     # huge exponent, a count of size h(h+m)log2(p) = 720000, or the p-typical
-    # law at p = 17 and its default degree D = 290 would run for seconds to
-    # minutes before any size cap
+    # law at p = 17 and its default degree D = 290, or the hom classes at
+    # (p, h, k) = (2, 3, 4) would run for seconds to minutes before any size
+    # cap
     huge_p = "1000000000000000003"
     start = time.perf_counter()
     for argv in [
@@ -226,6 +242,10 @@ def test_huge_parameters_exit_3_before_work(capsys):
         ("homs", "--p", "2", "--h", "1000000000000", "--k", "1"),
         ("count-sub", "--h", "600", "--p", "2", "--m", "600"),
         ("fgl", "--p", "17", "--n", "1"),
+        # 984 771 hom classes would be enumerated first
+        ("homs", "--p", "2", "--h", "3", "--k", "4"),
+        ("transfer", "--p", "2", "--h", "3", "--k", "4", "--m", "1", "--alpha", "e;e;e"),
+        ("induce", "--p", "2", "--h", "3", "--k", "4", "--chi", "unused.json"),
     ]:
         code, _, err = run_cli(capsys, *argv, "--json")
         assert code == 3, argv

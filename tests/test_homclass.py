@@ -4,8 +4,15 @@ import timeit
 
 import pytest
 
+from transchrome import homclass
 from transchrome.abelian import AbSubgroup
-from transchrome.errors import NotCommuting, NotPrime, OrderNotPPower, ResourceLimit
+from transchrome.errors import (
+    InternalMismatch,
+    NotCommuting,
+    NotPrime,
+    OrderNotPPower,
+    ResourceLimit,
+)
 from transchrome.homclass import (
     HomClass,
     _BlockCosets,
@@ -16,6 +23,7 @@ from transchrome.homclass import (
     coset_fiber,
     dual_image,
     enumerate_hom_classes,
+    hom_class_count,
     is_isotypic,
     kernel_of_action,
     lam_group,
@@ -50,6 +58,36 @@ def test_enumeration_guards():
         enumerate_hom_classes(2, 1, 5)
     with pytest.raises(ResourceLimit):
         enumerate_hom_classes(2, 8, 2)
+
+
+@pytest.mark.parametrize("p,h,k", [
+    (2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2), (2, 1, 3), (2, 2, 3),
+    (2, 3, 3), (5, 1, 1), (3, 3, 2),
+])
+def test_hom_class_count_matches_enumeration(p, h, k):
+    assert hom_class_count(p, h, k) == len(enumerate_hom_classes(p, h, k))
+
+
+def test_hom_class_count_values_past_the_enumerated_range():
+    assert hom_class_count(2, 2, 4) == 4929
+    assert hom_class_count(2, 3, 4) == 984771
+
+
+def test_hom_class_cap_refuses_before_enumerating(monkeypatch):
+    def refuse(lam, max_index):
+        raise AssertionError("enumerated kernels for %r" % (lam,))
+
+    monkeypatch.setattr(homclass, "_kernel_subgroups", refuse)
+    for p, h, k in [(2, 3, 4), (2, 4, 3), (3, 4, 2)]:
+        assert hom_class_count(p, h, k) > homclass.HOM_CLASS_CAP
+        with pytest.raises(ResourceLimit, match="hom classes"):
+            enumerate_hom_classes.__wrapped__(p, h, k)
+
+
+def test_hom_class_count_disagreement_is_a_mismatch(monkeypatch):
+    monkeypatch.setattr(homclass, "hom_class_count", lambda p, h, k: 5)
+    with pytest.raises(InternalMismatch, match="hom classes"):
+        enumerate_hom_classes.__wrapped__(2, 1, 2)
 
 
 def test_point_totals_and_canonical_order():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -14,8 +15,10 @@ from transchrome.perm import (
     Perm,
     PermGroup,
     YoungSubgroup,
+    _compose,
     block_subgroup,
     centralizer,
+    centralizer_factors,
     conjugating_element,
     coset_orbits,
     fixed_cosets,
@@ -381,7 +384,19 @@ def test_blockwise_centralizer_is_the_scan(b, c, p, k):
         table = class_table(H, lam_group(p, h, k))
         for key in table.classes:
             beta = [Perm(s) for s in table.rep_images(key)]
-            assert centralizer(H, beta).elements == centralizer(explicit, beta).elements
+            scan = [g.images for g in centralizer(explicit, beta).elements]
+            assert [g.images for g in centralizer(H, beta).elements] == scan
+            # one factor per block, each closed, multiplying out to the scan
+            factors = centralizer_factors(H, beta)
+            assert len(factors) == c
+            for factor in factors:
+                members = set(factor)
+                assert all(_compose(x, y) in members for x in factor for y in factor)
+            product = [
+                functools.reduce(_compose, combo) for combo in itertools.product(*factors)
+            ]
+            assert sorted(product) == scan
+            assert centralizer_factors(explicit, beta) == [scan]
 
 
 def test_blockwise_centralizer_rejects_a_tuple_leaving_a_block():
