@@ -140,7 +140,7 @@ def _extend(ambient: Ambient, members, x):
 class AbSubgroup:
     """A subgroup of an Ambient, canonically a sorted tuple of elements."""
 
-    __slots__ = ("ambient", "elements", "_eset", "_gens")
+    __slots__ = ("ambient", "elements", "_eset", "_gens", "_hash")
 
     def __init__(self, ambient: Ambient, elements):
         self.ambient = ambient
@@ -148,6 +148,7 @@ class AbSubgroup:
         self.elements = elems
         self._eset = frozenset(elems)
         self._gens = None
+        self._hash = None
         if ambient.zero() not in self._eset:
             raise ValueError("subgroup must contain zero")
 
@@ -189,7 +190,10 @@ class AbSubgroup:
         return self.elements < other.elements
 
     def __hash__(self):
-        return hash((self.ambient, self.elements))
+        # hashing walks the element tuple: done on first use, then kept
+        if self._hash is None:
+            self._hash = hash((self.ambient, self.elements))
+        return self._hash
 
     def __repr__(self):
         return "AbSubgroup(order=%d, gens=%s)" % (self.order, self.generators())

@@ -217,7 +217,8 @@ class GenClassFunction:
         for key in table.classes:
             if key not in values:
                 raise ValueError("missing value for class %s" % table.class_id(key))
-            vals[key] = Fraction(values[key])
+            value = values[key]
+            vals[key] = value if isinstance(value, Fraction) else Fraction(value)
         if len(values) != len(table.classes):
             raise ValueError("values contain keys outside the class table")
         self.table = table
@@ -453,6 +454,17 @@ def _verify_stabilizer(system, token, g, alpha, beta, H, stab_order, table_order
 
 @lru_cache(maxsize=None)
 def _induction_data(g_table_key, h_table_key):
+    """Per G-class, the plain table and the orbit records.
+
+    The plain table classifies every alpha-stable coset gH on its own, by
+    the H-class of g^{-1} alpha g, and keeps (H-class, multiplicity) pairs.
+    The orbit records come from ``_build_datum``.  The orbit/lift bijection
+    says the records carry distinct H-classes and that the cosets lifting
+    the class of a record are exactly its orbit, so each plain multiplicity
+    must equal the index of the one record with that class
+    (InternalMismatch otherwise).  Indicator functions span, so this proves
+    induce == induce_grouped for every class function at once.
+    """
     G, H, lam = g_table_key[0], h_table_key[0], g_table_key[1]
     system = _coset_system(G, H)  # index cap before any class table
     g_table = class_table(G, lam)
@@ -462,11 +474,18 @@ def _induction_data(g_table_key, h_table_key):
     for alpha_key in g_table.classes:
         alpha = g_table.rep_images(alpha_key)
         fixed = system.fixed(alpha)
-        plain[alpha_key] = tuple(
-            h_table.key_of_images(_beta_images(system.rep_images(token), alpha))
-            for token in fixed
-        )
-        data[alpha_key] = _build_datum(g_table, h_table, system, alpha_key, fixed)
+        counts = {}
+        for token in fixed:
+            h_key = h_table.key_of_images(_beta_images(system.rep_images(token), alpha))
+            counts[h_key] = counts.get(h_key, 0) + 1
+        datum = _build_datum(g_table, h_table, system, alpha_key, fixed)
+        if counts != {rec.h_key: rec.index for rec in datum.records}:
+            raise InternalMismatch(
+                "coset multiplicities differ from the orbit indices for %s"
+                % g_table.class_id(alpha_key)
+            )
+        plain[alpha_key] = tuple(counts.items())
+        data[alpha_key] = datum
     return plain, data
 
 
@@ -488,35 +507,35 @@ def restrict(chi: GenClassFunction, H: PermGroup) -> GenClassFunction:
     return GenClassFunction(h_table, values)
 
 
+def _weighted_sums(chi: GenClassFunction, G: PermGroup, terms) -> GenClassFunction:
+    """Value at [alpha]: the sum of m * chi(h_key) over the (h_key, m) pairs
+    ``terms[alpha_key]``, summed as integer numerators over the common
+    denominator D of chi's values, with one Fraction per class."""
+    g_table = class_table(G, chi.table.lam)
+    den = math.lcm(*(v.denominator for v in chi.values.values()))
+    nums = {key: v.numerator * (den // v.denominator) for key, v in chi.values.items()}
+    return GenClassFunction(g_table, {
+        alpha_key: Fraction(sum(m * nums[h_key] for h_key, m in terms[alpha_key]), den)
+        for alpha_key in g_table.classes
+    })
+
+
 def induce(chi: GenClassFunction, G: PermGroup) -> GenClassFunction:
     """Plain coset sum: value at [alpha] adds chi([g^{-1} alpha g]) over
-    every alpha-stable coset gH."""
-    H = chi.table.group
-    g_table = class_table(G, chi.table.lam)
-    plain, _ = induction_tables(G, H, chi.table.lam)
-    values = {}
-    for alpha_key in g_table.classes:
-        total = Fraction(0)
-        for h_key in plain[alpha_key]:
-            total += chi[h_key]
-        values[alpha_key] = total
-    return GenClassFunction(g_table, values)
+    every alpha-stable coset gH, the cosets of one H-class at once."""
+    plain, _ = induction_tables(G, chi.table.group, chi.table.lam)
+    return _weighted_sums(chi, G, plain)
 
 
 def induce_grouped(chi: GenClassFunction, G: PermGroup) -> GenClassFunction:
     """Orbit-grouped sum: value at [alpha] adds index * chi([g^{-1} alpha g])
     over centralizer orbits of alpha-stable cosets.  Must agree with
     ``induce`` pointwise."""
-    H = chi.table.group
-    g_table = class_table(G, chi.table.lam)
-    _, data = induction_tables(G, H, chi.table.lam)
-    values = {}
-    for alpha_key in g_table.classes:
-        total = Fraction(0)
-        for rec in data[alpha_key].records:
-            total += rec.index * chi[rec.h_key]
-        values[alpha_key] = total
-    return GenClassFunction(g_table, values)
+    _, data = induction_tables(G, chi.table.group, chi.table.lam)
+    return _weighted_sums(chi, G, {
+        alpha_key: [(rec.h_key, rec.index) for rec in datum.records]
+        for alpha_key, datum in data.items()
+    })
 
 
 def transfer_datum(G: PermGroup, H: PermGroup, alpha, lam: Ambient = None) -> TransferDatum:

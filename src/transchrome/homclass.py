@@ -22,12 +22,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .abelian import (
     Ambient,
     AbSubgroup,
     _subgroup_levels,
+    _valuation,
     check_prime,
     count_sublattices,
     power_exceeds,
@@ -113,6 +114,14 @@ class HomClass:
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 
+    @cached_property
+    def _hash(self):
+        return hash((self.lam, self.orbit_types))
+
+    def __hash__(self):
+        # the fields' hash, computed on first use and kept
+        return self._hash
+
     def __repr__(self):
         return "HomClass(%s)" % self.class_id()
 
@@ -156,9 +165,15 @@ def make_tuple(perms, lam: Ambient) -> CommutingTuple:
 
 def _kernel_subgroups(lam: Ambient, max_index: int):
     """Subgroups of lam whose index is a p-power dividing max_index, sorted
-    by (index, elements): the lattice levels from the top down."""
-    levels = _subgroup_levels(lam, lam.k * lam.h)
-    return [sub for level in reversed(levels) for sub in level if max_index % sub.index == 0]
+    by (index, elements).
+
+    The standard pairing is perfect, so S -> ann(S) maps the subgroups of
+    order p^j one-to-one onto those of index p^j.  The kernels are the
+    annihilators of lattice levels 0..j, p^j the largest power of p
+    dividing max_index; the k*h levels above them are never built."""
+    levels = _subgroup_levels(lam, _valuation(max_index, lam.p))
+    kernels = [sub.annihilator() for level in levels for sub in level]
+    return sorted(kernels, key=lambda sub: (sub.index, sub.elements))
 
 
 def hom_class_count(p: int, h: int, k: int) -> int:

@@ -332,3 +332,14 @@ def test_element_order():
     assert amb.element_order((0, 0)) == 1
     assert amb.element_order((2, 0)) == 2
     assert amb.element_order((1, 2)) == 4
+
+
+@pytest.mark.parametrize("p,k,h", [(2, 2, 2), (3, 1, 2), (2, 1, 3)])
+def test_equal_subgroups_hash_equal_however_built(p, k, h):
+    amb = Ambient(p, k, h)
+    for sub in subgroups_of_ambient(amb):
+        by_span = AbSubgroup.span(amb, sub.generators())
+        by_list = AbSubgroup(amb, list(reversed(sub.elements)))
+        assert by_span == by_list == sub
+        assert hash(by_span) == hash(by_list) == hash(sub) == hash((amb, sub.elements))
+        assert hash(by_span) == hash(by_span)

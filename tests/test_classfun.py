@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -5,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transchrome.classfun import (
     GenClassFunction,
@@ -486,3 +490,130 @@ def test_stabilizer_check_makes_one_element_check_per_factor_element(monkeypatch
                 assert math.prod(s) == rec.stabilizer_order
                 saved += math.prod(s) - sum(s)
     assert saved > 0
+
+
+# -- the integer induction kernel --
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_keys(G, H, lam):
+    """Per G-class, the H-class of g^-1 alpha g for every alpha-stable coset
+    gH, classified one coset at a time."""
+    from transchrome import classfun
+
+    system = classfun._coset_system(G, H)
+    g_table, h_table = class_table(G, lam), class_table(H, lam)
+    out = {}
+    for alpha_key in g_table.classes:
+        alpha = g_table.rep_images(alpha_key)
+        out[alpha_key] = [
+            h_table.key_of_images(classfun._beta_images(system.rep_images(token), alpha))
+            for token in system.fixed(alpha)
+        ]
+    return out
+
+
+def _fraction_loops(chi, G):
+    """Oracle: the Fraction-by-Fraction loops, one addition per coset for
+    the plain sum and one per orbit record for the grouped sum."""
+    from transchrome import classfun
+
+    H, lam = chi.table.group, chi.table.lam
+    _, data = classfun.induction_tables(G, H, lam)
+    plain, grouped = {}, {}
+    for alpha_key, h_keys in _coset_keys(G, H, lam).items():
+        total = Fraction(0)
+        for h_key in h_keys:
+            total += Fraction(chi[h_key])
+        plain[alpha_key] = total
+        total = Fraction(0)
+        for rec in data[alpha_key].records:
+            total += rec.index * Fraction(chi[rec.h_key])
+        grouped[alpha_key] = total
+    return plain, grouped
+
+
+_VALUES = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=60),
+    st.fractions(max_denominator=60).map(str),
+)
+# (degree of G, (block size, blocks) of H, (p, h, k) of lam)
+_KERNEL_PAIRS = [
+    (4, (2, 2), (2, 1, 2)),
+    (4, (2, 2), (2, 2, 2)),
+    (8, (4, 2), (2, 2, 3)),
+    (9, (3, 3), (3, 2, 2)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_KERNEL_PAIRS), st.data())
+def test_integer_kernel_matches_fraction_loops(pair, data):
+    degree, (block, blocks), (p, h, k) = pair
+    G, H, lam = symmetric_group(degree), block_subgroup(block, blocks), lam_group(p, h, k)
+    ht = class_table(H, lam)
+    n = len(ht.classes)
+    raw = data.draw(st.lists(_VALUES, min_size=n, max_size=n))
+    chi = GenClassFunction(ht, dict(zip(ht.classes, raw)))
+    assert all(chi[key] == Fraction(v) for key, v in zip(ht.classes, raw))
+    plain, grouped = _fraction_loops(chi, G)
+    assert induce(chi, G).values == plain
+    assert induce_grouped(chi, G).values == grouped
+    assert plain == grouped
+
+
+@pytest.mark.parametrize("degree,block,blocks,p,h,k,entries", [
+    (8, 4, 2, 2, 2, 3, 289),
+    (9, 3, 3, 3, 2, 2, 125),
+])
+def test_plain_table_keeps_one_pair_per_h_class(degree, block, blocks, p, h, k, entries):
+    from transchrome import classfun
+
+    G, H = symmetric_group(degree), block_subgroup(block, blocks)
+    plain, data = classfun.induction_tables(G, H, lam_group(p, h, k))
+    assert sum(map(len, plain.values())) == entries
+    for alpha_key, pairs in plain.items():
+        keys = [key for key, _ in pairs]
+        assert len(set(keys)) == len(keys)
+        assert sum(m for _, m in pairs) == data[alpha_key].fixed_count
+
+
+def test_coefficient_check_catches_swapped_orbit_classes(monkeypatch):
+    # swap the H-classes of two records of different index: every count
+    # inside _build_datum still holds, only the coefficient check sees it
+    from transchrome import classfun
+
+    real = classfun._build_datum
+    swaps = []
+
+    def swapped(*args):
+        datum = real(*args)
+        recs = list(datum.records)
+        for i, j in itertools.combinations(range(len(recs)), 2):
+            if recs[i].index != recs[j].index and not swaps:
+                swaps.append((i, j))
+                recs[i], recs[j] = (
+                    dataclasses.replace(recs[i], h_key=recs[j].h_key),
+                    dataclasses.replace(recs[j], h_key=recs[i].h_key),
+                )
+                return dataclasses.replace(datum, records=tuple(recs))
+        return datum
+
+    monkeypatch.setattr(classfun, "_build_datum", swapped)
+    lam = lam_group(2, 1, 3)
+    with pytest.raises(InternalMismatch, match="coset multiplicities"):
+        classfun._induction_data.__wrapped__((symmetric_group(8), lam), (block_subgroup(4, 2), lam))
+    assert swaps
+
+
+def test_class_function_checks_keys_and_keeps_fractions(s4_setup):
+    _, H, lam = s4_setup
+    ht = class_table(H, lam)
+    values = {key: Fraction(i, 3) for i, key in enumerate(ht.classes)}
+    chi = GenClassFunction(ht, values)
+    assert all(chi[key] is values[key] for key in ht.classes)
+    with pytest.raises(ValueError, match="missing value"):
+        GenClassFunction(ht, dict(list(values.items())[1:]))
+    with pytest.raises(ValueError, match="outside the class table"):
+        GenClassFunction(ht, {**values, "stray": 1})

@@ -315,6 +315,63 @@ def test_console_entry_point():
     assert "= 1" in proc.stdout
 
 
+LAYERS = ("abelian", "accept", "classfun", "decomp", "fgl", "homclass")
+
+
+def test_importing_the_cli_runs_no_layer_module():
+    # a lazy module is a ModuleType subclass until its code has run
+    code = (
+        "import sys, types, transchrome.cli\n"
+        "ran = lambda: [n for n in %r if type(sys.modules.get('transchrome.' + n)) is types.ModuleType]\n"
+        "print(ran())\n"
+        "transchrome.cli.fgl.check_work\n"
+        "print(ran())\n"
+    ) % (LAYERS,)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['abelian', 'fgl']"]
+
+
+PACKAGE_NAMES = {
+    "abelian": ["Ambient", "AbSubgroup", "annihilator", "count_sublattices",
+                "enumerate_subgroups", "sub_leq_count"],
+    "homclass": ["CommutingTuple", "HomClass", "classify", "centralizer_order", "coset_fiber",
+                 "dual_image", "enumerate_hom_classes", "is_isotypic", "lam_group",
+                 "minimal_level", "realize"],
+    "classfun": ["GenClassFunction", "TransferDatum", "class_table", "ideal_trivial", "induce",
+                 "induce_grouped", "inner_product", "restrict", "transfer_datum",
+                 "verify_mainthm_instance"],
+    "decomp": ["DecompositionReport", "decompose", "fiber_rank", "verify_triangle"],
+    "perm": ["Coset", "Perm", "PermGroup", "block_subgroup", "centralizer",
+             "conjugating_element", "coset_orbits", "fixed_cosets", "generate", "left_cosets",
+             "symmetric_group"],
+}
+
+
+def test_package_names_resolve_to_their_layer_objects():
+    import importlib
+
+    import transchrome
+
+    for module, names in PACKAGE_NAMES.items():
+        layer = importlib.import_module("transchrome." + module)
+        for name in names:
+            assert getattr(transchrome, name) is getattr(layer, name)
+            assert name in dir(transchrome)
+    assert transchrome.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        transchrome.no_such_name
+    # the CLI's old alias of classfun.class_table resolves on use
+    from transchrome import classfun, cli
+
+    assert cli.class_table is classfun.class_table
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
 # -- in-process CLI fuzz: every argv gets an exit code, never a traceback --
 
 PRIMES = st.sampled_from([-2, 0, 1, 2, 3, 4, 5, 6])

@@ -5,7 +5,7 @@ import timeit
 import pytest
 
 from transchrome import homclass
-from transchrome.abelian import AbSubgroup
+from transchrome.abelian import AbSubgroup, _subgroup_levels
 from transchrome.errors import (
     InternalMismatch,
     NotCommuting,
@@ -437,3 +437,47 @@ def test_class_id_round_trip_uniqueness():
         assert cid not in seen
         seen.add(cid)
         assert cid.startswith("p2.k2.h2:")
+
+
+def level_filter_kernels(lam, max_index):
+    """Oracle: every level of the subgroup lattice, top down, kept when its
+    index divides max_index."""
+    levels = _subgroup_levels(lam, lam.k * lam.h)
+    return [sub for level in reversed(levels) for sub in level if max_index % sub.index == 0]
+
+
+@pytest.mark.parametrize("p,h,k", [(2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2),
+                                   (3, 1, 3), (5, 1, 2), (2, 4, 1)])
+def test_kernels_match_the_level_filter(p, h, k):
+    lam = lam_group(p, h, k)
+    for j in range(k + 1):
+        for max_index in (p ** j, p ** j * (p + 1)):
+            assert homclass._kernel_subgroups(lam, max_index) == level_filter_kernels(lam, max_index)
+
+
+def test_kernels_build_only_the_levels_they_use(monkeypatch):
+    tops = []
+    real = homclass._subgroup_levels
+
+    def levels(ambient, top):
+        tops.append(top)
+        return real(ambient, top)
+
+    monkeypatch.setattr(homclass, "_subgroup_levels", levels)
+    for p, h, k in [(2, 3, 2), (3, 2, 2), (2, 8, 1)]:
+        tops.clear()
+        kernels = homclass._kernel_subgroups(lam_group(p, h, k), p ** k)
+        assert tops == [k]
+        assert max(sub.index for sub in kernels) == p ** k
+
+
+def test_equal_hom_classes_built_apart_hash_equal():
+    first = enumerate_hom_classes.__wrapped__(2, 2, 2)
+    second = enumerate_hom_classes.__wrapped__(2, 2, 2)
+    for a, b in zip(first, second):
+        assert a is not b and a.orbit_types[0][0] is not b.orbit_types[0][0]
+        assert a == b
+        assert hash(a) == hash(b) == hash((a.lam, a.orbit_types))
+        again = classify(realize(a), a.lam)
+        assert again == a and hash(again) == hash(a)
+    assert len(set(first) | set(second)) == len(first)
