@@ -111,7 +111,9 @@ def _check_ambient_cap(ambient: Ambient):
 
 
 def _valuation(a: int, p: int) -> int:
-    """The exponent of p in a nonzero integer a."""
+    """The exponent of p in a positive integer a; BadParameters for a < 1."""
+    if a < 1:
+        raise BadParameters("%r is not a positive integer" % (a,))
     v = 0
     while a % p == 0:
         a //= p
@@ -335,17 +337,6 @@ def _subgroup_levels(ambient: Ambient, top: int):
     return levels
 
 
-def _order_exponent(order: int, p: int) -> int:
-    m = 0
-    tmp = order
-    while tmp > 1:
-        if tmp % p:
-            raise BadParameters("order %d is not a power of %d" % (order, p))
-        tmp //= p
-        m += 1
-    return m
-
-
 def enumerate_subgroups(h: int, p: int, K: int, order: int):
     """All subgroups of (Z/p^K)^h with the given order, canonically sorted."""
     ambient = Ambient(p, K, h)
@@ -357,7 +348,9 @@ def subgroups_of_ambient(ambient: Ambient, order=None):
     if order is None:
         levels = _subgroup_levels(ambient, ambient.k * ambient.h)
         return [s for level in levels for s in level]
-    m = _order_exponent(order, ambient.p)
+    m = _valuation(order, ambient.p)
+    if ambient.p ** m != order:  # a positive power of p, p^0 = 1 included
+        raise BadParameters("order %d is not a power of %d" % (order, ambient.p))
     levels = _subgroup_levels(ambient, m)
     return list(levels[m]) if m < len(levels) else []
 

@@ -6,12 +6,14 @@ along H <= G is computed two independent ways: as a plain sum over the
 alpha-stable cosets, and as an orbit-grouped sum weighted by stabilizer
 indices.  Their pointwise agreement is the combinatorial content of the
 transfer formula, and the orbit data also drives the transfer-ideal
-triviality decision.  A Young subgroup H = Sym(b)^c is never enumerated:
-its class table is read blockwise off one table of Sym(b), its cosets are
-ordered block partitions, and C_H(beta) is a product of blockwise
-centralizers.  Each coset stabilizer is verified factor by factor: the
-elements of the blockwise centralizers are checked, not their product
-(see ``_verify_stabilizer``).
+triviality decision.  The cosets and their centralizer orbits come from
+``perm`` (``_coset_system`` and ``_stable_orbits``); this module adds the
+H-class of each orbit and the proof of its stabilizer.  A Young subgroup
+H = Sym(b)^c is never enumerated: its class table is read blockwise off one
+table of Sym(b), its cosets are ordered block partitions, and C_H(beta) is
+a product of blockwise centralizers.  Each coset stabilizer is verified
+factor by factor: the elements of the blockwise centralizers are checked,
+not their product (see ``_verify_stabilizer``).
 
 The codomain of the underlying character theory is modelled by one rational
 scalar per class; the transfer along an inclusion of centralizers acts as
@@ -31,7 +33,6 @@ from functools import lru_cache
 from . import homclass as hc_mod
 from .abelian import Ambient
 from .errors import (
-    ActionNotClosed,
     InternalMismatch,
     NotInGroup,
     NotSubgroup,
@@ -40,7 +41,6 @@ from .errors import (
 from .homclass import (
     CommutingTuple,
     HomClass,
-    _BlockCosets,
     classify,
     enumerate_hom_classes,
     realize,
@@ -51,18 +51,16 @@ from .perm import (
     YoungSubgroup,
     _commute_images,
     _commuting_tuples,
-    _compose,
     _conj_images,
-    _coset_table,
-    _inverse,
-    _orbit_reps,
+    _coset_system,
+    _lift,
+    _stable_orbits,
     centralizer,
     centralizer_factors,
     symmetric_group,
 )
 
 GENERIC_TABLE_CAP = 10 ** 4
-INDEX_CAP = 10 ** 5
 
 
 class SymmetricClassTable:
@@ -292,39 +290,6 @@ def inner_product(a: GenClassFunction, b: GenClassFunction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# coset systems
-
-
-class _GenericCosets:
-    """Left cosets from the exhaustive coset table."""
-
-    def __init__(self, G: PermGroup, H: PermGroup):
-        cosets, index = _coset_table(G, H)
-        self._reps = tuple(c.rep.images for c in cosets)
-        self._index = index
-
-    def rep_images(self, token):
-        return self._reps[token]
-
-    def act(self, c_images, token):
-        return self._index[_compose(c_images, self._reps[token])]
-
-    def fixed(self, alpha_images):
-        tokens = range(len(self._reps))
-        return [t for t in tokens if all(self.act(s, t) == t for s in alpha_images)]
-
-
-def _coset_system(G: PermGroup, H: PermGroup):
-    if not H.is_subgroup_of(G):
-        raise NotSubgroup("H is not a subgroup of G")
-    if G.order // H.order > INDEX_CAP:
-        raise ResourceLimit("index exceeds cap")
-    if G.is_full_symmetric() and isinstance(H, YoungSubgroup):
-        return _BlockCosets(G.degree, H.block_size)
-    return _GenericCosets(G, H)
-
-
-# ---------------------------------------------------------------------------
 # transfer data
 
 
@@ -365,43 +330,25 @@ class TransferDatum:
         return any(rec.index % p != 0 for rec in self.records)
 
 
-def _beta_images(g, alpha):
-    """g^{-1} * s * g for each s in alpha: the action moved into H by g."""
-    ginv = _inverse(g)
-    return tuple(_conj_images(ginv, s) for s in alpha)
-
-
 def _build_datum(g_table, h_table, system, alpha_key, fixed) -> TransferDatum:
-    """Orbit records for one class, given its alpha-stable cosets ``fixed``."""
+    """Orbit records for one class, given its alpha-stable cosets ``fixed``:
+    the orbits of ``perm._stable_orbits``, each with its H-class and a
+    verified stabilizer."""
     alpha = g_table.rep_images(alpha_key)
     cent_order = g_table.centralizer_order(alpha_key)
     gen_images = [g.images for g in g_table.centralizer_generators(alpha_key)]
-    try:
-        orbits = _orbit_reps(fixed, gen_images, system.act)
-    except ActionNotClosed as exc:
-        raise InternalMismatch("centralizer left the fixed coset set") from exc
     records = []
-    for token, size in orbits:
-        if cent_order % size:
-            raise InternalMismatch("orbit size does not divide centralizer order")
-        stab_order = cent_order // size
-        g = system.rep_images(token)
-        beta = _beta_images(g, alpha)
+    for token, size, stab_order, g, beta in _stable_orbits(
+        system, alpha, gen_images, cent_order, fixed
+    ):
         h_key = h_table.key_of_images(beta)
         _verify_stabilizer(
             system, token, g, alpha, beta, h_table.group, stab_order,
             h_table.centralizer_order(h_key),
         )
-        records.append(
-            OrbitRecord(
-                coset_rep=Perm(g),
-                h_key=h_key,
-                stabilizer_order=stab_order,
-                index=size,
-            )
-        )
-    if sum(r.index for r in records) != len(fixed):
-        raise InternalMismatch("orbit sizes do not add up to the fixed-coset count")
+        records.append(OrbitRecord(
+            coset_rep=Perm(g), h_key=h_key, stabilizer_order=stab_order, index=size,
+        ))
     return TransferDatum(
         alpha_key=alpha_key,
         fixed_count=len(fixed),
@@ -476,7 +423,7 @@ def _induction_data(g_table_key, h_table_key):
         fixed = system.fixed(alpha)
         counts = {}
         for token in fixed:
-            h_key = h_table.key_of_images(_beta_images(system.rep_images(token), alpha))
+            h_key = h_table.key_of_images(_lift(system, token, alpha)[1])
             counts[h_key] = counts.get(h_key, 0) + 1
         datum = _build_datum(g_table, h_table, system, alpha_key, fixed)
         if counts != {rec.h_key: rec.index for rec in datum.records}:

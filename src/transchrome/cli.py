@@ -28,8 +28,10 @@ from .perm import (
     ENV_MAX_ELEMENTS,
     Perm,
     block_subgroup,
+    check_index,
     max_group_elements,
     symmetric_group,
+    young_index,
 )
 
 
@@ -169,8 +171,7 @@ def _young_pair(args):
         raise DomainError("need 0 <= m <= k")
     homclass.enumerate_hom_classes(args.p, args.h, args.k)
     degree, block = args.p ** args.k, args.p ** m
-    if homclass.block_partition_count(degree, block) > classfun.INDEX_CAP:
-        raise ResourceLimit("index of the block subgroup exceeds cap %d" % classfun.INDEX_CAP)
+    check_index(young_index(degree, block))
     return lam, m, symmetric_group(degree), block_subgroup(block, degree // block)
 
 

@@ -9,11 +9,10 @@ used by the component decomposition: centralizer structure, minimal block
 level, diagonal factorization, dual image, and the fixed-coset fibration
 over block subgroups.
 
-The cosets of a Young subgroup Sym(b)^c are modelled here, and only here,
-as ordered block partitions (``_BlockCosets``), which ``classfun`` shares;
-the alpha-stable ones are built by packing the orbits of alpha into blocks,
-never by filtering all partitions.  Point orbits, the packed orbits and the
-centralizer orbits all go through ``perm._orbits``.
+The fibration reads the cosets of a Young subgroup Sym(b)^c and their
+centralizer orbits from ``perm`` (``_BlockCosets`` and ``_stable_orbits``)
+and adds only the blockwise classes of each orbit; point orbits go through
+``perm._orbit_reps``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .abelian import (
     power_exceeds,
 )
 from .errors import (
-    ActionNotClosed,
     BadParameters,
     InternalMismatch,
     NotCommuting,
@@ -43,12 +41,11 @@ from .errors import (
 )
 from .perm import (
     Perm,
+    _BlockCosets,
     _commuting_tuples,
     _compose,
-    _conj_images,
-    _inverse,
     _orbit_reps,
-    _orbits,
+    _stable_orbits,
     symmetric_group,
 )
 
@@ -56,7 +53,6 @@ LAMBDA_ORDER_CAP = 10 ** 4
 DEGREE_CAP = 16
 # Hom classes enumerated per request; (2, 2, 4) has 4929, (2, 3, 4) 984 771.
 HOM_CLASS_CAP = 10 ** 4
-PARTITION_CAP = 10 ** 5
 
 
 def lam_group(p: int, h: int, k: int) -> Ambient:
@@ -393,16 +389,7 @@ def minimal_level(hc: HomClass) -> int:
     with a remainder divisible by the next orbit size, and the packing
     always completes.
     """
-    p = hc.lam.p
-    best = 0
-    for kernel, _ in hc.orbit_types:
-        e = 0
-        idx = kernel.index
-        while idx > 1:
-            idx //= p
-            e += 1
-        best = max(best, e)
-    return best
+    return max((_valuation(kernel.index, hc.lam.p) for kernel, _ in hc.orbit_types), default=0)
 
 
 def is_isotypic(hc: HomClass) -> bool:
@@ -428,76 +415,6 @@ def dual_image(hc: HomClass) -> AbSubgroup:
     return kernel_of_action(hc).annihilator()
 
 
-# ---------------------------------------------------------------------------
-# ordered block partitions = cosets of block subgroups
-
-
-def block_partition_count(degree: int, block: int) -> int:
-    return math.factorial(degree) // math.factorial(block) ** (degree // block)
-
-
-def partition_act(images, partition):
-    return tuple(tuple(sorted(images[x] for x in blk)) for blk in partition)
-
-
-class _BlockCosets:
-    """Left cosets of the Young subgroup Sym(block)^(degree/block): a token
-    is an ordered partition into blocks, each a sorted tuple; ``act``,
-    ``fixed`` and ``rep_images`` are the coset action, the alpha-stable
-    partitions and the lex-minimal coset representative."""
-
-    def __init__(self, degree: int, block: int):
-        if degree % block:
-            raise BadParameters("block size %d does not divide degree %d" % (block, degree))
-        if block_partition_count(degree, block) > PARTITION_CAP:
-            raise ResourceLimit("too many block partitions")
-        self.degree = degree
-        self.block = block
-
-    act = staticmethod(partition_act)
-
-    @staticmethod
-    def rep_images(token):
-        # sends base block j onto block j of the partition, in order
-        return tuple(itertools.chain(*token))
-
-    def fixed(self, alpha_images):
-        """The partitions whose blocks are unions of orbits of alpha, sorted.
-
-        The orbits are packed into unordered blocks, each led by the orbit of
-        the least unplaced point; every ordering of a packing is one stable
-        partition.  With orbits of p-power size every partial packing
-        completes, so the work is proportional to the output."""
-        orbits = _orbits(range(self.degree), alpha_images, operator.getitem)
-        if max(len(o) for o in orbits) > self.block:
-            return []
-        last = self.degree // self.block - 1
-        packings = []
-
-        def pack(rest, acc):
-            if len(acc) == last:  # the rest is the last block
-                packings.append(acc + (tuple(sorted(itertools.chain(*rest))),))
-                return
-            lead, others = rest[0], rest[1:]
-            by_size = {}
-            for i, orbit in enumerate(others):
-                by_size.setdefault(len(orbit), []).append(i)
-            sizes = sorted(by_size)
-            room = self.block - len(lead)
-            for take in itertools.product(*(range(len(by_size[d]) + 1) for d in sizes)):
-                if sum(a * d for a, d in zip(take, sizes)) != room:
-                    continue
-                groups = [itertools.combinations(by_size[d], a) for d, a in zip(sizes, take)]
-                for choice in itertools.product(*groups):
-                    chosen = set().union(*choice)
-                    blk = itertools.chain(lead, *(others[i] for i in chosen))
-                    left = [o for i, o in enumerate(others) if i not in chosen]
-                    pack(left, acc + (tuple(sorted(blk)),))
-
-        pack(orbits, ())
-        return sorted(itertools.chain.from_iterable(map(itertools.permutations, packings)))
-
-
 @dataclass(frozen=True)
 class FiberOrbit:
     """One centralizer orbit of alpha-stable ordered block partitions."""
@@ -518,40 +435,28 @@ def coset_fiber(hc: HomClass, m: int):
     of the stabilizer in the centralizer), and the stabilizer order.
     """
     lam = hc.lam
+    if not 0 <= m <= lam.k:
+        raise BadParameters("need 0 <= m <= k, got m = %r" % (m,))
     degree, block = hc.points, lam.p ** m
     system = _BlockCosets(degree, block)
     alpha = [s.images for s in realize(hc).perms]
-    fixed = system.fixed(alpha)
     gens = [g.images for g in centralizer_generators(hc)]
-    order = centralizer_order(hc)
-    try:
-        # centralizer elements permute the alpha-stable partitions
-        orbits = _orbit_reps(fixed, gens, system.act)
-    except ActionNotClosed as exc:
-        raise InternalMismatch("centralizer left the fixed set") from exc
-    records = []
-    for rep, size in orbits:
-        if order % size:
-            raise InternalMismatch("orbit size does not divide the centralizer order")
-        g = Perm(system.rep_images(rep))
-        ginv = _inverse(g.images)
-        conj = [_conj_images(ginv, s) for s in alpha]
-        block_classes = [
-            classify(CommutingTuple(block, tuple(
-                Perm(v - base for v in s[base:base + block]) for s in conj
-            )), lam)
-            for base in range(0, degree, block)
-        ]
-        records.append(
-            FiberOrbit(
-                partition=rep,
-                coset_rep=g,
-                block_classes=tuple(block_classes),
-                orbit_size=size,
-                stabilizer_order=order // size,
-            )
+    orbits = _stable_orbits(system, alpha, gens, centralizer_order(hc), system.fixed(alpha))
+    return [
+        FiberOrbit(
+            partition=token,
+            coset_rep=Perm(g),
+            block_classes=tuple(
+                classify(CommutingTuple(block, tuple(
+                    Perm(v - base for v in s[base:base + block]) for s in beta
+                )), lam)
+                for base in range(0, degree, block)
+            ),
+            orbit_size=size,
+            stabilizer_order=stab_order,
         )
-    return records
+        for token, size, stab_order, g, beta in orbits
+    ]
 
 
 def commuting_tuple_count(degree: int, p: int, k: int, h: int) -> int:

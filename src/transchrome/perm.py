@@ -9,11 +9,18 @@ in this package act on at most nine points, where brute force is simple,
 deterministic and directly checkable against independent counts.  There are
 deliberately no stabilizer chains and no backtrack search.
 
+The cosets of H <= G are modelled here and only here: ``_coset_system``
+checks the subgroup and the index cap, then picks ordered block partitions
+(``_BlockCosets``) for a Young subgroup of a symmetric group and the
+exhaustive ``_coset_table``, the block model's test oracle, for any other
+pair.  ``_stable_orbits`` walks the centralizer orbits of the alpha-stable
+cosets for ``classfun`` and ``homclass`` alike.
+
 ``_orbits`` is the one orbit walk for a group given by generators acting on
-a finite set, and ``_orbit_reps`` its (minimum, size) view; ``coset_orbits``
-here, the transfer data in ``classfun``, and the point orbits of
-``classify``, the stable block partitions and the partition fibers in
-``homclass`` all go through it.
+a finite set, and ``_orbit_reps`` its (minimum, size) view.  Here
+``coset_orbits``, ``_stable_orbits`` and the orbit packing of
+``_BlockCosets.fixed`` go through it, and so do the point orbits of
+``homclass.classify``.
 
 Points are 0-based throughout; the transposition of the first two points
 prints as ``(0 1)``.
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import re
 from functools import lru_cache, reduce
@@ -31,6 +39,7 @@ from .errors import (
     ActionNotClosed,
     BadParameters,
     DegreeMismatch,
+    InternalMismatch,
     NotInGroup,
     NotSubgroup,
     ResourceLimit,
@@ -512,34 +521,168 @@ class Coset:
         return "Coset[%s]" % self.rep.cycles()
 
 
-def _check_subgroup(G: PermGroup, H: PermGroup):
+# ---------------------------------------------------------------------------
+# coset models: a token per left coset gH, with ``act(c, token)`` the token of
+# c*gH (c an image tuple), ``fixed(alpha)`` the sorted tokens that every image
+# tuple in alpha fixes, and ``rep_images(token)`` the lex-minimal g
+
+INDEX_CAP = 10 ** 5
+
+
+def check_index(index: int):
+    """The one cap on the size of a coset space, checked before it is built."""
+    if index > INDEX_CAP:
+        raise ResourceLimit("index %d exceeds cap %d" % (index, INDEX_CAP))
+
+
+def young_index(degree: int, block: int) -> int:
+    """[Sym(degree) : Sym(block)^(degree/block)]; BadParameters unless
+    ``block`` is a positive int dividing the degree."""
+    if not isinstance(block, int) or block < 1 or degree % block:
+        raise BadParameters("block size %r does not divide degree %d" % (block, degree))
+    return math.factorial(degree) // math.factorial(block) ** (degree // block)
+
+
+class _CosetTable:
+    """The exhaustive coset model: token i is ``cosets[i]``, in the order of
+    their lex-minimal representatives; every element of G is indexed."""
+
+    def __init__(self, G: PermGroup, H: PermGroup):
+        if not H.is_subgroup_of(G):
+            raise NotSubgroup("H is not a subgroup of G")
+        if G.order > max_group_elements():
+            raise ResourceLimit("coset table over %d elements exceeds cap" % G.order)
+        h_imgs = [h.images for h in H.iter_elements()]
+        index = {}
+        cosets = []
+        for g in G.iter_elements():
+            gi = g.images
+            if gi in index:
+                continue
+            idx = len(cosets)
+            cosets.append(Coset(g, H))
+            for h in h_imgs:
+                index[_compose(gi, h)] = idx
+        self.cosets = tuple(cosets)
+        self._reps = tuple(c.rep.images for c in cosets)
+        self._index = index
+
+    def rep_images(self, token):
+        return self._reps[token]
+
+    def act(self, c_images, token):
+        return self._index[_compose(c_images, self._reps[token])]
+
+    def fixed(self, alpha_images):
+        index = self._index
+        return [
+            t for t, g in enumerate(self._reps)
+            if all(index[_compose(s, g)] == t for s in alpha_images)
+        ]
+
+
+# one table per (G, H), built on first use
+_coset_table = lru_cache(maxsize=64)(_CosetTable)
+
+
+class _BlockCosets:
+    """Left cosets of the Young subgroup Sym(block)^(degree/block) in
+    Sym(degree): a token is an ordered partition into blocks, each a sorted
+    tuple, and g sends base block j onto block j of the partition."""
+
+    def __init__(self, degree: int, block: int):
+        check_index(young_index(degree, block))
+        self.degree = degree
+        self.block = block
+
+    @staticmethod
+    def act(images, partition):
+        return tuple(tuple(sorted(images[x] for x in blk)) for blk in partition)
+
+    @staticmethod
+    def rep_images(token):
+        return tuple(itertools.chain(*token))
+
+    def fixed(self, alpha_images):
+        """The partitions whose blocks are unions of orbits of alpha, sorted.
+
+        The orbits are packed into unordered blocks, each led by the orbit of
+        the least unplaced point; every ordering of a packing is one stable
+        partition.  With orbits of p-power size every partial packing
+        completes, so the work is proportional to the output."""
+        orbits = _orbits(range(self.degree), alpha_images, operator.getitem)
+        if max(len(o) for o in orbits) > self.block:
+            return []
+        last = self.degree // self.block - 1
+        packings = []
+
+        def pack(rest, acc):
+            if len(acc) == last:  # the rest is the last block
+                packings.append(acc + (tuple(sorted(itertools.chain(*rest))),))
+                return
+            lead, others = rest[0], rest[1:]
+            by_size = {}
+            for i, orbit in enumerate(others):
+                by_size.setdefault(len(orbit), []).append(i)
+            sizes = sorted(by_size)
+            room = self.block - len(lead)
+            for take in itertools.product(*(range(len(by_size[d]) + 1) for d in sizes)):
+                if sum(a * d for a, d in zip(take, sizes)) != room:
+                    continue
+                groups = [itertools.combinations(by_size[d], a) for d, a in zip(sizes, take)]
+                for choice in itertools.product(*groups):
+                    chosen = set().union(*choice)
+                    blk = itertools.chain(lead, *(others[i] for i in chosen))
+                    left = [o for i, o in enumerate(others) if i not in chosen]
+                    pack(left, acc + (tuple(sorted(blk)),))
+
+        pack(orbits, ())
+        return sorted(itertools.chain.from_iterable(map(itertools.permutations, packings)))
+
+
+def _coset_system(G: PermGroup, H: PermGroup):
+    """The coset model of G/H, after the subgroup and index checks: ordered
+    block partitions for a Young subgroup of a symmetric group, the
+    exhaustive table for any other pair."""
     if not H.is_subgroup_of(G):
         raise NotSubgroup("H is not a subgroup of G")
+    check_index(G.order // H.order)
+    if G.is_full_symmetric() and isinstance(H, YoungSubgroup):
+        return _BlockCosets(G.degree, H.block_size)
+    return _coset_table(G, H)
 
 
-@lru_cache(maxsize=64)
-def _coset_table(G: PermGroup, H: PermGroup):
-    """(cosets, images-tuple -> coset index) for every element of G."""
-    _check_subgroup(G, H)
-    if G.order > max_group_elements():
-        raise ResourceLimit("coset table over %d elements exceeds cap" % G.order)
-    h_imgs = [h.images for h in H.iter_elements()]
-    index = {}
-    cosets = []
-    for g in G.iter_elements():
-        gi = g.images
-        if gi in index:
-            continue
-        idx = len(cosets)
-        cosets.append(Coset(g, H))
-        for h in h_imgs:
-            index[_compose(gi, h)] = idx
-    return tuple(cosets), index
+def _lift(system, token, alpha):
+    """(g, beta): the representative g of the token's coset and
+    beta = g^-1 s g for each s in alpha, the action moved into H."""
+    g = system.rep_images(token)
+    ginv = _inverse(g)
+    return g, tuple(_conj_images(ginv, s) for s in alpha)
+
+
+def _stable_orbits(system, alpha, gens, order, fixed):
+    """``[(token, orbit size, stabilizer order, g, beta)]`` for the orbits of
+    the centralizer of alpha (``gens``, of ``order`` elements) on the
+    alpha-stable tokens ``fixed``, each led by its least token, with (g, beta)
+    from ``_lift``.  A token moved off ``fixed``, a size not dividing
+    ``order`` and sizes not adding up to ``len(fixed)`` are InternalMismatch."""
+    try:
+        orbits = _orbit_reps(fixed, gens, system.act)
+    except ActionNotClosed as exc:
+        raise InternalMismatch("centralizer left the fixed coset set") from exc
+    out = []
+    for token, size in orbits:
+        if order % size:
+            raise InternalMismatch("orbit size does not divide the centralizer order")
+        out.append((token, size, order // size) + _lift(system, token, alpha))
+    if sum(entry[1] for entry in out) != len(fixed):
+        raise InternalMismatch("orbit sizes do not add up to the fixed-coset count")
+    return out
 
 
 def left_cosets(G: PermGroup, H: PermGroup):
     """The [G:H] left cosets, each with canonical (lex-minimal) representative."""
-    return list(_coset_table(G, H)[0])
+    return list(_coset_table(G, H).cosets)
 
 
 def fixed_cosets(G: PermGroup, H: PermGroup, perms):
@@ -548,13 +691,8 @@ def fixed_cosets(G: PermGroup, H: PermGroup, perms):
     for s in perms:
         if s not in G:
             raise NotInGroup("%r not in G" % s)
-    cosets, index = _coset_table(G, H)
-    out = []
-    for i, coset in enumerate(cosets):
-        rep = coset.rep.images
-        if all(index[_compose(s.images, rep)] == i for s in perms):
-            out.append(coset)
-    return out
+    table = _coset_table(G, H)
+    return [table.cosets[t] for t in table.fixed([s.images for s in perms])]
 
 
 def _canonical_coset(rep_images, h_images):
@@ -583,11 +721,9 @@ def coset_orbits(C: PermGroup, cosets):
     gens = [g.images for g in C.working_generators()]
     orbits = []
     for rep_images, _ in _orbit_reps(pool, gens, act_images):
-        stab = [
-            c
-            for c in C.iter_elements()
-            if act_images(c.images, rep_images) == rep_images
-        ]
+        g = pool[rep_images].rep
+        ginv = g.inverse()  # c fixes gH exactly when g^-1 c g is in H
+        stab = [c for c in C.iter_elements() if ginv * c * g in H]
         orbits.append((pool[rep_images], PermGroup(C.degree, stab)))
     return orbits
 

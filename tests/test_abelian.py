@@ -136,6 +136,13 @@ def test_enumerate_subgroups_bad_inputs():
         enumerate_subgroups(4, 5, 4, 5)
 
 
+@pytest.mark.parametrize("order", [0, -4, 6])
+def test_enumerate_subgroups_refuses_an_order_that_is_no_power_of_p(order):
+    # 0 and -4 once read as p^0 and returned the trivial subgroup
+    with pytest.raises(BadParameters):
+        enumerate_subgroups(2, 2, 2, order)
+
+
 def test_annihilator_examples():
     amb = Ambient(2, 2, 2)
     full = AbSubgroup.full(amb)

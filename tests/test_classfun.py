@@ -266,7 +266,8 @@ def test_transfer_stabilizer_identity_independent(s4_setup):
 def test_centralizer_leaving_fixed_cosets_is_a_mismatch(s4_setup):
     # a fixed-coset list the centralizer does not preserve is a bug, not bad
     # input: it surfaces as InternalMismatch (exit 4), not as a domain error
-    from transchrome.classfun import _build_datum, _coset_system
+    from transchrome.classfun import _build_datum
+    from transchrome.perm import _coset_system
 
     S4, H, lam = s4_setup
     g_table = class_table(S4, lam)
@@ -306,13 +307,13 @@ def test_block_and_generic_coset_systems_agree(s4_setup):
     # same group given two ways: the partition model and the generic coset
     # table must list the same alpha-stable cosets, in the same order, for
     # every class, the identity (every coset stable) included
-    from transchrome.classfun import _BlockCosets, _GenericCosets
+    from transchrome.perm import _BlockCosets, _coset_table
 
     S4 = s4_setup[0]
     identity = (tuple(range(4)),)
     for block, index in ((2, 6), (1, 24)):
         blocks = _BlockCosets(4, block)
-        generic = _GenericCosets(S4, block_subgroup(block, 4 // block))
+        generic = _coset_table(S4, block_subgroup(block, 4 // block))
         assert len(blocks.fixed(identity)) == index
         for h in (1, 2):
             gt = class_table(S4, lam_group(2, h, 2))
@@ -499,15 +500,15 @@ def test_stabilizer_check_makes_one_element_check_per_factor_element(monkeypatch
 def _coset_keys(G, H, lam):
     """Per G-class, the H-class of g^-1 alpha g for every alpha-stable coset
     gH, classified one coset at a time."""
-    from transchrome import classfun
+    from transchrome.perm import _coset_system, _lift
 
-    system = classfun._coset_system(G, H)
+    system = _coset_system(G, H)
     g_table, h_table = class_table(G, lam), class_table(H, lam)
     out = {}
     for alpha_key in g_table.classes:
         alpha = g_table.rep_images(alpha_key)
         out[alpha_key] = [
-            h_table.key_of_images(classfun._beta_images(system.rep_images(token), alpha))
+            h_table.key_of_images(_lift(system, token, alpha)[1])
             for token in system.fixed(alpha)
         ]
     return out

@@ -7,6 +7,7 @@ import pytest
 from transchrome import homclass
 from transchrome.abelian import AbSubgroup, _subgroup_levels
 from transchrome.errors import (
+    BadParameters,
     InternalMismatch,
     NotCommuting,
     NotPrime,
@@ -15,7 +16,6 @@ from transchrome.errors import (
 )
 from transchrome.homclass import (
     HomClass,
-    _BlockCosets,
     centralizer_generators,
     centralizer_order,
     classify,
@@ -31,7 +31,14 @@ from transchrome.homclass import (
     minimal_level,
     realize,
 )
-from transchrome.perm import Perm, centralizer, conjugating_element, generate, symmetric_group
+from transchrome.perm import (
+    Perm,
+    _BlockCosets,
+    centralizer,
+    conjugating_element,
+    generate,
+    symmetric_group,
+)
 
 
 def P(text, degree):
@@ -389,39 +396,59 @@ def test_orbit_packing_on_the_identity_is_no_slower_than_the_filter(degree, bloc
 
 
 def test_partition_cap_refuses_before_any_work(monkeypatch):
-    from transchrome import homclass
+    from transchrome import perm
 
     def refuse(*args):
         raise AssertionError("work started before the partition cap")
 
-    monkeypatch.setattr(homclass, "_orbits", refuse)
+    hc = class_of(["e"], 2, 1, 4)
+    # every orbit walk of the block model and of _stable_orbits runs perm._orbits
+    monkeypatch.setattr(perm, "_orbits", refuse)
     monkeypatch.setattr(homclass, "realize", refuse)
     with pytest.raises(ResourceLimit):
         _BlockCosets(16, 2)
     with pytest.raises(ResourceLimit):
-        coset_fiber(class_of(["e"], 2, 1, 4), 1)
+        coset_fiber(hc, 1)
 
 
-@pytest.mark.parametrize("p,h,k", [(2, 1, 2), (2, 2, 2)])
+@pytest.mark.parametrize("p,h,k", [(2, 1, 2), (2, 2, 2), (2, 1, 3)])
 def test_coset_fiber_matches_generic_coset_orbits(p, h, k):
     # the partition-orbit machinery agrees with the exhaustive coset version
+    # at every block level m < k
     from transchrome.perm import block_subgroup, coset_orbits, fixed_cosets
 
     G = symmetric_group(p ** k)
-    H = block_subgroup(p ** (k - 1), p)
     for hc in enumerate_hom_classes(p, h, k):
         perms = list(realize(hc).perms)
-        C = centralizer(G, perms)
-        generic = coset_orbits(C, fixed_cosets(G, H, perms))
-        fiber = coset_fiber(hc, k - 1)
-        assert len(fiber) == len(generic)
-        generic_data = sorted(
-            (coset.rep.images, stab.order) for coset, stab in generic
-        )
-        fiber_data = sorted(
-            (rec.coset_rep.images, rec.stabilizer_order) for rec in fiber
-        )
-        assert generic_data == fiber_data
+        # the exhaustive centralizer, walked by a few generators: its
+        # element list as generators would cost |C| * |cosets| steps
+        C = generate(G.degree, centralizer_generators(hc))
+        assert C == centralizer(G, perms)
+        for m in range(k):
+            H = block_subgroup(p ** m, p ** (k - m))
+            generic = coset_orbits(C, fixed_cosets(G, H, perms))
+            fiber = coset_fiber(hc, m)
+            assert len(fiber) == len(generic)
+            generic_data = sorted(
+                (coset.rep.images, stab.order) for coset, stab in generic
+            )
+            fiber_data = sorted(
+                (rec.coset_rep.images, rec.stabilizer_order) for rec in fiber
+            )
+            assert generic_data == fiber_data
+
+
+def test_coset_fiber_refuses_a_level_outside_zero_to_k():
+    hc = class_of(["(0 1)"], 2, 1, 2)
+    for m in (-1, 3):
+        with pytest.raises(BadParameters):
+            coset_fiber(hc, m)
+
+
+@pytest.mark.parametrize("degree,block", [(4, 0), (4, -2), (4, 3), (4, 0.5), (4, 2.0)])
+def test_block_cosets_refuse_a_block_size_that_does_not_divide(degree, block):
+    with pytest.raises(BadParameters):
+        _BlockCosets(degree, block)
 
 
 def test_coset_fiber_respects_partition_cap():
