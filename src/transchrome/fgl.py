@@ -9,13 +9,16 @@ The p-typical law is built in integers: the scaled logarithm g(x) = f(px)/p
 has no denominators (Hazewinkel's functional-equation lemma), so neither has
 G = g^{-1}(g(x) + g(y)) = F(px, py)/p, and F_d = G_d / p^{d-1} must divide
 exactly.  A failed division is an integrality failure: a bug, never
-tolerated.  ``check_work`` bounds a request's predicted work before any
-series is built.
+tolerated.  G is symmetric in x and y, so only its half plane i <= j is
+built, in one flat dict whose int keys pack the x-, y- and u-exponents, and
+each coefficient is mirrored after its division.  ``check_work`` bounds a
+request's predicted work before any series is built.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .abelian import check_prime, power_exceeds
@@ -392,21 +395,40 @@ def _reversion(log_series: Series) -> Series:
     return Series(ring, 1, D, exp_coeffs)
 
 
-def _times_log_sum(g: Series, H: dict, D: int) -> dict:
-    """(g(x) + g(y)) * H below degree D, for a two-variable series H given by
-    its coefficient dict: each g_q * H_(i,j) is formed once and added at
-    (i + q, j) and (i, j + q)."""
-    ring = g.ring
-    out = {}
-    for (q,), s in g.coeffs.items():
-        for (i, j), c in H.items():
-            if i + j + q >= D:
-                continue
-            v = ring.mul(s, c)
-            for e in ((i + q, j), (i, j + q)):
-                acc = out.get(e)
-                out[e] = v if acc is None else ring.add(acc, v)
-    return {e: c for e, c in out.items() if c}
+def _half_plane_step(H, logs, limit, D, M, room_u, mod):
+    """(g(x) + g(y)) * H below degree ``limit`` for a symmetric H kept on the
+    half plane i <= j, keyed (i*D + j)*M + u with u the packed parameter
+    exponent; ``logs`` lists g's terms by rising q as (q, [(deg u', q*M + u',
+    q*D*M + u', c)]) by rising u-degree.  Each g_q * H(i,j) is formed once
+    and lands on (i, j+q), on (i+q, j) when i+q <= j, and on (j, i+q), the
+    mirror of (i+q, j), when i < j <= i+q; both land on (j, j) when i+q = j.
+    The u-degree room is checked before the add, so packed exponents never
+    carry."""
+    out = defaultdict(int)
+    for key, c in H.items():
+        pos, u = divmod(key, M)
+        i, j = divmod(pos, D)
+        room, gap, spare = limit - i - j, j - i, room_u[u]
+        flip = gap * (D - 1) * M
+        for q, terms in logs:
+            if q >= room:
+                break
+            for du, s, sd, cq in terms:
+                if du >= spare:
+                    break
+                v = c * cq
+                t = key + s
+                out[t] += v
+                if q < gap:
+                    t = key + sd
+                elif q == gap:
+                    t, v = key + sd, 2 * v
+                elif gap:
+                    t = key + flip + s
+                else:
+                    continue
+                out[t] += v
+    return {t: r for t, v in out.items() if (r := v % mod)}
 
 
 def build_ptypical(p, n, a=4, b=8, D=None) -> FGLContext:
@@ -417,6 +439,11 @@ def build_ptypical(p, n, a=4, b=8, D=None) -> FGLContext:
     g in integers mod p^{a+D-2}; then F_d = G_d / p^{d-1} in each degree
     d < D.  That division must be exact: a p in the denominator of F_d would
     leave v_p(G_d) < d - 1, and raises ``IntegralityFailure``.
+
+    G is a power series in the symmetric g(x) + g(y), so G(x, y) = G(y, x):
+    only its half plane i <= j is formed, by Horner steps over one flat dict
+    (see ``_half_plane_step``), and each coefficient there is divided, then
+    mirrored to (j, i).
     """
     check_prime(p)
     if n < 1:
@@ -429,21 +456,41 @@ def build_ptypical(p, n, a=4, b=8, D=None) -> FGLContext:
     wide = PolyRing(p, a + D - 2, b, n - 1)
     g = _scaled_log(p, n, wide, D)
     exp = _reversion(g)
+    # parameter monomials of u-degree < b, packed base b: M of them fit
+    # below the x,y part of a key
+    M = b ** (n - 1)
+    exps = [()]
+    for _ in range(n - 1):
+        exps = [e + (x,) for e in exps for x in range(b - sum(e))]
+    packed = {e: sum(x * b ** t for t, x in enumerate(e)) for e in exps}
+    unpacked = {u: e for e, u in packed.items()}
+    room_u = {u: b - sum(e) for e, u in packed.items()}
+    logs = [
+        (q, sorted((sum(e), q * M + packed[e], q * D * M + packed[e], c) for e, c in poly.items()))
+        for (q,), poly in sorted(g.coeffs.items())
+    ]
     # G = sum_m e_m S^m by Horner: H_m = e_m + S*H_{m+1}, needed below
     # degree D - m because S^m starts in degree m
     H = {}
     for m in range(D - 1, 0, -1):
-        H = _times_log_sum(g, H, D - m)
-        H[(0, 0)] = wide.add(H.get((0, 0), {}), exp.coeff((m,)))
-    G = _times_log_sum(g, H, D)
+        H = _half_plane_step(H, logs, D - m, D, M, room_u, wide.mod)
+        for e, c in exp.coeff((m,)).items():
+            H[packed[e]] = H.get(packed[e], 0) + c
     reduced = {}
-    for e, c in G.items():
-        shift = p ** (sum(e) - 1)
-        if any(v % shift for v in c.values()):
+    for key, c in _half_plane_step(H, logs, D, D, M, room_u, wide.mod).items():
+        pos, u = divmod(key, M)
+        i, j = divmod(pos, D)
+        shift = p ** (i + j - 1)
+        if c % shift:
             raise IntegralityFailure(
-                "group-law coefficient at x^%d y^%d is not %d-integral" % (e[0], e[1], p)
+                "group-law coefficient at x^%d y^%d is not %d-integral" % (i, j, p)
             )
-        reduced[e] = ring.scale(1, {u: v // shift for u, v in c.items()})
+        v = c // shift % ring.mod
+        if v:
+            reduced.setdefault((i, j), {})[unpacked[u]] = v
+    for (i, j), poly in list(reduced.items()):
+        if i < j:
+            reduced[(j, i)] = dict(poly)
     return FGLContext(
         p=p, n=n, ring=ring, D=D, F=Series(ring, 2, D, reduced),
         label="ptypical(p=%d, n=%d)" % (p, n),
@@ -455,8 +502,9 @@ def default_degree(p, n) -> int:
     return p ** (2 * n) + 1
 
 
-# Predicted series-term products one fgl request may cost: at 0.1-1.5 us
-# each (Python 3.11, 2 vCPUs) the slowest admitted request timed took 1.6 s.
+# Predicted series-term products one fgl request may cost.  Timed cold
+# (Python 3.11, 2 vCPUs), the slowest admitted requests found near the cap,
+# such as fgl --p 7 --n 1 --k 2 --deg 129, took 1.6 s.
 WORK_CAP = 2 * 10 ** 6
 
 

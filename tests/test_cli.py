@@ -51,6 +51,8 @@ GOLDEN = [
                            "(U<0.3|1.1>:idx3,m1)]")),
     ("induce_p2_h1_k3", ("induce", "--p", "2", "--h", "1", "--k", "3",
                          "--chi", os.path.join(FIXTURES, "chi_p2_h1_k3.json"))),
+    # a p-typical law at its default x-degree, D = 82, which no digest covers
+    ("fgl_p3_n2_k1", ("fgl", "--p", "3", "--n", "2", "--k", "1")),
 ]
 
 

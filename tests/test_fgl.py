@@ -179,6 +179,72 @@ def n_series_by_addition(ctx, m):
     return out
 
 
+# -- the full-plane Horner build: the oracle for the half-plane build --
+
+
+def times_log_sum(g, H, D):
+    """(g(x) + g(y)) * H below degree D, for a two-variable series H given by
+    its coefficient dict: each g_q * H_(i,j) is formed once and added at
+    (i + q, j) and (i, j + q)."""
+    ring = g.ring
+    out = {}
+    for (q,), s in g.coeffs.items():
+        for (i, j), c in H.items():
+            if i + j + q >= D:
+                continue
+            v = ring.mul(s, c)
+            for e in ((i + q, j), (i, j + q)):
+                acc = out.get(e)
+                out[e] = v if acc is None else ring.add(acc, v)
+    return {e: c for e, c in out.items() if c}
+
+
+def full_plane_G(p, n, a, b, D):
+    """G = g^{-1}(g(x) + g(y)) mod p^(a+D-2) by Horner over dict-of-dict
+    polynomials, forming (i, j) and (j, i) separately."""
+    wide = PolyRing(p, a + D - 2, b, n - 1)
+    g = fgl._scaled_log(p, n, wide, D)
+    exp = _reversion(g)
+    H = {}
+    for m in range(D - 1, 0, -1):
+        H = times_log_sum(g, H, D - m)
+        H[(0, 0)] = wide.add(H.get((0, 0), {}), exp.coeff((m,)))
+    return times_log_sum(g, H, D)
+
+
+def full_plane_law(p, n, a, b, D, G):
+    ring = PolyRing(p, a, b, n - 1)
+    reduced = {}
+    for e, c in G.items():
+        shift = p ** (sum(e) - 1)
+        assert not any(v % shift for v in c.values())
+        reduced[e] = ring.scale(1, {u: v // shift for u, v in c.items()})
+    return Series(ring, 2, D, reduced)
+
+
+ORACLE_LAWS = [
+    # the p-typical fgl-cold benchmark laws (its fifth, x + y + xy, is not built)
+    (3, 2, 4, 8, 40), (2, 3, 4, 8, 33), (2, 2, 4, 8, 17), (5, 1, 4, 8, 30),
+    # criterion 10
+    (3, 2, 3, 6, 10),
+] + [
+    # low precision: a, b in {1, 2}, heights 1-3, D just past p^n
+    (p, n, a, b, p ** n + extra)
+    for p, extra in ((2, 1), (3, 2)) for n in (1, 2, 3) for a in (1, 2) for b in (1, 2)
+]
+
+
+@pytest.mark.parametrize("p,n,a,b,D", ORACLE_LAWS)
+def test_half_plane_build_matches_full_plane_oracle(p, n, a, b, D):
+    # the oracle forms G(x, y) and G(y, x) apart; their agreement is what
+    # lets the build form only i <= j and mirror
+    G = full_plane_G(p, n, a, b, D)
+    assert G == {(j, i): c for (i, j), c in G.items()}
+    ctx = build_ptypical(p, n, a=a, b=b, D=D)
+    assert ctx.F == full_plane_law(p, n, a, b, D, G)
+    assert check_commutativity(ctx)
+
+
 @pytest.fixture(scope="module")
 def mult():
     return multiplicative_context(2, a=4, D=8)
@@ -245,7 +311,7 @@ def test_n_series_doubling_matches_repeated_addition(mult, height2):
 
 @pytest.mark.parametrize("p,n,a,b,D", [
     (2, 1, 4, 1, 9), (3, 1, 3, 1, 10), (2, 2, 4, 8, 17), (3, 2, 3, 6, 10),
-    (5, 1, 4, 8, 30), (3, 2, 4, 8, 40),
+    (5, 1, 4, 8, 30), (3, 2, 4, 8, 40), (2, 3, 4, 4, 12), (2, 3, 4, 8, 17),
 ])
 def test_integral_build_matches_rational_lift(p, n, a, b, D):
     ctx = build_ptypical(p, n, a=a, b=b, D=D)
