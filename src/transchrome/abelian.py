@@ -1,23 +1,27 @@
 """Subgroups of homocyclic abelian p-groups (Z/p^K)^h.
 
-Subgroups are stored as canonical sorted element lists; at desk scale the
-ambient group never exceeds 10^4 elements, so the element list is the
-canonical form.  Spans, greedy generators and the subgroup lattice share
-one closure step, the cyclic extension ``_extend``; a subgroup's greedy
-generators are walked once and kept.  The annihilator is not searched for:
-it is solved from the generator rows brought to diagonal form over the
-local ring Z/p^K (Smith normal form up to units), and only its span is
-enumerated.  The closed-form sublattice count is kept deliberately
+An element is an h-tuple of ints mod p^K in the public view.  Inside this
+module it is one int: coordinate i fills a field of F = bit_length(p^K) + 1
+bits, coordinate 0 the most significant field, so int order is tuple order.
+Two packed elements add field by field without carries, and one mask
+reduces every field mod p^K at once (``_translate``).  At desk scale the
+ambient group never exceeds 10^4 elements, so a subgroup's sorted packed
+element list is its canonical form; its tuples, generators and id are
+decoded on first use.  Spans, greedy generators and the subgroup lattice
+share one closure step, the cyclic extension ``_extend``; a subgroup's
+greedy generators are walked once and kept.  The annihilator is not
+searched for: it is solved from the generator rows brought to diagonal form
+over the local ring Z/p^K (Smith normal form up to units), and only its
+span is enumerated.  The closed-form sublattice count is kept deliberately
 independent of the brute-force enumeration so that each can act as an
 oracle for the other.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import BadParameters, InternalMismatch, NotPrime, ResourceLimit
 
@@ -55,7 +59,8 @@ def power_exceeds(p: int, e: int, cap: int) -> bool:
 
 @dataclass(frozen=True)
 class Ambient:
-    """The group (Z/p^k)^h, elements represented as h-tuples of ints mod p^k."""
+    """The group (Z/p^k)^h.  Elements are h-tuples of ints mod p^k to
+    callers; the subgroup code packs each into one int (``_pack``)."""
 
     p: int
     k: int
@@ -73,6 +78,36 @@ class Ambient:
     @property
     def order(self) -> int:
         return self.modulus ** self.h
+
+    @cached_property
+    def _layout(self):
+        """(F, q, w, K, ones): the field width F = w + 1 for q = p^k of w
+        bits, K holding 2^w - q and ones holding 1 in every field.  A field
+        of a sum of two elements is below 2q <= 2^F, and it is at least q
+        exactly when adding 2^w - q sets its bit w."""
+        q = self.modulus
+        w = q.bit_length()
+        ones = sum(1 << (w + 1) * i for i in range(self.h))
+        return w + 1, q, w, ((1 << w) - q) * ones, ones
+
+    def _pack(self, x, reduce=False) -> int:
+        """The packed int of an element: BadParameters unless x is an
+        h-tuple of ints in 0..p^k-1, or of any ints when ``reduce`` takes
+        them mod p^k."""
+        F, q = self._layout[:2]
+        if not isinstance(x, tuple) or len(x) != self.h:
+            raise BadParameters("%r is not an element of (Z/%d)^%d" % (x, q, self.h))
+        key = 0
+        for v in x:
+            if not isinstance(v, int) or not (reduce or 0 <= v < q):
+                raise BadParameters("%r is not an element of (Z/%d)^%d" % (x, q, self.h))
+            key = key << F | v % q
+        return key
+
+    def _unpack(self, key: int) -> tuple:
+        F = self._layout[0]
+        mask = (1 << F) - 1
+        return tuple(key >> s & mask for s in range(F * (self.h - 1), -1, -F))
 
     def zero(self):
         return (0,) * self.h
@@ -94,7 +129,8 @@ class Ambient:
         return sum(a * b for a, b in zip(x, y)) % self.modulus
 
     def elements(self):
-        return _ambient_elements(self)
+        """Every element as an h-tuple, in ascending order."""
+        return tuple(map(self._unpack, _ambient_elements(self)))
 
     def element_order(self, x) -> int:
         q = self.modulus
@@ -123,89 +159,125 @@ def _valuation(a: int, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _ambient_elements(ambient: Ambient):
+    """Every packed element, in ascending order."""
     _check_ambient_cap(ambient)
-    q = ambient.modulus
-    return tuple(itertools.product(range(q), repeat=ambient.h))
+    F, q = ambient._layout[:2]
+    keys = [0]
+    for _ in range(ambient.h):
+        keys = [x << F | d for x in keys for d in range(q)]
+    return tuple(keys)
+
+
+def _translate(ambient: Ambient, members, x):
+    """The packed elements s + x for s in ``members``: one int add per
+    element, then every field at least p^k loses p^k at once."""
+    _, q, w, K, ones = ambient._layout
+    return [t - ((t + K) >> w & ones) * q for t in [s + x for s in members]]
 
 
 def _extend(ambient: Ambient, members, x):
-    """The elements of S + <x>, S the subgroup with element set ``members``:
-    the union of the cosets S + i*x, up to the first i*x already in S."""
+    """The packed elements of S + <x>, S the subgroup with packed element
+    set ``members``: the union of the cosets S + i*x, up to the first i*x
+    already in S."""
     out = set(members)
     shift = x
     while shift not in members:
-        out.update(ambient.add(s, shift) for s in members)
-        shift = ambient.add(shift, x)
+        out.update(_translate(ambient, members, shift))
+        shift = _translate(ambient, (shift,), x)[0]
     return out
 
 
 class AbSubgroup:
-    """A subgroup of an Ambient, canonically a sorted tuple of elements."""
+    """A subgroup of an Ambient, canonically the sorted tuple of its packed
+    elements; ``elements`` is its tuple view, decoded on first use."""
 
-    __slots__ = ("ambient", "elements", "_eset", "_gens", "_hash")
+    __slots__ = ("ambient", "_keys", "_kset", "_elements", "_gens", "_hash")
 
     def __init__(self, ambient: Ambient, elements):
+        """The subgroup with these elements, h-tuples with coordinates in
+        0..p^k-1 (BadParameters otherwise)."""
+        self._init(ambient, {ambient._pack(x) for x in elements})
+
+    def _init(self, ambient: Ambient, members: set):
         self.ambient = ambient
-        elems = tuple(sorted(set(elements)))
-        self.elements = elems
-        self._eset = frozenset(elems)
-        self._gens = None
-        self._hash = None
-        if ambient.zero() not in self._eset:
+        self._kset = members
+        self._keys = tuple(sorted(members))
+        self._elements = self._gens = self._hash = None
+        if 0 not in members:
             raise ValueError("subgroup must contain zero")
 
     @classmethod
+    def _of_keys(cls, ambient: Ambient, members: set) -> "AbSubgroup":
+        """The subgroup with this set of packed elements, kept as given."""
+        sub = cls.__new__(cls)
+        sub._init(ambient, members)
+        return sub
+
+    @classmethod
     def span(cls, ambient: Ambient, gens) -> "AbSubgroup":
-        """Additive closure of a generating set."""
-        members = {ambient.zero()}
+        """Additive closure of a generating set of h-tuples (or lists) of
+        ints, taken mod p^k; BadParameters for anything else."""
+        members = {0}
         for g in gens:
-            members = _extend(ambient, members, tuple(v % ambient.modulus for v in g))
-        return cls(ambient, members)
+            x = ambient._pack(tuple(g) if isinstance(g, list) else g, reduce=True)
+            members = _extend(ambient, members, x)
+        return cls._of_keys(ambient, members)
 
     @classmethod
     def trivial(cls, ambient: Ambient) -> "AbSubgroup":
-        return cls(ambient, [ambient.zero()])
+        return cls._of_keys(ambient, {0})
 
     @classmethod
     def full(cls, ambient: Ambient) -> "AbSubgroup":
-        return cls(ambient, ambient.elements())
+        return cls._of_keys(ambient, set(_ambient_elements(ambient)))
+
+    @property
+    def elements(self):
+        """The elements as sorted h-tuples, decoded on first use and kept."""
+        if self._elements is None:
+            self._elements = tuple(map(self.ambient._unpack, self._keys))
+        return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._keys)
 
     @property
     def index(self) -> int:
         return self.ambient.order // self.order
 
     def __contains__(self, x) -> bool:
-        return x in self._eset
+        try:
+            return self.ambient._pack(x) in self._kset
+        except BadParameters:
+            return False
 
     def __eq__(self, other):
         return (
             isinstance(other, AbSubgroup)
             and self.ambient == other.ambient
-            and self.elements == other.elements
+            and self._keys == other._keys
         )
 
     def __lt__(self, other):
-        return self.elements < other.elements
+        return self._keys < other._keys
 
     def __hash__(self):
-        # hashing walks the element tuple: done on first use, then kept
+        # hashing walks the key tuple: done on first use, then kept
         if self._hash is None:
-            self._hash = hash((self.ambient, self.elements))
+            self._hash = hash((self.ambient, self._keys))
         return self._hash
 
     def __repr__(self):
         return "AbSubgroup(order=%d, gens=%s)" % (self.order, self.generators())
 
     def is_closed(self) -> bool:
-        for x in self.elements:
-            if self.ambient.neg(x) not in self._eset:
+        eset = set(self.elements)
+        for x in eset:
+            if self.ambient.neg(x) not in eset:
                 return False
-            for y in self.elements:
-                if self.ambient.add(x, y) not in self._eset:
+            for y in eset:
+                if self.ambient.add(x, y) not in eset:
                     return False
         return True
 
@@ -213,20 +285,21 @@ class AbSubgroup:
         """Deterministic generating list: greedily take minimal new elements.
         The walk runs on the first call; later calls read its list."""
         if self._gens is None:
-            self._gens = tuple(self._greedy_generators())
+            self._gens = tuple(map(self.ambient._unpack, self._greedy_generators()))
         return list(self._gens)
 
     def _greedy_generators(self):
-        gens, span = [], {self.ambient.zero()}
-        for x in self.elements:
+        gens, span = [], {0}
+        for x in self._keys:
+            if len(span) == len(self._keys):
+                break
             if x not in span:
                 gens.append(x)
                 span = _extend(self.ambient, span, x)
         return gens
 
     def intersection(self, other: "AbSubgroup") -> "AbSubgroup":
-        return AbSubgroup(self.ambient, self._eset & other._eset)
-
+        return AbSubgroup._of_keys(self.ambient, self._kset & other._kset)
     def annihilator(self) -> "AbSubgroup":
         """{y : <x, y> = 0 mod p^k for all x in self}, by a diagonal solve.
 
@@ -304,35 +377,43 @@ def _subgroup_levels(ambient: Ambient, top: int):
     element x with p*x in the subgroup (every maximal chain realizes this),
     deduplicating by element list.  The candidates for a subgroup S are read
     off the fibres of multiplication by p, ``preimage[y] = [x : p*x = y]``,
-    built once per call: they are the x outside S in the fibres over the
-    elements of S, so no level rescans the ambient group.  Because p*x lies
-    in S, the extension S + <x> built by ``_extend`` is the union of the p
-    cosets S + i*x for i < p.  Candidates are taken in ascending order and
-    every element of a freshly built extension is marked as covered, so
-    each extension is built at most p-1 times per maximal subgroup.  Levels above k*h are empty and
-    are not listed.
+    built once per call coordinate by coordinate from the fibres of one
+    coordinate: they are the x outside S in the fibres over the elements of
+    S, so no level rescans the ambient group.  Because p*x lies in S, the
+    extension S + <x> built by ``_extend`` is the union of the p cosets
+    S + i*x for i < p.  Candidates are taken in ascending order and every
+    element of a freshly built extension is marked as covered, so each
+    extension is built at most p-1 times per maximal subgroup.  Levels
+    above k*h are empty and are not listed.
     """
     _check_ambient_cap(ambient)
     p = ambient.p
+    F, q = ambient._layout[:2]
     levels = [(AbSubgroup.trivial(ambient),)]
     top = min(top, ambient.k * ambient.h)
-    preimage = {}
-    for x in ambient.elements():
-        preimage.setdefault(ambient.scale(p, x), []).append(x)
+    digit_fibres = {}
+    for d in range(q):
+        digit_fibres.setdefault(p * d % q, []).append(d)
+    preimage = {0: [0]}
+    for _ in range(ambient.h):
+        preimage = {
+            y << F | e: [x << F | d for x in xs for d in ds]
+            for y, xs in preimage.items() for e, ds in digit_fibres.items()
+        }
     while len(levels) <= top:
         found = {}
         for sub in levels[-1]:
-            eset = sub._eset
+            members = sub._kset
             candidates = sorted(
-                x for y in sub.elements for x in preimage.get(y, ()) if x not in eset
+                x for y in sub._keys for x in preimage.get(y, ()) if x not in members
             )
             covered = set()
             for x in candidates:
                 if x in covered:
                     continue
-                bigger = AbSubgroup(ambient, _extend(ambient, eset, x))
-                found.setdefault(bigger.elements, bigger)
-                covered.update(bigger._eset)
+                bigger = AbSubgroup._of_keys(ambient, _extend(ambient, members, x))
+                found.setdefault(bigger._keys, bigger)
+                covered |= bigger._kset
         levels.append(tuple(sorted(found.values())))
     return levels
 

@@ -26,7 +26,10 @@ from functools import cached_property, lru_cache
 from .abelian import (
     Ambient,
     AbSubgroup,
+    _ambient_elements,
+    _check_ambient_cap,
     _subgroup_levels,
+    _translate,
     _valuation,
     check_prime,
     count_sublattices,
@@ -60,6 +63,17 @@ def lam_group(p: int, h: int, k: int) -> Ambient:
     return Ambient(p, k, h)
 
 
+def _kernel_key(kernel: AbSubgroup):
+    """The canonical order of kernels: by index, then by sorted elements
+    (packed ints sort as their tuples do)."""
+    return kernel.index, kernel._keys
+
+
+def _basis(lam: Ambient):
+    """The packed unit vectors e_0, ..., e_(h-1), reduced mod p^k (all 0 at k = 0)."""
+    return [lam._pack(tuple(int(j == i) for j in range(lam.h)), reduce=True) for i in range(lam.h)]
+
+
 @dataclass(frozen=True)
 class HomClass:
     """Conjugacy-class invariant of an action of lam on finitely many points.
@@ -84,7 +98,7 @@ class HomClass:
             index = kernel.index
             if self.lam.order % index:
                 raise BadParameters("orbit size must divide the source order")
-        expected = tuple(sorted(self.orbit_types, key=lambda t: (t[0].index, t[0].elements)))
+        expected = tuple(sorted(self.orbit_types, key=lambda t: _kernel_key(t[0])))
         if expected != self.orbit_types:
             raise BadParameters("orbit types are not canonically sorted")
 
@@ -96,7 +110,7 @@ class HomClass:
         # expanded orbit list: repeated (size, kernel) pairs compare lexicographically
         key = []
         for kernel, mult in self.orbit_types:
-            key.extend([(kernel.index, kernel.elements)] * mult)
+            key.extend([_kernel_key(kernel)] * mult)
         return tuple(key)
 
     def class_id(self) -> str:
@@ -161,7 +175,7 @@ def make_tuple(perms, lam: Ambient) -> CommutingTuple:
 
 def _kernel_subgroups(lam: Ambient, max_index: int):
     """Subgroups of lam whose index is a p-power dividing max_index, sorted
-    by (index, elements).
+    by ``_kernel_key``.
 
     The standard pairing is perfect, so S -> ann(S) maps the subgroups of
     order p^j one-to-one onto those of index p^j.  The kernels are the
@@ -169,7 +183,7 @@ def _kernel_subgroups(lam: Ambient, max_index: int):
     dividing max_index; the k*h levels above them are never built."""
     levels = _subgroup_levels(lam, _valuation(max_index, lam.p))
     kernels = [sub.annihilator() for level in levels for sub in level]
-    return sorted(kernels, key=lambda sub: (sub.index, sub.elements))
+    return sorted(kernels, key=_kernel_key)
 
 
 def hom_class_count(p: int, h: int, k: int) -> int:
@@ -247,17 +261,16 @@ def enumerate_hom_classes(p: int, h: int, k: int):
 
 @lru_cache(maxsize=None)
 def _coset_layout(kernel: AbSubgroup):
-    """Cosets of the kernel in canonical order: (reps, element -> coset idx)."""
+    """Cosets of the kernel in canonical order, on packed elements:
+    (reps, element -> coset idx)."""
     lam = kernel.ambient
     lookup = {}
     reps = []
-    for x in lam.elements():
+    for x in _ambient_elements(lam):
         if x in lookup:
             continue
-        idx = len(reps)
+        lookup.update(dict.fromkeys(_translate(lam, kernel._keys, x), len(reps)))
         reps.append(x)
-        for u in kernel.elements:
-            lookup[lam.add(x, u)] = idx
     return tuple(reps), lookup
 
 
@@ -271,17 +284,14 @@ def realize(hc: HomClass) -> CommutingTuple:
     degree = hc.points
     images = [list(range(degree)) for _ in range(lam.h)]
     offset = 0
-    basis = [
-        tuple(1 if j == i else 0 for j in range(lam.h)) for i in range(lam.h)
-    ]
+    basis = _basis(lam)
     for kernel, mult in hc.orbit_types:
         reps, lookup = _coset_layout(kernel)
         size = len(reps)
         for _ in range(mult):
             for i, e in enumerate(basis):
-                for local, rep in enumerate(reps):
-                    target = lookup[lam.add(rep, e)]
-                    images[i][offset + local] = offset + target
+                for local, target in enumerate(_translate(lam, reps, e)):
+                    images[i][offset + local] = offset + lookup[target]
             offset += size
     perms = tuple(Perm(img) for img in images)
     return CommutingTuple(degree, perms)
@@ -297,28 +307,37 @@ def _power_tables(perms, modulus):
     return tables
 
 
+def _stabilizer(lam: Ambient, tables, base):
+    """The set of packed elements of lam that fix the point ``base``.
+
+    Walked coordinate by coordinate: ``reached`` maps each point to the
+    packed prefixes c_0 e_0 + ... + c_i e_i (0 <= c_j < p^k, so no field
+    overflows) that move base there, so every element costs one add, not
+    one table lookup per coordinate."""
+    reached = {base: [0]}
+    for table, unit in zip(tables, _basis(lam)):
+        step = {}
+        for x, prefixes in reached.items():
+            for c, row in enumerate(table):
+                shift = c * unit
+                step.setdefault(row[x], []).extend([key + shift for key in prefixes])
+        reached = step
+    return set(reached[base])
+
+
 def classify(t: CommutingTuple, lam: Ambient) -> HomClass:
     """The class invariant of a commuting tuple: orbit kernels with multiplicity."""
     if len(t.perms) != lam.h:
         raise BadParameters("tuple length %d != rank %d" % (len(t.perms), lam.h))
     _check_orders(t.perms, lam.p, lam.k)
-    q = lam.modulus
-    tables = _power_tables(t.perms, q)
+    _check_ambient_cap(lam)
+    tables = _power_tables(t.perms, lam.modulus)
     imgs = [s.images for s in t.perms]
     counts = {}
     for base, _ in _orbit_reps(range(t.degree), imgs, operator.getitem):
-        members = []
-        for vec in lam.elements():
-            x = base
-            for i, c in enumerate(vec):
-                x = tables[i][c][x]
-            if x == base:
-                members.append(vec)
-        kernel = AbSubgroup(lam, members)
+        kernel = AbSubgroup._of_keys(lam, _stabilizer(lam, tables, base))
         counts[kernel] = counts.get(kernel, 0) + 1
-    orbit_types = tuple(
-        sorted(counts.items(), key=lambda kv: (kv[0].index, kv[0].elements))
-    )
+    orbit_types = tuple(sorted(counts.items(), key=lambda kv: _kernel_key(kv[0])))
     return HomClass(lam, orbit_types)
 
 
@@ -341,9 +360,7 @@ def centralizer_generators(hc: HomClass):
     lam = hc.lam
     degree = hc.points
     gens = []
-    basis = [
-        tuple(1 if j == i else 0 for j in range(lam.h)) for i in range(lam.h)
-    ]
+    basis = _basis(lam)
     offset = 0
     for kernel, mult in hc.orbit_types:
         reps, lookup = _coset_layout(kernel)
@@ -352,8 +369,8 @@ def centralizer_generators(hc: HomClass):
         for e in basis:
             images = list(range(degree))
             changed = False
-            for local, rep in enumerate(reps):
-                target = lookup[lam.add(rep, e)]
+            for local, moved in enumerate(_translate(lam, reps, e)):
+                target = lookup[moved]
                 if target != local:
                     changed = True
                 images[offset + local] = offset + target

@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -348,5 +349,82 @@ def test_equal_subgroups_hash_equal_however_built(p, k, h):
         by_span = AbSubgroup.span(amb, sub.generators())
         by_list = AbSubgroup(amb, list(reversed(sub.elements)))
         assert by_span == by_list == sub
-        assert hash(by_span) == hash(by_list) == hash(sub) == hash((amb, sub.elements))
+        assert hash(by_span) == hash(by_list) == hash(sub) == hash((amb, sub._keys))
         assert hash(by_span) == hash(by_span)
+
+
+PACKED_AMBIENTS = [(3, 2, 2), (2, 3, 2), (5, 1, 2), (3, 3, 1), (2, 1, 4), (2, 0, 3)]
+
+
+@pytest.mark.parametrize("p,k,h", PACKED_AMBIENTS)
+def test_packed_elements_round_trip_in_tuple_order(p, k, h):
+    amb = Ambient(p, k, h)
+    tuples = list(itertools.product(range(amb.modulus), repeat=h))
+    keys = abelian._ambient_elements(amb)
+    assert [amb._pack(x) for x in tuples] == list(keys)
+    assert [amb._unpack(key) for key in keys] == tuples
+    # int order is tuple order, on any subset
+    picked = tuples[::-3]
+    assert [amb._unpack(key) for key in sorted(amb._pack(x) for x in picked)] == sorted(picked)
+
+
+@pytest.mark.parametrize("p,k,h", PACKED_AMBIENTS)
+def test_packed_add_matches_tuple_add_on_every_pair(p, k, h):
+    amb = Ambient(p, k, h)
+    keys = abelian._ambient_elements(amb)
+    tuples = [amb._unpack(key) for key in keys]
+    for y, key in zip(tuples, keys):
+        assert [amb._unpack(s) for s in abelian._translate(amb, keys, key)] == [
+            amb.add(x, y) for x in tuples
+        ]
+
+
+def test_pack_refuses_what_is_not_an_element():
+    amb = Ambient(2, 2, 2)
+    for bad in [(1, 0, 1), (1,), (), (0, 4), (-1, 0), (0, 1.0), [0, 1], "ab", 3]:
+        with pytest.raises(BadParameters):
+            amb._pack(bad)
+    assert amb._pack((5, -1), reduce=True) == amb._pack((1, 3))
+    with pytest.raises(BadParameters):
+        amb._pack((1, 0, 1), reduce=True)
+
+
+def _within(seconds, func, *args):
+    """func(*args), or a failure after ``seconds`` instead of a hang."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %s s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return func(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("gen", [(1, 0, 1), (1,), (1, "a"), 7])
+def test_span_refuses_a_generator_that_is_no_element(gen):
+    # a wrong-length generator once looped forever: its multiples never
+    # equal a length-2 element of the span
+    with pytest.raises(BadParameters):
+        _within(5, AbSubgroup.span, Ambient(2, 2, 2), [gen])
+
+
+def test_span_reduces_coordinates_mod_p_to_the_k():
+    amb = Ambient(2, 2, 2)
+    assert AbSubgroup.span(amb, [(5, -2), [0, 6]]) == AbSubgroup.span(amb, [(1, 2), (0, 2)])
+
+
+def test_constructor_refuses_coordinates_out_of_range():
+    amb = Ambient(2, 2, 2)
+    for elements in ([(0, 0), (5, 0)], [(0, 0), (0, -1)], [(0, 0), (0, 0, 0)]):
+        with pytest.raises(BadParameters):
+            AbSubgroup(amb, elements)
+
+
+def test_membership_of_a_non_element_is_false():
+    full = AbSubgroup.full(Ambient(2, 2, 2))
+    assert (3, 3) in full
+    for x in [(0, 16), (4, 0), (0, -1), (0, 0, 0), (0,), (), "ab", None]:
+        assert x not in full

@@ -30,6 +30,9 @@ def test_homs_table(capsys):
 
 GOLDEN = [
     ("homs_p2_h1_k2", ("homs", "--p", "2", "--h", "1", "--k", "2")),
+    # kernel order at rank h >= 2 and at an odd prime
+    ("homs_p3_h2_k2", ("homs", "--p", "3", "--h", "2", "--k", "2")),
+    ("homs_p2_h3_k2", ("homs", "--p", "2", "--h", "3", "--k", "2")),
     ("transfer_p2_h1_k2_alpha", ("transfer", "--p", "2", "--h", "1", "--k", "2",
                                  "--alpha", "(0 1)(2 3)")),
     ("transfer_p3_h1_k2", ("transfer", "--p", "3", "--h", "1", "--k", "2",

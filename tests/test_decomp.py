@@ -1,4 +1,6 @@
+import json
 import math
+import signal
 
 import pytest
 
@@ -271,3 +273,21 @@ def test_larger_instances_clean():
     assert report9.total_degree == 13
     assert len(report9.nontrivial) == sub_leq_count(1, 3, 2)
     assert decomp.verify_triangle(report9)
+
+
+def test_report_with_a_wrong_length_generator_is_refused():
+    # the dual image is re-spanned from the report: a generator of length 3
+    # in rank 2 once made that span loop forever
+    report = decomp.decompose(2, 3, 1, 1)
+    data = json.loads(decomp.report_to_json(report))
+    comp = next(c for c in data["components"] if c["L"]["generators"])
+    comp["L"]["generators"][0].append(0)
+    text = json.dumps(data)
+    signal.signal(signal.SIGALRM, lambda signum, frame: pytest.fail("still running after 5 s"))
+    signal.alarm(5)
+    try:
+        with pytest.raises(BadParameters):
+            decomp.report_from_json(text)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)

@@ -146,6 +146,18 @@ def test_classify_rejects_bad_tuples():
         make_tuple([P("(0 1)", 3)], lam3)
 
 
+def test_classify_caps_the_source_group_before_work(monkeypatch):
+    # (Z/2^40)^1 is far above the ambient cap: refused before the 2^40
+    # power tables are built
+    def refuse(perms, modulus):
+        raise AssertionError("built power tables up to %d" % modulus)
+
+    monkeypatch.setattr(homclass, "_power_tables", refuse)
+    lam = lam_group(2, 1, 40)
+    with pytest.raises(ResourceLimit):
+        classify(make_tuple([P("(0 1)", 2)], lam), lam)
+
+
 def test_centralizer_order_formula_vs_exhaustive_small():
     for p, h, k in [(2, 1, 1), (2, 1, 2), (3, 1, 1), (2, 2, 1), (2, 2, 2)]:
         G = symmetric_group(p ** k)
