@@ -23,38 +23,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import BadParameters, InternalMismatch, NotPrime, ResourceLimit
+from .checks import check_prime
+from .errors import BadParameters, InternalMismatch, ResourceLimit
 
 AMBIENT_CAP = 10 ** 4
-# Trial division up to sqrt(PRIME_CAP) takes about 0.1 s.
-PRIME_CAP = 10 ** 12
 # Bound on h * (h + m) * bit_length(p) for count_sublattices; see there.
 COUNT_SIZE_CAP = 2 * 10 ** 5
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def check_prime(p: int):
-    """Raise NotPrime unless p is prime; above PRIME_CAP, where trial
-    division would run for seconds, raise ResourceLimit instead."""
-    if p > PRIME_CAP:
-        raise ResourceLimit("p = %d exceeds the primality-test cap %d" % (p, PRIME_CAP))
-    if not is_prime(p):
-        raise NotPrime("%r is not prime" % (p,))
-
-
-def power_exceeds(p: int, e: int, cap: int) -> bool:
-    """p**e > cap for p >= 2, without forming p**e when e is large."""
-    return e > cap.bit_length() or p ** e > cap
 
 
 @dataclass(frozen=True)
@@ -216,10 +190,19 @@ class AbSubgroup:
     @classmethod
     def span(cls, ambient: Ambient, gens) -> "AbSubgroup":
         """Additive closure of a generating set of h-tuples (or lists) of
-        ints, taken mod p^k; BadParameters for anything else."""
+        ints, taken mod p^k; BadParameters for anything else.  ResourceLimit
+        before any closure when the span may exceed AMBIENT_CAP elements:
+        its order is at most the ambient order and at most the product of
+        the generators' orders."""
+        gens = [tuple(g) if isinstance(g, list) else g for g in gens]
+        keys = [ambient._pack(g, reduce=True) for g in gens]
+        worst = min(ambient.order, math.prod(map(ambient.element_order, gens)))
+        if worst > AMBIENT_CAP:
+            raise ResourceLimit(
+                "span may reach order %d, above cap %d" % (worst, AMBIENT_CAP)
+            )
         members = {0}
-        for g in gens:
-            x = ambient._pack(tuple(g) if isinstance(g, list) else g, reduce=True)
+        for x in keys:
             members = _extend(ambient, members, x)
         return cls._of_keys(ambient, members)
 

@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 usage error, 2 domain error, 3 resource limit,
 
 The layer modules are bound here as lazy modules: each one's code runs on
 the first use of one of its names, inside the subcommand that needs it, so
-an ``fgl`` request never compiles the class-function, hom-class,
-decomposition or acceptance layers.
+an ``fgl`` request compiles no layer but ``fgl`` (and the leaf modules
+``checks`` and ``errors``).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import importlib.util
 import json
 import sys
 
+from .checks import ENV_MAX_ELEMENTS, max_group_elements
 from .errors import (
     BadParameters,
     DomainError,
@@ -23,15 +24,6 @@ from .errors import (
     InternalMismatch,
     ResourceLimit,
     TranschromeError,
-)
-from .perm import (
-    ENV_MAX_ELEMENTS,
-    Perm,
-    block_subgroup,
-    check_index,
-    max_group_elements,
-    symmetric_group,
-    young_index,
 )
 
 
@@ -54,8 +46,8 @@ def _lazy_module(name):
     return module
 
 
-abelian, accept, classfun, decomp, fgl, homclass = map(
-    _lazy_module, ("abelian", "accept", "classfun", "decomp", "fgl", "homclass")
+abelian, accept, classfun, decomp, fgl, homclass, perm = map(
+    _lazy_module, ("abelian", "accept", "classfun", "decomp", "fgl", "homclass", "perm")
 )
 
 
@@ -145,7 +137,7 @@ def _cmd_decompose(args):
 
 
 def _resolve_class(args, lam):
-    table = classfun.class_table(symmetric_group(lam.p ** lam.k), lam)
+    table = classfun.class_table(perm.symmetric_group(lam.p ** lam.k), lam)
     if args.class_id:
         for key in table.classes:
             if table.class_id(key) == args.class_id:
@@ -154,7 +146,7 @@ def _resolve_class(args, lam):
     if args.alpha:
         degree = lam.p ** lam.k
         perms = tuple(
-            Perm.from_cycles(part.strip(), degree) for part in args.alpha.split(";")
+            perm.Perm.from_cycles(part.strip(), degree) for part in args.alpha.split(";")
         )
         if len(perms) != lam.h:
             raise DomainError("--alpha needs %d component(s)" % lam.h)
@@ -171,8 +163,8 @@ def _young_pair(args):
         raise DomainError("need 0 <= m <= k")
     homclass.enumerate_hom_classes(args.p, args.h, args.k)
     degree, block = args.p ** args.k, args.p ** m
-    check_index(young_index(degree, block))
-    return lam, m, symmetric_group(degree), block_subgroup(block, degree // block)
+    perm.check_index(perm.young_index(degree, block))
+    return lam, m, perm.symmetric_group(degree), perm.block_subgroup(block, degree // block)
 
 
 def _cmd_transfer(args):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from . import abelian, classfun, homclass
 from .abelian import Ambient, AbSubgroup
+from .checks import check_prime, power_exceeds
 from .errors import BadParameters, InternalMismatch, ResourceLimit
 from .perm import block_subgroup, symmetric_group
 
@@ -68,8 +69,8 @@ def fiber_ranks(p: int, n: int, t: int, k: int) -> dict:
     """
     if not 0 <= t < n:
         raise BadParameters("need 0 <= t < n")
-    abelian.check_prime(p)
-    if abelian.power_exceeds(p, k * n, FIBER_AMBIENT_CAP):
+    check_prime(p)
+    if power_exceeds(p, k * n, FIBER_AMBIENT_CAP):
         raise ResourceLimit("split model (Z/%d^%d)^%d exceeds cap" % (p, k, n))
     ranks = {}
     for sub in abelian.subgroups_of_ambient(Ambient(p, k, n), order=p ** k):
@@ -90,12 +91,12 @@ def fiber_rank(L: AbSubgroup, p: int, n: int, t: int, k: int) -> int:
 
 
 def _validate_params(p, n, t, k):
-    abelian.check_prime(p)
+    check_prime(p)
     if not 0 <= t < n:
         raise BadParameters("need 0 <= t < n")
     if k < 1:
         raise BadParameters("need k >= 1")
-    if abelian.power_exceeds(p, k, 9):
+    if power_exceeds(p, k, 9):
         raise ResourceLimit("p^k = %d^%d exceeds the desk-scale cap of 9" % (p, k))
     if n - t > 3:
         raise ResourceLimit("etale rank n - t exceeds 3")

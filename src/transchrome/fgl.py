@@ -5,6 +5,16 @@ Every context fixes a truncation triple (a, b, D): coefficients live in
 series are exact below x-degree D.  All stated equalities hold under that
 contract and under nothing stronger.
 
+A series is one flat dict from an int key to a coefficient mod p^a: the key
+packs the x-exponents and the parameter monomial u.  Every product, whether
+of two series, a power or a scaling inside ``compose``, a Newton step of
+``series_inverse``, a step of ``_reversion`` or a pass of
+``weierstrass_prep``, goes through one kernel, ``_accumulate``: it checks
+the x- and u-degree room before adding two keys, so the packed exponents
+never carry, and it reduces mod p^a once per product.  ``PolyRing`` does
+the scalar work (the scaled logarithm, inverting a constant term,
+printing), and a series decodes into its dict-of-dict view on demand.
+
 The p-typical law is built in integers: the scaled logarithm g(x) = f(px)/p
 has no denominators (Hazewinkel's functional-equation lemma), so neither has
 G = g^{-1}(g(x) + g(y)) = F(px, py)/p, and F_d = G_d / p^{d-1} must divide
@@ -18,10 +28,10 @@ request's predicted work before any series is built.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 
-from .abelian import check_prime, power_exceeds
+from .checks import check_prime, power_exceeds
 from .errors import (
     BadParameters,
     IntegralityFailure,
@@ -35,7 +45,9 @@ from .errors import (
 
 class PolyRing:
     """(Z/p^a)[u_1..u_r] truncated below total degree b; elements are dicts
-    mapping exponent tuples to nonzero ints mod p^a."""
+    mapping exponent tuples to nonzero ints mod p^a.  A series packs each
+    monomial into one int below M = b^r, its exponents as base-b digits,
+    u_1's the lowest (``pack``)."""
 
     def __init__(self, p, a, b, nparams):
         check_prime(p)
@@ -47,6 +59,7 @@ class PolyRing:
         self.r = nparams
         self.mod = p ** a
         self.zero_exp = (0,) * nparams
+        self.M = b ** nparams
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and (self.p, self.a, self.b, self.r) == (
@@ -110,6 +123,19 @@ class PolyRing:
                 out[e] = w
         return out
 
+    def pack(self, e) -> int:
+        u = 0
+        for d in reversed(e):
+            u = u * self.b + d
+        return u
+
+    def unpack(self, u):
+        e = []
+        for _ in range(self.r):
+            u, d = divmod(u, self.b)
+            e.append(d)
+        return tuple(e)
+
     def residue(self, f) -> int:
         """Image in the residue field: kill the parameters, reduce mod p."""
         return f.get(self.zero_exp, 0) % self.p
@@ -157,21 +183,59 @@ class PolyRing:
 
 
 class Series:
-    """A truncated power series in ``nvars`` variables over ``ring``;
-    coefficients indexed by exponent tuples of total degree < D."""
+    """A truncated power series in ``nvars`` variables over ``ring``, exact
+    below total x-degree D.
 
-    __slots__ = ("ring", "nvars", "D", "coeffs")
+    Its terms are one flat dict ``terms`` from an int key to a nonzero int
+    mod p^a.  The key packs the x-exponents as base-D digits above the
+    parameter monomial u, itself packed base b (``PolyRing.pack``): x^i y^j
+    times u is (i*D + j)*M + u, with M = ring.M.  ``coeffs``, ``coeff`` and
+    ``term_list`` decode the terms on demand.  Every product goes through
+    one kernel, ``_accumulate``.
+    """
+
+    __slots__ = ("ring", "nvars", "D", "terms", "_graded", "_tables")
 
     def __init__(self, ring, nvars, D, coeffs):
+        """The series of {x-exponent tuple: {u-exponent tuple: int}}; terms
+        of x-degree >= D or u-degree >= b are dropped, coefficients reduced
+        mod p^a."""
+        terms = {}
+        mod, M = ring.mod, ring.M
+        for e, poly in coeffs.items():
+            if sum(e) >= D:
+                continue
+            x = 0
+            for d in e:
+                x = x * D + d
+            for ue, c in poly.items():
+                c %= mod
+                if c and sum(ue) < ring.b:
+                    terms[x * M + ring.pack(ue)] = c
+        self._set(ring, nvars, D, terms)
+
+    def _set(self, ring, nvars, D, terms):
         self.ring = ring
         self.nvars = nvars
         self.D = D
-        clean = {}
-        for e, c in coeffs.items():
-            if sum(e) >= D or not c:
-                continue
-            clean[e] = c
-        self.coeffs = clean
+        self.terms = terms
+        self._graded = None
+        self._tables = {}
+
+    @classmethod
+    def _of(cls, ring, nvars, D, terms):
+        """The series of packed terms that are already reduced and nonzero."""
+        out = cls.__new__(cls)
+        out._set(ring, nvars, D, terms)
+        return out
+
+    def _like(self, terms):
+        return Series._of(self.ring, self.nvars, self.D, terms)
+
+    def _reduced(self, out):
+        """A series like this one over the terms of ``out`` reduced mod p^a."""
+        mod = self.ring.mod
+        return self._like({key: r for key, v in out.items() if (r := v % mod)})
 
     @classmethod
     def zero(cls, ring, nvars, D):
@@ -182,60 +246,85 @@ class Series:
         e = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(ring, nvars, D, {e: ring.one()})
 
-    def _like(self, coeffs):
-        return Series(self.ring, self.nvars, self.D, coeffs)
+    def _exponents(self, key):
+        """(x-exponent tuple, packed u) of a key."""
+        x, u = divmod(key, self.ring.M)
+        e = []
+        for _ in range(self.nvars):
+            x, d = divmod(x, self.D)
+            e.append(d)
+        return tuple(reversed(e)), u
+
+    def _by_degree(self):
+        """(x-degree, u-degree, key, c) of every term, sorted; decoded once."""
+        graded = self._graded
+        if graded is None:
+            M, D, b, nvars = self.ring.M, self.D, self.ring.b, self.nvars
+            graded = []
+            for key, c in self.terms.items():
+                x, u = divmod(key, M)
+                dx = du = 0
+                for _ in range(nvars):
+                    x, d = divmod(x, D)
+                    dx += d
+                while u:
+                    u, d = divmod(u, b)
+                    du += d
+                graded.append((dx, du, key, c))
+            graded.sort()
+            self._graded = graded
+        return graded
+
+    def _table(self, spare):
+        """(x-degrees, [(key, c)]) of the terms of u-degree < spare, by
+        rising x-degree; kept per spare."""
+        table = self._tables.get(spare)
+        if table is None:
+            kept = [t for t in self._by_degree() if t[1] < spare]
+            table = self._tables[spare] = ([t[0] for t in kept], [(t[2], t[3]) for t in kept])
+        return table
+
+    @property
+    def coeffs(self):
+        """{x-exponent tuple: {u-exponent tuple: c}}, decoded."""
+        unpack = self.ring.unpack
+        out = {}
+        for key, c in self.terms.items():
+            e, u = self._exponents(key)
+            out.setdefault(e, {})[unpack(u)] = c
+        return out
+
+    def coeff(self, e):
+        return self.coeffs.get(tuple(e), self.ring.zero())
 
     def add(self, other):
-        out = dict(self.coeffs)
-        ring = self.ring
-        for e, c in other.coeffs.items():
-            v = ring.add(out.get(e, ring.zero()), c)
+        mod = self.ring.mod
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            v = (out.get(key, 0) + c) % mod
             if v:
-                out[e] = v
+                out[key] = v
             else:
-                out.pop(e, None)
+                del out[key]
         return self._like(out)
 
     def neg(self):
-        return self._like({e: self.ring.neg(c) for e, c in self.coeffs.items()})
+        mod = self.ring.mod
+        return self._like({key: mod - c for key, c in self.terms.items()})
 
     def sub(self, other):
         return self.add(other.neg())
 
     def mul(self, other):
-        ring = self.ring
-        D = self.D
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) >= D:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = ring.add(out.get(e, ring.zero()), ring.mul(c1, c2))
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return self._like(out)
-
-    def scale_poly(self, poly):
-        ring = self.ring
-        out = {}
-        for e, c in self.coeffs.items():
-            v = ring.mul(poly, c)
-            if v:
-                out[e] = v
-        return self._like(out)
-
-    def coeff(self, e):
-        return self.coeffs.get(tuple(e), self.ring.zero())
+        return _product(self, other, self.D)
 
     def degree(self):
-        return max((sum(e) for e in self.coeffs), default=-1)
+        graded = self._by_degree()
+        return graded[-1][0] if graded else -1
 
     def min_degree(self):
-        return min((sum(e) for e in self.coeffs), default=self.D)
+        graded = self._by_degree()
+        return graded[0][0] if graded else self.D
 
     def __eq__(self, other):
         return (
@@ -243,27 +332,33 @@ class Series:
             and self.ring == other.ring
             and self.nvars == other.nvars
             and self.D == other.D
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.ring, self.nvars, self.D, tuple(sorted((e, tuple(sorted(c.items()))) for e, c in self.coeffs.items()))))
+        return hash((self.ring, self.nvars, self.D, frozenset(self.terms.items())))
 
     def compose(self, args):
         """Substitute args[i] (series without constant term) for variable i.
 
         Terms are grouped by their exponent of the first variable, nested
-        over the rest: each power of a substituted series is built once and
-        multiplies the sum of the terms it heads once, so a two-variable law
-        costs O(D) products of full series, and each term only a scaling."""
+        over the rest.  The first variable A is summed by Horner's rule,
+        H_j = E_j + A*H_{j+1}, each step needed only below D - j*m for m
+        the lowest degree of A; E_j sums each power of the next substituted
+        series times the terms it heads.  A power is built once, and shared
+        when one series is substituted for two variables, so a
+        two-variable law costs O(D) products of full series, and each term
+        only a scaling."""
         if len(args) != self.nvars:
             raise BadParameters("need one substitution per variable")
-        for s in args:
-            if s.min_degree() < 1:
-                raise BadParameters("substituted series must have zero constant term")
-        ring, nvars, D = args[0].ring, args[0].nvars, args[0].D
-        one = Series(ring, nvars, D, {(0,) * nvars: ring.one()})
-        powers = [[one] for _ in args]
+        mins = [s.min_degree() for s in args]
+        if min(mins) < 1:
+            raise BadParameters("substituted series must have zero constant term")
+        base = args[0]
+        D = base.D
+        one = base._like({0: 1})
+        shared = {}
+        powers = [shared.setdefault(id(s), [one]) for s in args]
 
         def power(i, j):
             cache = powers[i]
@@ -271,27 +366,41 @@ class Series:
                 cache.append(cache[-1].mul(args[i]))
             return cache[j]
 
-        def evaluate(terms, i):
-            # sum of c * args[i]^e[0] * args[i+1]^e[1] * ... over (e, c) in terms
-            if i == len(args):
-                return one.scale_poly(terms[0][1])
+        def grouped(terms):
             groups = {}
-            for e, c in terms:
-                groups.setdefault(e[0], []).append((e[1:], c))
-            out = Series.zero(ring, nvars, D)
-            for j in sorted(groups):
-                out = out.add(power(i, j).mul(evaluate(groups[j], i + 1)))
-            return out
+            for e, u, c in terms:
+                groups.setdefault(e[0], []).append((e[1:], u, c))
+            return groups
 
-        mins = [s.min_degree() for s in args]
-        terms = [
-            (e, c) for e, c in self.coeffs.items()
-            if sum(ei * mi for ei, mi in zip(e, mins)) < D
-        ]
-        return evaluate(terms, 0)
+        def add_terms(out, terms, i, limit):
+            # out += sum of c*u * args[i]^e[0] * args[i+1]^e[1] * ... over
+            # (e, u, c) in terms, below x-degree limit
+            if i == len(args):
+                for _, u, c in terms:
+                    out[u] += c
+                return
+            for j, group in grouped(terms).items():
+                inner = defaultdict(int)
+                add_terms(inner, group, i + 1, limit)
+                _accumulate(out, power(i, j), one._reduced(inner), limit)
+
+        terms = []
+        for key, c in self.terms.items():
+            e, u = self._exponents(key)
+            if sum(ei * mi for ei, mi in zip(e, mins)) < D:
+                terms.append((e, u, c))
+        groups = grouped(terms)
+        H = one._like({})
+        for j in range(max(groups, default=-1), -1, -1):
+            limit = D - j * mins[0]
+            step = defaultdict(int)
+            _accumulate(step, base, H, limit)
+            add_terms(step, groups.get(j, ()), 1, limit)
+            H = one._reduced(step)
+        return H
 
     def term_list(self):
-        return [(e, self.coeffs[e]) for e in sorted(self.coeffs)]
+        return sorted(self.coeffs.items())
 
     def series_str(self):
         ring = self.ring
@@ -310,40 +419,67 @@ class Series:
         return " + ".join(parts) if parts else "0"
 
 
+def _accumulate(out, f, g, limit):
+    """The product kernel: add f*g below x-degree ``limit`` into the
+    defaultdict ``out``, unreduced.
+
+    Terms of the shorter series run over those of the longer one that fit:
+    x-degree below limit - dx and u-degree below b - du, read off the
+    longer series' table for that u-degree room.  The room is checked
+    before any key is added, so the packed exponents never carry, and a
+    product of terms is one int add of keys and one int multiply."""
+    if len(g.terms) < len(f.terms):
+        f, g = g, f
+    b = f.ring.b
+    for dx, du, key, c in f._by_degree():
+        room = limit - dx
+        if room <= 0:
+            break
+        degrees, terms = g._table(b - du)
+        for k, v in terms[:bisect_left(degrees, room)]:
+            out[key + k] += c * v
+
+
+def _product(f, g, limit):
+    """f*g below x-degree ``limit``, reduced mod p^a once."""
+    out = defaultdict(int)
+    _accumulate(out, f, g, limit)
+    return f._reduced(out)
+
+
 def series_inverse(s: Series) -> Series:
-    """Multiplicative inverse of a one-variable series with unit constant term."""
+    """Multiplicative inverse of a one-variable series with unit constant
+    term, by Newton's iteration t <- t + t*(1 - s*t): each pass doubles the
+    x-precision of the inverse of the constant term."""
     ring, D = s.ring, s.D
-    c0 = s.coeffs.get((0,), ring.zero())
+    c0 = s.coeff((0,))
     if not ring.is_unit(c0):
         raise BadParameters("series has non-unit constant term")
-    c0_inv = ring.inv(c0)
-    out = {(0,): c0_inv}
-    for d in range(1, D):
-        acc = ring.zero()
-        for j in range(d):
-            cj = out.get((j,))
-            sc = s.coeffs.get((d - j,))
-            if cj and sc:
-                acc = ring.add(acc, ring.mul(cj, sc))
-        v = ring.mul(c0_inv, ring.neg(acc)) if acc else ring.zero()
-        if v:
-            out[(d,)] = v
-    return Series(ring, 1, D, out)
+    one = Series(ring, 1, D, {(0,): ring.one()})
+    t = Series(ring, 1, D, {(0,): ring.inv(c0)})
+    precision = 1
+    while precision < D:
+        precision = min(2 * precision, D)
+        error = one.sub(_product(s, t, precision))
+        t = t.add(_product(t, error, precision))
+    return t
 
 
-@dataclass
 class FGLContext:
     """A formal group law over a truncated local coefficient ring.
 
     ``F`` is the two-variable law, exact below x,y-degree D over ``ring``.
     """
 
-    p: int
-    n: int
-    ring: PolyRing
-    D: int
-    F: Series
-    label: str = "fgl"
+    __slots__ = ("p", "n", "ring", "D", "F", "label")
+
+    def __init__(self, p, n, ring, D, F, label="fgl"):
+        self.p = p
+        self.n = n
+        self.ring = ring
+        self.D = D
+        self.F = F
+        self.label = label
 
     def x_var(self, nvars=1, i=0):
         return Series.variable(self.ring, nvars, self.D, i)
@@ -374,25 +510,24 @@ def _scaled_log(p, n, ring, D):
     return Series(ring, 1, D, coeffs)
 
 
-def _reversion(log_series: Series) -> Series:
-    """exp with exp(log(x)) = x below degree D; log = x + higher terms."""
-    ring, D = log_series.ring, log_series.D
-    if log_series.coeffs.get((1,)) != ring.one():
+def _reversion(log: Series) -> Series:
+    """exp with exp(log(x)) = x below degree D; log = x + higher terms.
+
+    With S = sum_{m<d} e_m log^m, the x^d coefficient of exp(log(x)) = x
+    gives e_d = -[x^d] S for d >= 2, since log^d starts with x^d."""
+    ring, D, M = log.ring, log.D, log.ring.M
+    if log.coeff((1,)) != ring.one():
         raise BadParameters("logarithm must start with x")
-    powers = {1: log_series}
-    for m in range(2, D):
-        powers[m] = powers[m - 1].mul(log_series)
-    exp_coeffs = {(1,): ring.one()}
+    exp = {M: 1}
+    S = power = log
     for d in range(2, D):
-        acc = ring.zero()
-        for m in range(1, d):
-            em = exp_coeffs.get((m,))
-            lm = powers[m].coeffs.get((d,))
-            if em and lm:
-                acc = ring.add(acc, ring.mul(em, lm))
-        if acc:
-            exp_coeffs[(d,)] = ring.neg(acc)
-    return Series(ring, 1, D, exp_coeffs)
+        power = power.mul(log)
+        lo = d * M
+        e_d = {key - lo: ring.mod - c for key, c in S.terms.items() if lo <= key < lo + M}
+        if e_d:
+            exp.update((key + lo, c) for key, c in e_d.items())
+            S = S.add(power.mul(log._like(e_d)))
+    return log._like(exp)
 
 
 def _half_plane_step(H, logs, limit, D, M, room_u, mod):
@@ -455,28 +590,29 @@ def build_ptypical(p, n, a=4, b=8, D=None) -> FGLContext:
     ring = PolyRing(p, a, b, n - 1)
     wide = PolyRing(p, a + D - 2, b, n - 1)
     g = _scaled_log(p, n, wide, D)
-    exp = _reversion(g)
-    # parameter monomials of u-degree < b, packed base b: M of them fit
-    # below the x,y part of a key
-    M = b ** (n - 1)
+    # keys are those of two-variable series: the M = b^(n-1) packed
+    # parameter monomials fit below the x,y part
+    M = ring.M
     exps = [()]
     for _ in range(n - 1):
         exps = [e + (x,) for e in exps for x in range(b - sum(e))]
-    packed = {e: sum(x * b ** t for t, x in enumerate(e)) for e in exps}
-    unpacked = {u: e for e, u in packed.items()}
-    room_u = {u: b - sum(e) for e, u in packed.items()}
-    logs = [
-        (q, sorted((sum(e), q * M + packed[e], q * D * M + packed[e], c) for e, c in poly.items()))
-        for (q,), poly in sorted(g.coeffs.items())
-    ]
+    room_u = {ring.pack(e): b - sum(e) for e in exps}
+    logs = {}
+    for q, du, key, c in g._by_degree():
+        logs.setdefault(q, []).append((du, key, key + q * (D - 1) * M, c))
+    logs = sorted(logs.items())
+    heads = {}
+    for key, c in _reversion(g).terms.items():
+        m, u = divmod(key, M)
+        heads.setdefault(m, []).append((u, c))
     # G = sum_m e_m S^m by Horner: H_m = e_m + S*H_{m+1}, needed below
     # degree D - m because S^m starts in degree m
     H = {}
     for m in range(D - 1, 0, -1):
         H = _half_plane_step(H, logs, D - m, D, M, room_u, wide.mod)
-        for e, c in exp.coeff((m,)).items():
-            H[packed[e]] = H.get(packed[e], 0) + c
-    reduced = {}
+        for u, c in heads.get(m, ()):
+            H[u] = H.get(u, 0) + c
+    terms = {}
     for key, c in _half_plane_step(H, logs, D, D, M, room_u, wide.mod).items():
         pos, u = divmod(key, M)
         i, j = divmod(pos, D)
@@ -487,12 +623,10 @@ def build_ptypical(p, n, a=4, b=8, D=None) -> FGLContext:
             )
         v = c // shift % ring.mod
         if v:
-            reduced.setdefault((i, j), {})[unpacked[u]] = v
-    for (i, j), poly in list(reduced.items()):
-        if i < j:
-            reduced[(j, i)] = dict(poly)
+            terms[key] = v
+            terms[(j * D + i) * M + u] = v
     return FGLContext(
-        p=p, n=n, ring=ring, D=D, F=Series(ring, 2, D, reduced),
+        p=p, n=n, ring=ring, D=D, F=Series._of(ring, 2, D, terms),
         label="ptypical(p=%d, n=%d)" % (p, n),
     )
 
@@ -503,8 +637,11 @@ def default_degree(p, n) -> int:
 
 
 # Predicted series-term products one fgl request may cost.  Timed cold
-# (Python 3.11, 2 vCPUs), the slowest admitted requests found near the cap,
-# such as fgl --p 7 --n 1 --k 2 --deg 129, took 1.6 s.
+# (Python 3.11, 2 vCPUs), the requests that were the slowest admitted under
+# dict-of-dict series products, fgl --p 7 --n 1 --k 2 --deg 129 and
+# fgl --p 11 --n 1 --k 2 --deg 154 (1.4-1.9 s then), take 0.3-0.45 s; the
+# slowest found at a = 4, b = 8, p <= 13 and n, k <= 3, each at its largest
+# admitted D, is fgl --p 2 --n 2 --k 1 --deg 64 at about 0.7 s.
 WORK_CAP = 2 * 10 ** 6
 
 
@@ -585,14 +722,11 @@ def fgl_sum(ctx: FGLContext, s1: Series, s2: Series) -> Series:
 
 
 def _split_at(s: Series, d: int):
-    low = {}
-    hi = {}
-    for (e,), c in s.coeffs.items():
-        if e < d:
-            low[(e,)] = c
-        else:
-            hi[(e - d,)] = c
-    return Series(s.ring, 1, s.D, low), Series(s.ring, 1, s.D, hi)
+    """(the terms of s below x^d, the rest divided by x^d)."""
+    cut = d * s.ring.M
+    low = {key: c for key, c in s.terms.items() if key < cut}
+    high = {key - cut: c for key, c in s.terms.items() if key >= cut}
+    return s._like(low), s._like(high)
 
 
 def weierstrass_prep(ctx: FGLContext, g: Series, d: int):
@@ -608,10 +742,10 @@ def weierstrass_prep(ctx: FGLContext, g: Series, d: int):
     D = ctx.D
     if not 0 < d < D:
         raise TruncationTooSmall("need 0 < d < D")
-    for (e,), c in g.coeffs.items():
-        if e < d and ring.residue(c):
-            raise NotWeierstrass("coefficient of x^%d is a unit below degree %d" % (e, d))
-    if not ring.is_unit(g.coeffs.get((d,), ring.zero())):
+    units = residue_series(ctx, g)
+    if min(units, default=d) < d:
+        raise NotWeierstrass("coefficient of x^%d is a unit below degree %d" % (min(units), d))
+    if d not in units:
         raise NotWeierstrass("coefficient of x^%d is not a unit" % d)
 
     g_low, g_high = _split_at(g, d)
@@ -621,7 +755,7 @@ def weierstrass_prep(ctx: FGLContext, g: Series, d: int):
     cur = x_d
     for _ in range(ring.a + ring.b + 2):
         low, hi = _split_at(cur, d)
-        if not hi.coeffs:
+        if not hi.terms:
             break
         q_step = hi.mul(ginv_high)
         q = q.add(q_step)
@@ -630,9 +764,8 @@ def weierstrass_prep(ctx: FGLContext, g: Series, d: int):
         raise PrecisionExhausted("division did not terminate at this precision")
     r = cur
     f = x_d.sub(r)
-    for (e,), c in f.coeffs.items():
-        if e < d and ring.residue(c):
-            raise InternalMismatch("prepared polynomial is not distinguished")
+    if min(residue_series(ctx, f), default=d) < d:
+        raise InternalMismatch("prepared polynomial is not distinguished")
     u = series_inverse(q)
     if f.mul(u) != g:
         raise InternalMismatch("weierstrass factorization failed the re-multiplication check")
@@ -664,11 +797,12 @@ def torsion_rank(ctx: FGLContext, k: int) -> int:
 
 def residue_series(ctx: FGLContext, s: Series) -> dict:
     """Coefficients in the residue field: parameters killed, reduced mod p."""
+    M, p = ctx.ring.M, ctx.p
     out = {}
-    for (e,), c in s.coeffs.items():
-        v = ctx.ring.residue(c)
-        if v:
-            out[e] = v
+    for key, c in s.terms.items():
+        e, u = divmod(key, M)
+        if not u and c % p:
+            out[e] = c % p
     return out
 
 

@@ -31,10 +31,9 @@ from .abelian import (
     _subgroup_levels,
     _translate,
     _valuation,
-    check_prime,
     count_sublattices,
-    power_exceeds,
 )
+from .checks import check_prime, power_exceeds
 from .errors import (
     BadParameters,
     InternalMismatch,

@@ -31,10 +31,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 import re
 from functools import lru_cache, reduce
 
+from .checks import max_group_elements
 from .errors import (
     ActionNotClosed,
     BadParameters,
@@ -44,30 +44,6 @@ from .errors import (
     NotSubgroup,
     ResourceLimit,
 )
-
-DEFAULT_MAX_ELEMENTS = 10 ** 6
-ENV_MAX_ELEMENTS = "TRANSCHROME_MAX_ELEMENTS"
-
-
-def max_group_elements() -> int:
-    """Group-order cap for closures; override with TRANSCHROME_MAX_ELEMENTS.
-
-    Raises BadParameters when the variable is set but is not a positive
-    integer.
-    """
-    raw = os.environ.get(ENV_MAX_ELEMENTS)
-    if raw is None:
-        return DEFAULT_MAX_ELEMENTS
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise BadParameters(
-            "%s must be a positive integer, got %r" % (ENV_MAX_ELEMENTS, raw)
-        )
-    return value
-
 
 def _compose(a, b):
     # image tuples: (a*b)(x) = a(b(x))

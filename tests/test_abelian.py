@@ -4,7 +4,7 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transchrome import abelian
+from transchrome import abelian, checks
 from transchrome.abelian import (
     Ambient,
     AbSubgroup,
@@ -247,12 +247,12 @@ def test_count_size_is_capped_before_work():
 
 
 def test_check_prime_caps_trial_division():
-    abelian.check_prime(999999999989)  # the largest prime below the cap
+    checks.check_prime(999999999989)  # the largest prime below the cap
     with pytest.raises(NotPrime):
-        abelian.check_prime(abelian.PRIME_CAP)
-    for big in (abelian.PRIME_CAP + 39, 10 ** 18 + 3):
+        checks.check_prime(checks.PRIME_CAP)
+    for big in (checks.PRIME_CAP + 39, 10 ** 18 + 3):
         with pytest.raises(ResourceLimit):
-            abelian.check_prime(big)
+            checks.check_prime(big)
         with pytest.raises(ResourceLimit):
             Ambient(big, 1, 1)
 
@@ -261,8 +261,8 @@ def test_power_exceeds_matches_power():
     for p in (2, 3, 5, 7):
         for e in range(40):
             for cap in (1, 9, 16, 10 ** 4):
-                assert abelian.power_exceeds(p, e, cap) == (p ** e > cap)
-    assert abelian.power_exceeds(2, 10 ** 18, 9)
+                assert checks.power_exceeds(p, e, cap) == (p ** e > cap)
+    assert checks.power_exceeds(2, 10 ** 18, 9)
 
 
 def test_count_closed_form_disagreement_is_a_mismatch(monkeypatch):
@@ -409,6 +409,27 @@ def test_span_refuses_a_generator_that_is_no_element(gen):
     # equal a length-2 element of the span
     with pytest.raises(BadParameters):
         _within(5, AbSubgroup.span, Ambient(2, 2, 2), [gen])
+
+
+def test_span_refuses_above_the_cap_before_closing(monkeypatch):
+    # (Z/2^8)^2 has 65 536 elements, above AMBIENT_CAP, as subgroups_of_ambient
+    # refuses it; a span that may reach that order is refused before any
+    # closure, and one whose generators' orders bound it below the cap runs
+    def no_closure(*args):
+        raise AssertionError("the span was closed before its cap was checked")
+
+    big = Ambient(2, 8, 2)
+    with pytest.raises(ResourceLimit):
+        abelian.subgroups_of_ambient(big)
+    with monkeypatch.context() as m:
+        m.setattr(abelian, "_extend", no_closure)
+        for gens in ([(1, 0), (0, 1)], [(1, 0)] * 2, [(1, 1), (0, 2)]):
+            with pytest.raises(ResourceLimit):
+                AbSubgroup.span(big, gens)
+        with pytest.raises(ResourceLimit):
+            AbSubgroup.span(Ambient(2, 30, 2), [(1, 0)])
+    assert AbSubgroup.span(big, [(128, 0), (0, 64)]).order == 8
+    assert AbSubgroup.span(big, [(1, 0)]).order == 256
 
 
 def test_span_reduces_coordinates_mod_p_to_the_k():

@@ -264,7 +264,7 @@ def test_transfer_checks_caps_before_building_groups(monkeypatch, capsys):
     def refuse(degree):
         raise AssertionError("Sym(%d) built before the size caps" % degree)
 
-    monkeypatch.setattr(cli, "symmetric_group", refuse)
+    monkeypatch.setattr(cli.perm, "symmetric_group", refuse)
     params = ("--p", "2", "--h", "1", "--k", "20")
     assert run_cli(capsys, "transfer", *params, "--alpha", "(0 1)")[0] == 3
     assert run_cli(capsys, "induce", *params, "--chi", "unused.json")[0] == 3
@@ -320,7 +320,7 @@ def test_console_entry_point():
     assert "= 1" in proc.stdout
 
 
-LAYERS = ("abelian", "accept", "classfun", "decomp", "fgl", "homclass")
+LAYERS = ("abelian", "accept", "classfun", "decomp", "fgl", "homclass", "perm")
 
 
 def test_importing_the_cli_runs_no_layer_module():
@@ -337,7 +337,7 @@ def test_importing_the_cli_runs_no_layer_module():
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "['abelian', 'fgl']"]
+    assert proc.stdout.splitlines() == ["[]", "['fgl']"]
 
 
 PACKAGE_NAMES = {

@@ -34,6 +34,123 @@ from transchrome.fgl import (
 )
 
 
+# -- the dict-of-dict series: the oracle for the packed product kernel --
+
+
+class DictSeries:
+    """A truncated power series in ``nvars`` variables over ``ring``;
+    coefficients indexed by exponent tuples of total degree < D, each a
+    ring element, with one ``ring.mul`` per pair of terms.  It works over
+    any ring with ``add``, ``neg``, ``mul``, ``zero`` and ``one``: the
+    modular ``PolyRing`` and the rational ``QPolyRing``."""
+
+    def __init__(self, ring, nvars, D, coeffs):
+        self.ring = ring
+        self.nvars = nvars
+        self.D = D
+        self.coeffs = {e: c for e, c in coeffs.items() if sum(e) < D and c}
+
+    @classmethod
+    def zero(cls, ring, nvars, D):
+        return cls(ring, nvars, D, {})
+
+    def _like(self, coeffs):
+        return DictSeries(self.ring, self.nvars, self.D, coeffs)
+
+    def add(self, other):
+        out = dict(self.coeffs)
+        ring = self.ring
+        for e, c in other.coeffs.items():
+            v = ring.add(out.get(e, ring.zero()), c)
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+        return self._like(out)
+
+    def mul(self, other):
+        ring = self.ring
+        D = self.D
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            d1 = sum(e1)
+            for e2, c2 in other.coeffs.items():
+                if d1 + sum(e2) >= D:
+                    continue
+                e = tuple(x + y for x, y in zip(e1, e2))
+                v = ring.add(out.get(e, ring.zero()), ring.mul(c1, c2))
+                if v:
+                    out[e] = v
+                else:
+                    out.pop(e, None)
+        return self._like(out)
+
+    def scale_poly(self, poly):
+        ring = self.ring
+        out = {}
+        for e, c in self.coeffs.items():
+            v = ring.mul(poly, c)
+            if v:
+                out[e] = v
+        return self._like(out)
+
+    def min_degree(self):
+        return min((sum(e) for e in self.coeffs), default=self.D)
+
+    def compose(self, args):
+        """Substitute args[i] (series without constant term) for variable
+        i: each power of a substituted series is built once and multiplies
+        the sum of the terms it heads once."""
+        ring, nvars, D = args[0].ring, args[0].nvars, args[0].D
+        one = DictSeries(ring, nvars, D, {(0,) * nvars: ring.one()})
+        powers = [[one] for _ in args]
+
+        def power(i, j):
+            cache = powers[i]
+            while len(cache) <= j:
+                cache.append(cache[-1].mul(args[i]))
+            return cache[j]
+
+        def evaluate(terms, i):
+            # sum of c * args[i]^e[0] * args[i+1]^e[1] * ... over (e, c) in terms
+            if i == len(args):
+                return one.scale_poly(terms[0][1])
+            groups = {}
+            for e, c in terms:
+                groups.setdefault(e[0], []).append((e[1:], c))
+            out = DictSeries.zero(ring, nvars, D)
+            for j in sorted(groups):
+                out = out.add(power(i, j).mul(evaluate(groups[j], i + 1)))
+            return out
+
+        mins = [s.min_degree() for s in args]
+        terms = [
+            (e, c) for e, c in self.coeffs.items()
+            if sum(ei * mi for ei, mi in zip(e, mins)) < D
+        ]
+        return evaluate(terms, 0)
+
+
+def dict_reversion(log):
+    """exp with exp(log(x)) = x below degree D, coefficient by coefficient:
+    e_d = -sum_{m<d} e_m [x^d] log^m."""
+    ring, D = log.ring, log.D
+    powers = {1: log}
+    for m in range(2, D):
+        powers[m] = powers[m - 1].mul(log)
+    exp_coeffs = {(1,): ring.one()}
+    for d in range(2, D):
+        acc = ring.zero()
+        for m in range(1, d):
+            em = exp_coeffs.get((m,))
+            lm = powers[m].coeffs.get((d,))
+            if em and lm:
+                acc = ring.add(acc, ring.mul(em, lm))
+        if acc:
+            exp_coeffs[(d,)] = ring.neg(acc)
+    return DictSeries(ring, 1, D, exp_coeffs)
+
+
 # -- the rational lift: the test oracle for the integral build --
 
 
@@ -128,13 +245,13 @@ def rational_log(p, n, b, D):
             acc = qring.add(acc, qring.mul(lambdas[i - j], power))
         lambdas.append(qring.scale(Fraction(1, p), acc))
         i += 1
-    return Series(qring, 1, D, {(p ** i,): lam for i, lam in enumerate(lambdas) if lam})
+    return DictSeries(qring, 1, D, {(p ** i,): lam for i, lam in enumerate(lambdas) if lam})
 
 
 def multiplicative_log(D):
     """log(1 + x) = sum (-1)^(m+1) x^m / m, the logarithm of x + y + xy."""
     qring = QPolyRing(1, 0)
-    return Series(qring, 1, D, {(m,): {(): Fraction((-1) ** (m + 1), m)} for m in range(1, D)})
+    return DictSeries(qring, 1, D, {(m,): {(): Fraction((-1) ** (m + 1), m)} for m in range(1, D)})
 
 
 def reduce_series(s, ring):
@@ -145,14 +262,14 @@ def law_from_log(log, ring):
     """exp(log x + log y) over the rational lift, reduced into ``ring``:
     reducing raises IntegralityFailure on a p in a denominator."""
     qring, D = log.ring, log.D
-    exp = _reversion(log)
+    exp = dict_reversion(log)
     s_coeffs = {}
     for (e,), c in log.coeffs.items():
         s_coeffs[(e, 0)] = c
         s_coeffs[(0, e)] = c
-    S = Series(qring, 2, D, s_coeffs)
-    law = Series.zero(qring, 2, D)
-    power = Series(qring, 2, D, {(0, 0): qring.one()})
+    S = DictSeries(qring, 2, D, s_coeffs)
+    law = DictSeries.zero(qring, 2, D)
+    power = DictSeries(qring, 2, D, {(0, 0): qring.one()})
     for m in range(1, D):
         power = power.mul(S)
         if not power.coeffs:
@@ -167,8 +284,8 @@ def n_series_via_rational_log(ctx, log, m):
     # independent route: [m](x) = exp(m * log(x)) over the rational lift,
     # reduced into the modular coefficient ring afterwards
     qring = log.ring
-    scaled = Series(qring, 1, ctx.D, {e: qring.scale(m, c) for e, c in log.coeffs.items()})
-    return reduce_series(_reversion(log).compose([scaled]), ctx.ring)
+    scaled = DictSeries(qring, 1, ctx.D, {e: qring.scale(m, c) for e, c in log.coeffs.items()})
+    return reduce_series(dict_reversion(log).compose([scaled]), ctx.ring)
 
 
 def n_series_by_addition(ctx, m):
@@ -243,6 +360,98 @@ def test_half_plane_build_matches_full_plane_oracle(p, n, a, b, D):
     ctx = build_ptypical(p, n, a=a, b=b, D=D)
     assert ctx.F == full_plane_law(p, n, a, b, D, G)
     assert check_commutativity(ctx)
+
+
+# -- the packed kernel against the dict-of-dict oracle --
+
+# the largest x-truncation drawn per number of variables, so that the
+# oracle's products stay small
+MAX_DEGREE = {1: 12, 2: 8, 3: 5}
+
+
+@st.composite
+def rings(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    a = draw(st.integers(min_value=1, max_value=4))
+    b = draw(st.sampled_from([1, 2, 8]))
+    n = draw(st.integers(min_value=1, max_value=3))
+    return PolyRing(p, a, b, n - 1)
+
+
+@st.composite
+def series_coeffs(draw, ring, nvars, D, max_terms=6, constant=True):
+    """Coefficients of a random series: x-degrees often at D - 1, the top
+    degree a product may reach, with all of it in one variable as often as
+    spread out; u-degrees often at b - 1."""
+    coeffs = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        low = 0 if constant else 1
+        total = draw(st.one_of(st.just(D - 1), st.integers(min_value=low, max_value=D - 1)))
+        cuts = sorted(draw(st.lists(
+            st.integers(min_value=0, max_value=total), min_size=nvars - 1, max_size=nvars - 1,
+        )))
+        e = tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [total]))
+        if draw(st.booleans()):
+            var = draw(st.integers(min_value=0, max_value=nvars - 1))
+            e = tuple(total if i == var else 0 for i in range(nvars))
+        poly = coeffs.setdefault(e, {})
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            top = ring.b - 1
+            du = draw(st.one_of(st.just(top), st.integers(min_value=0, max_value=top)))
+            ue = [0] * ring.r
+            for _ in range(du if ring.r else 0):
+                ue[draw(st.integers(0, ring.r - 1))] += 1
+            poly[tuple(ue)] = draw(st.integers(min_value=1, max_value=ring.mod - 1))
+    return coeffs
+
+
+def dict_series(ring, nvars, D, coeffs):
+    """The oracle series of the same coefficients, cleaned as ``Series``
+    cleans them: u-degrees >= b dropped, values reduced."""
+    return DictSeries(ring, nvars, D, {
+        e: ring.scale(1, {u: c for u, c in poly.items() if sum(u) < ring.b})
+        for e, poly in coeffs.items()
+    })
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_packed_product_matches_dict_oracle(data):
+    ring = data.draw(rings())
+    nvars = data.draw(st.integers(min_value=1, max_value=3))
+    D = data.draw(st.integers(min_value=1, max_value=MAX_DEGREE[nvars]))
+    f, g = (data.draw(series_coeffs(ring, nvars, D)) for _ in range(2))
+    packed_f, packed_g = Series(ring, nvars, D, f), Series(ring, nvars, D, g)
+    oracle_f, oracle_g = dict_series(ring, nvars, D, f), dict_series(ring, nvars, D, g)
+    assert packed_f.coeffs == oracle_f.coeffs
+    assert packed_f.mul(packed_g).coeffs == oracle_f.mul(oracle_g).coeffs
+    assert packed_f.add(packed_g).coeffs == oracle_f.add(oracle_g).coeffs
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_packed_compose_matches_dict_oracle(data):
+    ring = data.draw(rings())
+    nvars = data.draw(st.integers(min_value=1, max_value=3))
+    D = data.draw(st.integers(min_value=2, max_value=MAX_DEGREE[nvars]))
+    outer = data.draw(st.integers(min_value=1, max_value=3))
+    f = data.draw(series_coeffs(ring, outer, D))
+    args = [data.draw(series_coeffs(ring, nvars, D, max_terms=3, constant=False))
+            for _ in range(outer)]
+    if outer > 1 and data.draw(st.booleans()):
+        args[1] = args[0]  # the same series substituted twice shares its powers
+    packed = Series(ring, outer, D, f).compose([Series(ring, nvars, D, s) for s in args])
+    oracle = dict_series(ring, outer, D, f).compose([dict_series(ring, nvars, D, s) for s in args])
+    assert packed.coeffs == oracle.coeffs
+
+
+@pytest.mark.parametrize("p,n,a,b,D", [
+    (2, 2, 4, 8, 17), (3, 2, 3, 6, 10), (5, 1, 4, 8, 30), (2, 3, 2, 2, 12),
+])
+def test_reversion_matches_dict_oracle(p, n, a, b, D):
+    ring = PolyRing(p, a + D - 2, b, n - 1)
+    g = fgl._scaled_log(p, n, ring, D)
+    assert _reversion(g).coeffs == dict_reversion(DictSeries(ring, 1, D, g.coeffs)).coeffs
 
 
 @pytest.fixture(scope="module")
