@@ -19,13 +19,19 @@ The codomain of the underlying character theory is modelled by one rational
 scalar per class; the transfer along an inclusion of centralizers acts as
 multiplication by the index.  This is the exact shape of the classical
 induced-character formula and is the maximal desk-scale shadow of the ring
-statement; the genuine module structure is out of scope.
+statement; the genuine module structure is out of scope.  A class function
+stores those scalars as integer numerators over one common denominator, so
+induction, restriction and equality are integer work; a ``Fraction`` is
+built only where a value leaves the object (``chi[key]``, ``values``,
+``items``, ``to_json_dict``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,6 +67,8 @@ from .perm import (
 )
 
 GENERIC_TABLE_CAP = 10 ** 4
+# the exponent of a decimal value string, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 class SymmetricClassTable:
@@ -205,59 +213,96 @@ def class_table(group: PermGroup, lam: Ambient):
     return GenericClassTable(group, lam)
 
 
-class GenClassFunction:
-    """A total function from the hom classes of a group to exact rationals."""
+def _fraction(value) -> Fraction:
+    """``value`` as a Fraction.  A decimal string whose exponent is above
+    the interpreter's integer-string limit is refused before parsing:
+    ``Fraction`` would build 10**exponent, which takes minutes, and the
+    value could not be printed back."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, str):
+        found = _EXPONENT.search(value)
+        if found:
+            digits = found.group(1).replace("_", "").lstrip("0")
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+                raise ResourceLimit(
+                    "decimal exponent in %.40r is above the %d-digit integer limit"
+                    % (value, limit)
+                )
+    return Fraction(value)
 
-    __slots__ = ("table", "values")
+
+class GenClassFunction:
+    """A total function from the hom classes of a group to exact rationals,
+    stored as one integer numerator per class over one positive common
+    denominator ``den``."""
+
+    __slots__ = ("table", "den", "nums")
 
     def __init__(self, table, values):
         vals = {}
         for key in table.classes:
             if key not in values:
                 raise ValueError("missing value for class %s" % table.class_id(key))
-            value = values[key]
-            vals[key] = value if isinstance(value, Fraction) else Fraction(value)
+            vals[key] = _fraction(values[key])
         if len(values) != len(table.classes):
             raise ValueError("values contain keys outside the class table")
+        den = math.lcm(*(v.denominator for v in vals.values()))
         self.table = table
-        self.values = vals
+        self.den = den
+        self.nums = {key: v.numerator * (den // v.denominator) for key, v in vals.items()}
+
+    @classmethod
+    def _over(cls, table, nums, den) -> "GenClassFunction":
+        """Trusted constructor: ``nums`` holds an int for every class of
+        ``table``, and ``den`` is a positive int."""
+        chi = object.__new__(cls)
+        chi.table, chi.nums, chi.den = table, nums, den
+        return chi
 
     @classmethod
     def constant(cls, table, value) -> "GenClassFunction":
-        return cls(table, {key: Fraction(value) for key in table.classes})
+        return cls(table, {key: value for key in table.classes})
 
     @classmethod
     def indicator(cls, table, key) -> "GenClassFunction":
-        return cls(table, {k: Fraction(1 if k == key else 0) for k in table.classes})
+        return cls(table, {k: 1 if k == key else 0 for k in table.classes})
 
     @classmethod
     def random(cls, table, rng) -> "GenClassFunction":
-        return cls(
-            table,
-            {
-                key: Fraction(rng.randint(-20, 20), rng.randint(1, 12))
-                for key in table.classes
-            },
+        """Per class, a numerator in [-20, 20] and then a denominator in
+        [1, 12]: the draws of ``Fraction(rng.randint(-20, 20),
+        rng.randint(1, 12))``, which take the same random bits."""
+        below = rng.randrange
+        draws = [(below(41) - 20, below(12) + 1) for _ in table.classes]
+        den = math.lcm(*(d for _, d in draws))
+        return cls._over(
+            table, {key: n * (den // d) for key, (n, d) in zip(table.classes, draws)}, den
         )
 
     def __getitem__(self, key) -> Fraction:
-        return self.values[key]
+        return Fraction(self.nums[key], self.den)
+
+    @property
+    def values(self):
+        """Class key -> Fraction, in class-table order."""
+        return dict(self.items())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GenClassFunction)
-            and self.table is other.table
-            and self.values == other.values
-        )
+        if not isinstance(other, GenClassFunction) or self.table is not other.table:
+            return False
+        if self.den == other.den:
+            return self.nums == other.nums
+        den, other_den, other_nums = self.den, other.den, other.nums
+        return all(n * other_den == other_nums[key] * den for key, n in self.nums.items())
 
     def items(self):
-        return [(key, self.values[key]) for key in self.table.classes]
+        nums, den = self.nums, self.den
+        return [(key, Fraction(nums[key], den)) for key in self.table.classes]
 
     def to_json_dict(self):
-        return {
-            self.table.class_id(key): str(self.values[key])
-            for key in self.table.classes
-        }
+        return {self.table.class_id(key): str(value) for key, value in self.items()}
 
     @classmethod
     def from_json_dict(cls, table, data) -> "GenClassFunction":
@@ -269,8 +314,9 @@ class GenClassFunction:
             if cid not in by_id:
                 raise ValueError("unknown class id %r" % cid)
             try:
-                values[by_id[cid]] = Fraction(text)
-            except (TypeError, ZeroDivisionError) as exc:
+                values[by_id[cid]] = _fraction(text)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                # OverflowError: a JSON Infinity or 1e400 loads as a float inf
                 raise ValueError("bad value %r for class %s" % (text, cid)) from exc
         return cls(table, values)
 
@@ -280,13 +326,15 @@ class GenClassFunction:
 
 def inner_product(a: GenClassFunction, b: GenClassFunction) -> Fraction:
     """Sum over classes of a*b / centralizer order; reciprocity holds exactly
-    for this normalization."""
+    for this normalization.  The terms are summed as integers over
+    a.den * b.den * L, L the lcm of the centralizer orders."""
     if a.table is not b.table:
         raise ValueError("class functions live on different tables")
-    total = Fraction(0)
-    for key in a.table.classes:
-        total += a[key] * b[key] / a.table.centralizer_order(key)
-    return total
+    orders = [(key, a.table.centralizer_order(key)) for key in a.table.classes]
+    lcm = math.lcm(*(order for _, order in orders))
+    a_nums, b_nums = a.nums, b.nums
+    total = sum(a_nums[key] * b_nums[key] * (lcm // order) for key, order in orders)
+    return Fraction(total, a.den * b.den * lcm)
 
 
 # ---------------------------------------------------------------------------
@@ -447,24 +495,22 @@ def restrict(chi: GenClassFunction, H: PermGroup) -> GenClassFunction:
     if not H.is_subgroup_of(G):
         raise NotSubgroup("H is not a subgroup of G")
     h_table = class_table(H, chi.table.lam)
-    values = {}
-    for key in h_table.classes:
-        beta = h_table.rep_images(key)
-        values[key] = chi[chi.table.key_of_images(beta)]
-    return GenClassFunction(h_table, values)
+    nums, key_of_images = chi.nums, chi.table.key_of_images
+    return GenClassFunction._over(h_table, {
+        key: nums[key_of_images(h_table.rep_images(key))] for key in h_table.classes
+    }, chi.den)
 
 
 def _weighted_sums(chi: GenClassFunction, G: PermGroup, terms) -> GenClassFunction:
     """Value at [alpha]: the sum of m * chi(h_key) over the (h_key, m) pairs
-    ``terms[alpha_key]``, summed as integer numerators over the common
-    denominator D of chi's values, with one Fraction per class."""
+    ``terms[alpha_key]``, summed as integer numerators over chi's
+    denominator; no Fraction is built."""
     g_table = class_table(G, chi.table.lam)
-    den = math.lcm(*(v.denominator for v in chi.values.values()))
-    nums = {key: v.numerator * (den // v.denominator) for key, v in chi.values.items()}
-    return GenClassFunction(g_table, {
-        alpha_key: Fraction(sum(m * nums[h_key] for h_key, m in terms[alpha_key]), den)
+    nums = chi.nums
+    return GenClassFunction._over(g_table, {
+        alpha_key: sum(m * nums[h_key] for h_key, m in terms[alpha_key])
         for alpha_key in g_table.classes
-    })
+    }, chi.den)
 
 
 def induce(chi: GenClassFunction, G: PermGroup) -> GenClassFunction:

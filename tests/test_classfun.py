@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import random
+import signal
+import sys
 from fractions import Fraction
 
 import pytest
@@ -558,6 +560,7 @@ def test_integer_kernel_matches_fraction_loops(pair, data):
     raw = data.draw(st.lists(_VALUES, min_size=n, max_size=n))
     chi = GenClassFunction(ht, dict(zip(ht.classes, raw)))
     assert all(chi[key] == Fraction(v) for key, v in zip(ht.classes, raw))
+    assert chi.den == math.lcm(*(Fraction(v).denominator for v in raw))
     plain, grouped = _fraction_loops(chi, G)
     assert induce(chi, G).values == plain
     assert induce_grouped(chi, G).values == grouped
@@ -613,8 +616,87 @@ def test_class_function_checks_keys_and_keeps_fractions(s4_setup):
     ht = class_table(H, lam)
     values = {key: Fraction(i, 3) for i, key in enumerate(ht.classes)}
     chi = GenClassFunction(ht, values)
-    assert all(chi[key] is values[key] for key in ht.classes)
+    assert all(chi[key] == values[key] for key in ht.classes)
     with pytest.raises(ValueError, match="missing value"):
         GenClassFunction(ht, dict(list(values.items())[1:]))
     with pytest.raises(ValueError, match="outside the class table"):
         GenClassFunction(ht, {**values, "stray": 1})
+
+
+def _randint_oracle(table, rng):
+    """The draws as ``GenClassFunction.random`` once made them, one
+    Fraction per class."""
+    return {key: Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for key in table.classes}
+
+
+@pytest.mark.parametrize("block,blocks,p,h,k", [(4, 2, 2, 2, 3), (3, 3, 3, 2, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 5, 31, 2 ** 32 - 1])
+def test_random_draws_match_the_randint_oracle(block, blocks, p, h, k, seed):
+    # the seeded sequences of reproduce and of the warm benchmark rest on
+    # these draws: same values, and the same random bits consumed
+    ht = class_table(block_subgroup(block, blocks), lam_group(p, h, k))
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    chi = GenClassFunction.random(ht, rng)
+    assert chi.values == _randint_oracle(ht, oracle_rng)
+    assert rng.getstate() == oracle_rng.getstate()
+    assert GenClassFunction.random(ht, rng) == GenClassFunction(ht, _randint_oracle(ht, oracle_rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equality_matches_fraction_dict_equality(s4_setup, data):
+    _, H, lam = s4_setup
+    ht = class_table(H, lam)
+    n = len(ht.classes)
+    nums = data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+    den, scale = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+    other = [v * scale for v in nums]
+    if data.draw(st.booleans()):
+        other[data.draw(st.integers(0, n - 1))] += data.draw(st.integers(-2, 2))
+    a = GenClassFunction._over(ht, dict(zip(ht.classes, nums)), den)
+    b = GenClassFunction._over(ht, dict(zip(ht.classes, other)), den * scale)
+    expected = a.values == b.values
+    assert (a == b) is expected
+    assert (b == a) is expected
+
+
+def test_equality_across_denominators(s4_setup):
+    _, H, lam = s4_setup
+    ht = class_table(H, lam)
+    one = GenClassFunction.constant(ht, 1)
+    halves = GenClassFunction._over(ht, {key: 2 for key in ht.classes}, 2)
+    assert (one.den, halves.den) == (1, 2)
+    assert one == halves and halves == one
+    assert halves.values == one.values == {key: 1 for key in ht.classes}
+    assert halves != GenClassFunction.constant(ht, 2)
+    assert one != GenClassFunction.constant(class_table(symmetric_group(4), lam), 1)
+
+
+@pytest.mark.parametrize("text", ["1e100000000", "-2E+100000000", "1e-100000000",
+                                  "3.5e1_000_000_000", "1e%d" % (10 ** 40)])
+def test_value_with_a_huge_exponent_is_refused_before_parsing(s4_setup, text):
+    # Fraction(text) builds 10**exponent: 1e10000000 took seconds and the
+    # time grows superlinearly, so the refusal must come before the parse
+    _, H, lam = s4_setup
+    ht = class_table(H, lam)
+    data = {ht.class_id(key): "1" for key in ht.classes}
+    data[ht.class_id(ht.classes[0])] = text
+    signal.signal(signal.SIGALRM, lambda signum, frame: pytest.fail("still running after 5 s"))
+    signal.alarm(5)
+    try:
+        with pytest.raises(ResourceLimit, match="exponent"):
+            GenClassFunction.from_json_dict(ht, data)
+        with pytest.raises(ResourceLimit, match="exponent"):
+            GenClassFunction.constant(ht, text)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+
+def test_value_with_an_exponent_at_the_limit_is_read(s4_setup):
+    _, H, lam = s4_setup
+    ht = class_table(H, lam)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    chi = GenClassFunction.constant(ht, "1e-%d" % limit)
+    assert chi[ht.classes[0]] == Fraction(1, 10 ** limit)
+    assert GenClassFunction.constant(ht, "25e-1")[ht.classes[0]] == Fraction(5, 2)

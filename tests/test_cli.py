@@ -54,6 +54,10 @@ GOLDEN = [
                            "(U<0.3|1.1>:idx3,m1)]")),
     ("induce_p2_h1_k3", ("induce", "--p", "2", "--h", "1", "--k", "3",
                          "--chi", os.path.join(FIXTURES, "chi_p2_h1_k3.json"))),
+    # S8 > S4xS4 at rank 2, the warm benchmark's pair: signed values over
+    # mixed denominators, integers and zeros
+    ("induce_p2_h2_k3", ("induce", "--p", "2", "--h", "2", "--k", "3",
+                         "--chi", os.path.join(FIXTURES, "chi_p2_h2_k3.json"))),
     # a p-typical law at its default x-degree, D = 82, which no digest covers
     ("fgl_p3_n2_k1", ("fgl", "--p", "3", "--n", "2", "--k", "1")),
 ]
@@ -138,6 +142,18 @@ def test_induce_subcommand(tmp_path, capsys):
     assert data["agree"] is True
     assert data["induce"]["p2.k2.h1:[(U<1>:idx1,m4)]"] == "6"
     assert data["induce"] == data["induce_grouped"]
+
+
+@pytest.mark.parametrize("spelling", ["Infinity", "-Infinity", "1e400"])
+def test_induce_refuses_an_infinite_value(tmp_path, capsys, spelling):
+    # json loads both spellings as a float inf, which Fraction cannot hold
+    path = tmp_path / "chi.json"
+    path.write_text('{"e": %s, "(0 1)": "1", "(2 3)": "1", "(0 1)(2 3)": "1"}' % spelling)
+    code, out, err = run_cli(capsys, "induce", "--p", "2", "--h", "1", "--k", "2",
+                             "--chi", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert "bad value" in err
 
 
 def test_induce_rank_two(tmp_path, capsys):
