@@ -23,7 +23,10 @@ statement; the genuine module structure is out of scope.  A class function
 stores those scalars as integer numerators over one common denominator, so
 induction, restriction and equality are integer work; a ``Fraction`` is
 built only where a value leaves the object (``chi[key]``, ``values``,
-``items``, ``to_json_dict``).
+``items``, ``to_json_dict``).  A value or an induced sum too long to
+print (in lowest terms, more digits than the interpreter's integer-string
+limit) is refused with ``ResourceLimit``, naming its class, before it is
+stored.
 """
 
 from __future__ import annotations
@@ -213,6 +216,11 @@ def class_table(group: PermGroup, lam: Ambient):
     return GenericClassTable(group, lam)
 
 
+def _digit_limit() -> int:
+    """The interpreter's integer-string limit, its default when unlimited."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def _fraction(value) -> Fraction:
     """``value`` as a Fraction.  A decimal string whose exponent is above
     the interpreter's integer-string limit is refused before parsing:
@@ -224,13 +232,31 @@ def _fraction(value) -> Fraction:
         found = _EXPONENT.search(value)
         if found:
             digits = found.group(1).replace("_", "").lstrip("0")
-            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            limit = _digit_limit()
             if len(digits) > len(str(limit)) or int(digits or 0) > limit:
                 raise ResourceLimit(
                     "decimal exponent in %.40r is above the %d-digit integer limit"
                     % (value, limit)
                 )
     return Fraction(value)
+
+
+def _check_digits(table, nums, den):
+    """Refuse a class function with a value that could not be printed: in
+    lowest terms, a numerator or denominator with more decimal digits than
+    the integer-string limit.  The message names the first such class."""
+    limit = _digit_limit()
+    bits = 3 * limit  # 2**(3*limit) < 10**limit: shorter ints always print
+    if den.bit_length() <= bits and all(n.bit_length() <= bits for n in nums.values()):
+        return
+    for key in table.classes:
+        g = math.gcd(nums[key], den)
+        for part, n in (("numerator", nums[key] // g), ("denominator", den // g)):
+            if n.bit_length() > bits and abs(n) >= 10 ** limit:
+                raise ResourceLimit(
+                    "the value at class %s has a %s of more than %d digits"
+                    % (table.class_id(key), part, limit)
+                )
 
 
 class GenClassFunction:
@@ -249,9 +275,11 @@ class GenClassFunction:
         if len(values) != len(table.classes):
             raise ValueError("values contain keys outside the class table")
         den = math.lcm(*(v.denominator for v in vals.values()))
+        nums = {key: v.numerator * (den // v.denominator) for key, v in vals.items()}
+        _check_digits(table, nums, den)
         self.table = table
         self.den = den
-        self.nums = {key: v.numerator * (den // v.denominator) for key, v in vals.items()}
+        self.nums = nums
 
     @classmethod
     def _over(cls, table, nums, den) -> "GenClassFunction":
@@ -504,13 +532,16 @@ def restrict(chi: GenClassFunction, H: PermGroup) -> GenClassFunction:
 def _weighted_sums(chi: GenClassFunction, G: PermGroup, terms) -> GenClassFunction:
     """Value at [alpha]: the sum of m * chi(h_key) over the (h_key, m) pairs
     ``terms[alpha_key]``, summed as integer numerators over chi's
-    denominator; no Fraction is built."""
+    denominator; no Fraction is built.  Sums too long to print are
+    refused."""
     g_table = class_table(G, chi.table.lam)
     nums = chi.nums
-    return GenClassFunction._over(g_table, {
+    sums = {
         alpha_key: sum(m * nums[h_key] for h_key, m in terms[alpha_key])
         for alpha_key in g_table.classes
-    }, chi.den)
+    }
+    _check_digits(g_table, sums, chi.den)
+    return GenClassFunction._over(g_table, sums, chi.den)
 
 
 def induce(chi: GenClassFunction, G: PermGroup) -> GenClassFunction:

@@ -261,7 +261,7 @@ def _cmd_count_sub(args):
 def _series_terms(ctx, series):
     return [
         {"x_exponent": e, "coeff": ctx.ring.poly_str(c)}
-        for (e,), c in series.term_list()
+        for e, c in series.term_list()
     ]
 
 

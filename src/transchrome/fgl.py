@@ -5,24 +5,32 @@ Every context fixes a truncation triple (a, b, D): coefficients live in
 series are exact below x-degree D.  All stated equalities hold under that
 contract and under nothing stronger.
 
-A series is one flat dict from an int key to a coefficient mod p^a: the key
-packs the x-exponents and the parameter monomial u.  Every product, whether
-of two series, a power or a scaling inside ``compose``, a Newton step of
-``series_inverse``, a step of ``_reversion`` or a pass of
-``weierstrass_prep``, goes through one kernel, ``_accumulate``: it checks
-the x- and u-degree room before adding two keys, so the packed exponents
-never carry, and it reduces mod p^a once per product.  ``PolyRing`` does
-the scalar work (the scaled logarithm, inverting a constant term,
-printing), and a series decodes into its dict-of-dict view on demand.
+Every series is in one variable x: one flat dict from an int key to a
+coefficient mod p^a, the key packing the x-exponent above the parameter
+monomial u.  Every product, whether of two series, a Horner step of
+``_compose``, a Newton step of ``series_inverse``, a step of ``_reversion``
+or a pass of ``weierstrass_prep``, goes through one kernel,
+``_accumulate``: it checks the x- and u-degree room before adding two keys,
+so the packed exponents never carry, and it reduces mod p^a once per
+product.  ``PolyRing`` does the scalar work (the scaled logarithm,
+inverting a constant term, printing), and a series decodes into its
+dict-of-dict view on demand.
 
-The p-typical law is built in integers: the scaled logarithm g(x) = f(px)/p
-has no denominators (Hazewinkel's functional-equation lemma), so neither has
-G = g^{-1}(g(x) + g(y)) = F(px, py)/p, and F_d = G_d / p^{d-1} must divide
-exactly.  A failed division is an integrality failure: a bug, never
-tolerated.  G is symmetric in x and y, so only its half plane i <= j is
-built, in one flat dict whose int keys pack the x-, y- and u-exponents, and
-each coefficient is mirrored after its division.  ``check_work`` bounds a
-request's predicted work before any series is built.
+A law is held by what its [m]-series needs, never as a two-variable
+series.  The p-typical law keeps its scaled logarithm g(x) = f(px)/p, which
+has no denominators (Hazewinkel's functional-equation lemma), and g^{-1},
+both in integers mod p^{a+D-2}.  Then [m]_G(x) = g^{-1}(m g(x)) =
+[m]_F(px)/p is one Horner pass, and the x^d coefficient of [m]_F is that of
+[m]_G divided by p^{d-1}.  That division must be exact: a remainder is an
+integrality failure, a bug, never tolerated.  The multiplicative law
+x + y + xy has [m](x) = (1+x)^m - 1.
+
+The checks that run in production are that division, the re-multiplication
+f*u = g of every Weierstrass preparation and, at its callers, the prepared
+degree p^{kn}.  The group-law axioms and [m1 + m2] = F([m1], [m2]) are
+identities of the two-variable law, which only the tests build, as oracles.
+``check_work`` bounds a request's predicted work before any series is
+built.
 """
 
 from __future__ import annotations
@@ -183,54 +191,48 @@ class PolyRing:
 
 
 class Series:
-    """A truncated power series in ``nvars`` variables over ``ring``, exact
-    below total x-degree D.
+    """A truncated power series in x over ``ring``, exact below x-degree D.
 
     Its terms are one flat dict ``terms`` from an int key to a nonzero int
-    mod p^a.  The key packs the x-exponents as base-D digits above the
-    parameter monomial u, itself packed base b (``PolyRing.pack``): x^i y^j
-    times u is (i*D + j)*M + u, with M = ring.M.  ``coeffs``, ``coeff`` and
-    ``term_list`` decode the terms on demand.  Every product goes through
-    one kernel, ``_accumulate``.
+    mod p^a.  The key packs the x-exponent above the parameter monomial u,
+    itself packed base b (``PolyRing.pack``): x^e times u is e*M + u, with
+    M = ring.M.  ``coeffs``, ``coeff`` and ``term_list`` decode the terms on
+    demand.  Every product goes through one kernel, ``_accumulate``.
     """
 
-    __slots__ = ("ring", "nvars", "D", "terms", "_graded", "_tables")
+    __slots__ = ("ring", "D", "terms", "_graded", "_tables")
 
-    def __init__(self, ring, nvars, D, coeffs):
-        """The series of {x-exponent tuple: {u-exponent tuple: int}}; terms
-        of x-degree >= D or u-degree >= b are dropped, coefficients reduced
+    def __init__(self, ring, D, coeffs):
+        """The series of {x-exponent: {u-exponent tuple: int}}; terms of
+        x-degree >= D or u-degree >= b are dropped, coefficients reduced
         mod p^a."""
         terms = {}
         mod, M = ring.mod, ring.M
         for e, poly in coeffs.items():
-            if sum(e) >= D:
+            if e >= D:
                 continue
-            x = 0
-            for d in e:
-                x = x * D + d
             for ue, c in poly.items():
                 c %= mod
                 if c and sum(ue) < ring.b:
-                    terms[x * M + ring.pack(ue)] = c
-        self._set(ring, nvars, D, terms)
+                    terms[e * M + ring.pack(ue)] = c
+        self._set(ring, D, terms)
 
-    def _set(self, ring, nvars, D, terms):
+    def _set(self, ring, D, terms):
         self.ring = ring
-        self.nvars = nvars
         self.D = D
         self.terms = terms
         self._graded = None
         self._tables = {}
 
     @classmethod
-    def _of(cls, ring, nvars, D, terms):
+    def _of(cls, ring, D, terms):
         """The series of packed terms that are already reduced and nonzero."""
         out = cls.__new__(cls)
-        out._set(ring, nvars, D, terms)
+        out._set(ring, D, terms)
         return out
 
     def _like(self, terms):
-        return Series._of(self.ring, self.nvars, self.D, terms)
+        return Series._of(self.ring, self.D, terms)
 
     def _reduced(self, out):
         """A series like this one over the terms of ``out`` reduced mod p^a."""
@@ -238,35 +240,18 @@ class Series:
         return self._like({key: r for key, v in out.items() if (r := v % mod)})
 
     @classmethod
-    def zero(cls, ring, nvars, D):
-        return cls(ring, nvars, D, {})
-
-    @classmethod
-    def variable(cls, ring, nvars, D, i):
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(ring, nvars, D, {e: ring.one()})
-
-    def _exponents(self, key):
-        """(x-exponent tuple, packed u) of a key."""
-        x, u = divmod(key, self.ring.M)
-        e = []
-        for _ in range(self.nvars):
-            x, d = divmod(x, self.D)
-            e.append(d)
-        return tuple(reversed(e)), u
+    def zero(cls, ring, D):
+        return cls._of(ring, D, {})
 
     def _by_degree(self):
         """(x-degree, u-degree, key, c) of every term, sorted; decoded once."""
         graded = self._graded
         if graded is None:
-            M, D, b, nvars = self.ring.M, self.D, self.ring.b, self.nvars
+            M, b = self.ring.M, self.ring.b
             graded = []
             for key, c in self.terms.items():
-                x, u = divmod(key, M)
-                dx = du = 0
-                for _ in range(nvars):
-                    x, d = divmod(x, D)
-                    dx += d
+                dx, u = divmod(key, M)
+                du = 0
                 while u:
                     u, d = divmod(u, b)
                     du += d
@@ -286,16 +271,16 @@ class Series:
 
     @property
     def coeffs(self):
-        """{x-exponent tuple: {u-exponent tuple: c}}, decoded."""
-        unpack = self.ring.unpack
+        """{x-exponent: {u-exponent tuple: c}}, decoded."""
+        M, unpack = self.ring.M, self.ring.unpack
         out = {}
         for key, c in self.terms.items():
-            e, u = self._exponents(key)
+            e, u = divmod(key, M)
             out.setdefault(e, {})[unpack(u)] = c
         return out
 
     def coeff(self, e):
-        return self.coeffs.get(tuple(e), self.ring.zero())
+        return self.coeffs.get(e, self.ring.zero())
 
     def add(self, other):
         mod = self.ring.mod
@@ -330,88 +315,21 @@ class Series:
         return (
             isinstance(other, Series)
             and self.ring == other.ring
-            and self.nvars == other.nvars
             and self.D == other.D
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.ring, self.nvars, self.D, frozenset(self.terms.items())))
-
-    def compose(self, args):
-        """Substitute args[i] (series without constant term) for variable i.
-
-        Terms are grouped by their exponent of the first variable, nested
-        over the rest.  The first variable A is summed by Horner's rule,
-        H_j = E_j + A*H_{j+1}, each step needed only below D - j*m for m
-        the lowest degree of A; E_j sums each power of the next substituted
-        series times the terms it heads.  A power is built once, and shared
-        when one series is substituted for two variables, so a
-        two-variable law costs O(D) products of full series, and each term
-        only a scaling."""
-        if len(args) != self.nvars:
-            raise BadParameters("need one substitution per variable")
-        mins = [s.min_degree() for s in args]
-        if min(mins) < 1:
-            raise BadParameters("substituted series must have zero constant term")
-        base = args[0]
-        D = base.D
-        one = base._like({0: 1})
-        shared = {}
-        powers = [shared.setdefault(id(s), [one]) for s in args]
-
-        def power(i, j):
-            cache = powers[i]
-            while len(cache) <= j:
-                cache.append(cache[-1].mul(args[i]))
-            return cache[j]
-
-        def grouped(terms):
-            groups = {}
-            for e, u, c in terms:
-                groups.setdefault(e[0], []).append((e[1:], u, c))
-            return groups
-
-        def add_terms(out, terms, i, limit):
-            # out += sum of c*u * args[i]^e[0] * args[i+1]^e[1] * ... over
-            # (e, u, c) in terms, below x-degree limit
-            if i == len(args):
-                for _, u, c in terms:
-                    out[u] += c
-                return
-            for j, group in grouped(terms).items():
-                inner = defaultdict(int)
-                add_terms(inner, group, i + 1, limit)
-                _accumulate(out, power(i, j), one._reduced(inner), limit)
-
-        terms = []
-        for key, c in self.terms.items():
-            e, u = self._exponents(key)
-            if sum(ei * mi for ei, mi in zip(e, mins)) < D:
-                terms.append((e, u, c))
-        groups = grouped(terms)
-        H = one._like({})
-        for j in range(max(groups, default=-1), -1, -1):
-            limit = D - j * mins[0]
-            step = defaultdict(int)
-            _accumulate(step, base, H, limit)
-            add_terms(step, groups.get(j, ()), 1, limit)
-            H = one._reduced(step)
-        return H
+        return hash((self.ring, self.D, frozenset(self.terms.items())))
 
     def term_list(self):
         return sorted(self.coeffs.items())
 
     def series_str(self):
         ring = self.ring
-        names = "xyz"
         parts = []
         for e, c in self.term_list():
-            mono = "*".join(
-                "%s^%d" % (names[i], d) if d > 1 else names[i]
-                for i, d in enumerate(e)
-                if d
-            )
+            mono = "x^%d" % e if e > 1 else "x" if e else ""
             cs = ring.poly_str(c)
             if "+" in cs or "*" in cs:
                 cs = "(%s)" % cs
@@ -448,15 +366,15 @@ def _product(f, g, limit):
 
 
 def series_inverse(s: Series) -> Series:
-    """Multiplicative inverse of a one-variable series with unit constant
-    term, by Newton's iteration t <- t + t*(1 - s*t): each pass doubles the
+    """Multiplicative inverse of a series with unit constant term, by
+    Newton's iteration t <- t + t*(1 - s*t): each pass doubles the
     x-precision of the inverse of the constant term."""
     ring, D = s.ring, s.D
-    c0 = s.coeff((0,))
+    c0 = s.coeff(0)
     if not ring.is_unit(c0):
         raise BadParameters("series has non-unit constant term")
-    one = Series(ring, 1, D, {(0,): ring.one()})
-    t = Series(ring, 1, D, {(0,): ring.inv(c0)})
+    one = Series(ring, D, {0: ring.one()})
+    t = Series(ring, D, {0: ring.inv(c0)})
     precision = 1
     while precision < D:
         precision = min(2 * precision, D)
@@ -465,24 +383,47 @@ def series_inverse(s: Series) -> Series:
     return t
 
 
-class FGLContext:
-    """A formal group law over a truncated local coefficient ring.
+def _compose(f: Series, s: Series) -> Series:
+    """f(s(x)) below degree D, for s without constant term, by Horner's
+    rule over f's degrees: H_d = f_d + s*H_{d+1}, each step needed only
+    below D - d*m for m the lowest degree of s."""
+    m = s.min_degree()
+    if m < 1:
+        raise BadParameters("substituted series must have zero constant term")
+    D, M = f.D, f.ring.M
+    heads = {}
+    for key, c in f.terms.items():
+        d, u = divmod(key, M)
+        if d * m < D:
+            heads.setdefault(d, []).append((u, c))
+    H = f._like({})
+    for d in range(max(heads, default=-1), -1, -1):
+        step = defaultdict(int)
+        _accumulate(step, s, H, D - d * m)
+        for u, c in heads.get(d, ()):
+            step[u] += c
+        H = f._reduced(step)
+    return H
 
-    ``F`` is the two-variable law, exact below x,y-degree D over ``ring``.
+
+class FGLContext:
+    """A formal group law over a truncated local coefficient ring, exact
+    below x-degree D over ``ring``.
+
+    A p-typical law keeps its scaled logarithm ``log`` = g and ``exp`` =
+    g^{-1}, both over Z/p^{a+D-2}; the multiplicative law keeps neither.
     """
 
-    __slots__ = ("p", "n", "ring", "D", "F", "label")
+    __slots__ = ("p", "n", "ring", "D", "log", "exp", "label")
 
-    def __init__(self, p, n, ring, D, F, label="fgl"):
+    def __init__(self, p, n, ring, D, log=None, exp=None, label="fgl"):
         self.p = p
         self.n = n
         self.ring = ring
         self.D = D
-        self.F = F
+        self.log = log
+        self.exp = exp
         self.label = label
-
-    def x_var(self, nvars=1, i=0):
-        return Series.variable(self.ring, nvars, self.D, i)
 
 
 def _scaled_log(p, n, ring, D):
@@ -506,8 +447,8 @@ def _scaled_log(p, n, ring, D):
             acc = ring.add(acc, ring.scale(p ** (j - 1), ring.mul(mus[i - j], power)))
         mus.append(acc)
         i += 1
-    coeffs = {(p ** i,): ring.scale(p ** (p ** i - 1 - i), mu) for i, mu in enumerate(mus)}
-    return Series(ring, 1, D, coeffs)
+    coeffs = {p ** i: ring.scale(p ** (p ** i - 1 - i), mu) for i, mu in enumerate(mus)}
+    return Series(ring, D, coeffs)
 
 
 def _reversion(log: Series) -> Series:
@@ -516,7 +457,7 @@ def _reversion(log: Series) -> Series:
     With S = sum_{m<d} e_m log^m, the x^d coefficient of exp(log(x)) = x
     gives e_d = -[x^d] S for d >= 2, since log^d starts with x^d."""
     ring, D, M = log.ring, log.D, log.ring.M
-    if log.coeff((1,)) != ring.one():
+    if log.coeff(1) != ring.one():
         raise BadParameters("logarithm must start with x")
     exp = {M: 1}
     S = power = log
@@ -530,55 +471,13 @@ def _reversion(log: Series) -> Series:
     return log._like(exp)
 
 
-def _half_plane_step(H, logs, limit, D, M, room_u, mod):
-    """(g(x) + g(y)) * H below degree ``limit`` for a symmetric H kept on the
-    half plane i <= j, keyed (i*D + j)*M + u with u the packed parameter
-    exponent; ``logs`` lists g's terms by rising q as (q, [(deg u', q*M + u',
-    q*D*M + u', c)]) by rising u-degree.  Each g_q * H(i,j) is formed once
-    and lands on (i, j+q), on (i+q, j) when i+q <= j, and on (j, i+q), the
-    mirror of (i+q, j), when i < j <= i+q; both land on (j, j) when i+q = j.
-    The u-degree room is checked before the add, so packed exponents never
-    carry."""
-    out = defaultdict(int)
-    for key, c in H.items():
-        pos, u = divmod(key, M)
-        i, j = divmod(pos, D)
-        room, gap, spare = limit - i - j, j - i, room_u[u]
-        flip = gap * (D - 1) * M
-        for q, terms in logs:
-            if q >= room:
-                break
-            for du, s, sd, cq in terms:
-                if du >= spare:
-                    break
-                v = c * cq
-                t = key + s
-                out[t] += v
-                if q < gap:
-                    t = key + sd
-                elif q == gap:
-                    t, v = key + sd, 2 * v
-                elif gap:
-                    t = key + flip + s
-                else:
-                    continue
-                out[t] += v
-    return {t: r for t, v in out.items() if (r := v % mod)}
-
-
 def build_ptypical(p, n, a=4, b=8, D=None) -> FGLContext:
     """The p-typical law of height n over (Z/p^a)[u_1..u_{n-1}] / (u-degree
     >= b), exact below degree D.
 
-    G = g^{-1}(g(x) + g(y)) = F(px, py)/p is built from the scaled logarithm
-    g in integers mod p^{a+D-2}; then F_d = G_d / p^{d-1} in each degree
-    d < D.  That division must be exact: a p in the denominator of F_d would
-    leave v_p(G_d) < d - 1, and raises ``IntegralityFailure``.
-
-    G is a power series in the symmetric g(x) + g(y), so G(x, y) = G(y, x):
-    only its half plane i <= j is formed, by Horner steps over one flat dict
-    (see ``_half_plane_step``), and each coefficient there is divided, then
-    mirrored to (j, i).
+    The law is held by its scaled logarithm g and g^{-1}, built in integers
+    mod p^{a+D-2}; ``n_series`` reads [m] off them.  No two-variable series
+    is formed.
     """
     check_prime(p)
     if n < 1:
@@ -587,46 +486,9 @@ def build_ptypical(p, n, a=4, b=8, D=None) -> FGLContext:
         D = default_degree(p, n)
     if power_exceeds(p, n, D - 1):
         raise TruncationTooSmall("need D >= p^n + 1")
-    ring = PolyRing(p, a, b, n - 1)
-    wide = PolyRing(p, a + D - 2, b, n - 1)
-    g = _scaled_log(p, n, wide, D)
-    # keys are those of two-variable series: the M = b^(n-1) packed
-    # parameter monomials fit below the x,y part
-    M = ring.M
-    exps = [()]
-    for _ in range(n - 1):
-        exps = [e + (x,) for e in exps for x in range(b - sum(e))]
-    room_u = {ring.pack(e): b - sum(e) for e in exps}
-    logs = {}
-    for q, du, key, c in g._by_degree():
-        logs.setdefault(q, []).append((du, key, key + q * (D - 1) * M, c))
-    logs = sorted(logs.items())
-    heads = {}
-    for key, c in _reversion(g).terms.items():
-        m, u = divmod(key, M)
-        heads.setdefault(m, []).append((u, c))
-    # G = sum_m e_m S^m by Horner: H_m = e_m + S*H_{m+1}, needed below
-    # degree D - m because S^m starts in degree m
-    H = {}
-    for m in range(D - 1, 0, -1):
-        H = _half_plane_step(H, logs, D - m, D, M, room_u, wide.mod)
-        for u, c in heads.get(m, ()):
-            H[u] = H.get(u, 0) + c
-    terms = {}
-    for key, c in _half_plane_step(H, logs, D, D, M, room_u, wide.mod).items():
-        pos, u = divmod(key, M)
-        i, j = divmod(pos, D)
-        shift = p ** (i + j - 1)
-        if c % shift:
-            raise IntegralityFailure(
-                "group-law coefficient at x^%d y^%d is not %d-integral" % (i, j, p)
-            )
-        v = c // shift % ring.mod
-        if v:
-            terms[key] = v
-            terms[(j * D + i) * M + u] = v
+    g = _scaled_log(p, n, PolyRing(p, a + D - 2, b, n - 1), D)
     return FGLContext(
-        p=p, n=n, ring=ring, D=D, F=Series._of(ring, 2, D, terms),
+        p=p, n=n, ring=PolyRing(p, a, b, n - 1), D=D, log=g, exp=_reversion(g),
         label="ptypical(p=%d, n=%d)" % (p, n),
     )
 
@@ -637,11 +499,10 @@ def default_degree(p, n) -> int:
 
 
 # Predicted series-term products one fgl request may cost.  Timed cold
-# (Python 3.11, 2 vCPUs), the requests that were the slowest admitted under
-# dict-of-dict series products, fgl --p 7 --n 1 --k 2 --deg 129 and
-# fgl --p 11 --n 1 --k 2 --deg 154 (1.4-1.9 s then), take 0.3-0.45 s; the
-# slowest found at a = 4, b = 8, p <= 13 and n, k <= 3, each at its largest
-# admitted D, is fgl --p 2 --n 2 --k 1 --deg 64 at about 0.7 s.
+# (Python 3.11, 2 vCPUs), the requests that were the slowest admitted when
+# the two-variable law was built, fgl --p 2 --n 2 --k 1 --deg 64 (about
+# 0.7 s then), fgl --p 7 --n 1 --k 2 --deg 129 and
+# fgl --p 11 --n 1 --k 2 --deg 154, take 0.07-0.1 s.
 WORK_CAP = 2 * 10 ** 6
 
 
@@ -651,7 +512,12 @@ def check_work(p, n, k, a, b, D=None, law="ptypical"):
     refuse is left to them; a level k that cannot be prepared below D is
     refused here, before the law is built.
 
-    A p-typical law has terms in a share rho = 1/(p-1) of the degrees.  Its
+    The model prices a route the code no longer takes: building the
+    two-variable law and composing it O(log m) times for m = p^k.  It is
+    kept as it is, so the same requests are admitted and refused, until it
+    is re-fitted to [m] read off the scaled logarithm, which costs far less.
+    On that route a p-typical law has terms in a share rho = 1/(p-1) of the
+    degrees.  Its
     build visits L*rho*D^3/3 term pairs (L logarithm terms); each doubling of
     [m] but the first 4*rho^2*D^3, each added x half that (D^2 per step for
     x + y + xy, n = b = 1); the preparation up to 2(a+b+2)*rho^2*D^2.  Pairs
@@ -694,31 +560,37 @@ def multiplicative_context(p, a=4, D=8) -> FGLContext:
     if D < p + 1:
         raise TruncationTooSmall("need D >= p + 1")
     ring = PolyRing(p, a, 1, 0)
-    F = Series(
-        ring, 2, D,
-        {(1, 0): ring.one(), (0, 1): ring.one(), (1, 1): ring.one()},
-    )
-    return FGLContext(p=p, n=1, ring=ring, D=D, F=F, label="multiplicative(p=%d)" % p)
+    return FGLContext(p=p, n=1, ring=ring, D=D, label="multiplicative(p=%d)" % p)
 
 
 def n_series(ctx: FGLContext, m: int) -> Series:
-    """[m](x) by doubling and adding along the binary digits of m:
-    [2j] = F([j], [j]) and [2j+1] = F([2j], x), so O(log m) compositions;
-    exact below degree D."""
+    """[m](x), exact below degree D.
+
+    For the multiplicative law it is (1+x)^m - 1.  For a p-typical law,
+    [m]_G(x) = g^{-1}(m g(x)) = [m]_F(px)/p is one Horner pass over g^{-1}
+    in integers mod p^{a+D-2}, and [m]_F's x^d coefficient is [m]_G's
+    divided by p^{d-1}, leaving a digits.  That division must be exact: a p
+    in the denominator of a coefficient of [m]_F would leave a remainder,
+    and raises ``IntegralityFailure``."""
     if m < 0:
         raise BadParameters("need m >= 0")
-    if m == 0:
-        return Series.zero(ctx.ring, 1, ctx.D)
-    out = x = ctx.x_var()
-    for bit in bin(m)[3:]:
-        out = ctx.F.compose([out, out])
-        if bit == "1":
-            out = ctx.F.compose([out, x])
-    return out
-
-
-def fgl_sum(ctx: FGLContext, s1: Series, s2: Series) -> Series:
-    return ctx.F.compose([s1, s2])
+    ring, D, p = ctx.ring, ctx.D, ctx.p
+    if ctx.log is None:
+        return Series(ring, D, {e: ring.const(math.comb(m, e)) for e in range(1, D)})
+    g = ctx.log
+    G = _compose(ctx.exp, g._reduced({key: m * c for key, c in g.terms.items()}))
+    terms = {}
+    for key, c in G.terms.items():
+        d = key // ring.M
+        shift = p ** (d - 1)
+        if c % shift:
+            raise IntegralityFailure(
+                "[%d]-series coefficient at x^%d is not %d-integral" % (m, d, p)
+            )
+        v = c // shift % ring.mod
+        if v:
+            terms[key] = v
+    return Series._of(ring, D, terms)
 
 
 def _split_at(s: Series, d: int):
@@ -750,8 +622,8 @@ def weierstrass_prep(ctx: FGLContext, g: Series, d: int):
 
     g_low, g_high = _split_at(g, d)
     ginv_high = series_inverse(g_high)
-    x_d = Series(ring, 1, D, {(d,): ring.one()})
-    q = Series.zero(ring, 1, D)
+    x_d = Series(ring, D, {d: ring.one()})
+    q = Series.zero(ring, D)
     cur = x_d
     for _ in range(ring.a + ring.b + 2):
         low, hi = _split_at(cur, d)
@@ -804,23 +676,3 @@ def residue_series(ctx: FGLContext, s: Series) -> dict:
         if not u and c % p:
             out[e] = c % p
     return out
-
-
-def check_unit_axiom(ctx: FGLContext) -> bool:
-    zero = Series.zero(ctx.ring, 1, ctx.D)
-    return ctx.F.compose([ctx.x_var(), zero]) == ctx.x_var()
-
-
-def check_commutativity(ctx: FGLContext) -> bool:
-    flipped = {(j, i): c for (i, j), c in ctx.F.coeffs.items()}
-    return Series(ctx.ring, 2, ctx.D, flipped) == ctx.F
-
-
-def check_associativity(ctx: FGLContext) -> bool:
-    ring, D = ctx.ring, ctx.D
-    x3 = Series.variable(ring, 3, D, 0)
-    y3 = Series.variable(ring, 3, D, 1)
-    z3 = Series.variable(ring, 3, D, 2)
-    f_xy = ctx.F.compose([x3, y3])
-    f_yz = ctx.F.compose([y3, z3])
-    return ctx.F.compose([f_xy, z3]) == ctx.F.compose([x3, f_yz])

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import signal
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from transchrome.classfun import (
     GenClassFunction,
+    _fraction,
     class_table,
     ideal_trivial,
     induce,
@@ -694,9 +696,34 @@ def test_value_with_a_huge_exponent_is_refused_before_parsing(s4_setup, text):
 
 
 def test_value_with_an_exponent_at_the_limit_is_read(s4_setup):
+    # the exponent guard lets the limit through to the parse; 1e-limit then
+    # has a denominator of limit + 1 digits, which the digit bound refuses
+    # because it could not be printed, and one digit less is stored
     _, H, lam = s4_setup
     ht = class_table(H, lam)
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    chi = GenClassFunction.constant(ht, "1e-%d" % limit)
-    assert chi[ht.classes[0]] == Fraction(1, 10 ** limit)
+    assert _fraction("1e-%d" % limit) == Fraction(1, 10 ** limit)
+    with pytest.raises(ResourceLimit, match="class"):
+        GenClassFunction.constant(ht, "1e-%d" % limit)
+    chi = GenClassFunction.constant(ht, "1e-%d" % (limit - 1))
+    assert chi[ht.classes[0]] == Fraction(1, 10 ** (limit - 1))
     assert GenClassFunction.constant(ht, "25e-1")[ht.classes[0]] == Fraction(5, 2)
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3])
+def test_digit_bound_is_the_print_limit(s4_setup, digits):
+    # values of limit digits print and are kept, whatever the common
+    # denominator; one digit more in lowest terms, as a numerator or as a
+    # denominator, is refused naming the class
+    _, H, lam = s4_setup
+    ht = class_table(H, lam)
+    key = ht.classes[-1]
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    widest = 10 ** limit - 1
+    for value in (Fraction(widest), Fraction(1, widest), Fraction(-widest, 7)):
+        chi = GenClassFunction(ht, {k: value if k == key else digits for k in ht.classes})
+        assert chi[key] == value
+        assert chi.to_json_dict()[ht.class_id(key)] == str(value)
+    for value in (Fraction(widest + 1), Fraction(1, widest + 1), Fraction(-(widest + 1), 7)):
+        with pytest.raises(ResourceLimit, match="class %s" % re.escape(ht.class_id(key))):
+            GenClassFunction(ht, {k: value if k == key else digits for k in ht.classes})

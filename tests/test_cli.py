@@ -156,6 +156,23 @@ def test_induce_refuses_an_infinite_value(tmp_path, capsys, spelling):
     assert "bad value" in err
 
 
+@pytest.mark.parametrize("chi,class_id", [
+    # a numerator, then a denominator, of 4301 digits on input
+    ({"(0 1)": "1e4300"}, "(0 1)"),
+    ({"(0 1)": "1e-4300"}, "(0 1)"),
+    # 4300-digit values that print, but whose induced sums do not
+    ({cid: "9" * 4300 for cid in ("e", "(0 1)", "(2 3)", "(0 1)(2 3)")}, "p2.k2.h1:"),
+])
+def test_induce_refuses_a_value_too_long_to_print(tmp_path, capsys, chi, class_id):
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({"e": "1", "(0 1)": "1", "(2 3)": "1", "(0 1)(2 3)": "1", **chi}))
+    code, out, err = run_cli(capsys, "induce", "--p", "2", "--h", "1", "--k", "2",
+                             "--chi", str(path), "--json")
+    assert code == 3
+    assert out == ""
+    assert "class %s" % class_id in err
+
+
 def test_induce_rank_two(tmp_path, capsys):
     # class identifiers for a block subgroup are minimal tuples in cycle
     # notation with ";"-separated components
