@@ -11,9 +11,10 @@ triviality decision.  The cosets and their centralizer orbits come from
 H-class of each orbit and the proof of its stabilizer.  A Young subgroup
 H = Sym(b)^c is never enumerated: its class table is read blockwise off one
 table of Sym(b), its cosets are ordered block partitions, and C_H(beta) is
-a product of blockwise centralizers.  Each coset stabilizer is verified
-factor by factor: the elements of the blockwise centralizers are checked,
-not their product (see ``_verify_stabilizer``).
+given by generators W, read blockwise off the orbits of beta, with the
+order of their stabilizer chain (each table's ``centralizer_of``).  Each
+coset stabilizer is proved from W: |W| generator checks and two order
+comparisons (see ``_verify_stabilizer``).
 
 The codomain of the underlying character theory is modelled by one rational
 scalar per class; the transfer along an inclusion of centralizers acts as
@@ -58,6 +59,8 @@ from .perm import (
     Perm,
     PermGroup,
     YoungSubgroup,
+    _centralizer_generators,
+    _chain_generators,
     _commute_images,
     _commuting_tuples,
     _conj_images,
@@ -65,7 +68,6 @@ from .perm import (
     _lift,
     _stable_orbits,
     centralizer,
-    centralizer_factors,
     symmetric_group,
 )
 
@@ -103,7 +105,13 @@ class SymmetricClassTable:
         return hc_mod.centralizer_order(key)
 
     def centralizer_generators(self, key: HomClass):
-        return hc_mod.centralizer_generators(key)
+        return _centralizer_generators(self.rep_images(key), self.degree)
+
+    def centralizer_of(self, beta):
+        """(W, |<W>|): generators of C_Sym(p^k)(beta), read off the orbits of
+        the image tuple beta and kept where they enlarge their stabilizer
+        chain, and the chain's order."""
+        return _chain_generators(self.degree, _centralizer_generators(beta, self.degree))
 
     def class_id(self, key: HomClass) -> str:
         return key.class_id()
@@ -158,7 +166,12 @@ class GenericClassTable:
         return self._cent_orders[key]
 
     def centralizer_generators(self, key):
-        return centralizer(self.group, [Perm(s) for s in key]).elements
+        return [g.images for g in centralizer(self.group, [Perm(s) for s in key]).generators]
+
+    def centralizer_of(self, beta):
+        """(W, |<W>|): generators of the scanned centralizer of the image
+        tuple beta in the group, and the order of their stabilizer chain."""
+        return _chain_generators(self.degree, self.centralizer_generators(beta))
 
     def class_id(self, key) -> str:
         return ";".join(Perm(s).cycles() for s in key)
@@ -180,6 +193,9 @@ class ProductClassTable(GenericClassTable):
             )
         self.group, self.lam, self.degree = group, lam, group.degree
         self.factor = GenericClassTable(symmetric_group(group.block_size), lam)
+        # block action -> (its centralizer generators in Sym(b), chain order);
+        # the keys are entries of ``factor._lookup``
+        self._block_centralizers = {}
         self._cent_orders = {
             self._join(parts): math.prod(map(self.factor.centralizer_order, parts))
             for parts in itertools.product(self.factor.classes, repeat=group.blocks)
@@ -193,15 +209,36 @@ class ProductClassTable(GenericClassTable):
             for i in range(self.lam.h)
         )
 
+    def _blocks(self, imgs):
+        """(lo, the action of imgs on the block lo..lo+b-1 as a Sym(b) tuple)."""
+        b = self.group.block_size
+        for lo in range(0, self.degree, b):
+            yield lo, tuple(tuple(map(lo.__rsub__, s[lo:lo + b])) for s in imgs)
+
     def key_of_images(self, imgs):
         if any(len(s) != self.degree for s in imgs):
             raise NotInGroup("tuple is not an action inside this group")
-        b = self.group.block_size
         # a block image outside the block is no Sym(b) tuple: NotInGroup
-        return self._join([
-            self.factor.key_of_images(tuple(tuple(v - lo for v in s[lo:lo + b]) for s in imgs))
-            for lo in range(0, self.degree, b)
-        ])
+        return self._join([self.factor.key_of_images(local) for _, local in self._blocks(imgs)])
+
+    def centralizer_of(self, beta):
+        """(W, |<W>|) for C_H(beta), block by block: each block's action gets
+        the generators of its centralizer in Sym(b), read off its orbits and
+        kept where they enlarge their stabilizer chain, and the chain's
+        order, once per distinct block action.
+        W embeds them at their blocks; generators on disjoint blocks
+        generate the direct product, so |<W>| is the product of the orders."""
+        b, degree = self.group.block_size, self.degree
+        ident = tuple(range(degree))
+        gens, order = [], 1
+        for lo, local in self._blocks(beta):
+            entry = self._block_centralizers.get(local)
+            if entry is None:
+                entry = _chain_generators(b, _centralizer_generators(local, b))
+                self._block_centralizers[local] = entry
+            gens.extend(ident[:lo] + tuple(lo + v for v in t) + ident[lo + b:] for t in entry[0])
+            order *= entry[1]
+        return gens, order
 
 
 @lru_cache(maxsize=None)
@@ -412,14 +449,13 @@ def _build_datum(g_table, h_table, system, alpha_key, fixed) -> TransferDatum:
     verified stabilizer."""
     alpha = g_table.rep_images(alpha_key)
     cent_order = g_table.centralizer_order(alpha_key)
-    gen_images = [g.images for g in g_table.centralizer_generators(alpha_key)]
     records = []
     for token, size, stab_order, g, beta in _stable_orbits(
-        system, alpha, gen_images, cent_order, fixed
+        system, alpha, g_table.centralizer_generators(alpha_key), cent_order, fixed
     ):
         h_key = h_table.key_of_images(beta)
         _verify_stabilizer(
-            system, token, g, alpha, beta, h_table.group, stab_order,
+            system, token, g, alpha, *h_table.centralizer_of(beta), stab_order,
             h_table.centralizer_order(h_key),
         )
         records.append(OrbitRecord(
@@ -433,46 +469,40 @@ def _build_datum(g_table, h_table, system, alpha_key, fixed) -> TransferDatum:
     )
 
 
-def _verify_stabilizer(system, token, g, alpha, beta, H, stab_order, table_order):
+def _verify_stabilizer(system, token, g, alpha, gens, gens_order, stab_order, table_order):
     """Check that the stabilizer of the coset in C_G(alpha) is
-    g * C_H(beta) * g^{-1}, factor by factor.
+    g * C_H(beta) * g^{-1}, from generators.
 
-    ``perm.centralizer_factors`` gives C_H(beta) as direct factors f_i with
-    disjoint supports.  Each is a subgroup (the centralizer of beta in the
-    symmetric group of one block, or in H when there is one factor), and
-    factors with disjoint supports commute, so together they generate their
-    direct product, of order prod |f_i|.  Every element of every factor,
-    conjugated by g, is checked to commute with alpha and to fix the coset;
-    the stabilizer is a subgroup, so it contains the group those elements
-    generate, the conjugate of the product.  That order is checked to be
+    ``gens`` are the image tuples W that the H class table gives for
+    C_H(beta), beta = g^{-1} alpha g, and ``gens_order`` is |<W>| from their
+    ``perm.StabilizerChain``.  Every generator, conjugated by g, is checked
+    to commute with alpha and to fix the coset; the stabilizer is a
+    subgroup, so it contains g <W> g^{-1}.  Then |<W>| is checked to be
     ``stab_order`` (orbit-stabilizer), so containment plus count gives
-    equality, with sum |f_i| element checks instead of prod |f_i|.  It is
-    also checked to be ``table_order``, the class table's |C_H(beta)|,
-    found without this scan (from a conjugation orbit, or from the orbit
-    types in Sym(p^k)): an element commuting with alpha once conjugated by
-    g commutes with beta, so the product lies in C_H(beta) and, with that
-    order, is all of it.  With one factor this is the element-wise check of
-    the whole centralizer.
+    equality, with |W| generator checks.  It is also checked to be
+    ``table_order``, the class table's |C_H(beta)|, found without W (from a
+    conjugation orbit, or from the orbit types in Sym(p^k)): a generator
+    that fixes the coset gH once conjugated by g lies in H, and one that
+    commutes with alpha once conjugated commutes with beta, so <W> lies in
+    C_H(beta) and, with that order, is all of it.  The proof does not
+    depend on how W was found, nor on the orbit walk.
     """
-    factors = centralizer_factors(H, [Perm(s) for s in beta])
-    order = math.prod(map(len, factors))
-    if order != stab_order:
+    for c in gens:
+        conj = _conj_images(g, c)
+        if not all(_commute_images(conj, s) for s in alpha):
+            raise InternalMismatch("claimed stabilizer element is not in the centralizer")
+        if system.act(conj, token) != token:
+            raise InternalMismatch("claimed stabilizer element moves the coset")
+    if gens_order != stab_order:
         raise InternalMismatch(
             "conjugated subgroup centralizer has order %d, stabilizer has order %d"
-            % (order, stab_order)
+            % (gens_order, stab_order)
         )
-    if order != table_order:
+    if gens_order != table_order:
         raise InternalMismatch(
-            "centralizer factors have order %d, the class table gives %d"
-            % (order, table_order)
+            "centralizer generators have order %d, the class table gives %d"
+            % (gens_order, table_order)
         )
-    for factor in factors:
-        for c in factor:
-            conj = _conj_images(g, c)
-            if not all(_commute_images(conj, s) for s in alpha):
-                raise InternalMismatch("claimed stabilizer element is not in the centralizer")
-            if system.act(conj, token) != token:
-                raise InternalMismatch("claimed stabilizer element moves the coset")
 
 
 @lru_cache(maxsize=None)

@@ -44,6 +44,7 @@ from .errors import (
 from .perm import (
     Perm,
     _BlockCosets,
+    _centralizer_generators,
     _commuting_tuples,
     _compose,
     _orbit_reps,
@@ -349,50 +350,14 @@ def centralizer_order(hc: HomClass) -> int:
 
 
 def centralizer_generators(hc: HomClass):
-    """Generators of the centralizer of realize(hc) in Sym(points).
-
-    The centralizer of the action is the product over orbit types of
-    (lam/U) wr Sym(mult): translations within one orbit copy plus
-    permutations of the copies.  Cross-checked against exhaustive
+    """Generators of the centralizer of realize(hc) in Sym(points), read off
+    its orbits by ``perm._centralizer_generators``: per orbit type lam/U,
+    (lam/U) wr Sym(mult), the translations of one orbit copy plus a swap
+    and a cycle of the copies.  Cross-checked against exhaustive
     centralizer computation in the tests.
     """
-    lam = hc.lam
-    degree = hc.points
-    gens = []
-    basis = _basis(lam)
-    offset = 0
-    for kernel, mult in hc.orbit_types:
-        reps, lookup = _coset_layout(kernel)
-        size = len(reps)
-        # translations on the first copy of this orbit type
-        for e in basis:
-            images = list(range(degree))
-            changed = False
-            for local, moved in enumerate(_translate(lam, reps, e)):
-                target = lookup[moved]
-                if target != local:
-                    changed = True
-                images[offset + local] = offset + target
-            if changed:
-                gens.append(Perm(images))
-        # permutations of the copies (adjacent swap + full cycle)
-        if mult >= 2:
-            images = list(range(degree))
-            for local in range(size):
-                images[offset + local] = offset + size + local
-                images[offset + size + local] = offset + local
-            gens.append(Perm(images))
-        if mult >= 3:
-            images = list(range(degree))
-            for copy in range(mult):
-                dst = (copy + 1) % mult
-                for local in range(size):
-                    images[offset + copy * size + local] = offset + dst * size + local
-            gens.append(Perm(images))
-        offset += mult * size
-    if not gens:
-        gens.append(Perm.identity(degree))
-    return gens
+    imgs = [s.images for s in realize(hc).perms]
+    return [Perm(g) for g in _centralizer_generators(imgs, hc.points)]
 
 
 def minimal_level(hc: HomClass) -> int:
@@ -456,7 +421,7 @@ def coset_fiber(hc: HomClass, m: int):
     degree, block = hc.points, lam.p ** m
     system = _BlockCosets(degree, block)
     alpha = [s.images for s in realize(hc).perms]
-    gens = [g.images for g in centralizer_generators(hc)]
+    gens = _centralizer_generators(alpha, degree)
     orbits = _stable_orbits(system, alpha, gens, centralizer_order(hc), system.fixed(alpha))
     return [
         FiberOrbit(

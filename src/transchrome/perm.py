@@ -6,8 +6,16 @@ come from the blocks, and its elements are enumerated lazily, only for the
 code that asks for them.  Every other group is an explicit element list and
 every operation on it is an exhaustive enumeration: the ambient groups used
 in this package act on at most nine points, where brute force is simple,
-deterministic and directly checkable against independent counts.  There are
-deliberately no stabilizer chains and no backtrack search.
+deterministic and directly checkable against independent counts.
+
+A group given only by generators is measured by ``StabilizerChain``, a
+deterministic Schreier-Sims chain: its order, and membership by sifting.
+``_centralizer_generators`` reads generators of the centralizer of a
+commuting tuple in Sym(n) off the tuple's orbits, so the stabilizer proof
+in ``classfun`` checks a few generators and one chain order instead of
+scanning the centralizer.  ``centralizer_factors`` and ``centralizer``
+still scan, for the explicit groups and as the tests' oracle; a
+``centralizer`` carries greedy generators.  There is no backtrack search.
 
 The cosets of H <= G are modelled here and only here: ``_coset_system``
 checks the subgroup and the index cap, then picks ordered block partitions
@@ -415,6 +423,156 @@ def generate(degree: int, gens, max_elements=None) -> PermGroup:
     return PermGroup(degree, seen.values(), generators=gens)
 
 
+class StabilizerChain:
+    """A stabilizer chain of the group generated by image tuples on
+    {0, ..., degree-1}, built by the deterministic Schreier-Sims algorithm
+    (C. C. Sims 1970; A. Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+
+    Level i has a base point b_i, strong generators that fix b_0..b_(i-1),
+    and a transversal: for each point x of the orbit of b_i under them, one
+    element u_x of their group with u_x(b_i) = x, kept with its inverse.
+    Every Schreier generator u_(s x)^-1 s u_x of every level is sifted
+    through the levels below it, and one that does not sift to the identity
+    becomes a strong generator one level down.  So the finished chain is
+    complete: the order is the product of the orbit lengths, and g is a
+    member exactly when it sifts to the identity.  No random element is
+    drawn, so a wrong order cannot come from bad luck.
+    """
+
+    __slots__ = ("_ident", "_levels")
+
+    def __init__(self, degree: int, gens=()):
+        self._ident = tuple(range(degree))
+        self._levels = []  # (base point, strong generators, {x: (u_x, u_x^-1)})
+        for g in gens:
+            self.add(g)
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(trans) for _, _, trans in self._levels)
+
+    def __contains__(self, images) -> bool:
+        return self._sift(tuple(images), 0) == self._ident
+
+    def add(self, g) -> bool:
+        """Extend the group by the image tuple g; False if g was a member."""
+        residue = self._sift(tuple(g), 0)
+        if residue == self._ident:
+            return False
+        self._extend(0, residue)
+        return True
+
+    def _sift(self, g, level):
+        """g divided by transversal elements from ``level`` down, as far as
+        its base images lie in the orbits: the identity for a member of
+        that level's group."""
+        for base, _, trans in self._levels[level:]:
+            entry = trans.get(g[base])
+            if entry is None:
+                return g
+            inv = entry[1]
+            g = tuple([inv[y] for y in g])
+        return g
+
+    def _extend(self, level, g):
+        """Add g, which fixes the base points above ``level``, as a strong
+        generator there; grow the orbit and sift every new Schreier
+        generator one level down."""
+        levels = self._levels
+        if level == len(levels):
+            base = next(x for x, y in enumerate(g) if x != y)
+            levels.append((base, [], {base: (self._ident, self._ident)}))
+        _, gens, trans = levels[level]
+        gens.append(g)
+        todo = [(x, g) for x in trans]
+        while todo:
+            x, s = todo.pop()
+            su = tuple([s[y] for y in trans[x][0]])
+            entry = trans.get(s[x])
+            if entry is None:
+                trans[s[x]] = (su, _inverse(su))
+                todo.extend((s[x], t) for t in gens)
+                continue
+            inv = entry[1]
+            residue = self._sift(tuple([inv[y] for y in su]), level + 1)
+            if residue != self._ident:
+                self._extend(level + 1, residue)
+
+
+def _chain_generators(degree, candidates, size=0):
+    """(W, |<W>|): the candidates, image tuples, that each enlarge the
+    ``StabilizerChain`` of those kept before them, and its order.  With
+    ``size``, the order of the group the candidates lie in, the walk stops
+    once the chain reaches it: every later candidate is a member."""
+    chain = StabilizerChain(degree)
+    gens = []
+    for c in candidates:
+        if chain.order == size:
+            break
+        if chain.add(c):
+            gens.append(c)
+    return gens, chain.order
+
+
+def _isomorphism(first, base, imgs):
+    """The map of A-sets from the orbit ``first`` of A = <imgs> onto the
+    orbit of ``base`` that sends first[0] to base, or None when the orbits
+    are not isomorphic (the map does not extend along imgs)."""
+    phi = {first[0]: base}
+    frontier = [first[0]]
+    while frontier:
+        x = frontier.pop()
+        for s in imgs:
+            x1, y1 = s[x], s[phi[x]]
+            known = phi.get(x1)
+            if known is None:
+                phi[x1] = y1
+                frontier.append(x1)
+            elif known != y1:
+                return None
+    return phi
+
+
+def _centralizer_generators(imgs, degree):
+    """Generators, as image tuples, of the centralizer in Sym(degree) of
+    the commuting image tuples ``imgs``, read off their orbits.
+
+    The group A they generate is abelian, and its centralizer is the
+    product over the isomorphism types of A-orbit O of (A|O) wr Sym(m), m
+    the copies of O (a transitive abelian group is its own centralizer).
+    Per type: each generator restricted to the first copy, where it moves
+    it; a swap of the first two copies; and, from three copies on, a cycle
+    of all of them.  Nothing here checks that ``imgs`` commute: whoever
+    relies on these generators checks the group they generate."""
+    types = []  # (first orbit, [A-set maps from it onto each copy])
+    for orbit in _orbits(range(degree), imgs, operator.getitem):
+        for first, maps in types:
+            phi = len(first) == len(orbit) and _isomorphism(first, orbit[0], imgs)
+            if phi:
+                maps.append(phi)
+                break
+        else:
+            types.append((orbit, [dict(zip(orbit, orbit))]))
+    gens = []
+    for first, maps in types:
+        for s in imgs:
+            if any(s[x] != x for x in first):
+                g = list(range(degree))
+                for x in first:
+                    g[x] = s[x]
+                gens.append(tuple(g))
+        shuffles = [maps[:2]] if len(maps) >= 2 else []
+        if len(maps) >= 3:
+            shuffles.append(maps)
+        for copies in shuffles:
+            g = list(range(degree))
+            for x in first:
+                for j, phi in enumerate(copies):
+                    g[phi[x]] = copies[(j + 1) % len(copies)][x]
+            gens.append(tuple(g))
+    return gens
+
+
 def block_subgroup(block_size: int, blocks: int) -> YoungSubgroup:
     """The direct product of symmetric groups on consecutive equal blocks.
 
@@ -462,10 +620,17 @@ def centralizer_factors(ambient: PermGroup, perms):
 
 def centralizer(ambient: PermGroup, perms) -> PermGroup:
     """All elements of ``ambient`` commuting with every permutation in
-    ``perms``: the product of ``centralizer_factors``."""
+    ``perms``: the product of ``centralizer_factors``.  Its generators are
+    those of the factors, each factor's chosen greedily in lex order: an
+    element is kept when the ``StabilizerChain`` of the ones kept before
+    does not contain it."""
     factors = centralizer_factors(ambient, perms)
+    gens = [
+        Perm(c) for factor in factors
+        for c in _chain_generators(ambient.degree, factor, len(factor))[0]
+    ]
     out = (reduce(_compose, combo) for combo in itertools.product(*factors))
-    return PermGroup(ambient.degree, map(Perm, out))
+    return PermGroup(ambient.degree, map(Perm, out), generators=gens)
 
 
 class Coset:
@@ -500,7 +665,9 @@ class Coset:
 # ---------------------------------------------------------------------------
 # coset models: a token per left coset gH, with ``act(c, token)`` the token of
 # c*gH (c an image tuple), ``fixed(alpha)`` the sorted tokens that every image
-# tuple in alpha fixes, and ``rep_images(token)`` the lex-minimal g
+# tuple in alpha fixes, ``orbit_reps(fixed, alpha, gens)`` the (least token,
+# size) of each orbit of <gens> on them, and ``rep_images(token)`` the
+# lex-minimal g
 
 INDEX_CAP = 10 ** 5
 
@@ -555,6 +722,9 @@ class _CosetTable:
             t for t, g in enumerate(self._reps)
             if all(index[_compose(s, g)] == t for s in alpha_images)
         ]
+
+    def orbit_reps(self, fixed, alpha_images, gens):
+        return _orbit_reps(fixed, gens, self.act)
 
 
 # one table per (G, H), built on first use
@@ -615,6 +785,33 @@ class _BlockCosets:
         pack(orbits, ())
         return sorted(itertools.chain.from_iterable(map(itertools.permutations, packings)))
 
+    def _labelling(self, partition):
+        """The partition as the tuple of the block of each point."""
+        label = [0] * self.degree
+        for j, blk in enumerate(partition):
+            for x in blk:
+                label[x] = j
+        return tuple(label)
+
+    def orbit_reps(self, fixed, alpha_images, gens):
+        """``[(least partition, orbit size)]`` for the orbits of <gens> on the
+        alpha-stable partitions ``fixed``, sorted; ActionNotClosed if a
+        generator moves a partition off ``fixed``.
+
+        A generator checked, in one pass over the points, to map every
+        orbit of alpha onto itself maps every block of a stable partition,
+        a union of orbits, onto itself: it fixes every token and is left
+        out.  The walk moves a partition as its labelling l, which c sends
+        to l o c^-1, one ``operator.itemgetter`` call.  Labellings do not
+        sort as partitions do, so each orbit is led by its least partition
+        only after the walk."""
+        orbit_of = self._labelling(_orbits(range(self.degree), alpha_images, operator.getitem))
+        movers = [c for c in gens if any(orbit_of[y] != i for y, i in zip(c, orbit_of))]
+        by_label = {self._labelling(t): t for t in fixed}
+        getters = [operator.itemgetter(*_inverse(c)) for c in movers]
+        orbits = _orbits(by_label, getters, lambda get, label: get(label))
+        return sorted((min(map(by_label.__getitem__, orbit)), len(orbit)) for orbit in orbits)
+
 
 def _coset_system(G: PermGroup, H: PermGroup):
     """The coset model of G/H, after the subgroup and index checks: ordered
@@ -640,10 +837,11 @@ def _stable_orbits(system, alpha, gens, order, fixed):
     """``[(token, orbit size, stabilizer order, g, beta)]`` for the orbits of
     the centralizer of alpha (``gens``, of ``order`` elements) on the
     alpha-stable tokens ``fixed``, each led by its least token, with (g, beta)
-    from ``_lift``.  A token moved off ``fixed``, a size not dividing
-    ``order`` and sizes not adding up to ``len(fixed)`` are InternalMismatch."""
+    from ``_lift``; the coset model walks them (``orbit_reps``).  A token
+    moved off ``fixed``, a size not dividing ``order`` and sizes not adding
+    up to ``len(fixed)`` are InternalMismatch."""
     try:
-        orbits = _orbit_reps(fixed, gens, system.act)
+        orbits = system.orbit_reps(fixed, alpha, gens)
     except ActionNotClosed as exc:
         raise InternalMismatch("centralizer left the fixed coset set") from exc
     out = []

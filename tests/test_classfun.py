@@ -389,29 +389,37 @@ def test_product_table_matches_generic_table(block, blocks, p, h, k):
         product.key_of_images((tuple(swap),) * h)
 
 
-# -- the stabilizer check, factor by factor --
+# -- the stabilizer proof, from generators --
 
 
 def _mutated_transfer(monkeypatch, h, cycles, mutate):
-    """transfer_datum over S8 > S4xS4 for one class, with the centralizer
-    factors handed to the stabilizer check passed through ``mutate``."""
-    from transchrome import classfun
+    """The transfer datum of one class over S8 > S4xS4, with the generators
+    W that the H table gives for C_H(beta) passed through
+    ``mutate(W, beta)``; their order is read off the chain of the mutated
+    W, as the table reads it off the W it returns."""
+    from transchrome.classfun import _build_datum
+    from transchrome.perm import StabilizerChain, _coset_system
 
-    real = classfun.centralizer_factors
-    monkeypatch.setattr(
-        classfun, "centralizer_factors", lambda H, perms: mutate(real(H, perms), H)
-    )
-    return transfer_datum(
-        symmetric_group(8), block_subgroup(4, 2), sym_class(cycles, 2, h, 3)
-    )
+    G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, h, 3)
+    g_table, h_table = class_table(G, lam), class_table(H, lam)
+    real = h_table.centralizer_of
+
+    def mutated(beta):
+        gens = mutate(list(real(beta)[0]), beta)
+        return gens, StabilizerChain(H.degree, gens).order
+
+    monkeypatch.setattr(h_table, "centralizer_of", mutated)
+    system = _coset_system(G, H)
+    key = sym_class(cycles, 2, h, 3)
+    return _build_datum(g_table, h_table, system, key, system.fixed(g_table.rep_images(key)))
 
 
-def test_stabilizer_check_catches_a_dropped_factor_element(monkeypatch):
-    def drop(factors, H):
-        factors[0].pop()
-        return factors
+def test_stabilizer_check_catches_a_dropped_generator(monkeypatch):
+    def drop(gens, beta):
+        gens.pop()
+        return gens
 
-    with pytest.raises(InternalMismatch, match="has order"):
+    with pytest.raises(InternalMismatch, match="stabilizer has order"):
         _mutated_transfer(monkeypatch, 1, ["(0 1)"], drop)
 
 
@@ -420,25 +428,27 @@ def test_stabilizer_check_catches_an_element_moving_the_coset(monkeypatch):
     # blocks does not fix the coset
     swap = tuple(range(4, 8)) + tuple(range(4))
 
-    def replace(factors, H):
-        factors[0][-1] = swap
-        return factors
+    def replace(gens, beta):
+        gens[-1] = swap
+        return gens
 
     with pytest.raises(InternalMismatch, match="moves the coset"):
         _mutated_transfer(monkeypatch, 1, ["e"], replace)
 
 
 def test_stabilizer_check_catches_an_element_outside_the_centralizer(monkeypatch):
-    def replace(factors, H):
-        # at alpha = (0 1) one factor is a proper subgroup of Sym(4): put in
-        # an element of that block that is not in it
-        for lo, factor in zip((0, 4), factors):
+    from transchrome.perm import _commute_images
+
+    def replace(gens, beta):
+        # at alpha = (0 1) some block has a permutation that does not
+        # commute with beta there: put it in place of a generator
+        for lo in (0, 4):
             for t in itertools.permutations(range(lo, lo + 4)):
                 image = tuple(range(lo)) + t + tuple(range(lo + 4, 8))
-                if image not in factor:
-                    factor[-1] = image
-                    return factors
-        raise AssertionError("every factor is all of Sym(4)")
+                if not all(_commute_images(image, s) for s in beta):
+                    gens[-1] = image
+                    return gens
+        raise AssertionError("C_H(beta) is all of H")
 
     with pytest.raises(InternalMismatch, match="not in the centralizer"):
         _mutated_transfer(monkeypatch, 1, ["(0 1)"], replace)
@@ -462,39 +472,85 @@ def test_stabilizer_check_catches_a_wrong_order(monkeypatch):
             real(*args[:-2], stab_order, 2 * table_order)
 
 
-def test_stabilizer_check_makes_one_element_check_per_factor_element(monkeypatch):
-    # S8 > S4xS4: the check visits sum |f_i| elements per record, not the
-    # prod |f_i| elements of C_H(beta)
+def test_stabilizer_check_makes_h_commutation_checks_per_generator(monkeypatch):
+    # S8 > S4xS4: the proof tests each generator of W once against each of
+    # the h components of alpha, h*|W| commutation checks per record
     from transchrome import classfun
 
     sizes, checks = [], []
-    real_factors, real_commute = classfun.centralizer_factors, classfun._commute_images
-
-    def factors(H, perms):
-        out = real_factors(H, perms)
-        sizes.append([len(f) for f in out])
-        return out
+    real_commute = classfun._commute_images
 
     def commute(a, b):
         checks.append(1)
         return real_commute(a, b)
 
-    monkeypatch.setattr(classfun, "centralizer_factors", factors)
-    monkeypatch.setattr(classfun, "_commute_images", commute)
     S8, H = symmetric_group(8), block_subgroup(4, 2)
-    saved = 0
     for h in (1, 2):
-        for key in class_table(S8, lam_group(2, h, 3)).classes:
+        lam = lam_group(2, h, 3)
+        h_table = class_table(H, lam)
+        real_of = h_table.centralizer_of
+
+        def of(beta):
+            gens, order = real_of(beta)
+            sizes.append(len(gens))
+            return gens, order
+
+        monkeypatch.setattr(h_table, "centralizer_of", of)
+        monkeypatch.setattr(classfun, "_commute_images", commute)
+        for key in class_table(S8, lam).classes:
             sizes.clear()
             checks.clear()
             datum = transfer_datum(S8, H, key)
             assert len(sizes) == len(datum.records)
-            # one commutation test per component of alpha per element
-            assert len(checks) == h * sum(sum(s) for s in sizes)
-            for s, rec in zip(sizes, datum.records):
-                assert math.prod(s) == rec.stabilizer_order
-                saved += math.prod(s) - sum(s)
-    assert saved > 0
+            assert len(checks) == h * sum(sizes)
+            for size, rec in zip(sizes, datum.records):
+                assert (size > 0) == (rec.stabilizer_order > 1)
+        monkeypatch.undo()
+
+
+def _closure(gens, degree):
+    """Oracle: the set of image tuples generated by ``gens``."""
+    from transchrome.perm import _compose
+
+    ident = tuple(range(degree))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        step = []
+        for x in frontier:
+            for s in gens:
+                y = _compose(s, x)
+                if y not in seen:
+                    seen.add(y)
+                    step.append(y)
+        frontier = step
+    return seen
+
+
+@pytest.mark.parametrize("p,k,block,blocks", [(2, 3, 4, 2), (3, 2, 3, 3)])
+@pytest.mark.parametrize("h", [1, 2])
+def test_generated_centralizer_is_the_scan_on_every_record(p, k, block, blocks, h):
+    # S8 > S4xS4 and S9 > S3^3: on every orbit record <W> is the scanned
+    # C_H(beta) as a set, and the chain order is its size
+    from transchrome.perm import _compose, _coset_system, _stable_orbits, centralizer_factors
+
+    G, H, lam = symmetric_group(p ** k), block_subgroup(block, blocks), lam_group(p, h, k)
+    g_table, h_table = class_table(G, lam), class_table(H, lam)
+    system = _coset_system(G, H)
+    records = 0
+    for key in g_table.classes:
+        alpha = g_table.rep_images(key)
+        for _, _, stab_order, _, beta in _stable_orbits(
+            system, alpha, g_table.centralizer_generators(key),
+            g_table.centralizer_order(key), system.fixed(alpha),
+        ):
+            gens, order = h_table.centralizer_of(beta)
+            factors = centralizer_factors(H, [Perm(s) for s in beta])
+            scan = {functools.reduce(_compose, c) for c in itertools.product(*factors)}
+            assert _closure(gens, H.degree) == scan
+            assert order == len(scan) == stab_order
+            records += 1
+    assert records
 
 
 # -- the integer induction kernel --

@@ -318,6 +318,22 @@ def test_transfer_at_m_equal_k_builds_nothing_before_the_class_resolves(monkeypa
     assert "unknown class id" in err
 
 
+def test_transfer_at_m_equal_k_answers_without_enumerating_h(monkeypatch, capsys):
+    # H = Sym(9): at alpha = e the stabilizer proof reads C_H(e) = Sym(9)
+    # off two generators and their stabilizer chain, not its 9! elements
+    from transchrome.perm import YoungSubgroup
+
+    def refuse(self):
+        raise AssertionError("enumerated the elements of %r" % self)
+
+    monkeypatch.setattr(YoungSubgroup, "iter_elements", refuse)
+    code, out, _ = run_cli(capsys, "transfer", "--p", "3", "--h", "1", "--k", "2", "--m", "2",
+                           "--alpha", "e", "--json")
+    assert code == 0
+    with open(os.path.join(FIXTURES, "transfer_p3_h1_k2_m2_e.json")) as fh:
+        assert out == fh.read()
+
+
 def test_json_outputs_are_canonical(capsys):
     _, out1, _ = run_cli(capsys, "homs", "--p", "2", "--h", "2", "--k", "1", "--json")
     _, out2, _ = run_cli(capsys, "homs", "--p", "2", "--h", "2", "--k", "1", "--json")
@@ -435,10 +451,7 @@ def _argv(command, **flags):
 
 def _fuzz_argv():
     group = dict(p=PRIMES, h=SMALL, k=EXPONENTS)
-    # m = k is left out: H is then all of Sym(p^k), and at alpha = e the
-    # stabilizer check visits every element of C_H(e) = H (9! = 362880 at
-    # p^k = 9, about 4.6 s)
-    block = dict(group, m=st.sampled_from([None, -1, 0, 1, 4, 14]))
+    block = dict(group, m=st.sampled_from([None, -1, 0, 1, 2, 3, 4, 14]))
     return st.one_of(
         st.builds(lambda **f: _argv("homs", **f), **group),
         st.builds(lambda **f: _argv("decompose", **f), p=PRIMES, n=SMALL, t=SMALL, k=EXPONENTS),

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from transchrome.errors import (
 from transchrome.perm import (
     Perm,
     PermGroup,
+    StabilizerChain,
     YoungSubgroup,
     _compose,
     block_subgroup,
@@ -397,6 +399,50 @@ def test_blockwise_centralizer_is_the_scan(b, c, p, k):
             ]
             assert sorted(product) == scan
             assert centralizer_factors(explicit, beta) == [scan]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_stabilizer_chain_matches_the_closure(data):
+    # order and sifting membership against the closure, on random
+    # generating sets of degree <= 7
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    gens = [tuple(g) for g in data.draw(st.lists(st.permutations(range(n)), max_size=4))]
+    closed = {g.images for g in generate(n, [Perm(g) for g in gens])}
+    chain = StabilizerChain(n, gens)
+    assert chain.order == len(closed)
+    probes = [tuple(t) for t in data.draw(st.lists(st.permutations(range(n)), max_size=30))]
+    for t in itertools.chain(sorted(closed), probes):
+        assert (t in chain) == (t in closed)
+
+
+def test_stabilizer_chain_of_large_symmetric_groups():
+    # Sym(n) from a transposition and an n-cycle, far beyond any closure
+    for n in (9, 12, 16):
+        swap = (1, 0) + tuple(range(2, n))
+        cycle = tuple(range(1, n)) + (0,)
+        chain = StabilizerChain(n, [swap, cycle])
+        assert chain.order == math.factorial(n)
+        assert tuple(reversed(range(n))) in chain
+        assert not chain.add(tuple(reversed(range(n))))
+    even = StabilizerChain(5, [(1, 2, 0, 3, 4), (0, 2, 3, 1, 4), (0, 1, 3, 4, 2)])
+    assert even.order == 60
+    assert (1, 0, 2, 3, 4) not in even
+    assert even.add((1, 0, 2, 3, 4)) and even.order == 120
+
+
+def test_centralizer_carries_generators():
+    # the greedy generators of each factor generate the scanned centralizer
+    S4 = symmetric_group(4)
+    for H, cycles in [(S4, ["(0 1)(2 3)"]), (S4, ["e"]), (S4, ["(0 1 2 3)"]),
+                      (block_subgroup(3, 3), ["(0 1 2)(6 7 8)"]),
+                      (block_subgroup(4, 2), ["(0 1)", "(2 3)"])]:
+        C = centralizer(H, [P(c, H.degree) for c in cycles])
+        assert C.generators
+        assert len(C.generators) < C.order
+        closed = {g.images for g in generate(H.degree, C.generators)}
+        assert closed == {g.images for g in C}
+        assert StabilizerChain(H.degree, [g.images for g in C.generators]).order == C.order
 
 
 def test_blockwise_centralizer_rejects_a_tuple_leaving_a_block():
