@@ -21,13 +21,19 @@ scalar per class; the transfer along an inclusion of centralizers acts as
 multiplication by the index.  This is the exact shape of the classical
 induced-character formula and is the maximal desk-scale shadow of the ring
 statement; the genuine module structure is out of scope.  A class function
-stores those scalars as integer numerators over one common denominator, so
-induction, restriction and equality are integer work; a ``Fraction`` is
-built only where a value leaves the object (``chi[key]``, ``values``,
-``items``, ``to_json_dict``).  A value or an induced sum too long to
-print (in lowest terms, more digits than the interpreter's integer-string
-limit) is refused with ``ResourceLimit``, naming its class, before it is
-stored.
+stores those scalars as one common denominator and a list of integer
+numerators in the order of its table's ``classes``.  Each table maps a
+class key to its position once (``position``); that map is read only
+where a key comes in (``chi[key]``, ``indicator``, ``restrict``), and a
+``Fraction`` is built only where a value leaves the object (``chi[key]``,
+``values``, ``items``, ``to_json_dict``).  Induction sums along sparse
+rows of (H-class position, coefficient), one row per G-class, built once
+per (G, H, lam) with the transfer data: the plain rows from the coset
+multiplicities, the grouped rows from the orbit indices.  So induction,
+restriction, the inner product and equality are list arithmetic on
+integers.  A value or an induced sum too long to print (in lowest terms,
+more digits than the interpreter's integer-string limit) is refused with
+``ResourceLimit``, naming its class, before it is stored.
 """
 
 from __future__ import annotations
@@ -38,7 +44,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul, sub
+from typing import NamedTuple
 
 from . import homclass as hc_mod
 from .abelian import Ambient
@@ -76,7 +84,17 @@ GENERIC_TABLE_CAP = 10 ** 4
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-class SymmetricClassTable:
+class _ClassTable:
+    """What every class table shares: ``classes``, its keys in a fixed
+    order, and the map from a key to its place in that order."""
+
+    @cached_property
+    def position(self):
+        """Class key -> its index in ``classes``."""
+        return {key: i for i, key in enumerate(self.classes)}
+
+
+class SymmetricClassTable(_ClassTable):
     """Hom classes into the full symmetric group on p^k points.
 
     Keys are HomClass invariants; membership tests classify a tuple by its
@@ -117,7 +135,7 @@ class SymmetricClassTable:
         return key.class_id()
 
 
-class GenericClassTable:
+class GenericClassTable(_ClassTable):
     """Hom classes into an arbitrary small group, by exhaustive conjugation.
 
     Keys are the lexicographically minimal tuples in each conjugation orbit.
@@ -281,14 +299,15 @@ def _fraction(value) -> Fraction:
 def _check_digits(table, nums, den):
     """Refuse a class function with a value that could not be printed: in
     lowest terms, a numerator or denominator with more decimal digits than
-    the integer-string limit.  The message names the first such class."""
+    the integer-string limit.  ``nums`` are the numerators in the order of
+    ``table.classes``; the message names the first such class."""
     limit = _digit_limit()
     bits = 3 * limit  # 2**(3*limit) < 10**limit: shorter ints always print
-    if den.bit_length() <= bits and all(n.bit_length() <= bits for n in nums.values()):
+    if den.bit_length() <= bits and max(map(int.bit_length, nums), default=0) <= bits:
         return
-    for key in table.classes:
-        g = math.gcd(nums[key], den)
-        for part, n in (("numerator", nums[key] // g), ("denominator", den // g)):
+    for key, num in zip(table.classes, nums):
+        g = math.gcd(num, den)
+        for part, n in (("numerator", num // g), ("denominator", den // g)):
             if n.bit_length() > bits and abs(n) >= 10 ** limit:
                 raise ResourceLimit(
                     "the value at class %s has a %s of more than %d digits"
@@ -298,21 +317,22 @@ def _check_digits(table, nums, den):
 
 class GenClassFunction:
     """A total function from the hom classes of a group to exact rationals,
-    stored as one integer numerator per class over one positive common
-    denominator ``den``."""
+    stored as one positive common denominator ``den`` and a list ``nums``
+    of integer numerators, one per class in the order of
+    ``table.classes``."""
 
     __slots__ = ("table", "den", "nums")
 
     def __init__(self, table, values):
-        vals = {}
+        vals = []
         for key in table.classes:
             if key not in values:
                 raise ValueError("missing value for class %s" % table.class_id(key))
-            vals[key] = _fraction(values[key])
+            vals.append(_fraction(values[key]))
         if len(values) != len(table.classes):
             raise ValueError("values contain keys outside the class table")
-        den = math.lcm(*(v.denominator for v in vals.values()))
-        nums = {key: v.numerator * (den // v.denominator) for key, v in vals.items()}
+        den = math.lcm(*(v.denominator for v in vals))
+        nums = [v.numerator * (den // v.denominator) for v in vals]
         _check_digits(table, nums, den)
         self.table = table
         self.den = den
@@ -320,8 +340,8 @@ class GenClassFunction:
 
     @classmethod
     def _over(cls, table, nums, den) -> "GenClassFunction":
-        """Trusted constructor: ``nums`` holds an int for every class of
-        ``table``, and ``den`` is a positive int."""
+        """Trusted constructor: ``nums`` is a list of ints, one per class in
+        the order of ``table.classes``, and ``den`` is a positive int."""
         chi = object.__new__(cls)
         chi.table, chi.nums, chi.den = table, nums, den
         return chi
@@ -332,22 +352,35 @@ class GenClassFunction:
 
     @classmethod
     def indicator(cls, table, key) -> "GenClassFunction":
-        return cls(table, {k: 1 if k == key else 0 for k in table.classes})
+        """1 at the class ``key`` and 0 elsewhere; KeyError for a key
+        outside the table."""
+        nums = [0] * len(table.classes)
+        nums[table.position[key]] = 1
+        return cls._over(table, nums, 1)
 
     @classmethod
     def random(cls, table, rng) -> "GenClassFunction":
         """Per class, a numerator in [-20, 20] and then a denominator in
         [1, 12]: the draws of ``Fraction(rng.randint(-20, 20),
-        rng.randint(1, 12))``, which take the same random bits."""
-        below = rng.randrange
-        draws = [(below(41) - 20, below(12) + 1) for _ in table.classes]
+        rng.randint(1, 12))`` for a ``random.Random`` rng.  Its
+        ``randrange(n)`` takes ``getrandbits(n.bit_length())`` until the
+        bits read below n; the draws here do the same with 6 bits below 41
+        and 4 bits below 12, so they take the same random bits."""
+        bits = rng.getrandbits
+        draws = []
+        for _ in table.classes:
+            n = bits(6)
+            while n > 40:
+                n = bits(6)
+            d = bits(4)
+            while d > 11:
+                d = bits(4)
+            draws.append((n - 20, d + 1))
         den = math.lcm(*(d for _, d in draws))
-        return cls._over(
-            table, {key: n * (den // d) for key, (n, d) in zip(table.classes, draws)}, den
-        )
+        return cls._over(table, [n * (den // d) for n, d in draws], den)
 
     def __getitem__(self, key) -> Fraction:
-        return Fraction(self.nums[key], self.den)
+        return Fraction(self.nums[self.table.position[key]], self.den)
 
     @property
     def values(self):
@@ -359,12 +392,12 @@ class GenClassFunction:
             return False
         if self.den == other.den:
             return self.nums == other.nums
-        den, other_den, other_nums = self.den, other.den, other.nums
-        return all(n * other_den == other_nums[key] * den for key, n in self.nums.items())
+        den, other_den = self.den, other.den
+        return all(n * other_den == m * den for n, m in zip(self.nums, other.nums))
 
     def items(self):
-        nums, den = self.nums, self.den
-        return [(key, Fraction(nums[key], den)) for key in self.table.classes]
+        den = self.den
+        return [(key, Fraction(n, den)) for key, n in zip(self.table.classes, self.nums)]
 
     def to_json_dict(self):
         return {self.table.class_id(key): str(value) for key, value in self.items()}
@@ -395,10 +428,9 @@ def inner_product(a: GenClassFunction, b: GenClassFunction) -> Fraction:
     a.den * b.den * L, L the lcm of the centralizer orders."""
     if a.table is not b.table:
         raise ValueError("class functions live on different tables")
-    orders = [(key, a.table.centralizer_order(key)) for key in a.table.classes]
-    lcm = math.lcm(*(order for _, order in orders))
-    a_nums, b_nums = a.nums, b.nums
-    total = sum(a_nums[key] * b_nums[key] * (lcm // order) for key, order in orders)
+    orders = [a.table.centralizer_order(key) for key in a.table.classes]
+    lcm = math.lcm(*orders)
+    total = sum(x * y * (lcm // order) for x, y, order in zip(a.nums, b.nums, orders))
     return Fraction(total, a.den * b.den * lcm)
 
 
@@ -505,9 +537,38 @@ def _verify_stabilizer(system, token, g, alpha, gens, gens_order, stab_order, ta
         )
 
 
+class _Rows(NamedTuple):
+    """Sparse rows, one per G-class: row i pairs the H-class positions
+    ``positions[starts[i]:ends[i]]`` (in the order of the H table's
+    ``classes``) with the coefficients ``coeffs[starts[i]:ends[i]]``."""
+
+    positions: tuple
+    coeffs: tuple
+    starts: tuple
+    ends: tuple
+
+
+def _rows(rows) -> _Rows:
+    """``_Rows`` from per-row lists of (position, coefficient) pairs."""
+    ends = tuple(itertools.accumulate(map(len, rows)))
+    positions, coeffs = tuple(zip(*itertools.chain.from_iterable(rows))) or ((), ())
+    return _Rows(positions, coeffs, (0,) + ends[:-1], ends)
+
+
+class _Induction(NamedTuple):
+    """The induction data of one pair H <= G at one lam."""
+
+    plain: dict  # G-class -> ((H-class, multiplicity), ...)
+    data: dict  # G-class -> TransferDatum
+    g_table: object
+    plain_rows: _Rows  # the pairs of ``plain``
+    grouped_rows: _Rows  # (H-class, index) of each orbit record
+
+
 @lru_cache(maxsize=None)
-def _induction_data(g_table_key, h_table_key):
-    """Per G-class, the plain table and the orbit records.
+def _induction_data(g_table_key, h_table_key) -> _Induction:
+    """Per G-class, the plain table, the orbit records and the two rows
+    that ``induce`` and ``induce_grouped`` sum along.
 
     The plain table classifies every alpha-stable coset gH on its own, by
     the H-class of g^{-1} alpha g, and keeps (H-class, multiplicity) pairs.
@@ -522,8 +583,8 @@ def _induction_data(g_table_key, h_table_key):
     system = _coset_system(G, H)  # index cap before any class table
     g_table = class_table(G, lam)
     h_table = class_table(H, lam)
-    plain = {}
-    data = {}
+    position = h_table.position
+    plain, data, plain_rows, grouped_rows = {}, {}, [], []
     for alpha_key in g_table.classes:
         alpha = g_table.rep_images(alpha_key)
         fixed = system.fixed(alpha)
@@ -539,11 +600,16 @@ def _induction_data(g_table_key, h_table_key):
             )
         plain[alpha_key] = tuple(counts.items())
         data[alpha_key] = datum
-    return plain, data
+        plain_rows.append([(position[h_key], m) for h_key, m in counts.items()])
+        grouped_rows.append([(position[rec.h_key], rec.index) for rec in datum.records])
+    return _Induction(plain, data, g_table, _rows(plain_rows), _rows(grouped_rows))
 
 
 def induction_tables(G: PermGroup, H: PermGroup, lam: Ambient):
-    return _induction_data((G, lam), (H, lam))
+    """(plain, data): per G-class, the (H-class, multiplicity) pairs of the
+    plain coset sum and the ``TransferDatum``."""
+    ind = _induction_data((G, lam), (H, lam))
+    return ind.plain, ind.data
 
 
 def restrict(chi: GenClassFunction, H: PermGroup) -> GenClassFunction:
@@ -553,23 +619,22 @@ def restrict(chi: GenClassFunction, H: PermGroup) -> GenClassFunction:
     if not H.is_subgroup_of(G):
         raise NotSubgroup("H is not a subgroup of G")
     h_table = class_table(H, chi.table.lam)
-    nums, key_of_images = chi.nums, chi.table.key_of_images
-    return GenClassFunction._over(h_table, {
-        key: nums[key_of_images(h_table.rep_images(key))] for key in h_table.classes
-    }, chi.den)
+    nums, position, key_of_images = chi.nums, chi.table.position, chi.table.key_of_images
+    return GenClassFunction._over(h_table, [
+        nums[position[key_of_images(h_table.rep_images(key))]] for key in h_table.classes
+    ], chi.den)
 
 
-def _weighted_sums(chi: GenClassFunction, G: PermGroup, terms) -> GenClassFunction:
-    """Value at [alpha]: the sum of m * chi(h_key) over the (h_key, m) pairs
-    ``terms[alpha_key]``, summed as integer numerators over chi's
-    denominator; no Fraction is built.  Sums too long to print are
-    refused."""
-    g_table = class_table(G, chi.table.lam)
-    nums = chi.nums
-    sums = {
-        alpha_key: sum(m * nums[h_key] for h_key, m in terms[alpha_key])
-        for alpha_key in g_table.classes
-    }
+def _row_sums(chi: GenClassFunction, g_table, rows: _Rows) -> GenClassFunction:
+    """Value at the i-th G-class: the sum of coefficient * chi over row i,
+    summed as integer numerators over chi's denominator; no Fraction is
+    built.  Each row sum is the difference of two prefix sums of the
+    products.  Sums too long to print are refused."""
+    prefix = list(itertools.accumulate(
+        map(mul, rows.coeffs, map(chi.nums.__getitem__, rows.positions)), initial=0
+    ))
+    at = prefix.__getitem__
+    sums = list(map(sub, map(at, rows.ends), map(at, rows.starts)))
     _check_digits(g_table, sums, chi.den)
     return GenClassFunction._over(g_table, sums, chi.den)
 
@@ -577,19 +642,18 @@ def _weighted_sums(chi: GenClassFunction, G: PermGroup, terms) -> GenClassFuncti
 def induce(chi: GenClassFunction, G: PermGroup) -> GenClassFunction:
     """Plain coset sum: value at [alpha] adds chi([g^{-1} alpha g]) over
     every alpha-stable coset gH, the cosets of one H-class at once."""
-    plain, _ = induction_tables(G, chi.table.group, chi.table.lam)
-    return _weighted_sums(chi, G, plain)
+    table = chi.table
+    ind = _induction_data((G, table.lam), (table.group, table.lam))
+    return _row_sums(chi, ind.g_table, ind.plain_rows)
 
 
 def induce_grouped(chi: GenClassFunction, G: PermGroup) -> GenClassFunction:
     """Orbit-grouped sum: value at [alpha] adds index * chi([g^{-1} alpha g])
     over centralizer orbits of alpha-stable cosets.  Must agree with
     ``induce`` pointwise."""
-    _, data = induction_tables(G, chi.table.group, chi.table.lam)
-    return _weighted_sums(chi, G, {
-        alpha_key: [(rec.h_key, rec.index) for rec in datum.records]
-        for alpha_key, datum in data.items()
-    })
+    table = chi.table
+    ind = _induction_data((G, table.lam), (table.group, table.lam))
+    return _row_sums(chi, ind.g_table, ind.grouped_rows)
 
 
 def transfer_datum(G: PermGroup, H: PermGroup, alpha, lam: Ambient = None) -> TransferDatum:

@@ -28,7 +28,8 @@ cosets for ``classfun`` and ``homclass`` alike.
 a finite set, and ``_orbit_reps`` its (minimum, size) view.  Here
 ``coset_orbits``, ``_stable_orbits`` and the orbit packing of
 ``_BlockCosets.fixed`` go through it, and so do the point orbits of
-``homclass.classify``.
+``homclass.classify``.  ``coset_orbits`` keeps the walk's steps and reads
+each orbit's stabilizer off their Schreier generators.
 
 Points are 0-based throughout; the transposition of the first two points
 prints as ``(0 1)``.
@@ -98,12 +99,14 @@ def _commuting_tuples(pool, h):
     yield from rec([])
 
 
-def _orbits(points, gens, act):
+def _orbits(points, gens, act, edges=None):
     """Orbits of the group generated by ``gens`` on ``points``.
 
     ``act(g, x)`` is the image of point x under generator g.  Returns member
     lists, each led by its minimum, sorted by it; raises ActionNotClosed if
-    a generator moves a point off ``points``.
+    a generator moves a point off ``points``.  With a list ``edges``, every
+    step (x, g, act(g, x)) is appended to it in the order of the walk: the
+    x of a step leads its orbit or is the image of an earlier step.
     """
     pool = set(points)
     seen = set()
@@ -119,6 +122,8 @@ def _orbits(points, gens, act):
             for x in frontier:
                 for g in gens:
                     y = act(g, x)
+                    if edges is not None:
+                        edges.append((x, g, y))
                     if y not in seen:
                         if y not in pool:
                             raise ActionNotClosed("group moves a point outside the given set")
@@ -878,6 +883,12 @@ def coset_orbits(C: PermGroup, cosets):
 
     Returns ``[(representative coset, stabilizer subgroup)]`` sorted by
     representative; raises ActionNotClosed if C moves a coset off the list.
+
+    The stabilizer comes from the walk's steps (Schreier's lemma): with u_x
+    in C taking the orbit's first coset gH to x, found along the walk, the
+    elements u_(c x)^-1 c u_x over the steps (x, c, c x) generate it.  Those
+    that enlarge a ``StabilizerChain`` are checked to fix gH and closed;
+    InternalMismatch unless |orbit| * |stabilizer| = |C|.
     """
     cosets = list(cosets)
     if not cosets:
@@ -893,12 +904,33 @@ def coset_orbits(C: PermGroup, cosets):
         return moved
 
     gens = [g.images for g in C.working_generators()]
+    edges = []
+    walk = _orbits(pool, gens, act_images, edges)
+    ident = tuple(range(C.degree))
+    transversal = {orbit[0]: (ident, orbit[0]) for orbit in walk}  # x -> (u_x, first)
+    schreier = {orbit[0]: [] for orbit in walk}
+    for x, c, y in edges:
+        u_x, first = transversal[x]
+        cu = _compose(c, u_x)
+        if y in transversal:
+            schreier[first].append(_compose(_inverse(transversal[y][0]), cu))
+        else:
+            transversal[y] = (cu, first)
     orbits = []
-    for rep_images, _ in _orbit_reps(pool, gens, act_images):
-        g = pool[rep_images].rep
-        ginv = g.inverse()  # c fixes gH exactly when g^-1 c g is in H
-        stab = [c for c in C.iter_elements() if ginv * c * g in H]
-        orbits.append((pool[rep_images], PermGroup(C.degree, stab)))
+    for orbit in walk:
+        g = pool[orbit[0]].rep.images
+        ginv = _inverse(g)
+        kept = _chain_generators(C.degree, schreier[orbit[0]], C.order // len(orbit))[0]
+        # c fixes gH exactly when g^-1 c g is in H
+        if not all(Perm(_compose(ginv, _compose(c, g))) in H for c in kept):
+            raise InternalMismatch("a Schreier generator moves its coset")
+        stab = generate(C.degree, map(Perm, kept))
+        if len(orbit) * stab.order != C.order:
+            raise InternalMismatch(
+                "orbit of %d cosets and stabilizer of order %d in a group of order %d"
+                % (len(orbit), stab.order, C.order)
+            )
+        orbits.append((pool[orbit[0]], stab))
     return orbits
 
 

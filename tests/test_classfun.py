@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from transchrome.classfun import (
     GenClassFunction,
+    TransferDatum,
     _fraction,
     class_table,
     ideal_trivial,
@@ -711,8 +712,8 @@ def test_equality_matches_fraction_dict_equality(s4_setup, data):
     other = [v * scale for v in nums]
     if data.draw(st.booleans()):
         other[data.draw(st.integers(0, n - 1))] += data.draw(st.integers(-2, 2))
-    a = GenClassFunction._over(ht, dict(zip(ht.classes, nums)), den)
-    b = GenClassFunction._over(ht, dict(zip(ht.classes, other)), den * scale)
+    a = GenClassFunction._over(ht, nums, den)
+    b = GenClassFunction._over(ht, other, den * scale)
     expected = a.values == b.values
     assert (a == b) is expected
     assert (b == a) is expected
@@ -722,12 +723,78 @@ def test_equality_across_denominators(s4_setup):
     _, H, lam = s4_setup
     ht = class_table(H, lam)
     one = GenClassFunction.constant(ht, 1)
-    halves = GenClassFunction._over(ht, {key: 2 for key in ht.classes}, 2)
+    halves = GenClassFunction._over(ht, [2] * len(ht.classes), 2)
     assert (one.den, halves.den) == (1, 2)
     assert one == halves and halves == one
     assert halves.values == one.values == {key: 1 for key in ht.classes}
     assert halves != GenClassFunction.constant(ht, 2)
     assert one != GenClassFunction.constant(class_table(symmetric_group(4), lam), 1)
+
+
+def _weighted_sums(values, terms, g_table):
+    """Oracle: the dict-keyed integer sums.  Per G-class, the sum of
+    m * (numerator at h_key) over the (h_key, m) pairs ``terms[alpha_key]``,
+    over the common denominator of ``values``, a dict H-class -> Fraction."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    nums = {key: v.numerator * (den // v.denominator) for key, v in values.items()}
+    return {
+        alpha_key: Fraction(sum(m * nums[h_key] for h_key, m in terms[alpha_key]), den)
+        for alpha_key in g_table.classes
+    }
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("degree,H,p,k", [
+    (8, block_subgroup(4, 2), 2, 3),
+    (9, block_subgroup(3, 3), 3, 2),
+    (4, generate(4, [P("(0 1 2 3)", 4)]), 2, 2),
+])
+def test_list_kernels_match_the_dict_keyed_sums(degree, H, p, k, h):
+    from transchrome import classfun
+
+    G, lam = symmetric_group(degree), lam_group(p, h, k)
+    g_table, h_table = class_table(G, lam), class_table(H, lam)
+    plain, data = classfun.induction_tables(G, H, lam)
+    grouped = {
+        alpha_key: [(rec.h_key, rec.index) for rec in datum.records]
+        for alpha_key, datum in data.items()
+    }
+    for seed in range(3):
+        rng = random.Random(seed)
+        chi_values, psi_values = _randint_oracle(h_table, rng), _randint_oracle(h_table, rng)
+        g_values = _randint_oracle(g_table, rng)
+        chi, psi = GenClassFunction(h_table, chi_values), GenClassFunction(h_table, psi_values)
+        g_chi = GenClassFunction(g_table, g_values)
+        induced = _weighted_sums(chi_values, plain, g_table)
+        assert induce(chi, G).values == induced
+        assert induce_grouped(chi, G).values == _weighted_sums(chi_values, grouped, g_table)
+        assert restrict(g_chi, H).values == {
+            key: g_values[g_table.key_of_images(h_table.rep_images(key))]
+            for key in h_table.classes
+        }
+        for table, a, b in ((h_table, chi_values, psi_values), (g_table, induced, g_values)):
+            expected = sum(a[key] * b[key] / table.centralizer_order(key) for key in table.classes)
+            assert inner_product(GenClassFunction(table, a), GenClassFunction(table, b)) == expected
+
+
+@pytest.mark.parametrize("degree,block,blocks,p,h,k", [(8, 4, 2, 2, 2, 3), (9, 3, 3, 3, 2, 2)])
+def test_induction_tables_keep_what_the_warm_benchmark_reads(degree, block, blocks, p, h, k):
+    # perfbench/warm.py unpacks (plain, data) and compares transfer_datum
+    # with data[key]; perfbench/spans.py reads the cache of _induction_data
+    # and times induce and induce_grouped by name
+    from transchrome import classfun
+
+    G, H, lam = symmetric_group(degree), block_subgroup(block, blocks), lam_group(p, h, k)
+    tables = classfun.induction_tables(G, H, lam)
+    assert type(tables) is tuple and len(tables) == 2
+    plain, data = tables
+    g_table = class_table(G, lam)
+    assert list(plain) == list(data) == list(g_table.classes)
+    for key in g_table.classes:
+        assert isinstance(data[key], TransferDatum)
+        assert transfer_datum(G, H, key) == data[key]
+    assert hasattr(classfun._induction_data, "cache_info")
+    assert callable(classfun.induce) and callable(classfun.induce_grouped)
 
 
 @pytest.mark.parametrize("text", ["1e100000000", "-2E+100000000", "1e-100000000",

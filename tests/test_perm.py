@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from transchrome.errors import (
     ActionNotClosed,
     DegreeMismatch,
+    InternalMismatch,
     NotInGroup,
     NotSubgroup,
     ResourceLimit,
@@ -213,6 +214,63 @@ def test_coset_orbits_action_not_closed():
     cosets = left_cosets(S4, H)
     with pytest.raises(ActionNotClosed):
         coset_orbits(S4, cosets[:2])
+
+
+def _scanned_stabilizer(C, coset):
+    """The stabilizer of gH in C by testing every element: c fixes gH
+    exactly when g^-1 c g is in H."""
+    g, H = coset.rep, coset.subgroup
+    ginv = g.inverse()
+    return {c.images for c in C.iter_elements() if ginv * c * g in H}
+
+
+@pytest.mark.parametrize("degree,H,alpha", [
+    (4, block_subgroup(2, 2), ["(0 1)(2 3)"]),
+    (4, generate(4, [P("(0 1 2 3)", 4)]), ["(0 1)(2 3)"]),
+    (4, generate(4, [P("(0 1 2 3)", 4)]), []),
+    (6, block_subgroup(3, 2), ["(0 1 2)"]),
+    (6, block_subgroup(2, 3), ["(0 1)(2 3)(4 5)"]),
+    (8, block_subgroup(4, 2), ["e"]),
+])
+def test_coset_orbit_stabilizers_are_the_element_scan(degree, H, alpha):
+    G = symmetric_group(degree)
+    perms = [P(c, degree) for c in alpha]
+    C = centralizer(G, perms)
+    cosets = fixed_cosets(G, H, perms) if perms else left_cosets(G, H)
+    orbits = coset_orbits(C, cosets)
+    assert sum(C.order // stab.order for _, stab in orbits) == len(cosets)
+    for coset, stab in orbits:
+        assert {s.images for s in stab.elements} == _scanned_stabilizer(C, coset)
+
+
+def test_coset_orbit_stabilizer_of_the_wrong_order_is_a_mismatch(monkeypatch):
+    import transchrome.perm as perm
+
+    real = perm._chain_generators
+
+    def dropped(*args):
+        gens, order = real(*args)
+        return gens[:-1], order
+
+    S4, H = symmetric_group(4), block_subgroup(2, 2)
+    monkeypatch.setattr(perm, "_chain_generators", dropped)
+    with pytest.raises(InternalMismatch, match="stabilizer of order"):
+        coset_orbits(S4, left_cosets(S4, H))
+
+
+def test_coset_orbit_generator_moving_its_coset_is_a_mismatch(monkeypatch):
+    import transchrome.perm as perm
+
+    real = perm._chain_generators
+
+    def with_a_mover(*args):
+        gens, order = real(*args)
+        return gens + [P("(1 2)", 4).images], order
+
+    S4, H = symmetric_group(4), block_subgroup(2, 2)
+    monkeypatch.setattr(perm, "_chain_generators", with_a_mover)
+    with pytest.raises(InternalMismatch, match="moves its coset"):
+        coset_orbits(S4, left_cosets(S4, H))
 
 
 def test_orbit_reps_sizes_and_closure():
