@@ -10,7 +10,10 @@ triviality decision.  The cosets and their centralizer orbits come from
 ``perm`` (``_coset_system`` and ``_stable_orbits``); this module adds the
 H-class of each orbit and the proof of its stabilizer.  A Young subgroup
 H = Sym(b)^c is never enumerated: its class table is read blockwise off one
-table of Sym(b), its cosets are ordered block partitions, and C_H(beta) is
+table of Sym(b), its cosets are ordered block partitions whose
+centralizer orbits are read off the orbit types of alpha (a transfer datum
+lists no stable coset; only the plain induction table does, and checks
+their number against the datum's count), and C_H(beta) is
 given by generators W, read blockwise off the orbits of beta, with the
 order of their stabilizer chain (each table's ``centralizer_of``).  Each
 coset stabilizer is proved from W: |W| generator checks and two order
@@ -475,16 +478,18 @@ class TransferDatum:
         return any(rec.index % p != 0 for rec in self.records)
 
 
-def _build_datum(g_table, h_table, system, alpha_key, fixed) -> TransferDatum:
-    """Orbit records for one class, given its alpha-stable cosets ``fixed``:
-    the orbits of ``perm._stable_orbits``, each with its H-class and a
-    verified stabilizer."""
+def _build_datum(g_table, h_table, system, alpha_key) -> TransferDatum:
+    """Orbit records for one class: the orbits of ``perm._stable_orbits``
+    on the alpha-stable cosets, each with its H-class and a verified
+    stabilizer.  Only the exhaustive coset table asks for the centralizer's
+    generators, to walk them."""
     alpha = g_table.rep_images(alpha_key)
     cent_order = g_table.centralizer_order(alpha_key)
     records = []
-    for token, size, stab_order, g, beta in _stable_orbits(
-        system, alpha, g_table.centralizer_generators(alpha_key), cent_order, fixed
-    ):
+    orbits, fixed_count = _stable_orbits(
+        system, alpha, cent_order, lambda: g_table.centralizer_generators(alpha_key)
+    )
+    for token, size, stab_order, g, beta in orbits:
         h_key = h_table.key_of_images(beta)
         _verify_stabilizer(
             system, token, g, alpha, *h_table.centralizer_of(beta), stab_order,
@@ -495,7 +500,7 @@ def _build_datum(g_table, h_table, system, alpha_key, fixed) -> TransferDatum:
         ))
     return TransferDatum(
         alpha_key=alpha_key,
-        fixed_count=len(fixed),
+        fixed_count=fixed_count,
         centralizer_order=cent_order,
         records=tuple(records),
     )
@@ -517,7 +522,7 @@ def _verify_stabilizer(system, token, g, alpha, gens, gens_order, stab_order, ta
     that fixes the coset gH once conjugated by g lies in H, and one that
     commutes with alpha once conjugated commutes with beta, so <W> lies in
     C_H(beta) and, with that order, is all of it.  The proof does not
-    depend on how W was found, nor on the orbit walk.
+    depend on how W was found, nor on how the orbits were found.
     """
     for c in gens:
         conj = _conj_images(g, c)
@@ -570,9 +575,11 @@ def _induction_data(g_table_key, h_table_key) -> _Induction:
     """Per G-class, the plain table, the orbit records and the two rows
     that ``induce`` and ``induce_grouped`` sum along.
 
-    The plain table classifies every alpha-stable coset gH on its own, by
-    the H-class of g^{-1} alpha g, and keeps (H-class, multiplicity) pairs.
-    The orbit records come from ``_build_datum``.  The orbit/lift bijection
+    The plain table lists every alpha-stable coset gH (``fixed``),
+    classifies each on its own, by the H-class of g^{-1} alpha g, and keeps
+    (H-class, multiplicity) pairs.  The orbit records come from
+    ``_build_datum``, which does not list the cosets of a Young subgroup;
+    their count must be the length of the list.  The orbit/lift bijection
     says the records carry distinct H-classes and that the cosets lifting
     the class of a record are exactly its orbit, so each plain multiplicity
     must equal the index of the one record with that class
@@ -592,7 +599,12 @@ def _induction_data(g_table_key, h_table_key) -> _Induction:
         for token in fixed:
             h_key = h_table.key_of_images(_lift(system, token, alpha)[1])
             counts[h_key] = counts.get(h_key, 0) + 1
-        datum = _build_datum(g_table, h_table, system, alpha_key, fixed)
+        datum = _build_datum(g_table, h_table, system, alpha_key)
+        if len(fixed) != datum.fixed_count:
+            raise InternalMismatch(
+                "%d stable cosets listed, %d counted for %s"
+                % (len(fixed), datum.fixed_count, g_table.class_id(alpha_key))
+            )
         if counts != {rec.h_key: rec.index for rec in datum.records}:
             raise InternalMismatch(
                 "coset multiplicities differ from the orbit indices for %s"
@@ -671,8 +683,7 @@ def transfer_datum(G: PermGroup, H: PermGroup, alpha, lam: Ambient = None) -> Tr
     else:
         perms = realize(alpha).perms if isinstance(alpha, HomClass) else alpha
         alpha_key = g_table.key_of_images(tuple(p.images for p in perms))
-    fixed = system.fixed(g_table.rep_images(alpha_key))
-    return _build_datum(g_table, h_table, system, alpha_key, fixed)
+    return _build_datum(g_table, h_table, system, alpha_key)
 
 
 def ideal_trivial(G: PermGroup, H: PermGroup, alpha, t_is_zero: bool, lam: Ambient = None) -> bool:

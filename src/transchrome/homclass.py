@@ -9,10 +9,11 @@ used by the component decomposition: centralizer structure, minimal block
 level, diagonal factorization, dual image, and the fixed-coset fibration
 over block subgroups.
 
-The fibration reads the cosets of a Young subgroup Sym(b)^c and their
-centralizer orbits from ``perm`` (``_BlockCosets`` and ``_stable_orbits``)
-and adds only the blockwise classes of each orbit; point orbits go through
-``perm._orbit_reps``.
+The fibration reads the centralizer orbits of the cosets of a Young
+subgroup Sym(b)^c from ``perm`` (``_BlockCosets`` and ``_stable_orbits``),
+off the orbit types of the action, without listing the stable partitions
+or taking the centralizer's generators, and adds only the blockwise
+classes of each orbit; point orbits go through ``perm._orbit_reps``.
 """
 
 from __future__ import annotations
@@ -421,8 +422,7 @@ def coset_fiber(hc: HomClass, m: int):
     degree, block = hc.points, lam.p ** m
     system = _BlockCosets(degree, block)
     alpha = [s.images for s in realize(hc).perms]
-    gens = _centralizer_generators(alpha, degree)
-    orbits = _stable_orbits(system, alpha, gens, centralizer_order(hc), system.fixed(alpha))
+    orbits, _ = _stable_orbits(system, alpha, centralizer_order(hc))
     return [
         FiberOrbit(
             partition=token,

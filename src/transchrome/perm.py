@@ -21,15 +21,23 @@ The cosets of H <= G are modelled here and only here: ``_coset_system``
 checks the subgroup and the index cap, then picks ordered block partitions
 (``_BlockCosets``) for a Young subgroup of a symmetric group and the
 exhaustive ``_coset_table``, the block model's test oracle, for any other
-pair.  ``_stable_orbits`` walks the centralizer orbits of the alpha-stable
-cosets for ``classfun`` and ``homclass`` alike.
+pair.  ``_stable_orbits`` gives the centralizer orbits of the alpha-stable
+cosets, and their number, for ``classfun`` and ``homclass`` alike.  The
+table lists the stable cosets and walks the centralizer's generators over
+them.  The block model lists nothing: alpha's orbits grouped by
+isomorphism type (``_orbit_types``, shared with
+``_centralizer_generators``) give one orbit per count matrix, how many
+orbits of each type each block takes, with its size and its least
+partition, and ``_stable_partition_count`` counts the stable partitions
+apart, from the orbit sizes alone.
 
 ``_orbits`` is the one orbit walk for a group given by generators acting on
 a finite set, and ``_orbit_reps`` its (minimum, size) view.  Here
-``coset_orbits``, ``_stable_orbits`` and the orbit packing of
-``_BlockCosets.fixed`` go through it, and so do the point orbits of
-``homclass.classify``.  ``coset_orbits`` keeps the walk's steps and reads
-each orbit's stabilizer off their Schreier generators.
+``coset_orbits``, the table's centralizer orbits, alpha's point orbits
+and the orbit packing of ``_BlockCosets.fixed`` go through it, and so do
+the point orbits of ``homclass.classify``.  ``coset_orbits`` keeps the
+walk's steps and reads each orbit's stabilizer off their Schreier
+generators.
 
 Points are 0-based throughout; the transposition of the first two points
 prints as ``(0 1)``.
@@ -392,7 +400,8 @@ class YoungSubgroup(PermGroup):
         return (
             isinstance(perm, Perm)
             and perm.degree == self.degree
-            and all(v // b == i // b for i, v in enumerate(perm.images))
+            # one block: every permutation of the points is a member
+            and (self.blocks == 1 or all(v // b == i // b for i, v in enumerate(perm.images)))
         )
 
 
@@ -538,6 +547,25 @@ def _isomorphism(first, base, imgs):
     return phi
 
 
+def _orbit_types(imgs, degree):
+    """The orbits of A = <imgs> on {0, ..., degree-1}, grouped by their
+    isomorphism type as A-sets: per type, the list of (orbit, A-set map
+    from the type's first orbit onto it).  Orbits are led by their minima
+    and come in the order of them, within a type and across the types'
+    first orbits."""
+    types = []
+    for orbit in _orbits(range(degree), imgs, operator.getitem):
+        for copies in types:
+            first = copies[0][0]
+            phi = len(first) == len(orbit) and _isomorphism(first, orbit[0], imgs)
+            if phi:
+                copies.append((orbit, phi))
+                break
+        else:
+            types.append([(orbit, dict(zip(orbit, orbit)))])
+    return types
+
+
 def _centralizer_generators(imgs, degree):
     """Generators, as image tuples, of the centralizer in Sym(degree) of
     the commuting image tuples ``imgs``, read off their orbits.
@@ -545,21 +573,15 @@ def _centralizer_generators(imgs, degree):
     The group A they generate is abelian, and its centralizer is the
     product over the isomorphism types of A-orbit O of (A|O) wr Sym(m), m
     the copies of O (a transitive abelian group is its own centralizer).
-    Per type: each generator restricted to the first copy, where it moves
-    it; a swap of the first two copies; and, from three copies on, a cycle
-    of all of them.  Nothing here checks that ``imgs`` commute: whoever
-    relies on these generators checks the group they generate."""
-    types = []  # (first orbit, [A-set maps from it onto each copy])
-    for orbit in _orbits(range(degree), imgs, operator.getitem):
-        for first, maps in types:
-            phi = len(first) == len(orbit) and _isomorphism(first, orbit[0], imgs)
-            if phi:
-                maps.append(phi)
-                break
-        else:
-            types.append((orbit, [dict(zip(orbit, orbit))]))
+    Per type (``_orbit_types``): each generator restricted to the first
+    copy, where it moves it; a swap of the first two copies; and, from
+    three copies on, a cycle of all of them.  Nothing here checks that
+    ``imgs`` commute: whoever relies on these generators checks the group
+    they generate."""
     gens = []
-    for first, maps in types:
+    for copies in _orbit_types(imgs, degree):
+        first = copies[0][0]
+        maps = [phi for _, phi in copies]
         for s in imgs:
             if any(s[x] != x for x in first):
                 g = list(range(degree))
@@ -569,11 +591,11 @@ def _centralizer_generators(imgs, degree):
         shuffles = [maps[:2]] if len(maps) >= 2 else []
         if len(maps) >= 3:
             shuffles.append(maps)
-        for copies in shuffles:
+        for shuffled in shuffles:
             g = list(range(degree))
             for x in first:
-                for j, phi in enumerate(copies):
-                    g[phi[x]] = copies[(j + 1) % len(copies)][x]
+                for j, phi in enumerate(shuffled):
+                    g[phi[x]] = shuffled[(j + 1) % len(shuffled)][x]
             gens.append(tuple(g))
     return gens
 
@@ -670,9 +692,9 @@ class Coset:
 # ---------------------------------------------------------------------------
 # coset models: a token per left coset gH, with ``act(c, token)`` the token of
 # c*gH (c an image tuple), ``fixed(alpha)`` the sorted tokens that every image
-# tuple in alpha fixes, ``orbit_reps(fixed, alpha, gens)`` the (least token,
-# size) of each orbit of <gens> on them, and ``rep_images(token)`` the
-# lex-minimal g
+# tuple in alpha fixes, ``centralizer_orbits(alpha, gens)`` the (least token,
+# size) of each orbit of the centralizer of alpha in G on them and their
+# number, and ``rep_images(token)`` the lex-minimal g
 
 INDEX_CAP = 10 ** 5
 
@@ -728,8 +750,12 @@ class _CosetTable:
             if all(index[_compose(s, g)] == t for s in alpha_images)
         ]
 
-    def orbit_reps(self, fixed, alpha_images, gens):
-        return _orbit_reps(fixed, gens, self.act)
+    def centralizer_orbits(self, alpha_images, gens):
+        """(``[(least token, orbit size)]``, number of stable tokens): the
+        walk of the generators ``gens()`` of the centralizer over the
+        alpha-stable tokens."""
+        fixed = self.fixed(alpha_images)
+        return _orbit_reps(fixed, gens(), self.act), len(fixed)
 
 
 # one table per (G, H), built on first use
@@ -790,32 +816,91 @@ class _BlockCosets:
         pack(orbits, ())
         return sorted(itertools.chain.from_iterable(map(itertools.permutations, packings)))
 
-    def _labelling(self, partition):
-        """The partition as the tuple of the block of each point."""
-        label = [0] * self.degree
-        for j, blk in enumerate(partition):
-            for x in blk:
-                label[x] = j
-        return tuple(label)
+    def centralizer_orbits(self, alpha_images, gens=None):
+        """(``[(least partition, orbit size)]`` sorted, number of stable
+        partitions) for the centralizer C of alpha in Sym(degree), read off
+        the orbit types of alpha; ``gens`` is not used.
 
-    def orbit_reps(self, fixed, alpha_images, gens):
-        """``[(least partition, orbit size)]`` for the orbits of <gens> on the
-        alpha-stable partitions ``fixed``, sorted; ActionNotClosed if a
-        generator moves a partition off ``fixed``.
+        C is the product over the isomorphism types i of alpha-orbit of
+        (A|O_i) wr Sym(m_i), m_i the orbits of type i.  Its translations
+        map every orbit onto itself, so they fix every stable partition, and
+        Sym(m_i) permutes the orbits of type i.  So an orbit of C is a count
+        matrix n: block j takes n[j][i] orbits of type i, filling it, and
+        the orbit has prod_i m_i! / prod_(j,i) n[j][i]! partitions.  It is
+        led by the partition whose blocks, in turn, take per type the
+        remaining orbits of least minimum: the least point where two
+        choices for a block differ is the minimum of an orbit only one of
+        them takes.  The count of stable partitions comes from the orbit
+        sizes alone (``_stable_partition_count``)."""
+        types = [[orbit for orbit, _ in copies] for copies in _orbit_types(alpha_images, self.degree)]
+        sizes = [len(orbits[0]) for orbits in types]
+        last = self.degree // self.block - 1
+        fact = math.factorial
+        chain = itertools.chain.from_iterable
+        found = []  # (least partition, prod of n[j][i]!)
 
-        A generator checked, in one pass over the points, to map every
-        orbit of alpha onto itself maps every block of a stable partition,
-        a union of orbits, onto itself: it fixes every token and is left
-        out.  The walk moves a partition as its labelling l, which c sends
-        to l o c^-1, one ``operator.itemgetter`` call.  Labellings do not
-        sort as partitions do, so each orbit is led by its least partition
-        only after the walk."""
-        orbit_of = self._labelling(_orbits(range(self.degree), alpha_images, operator.getitem))
-        movers = [c for c in gens if any(orbit_of[y] != i for y, i in zip(c, orbit_of))]
-        by_label = {self._labelling(t): t for t in fixed}
-        getters = [operator.itemgetter(*_inverse(c)) for c in movers]
-        orbits = _orbits(by_label, getters, lambda get, label: get(label))
-        return sorted((min(map(by_label.__getitem__, orbit)), len(orbit)) for orbit in orbits)
+        def place(taken, partition, denom):
+            if len(partition) == last:  # the rest is the last block
+                rest = [orbits[t:] for orbits, t in zip(types, taken)]
+                found.append((
+                    partition + (tuple(sorted(chain(chain(rest)))),),
+                    denom * math.prod(fact(len(r)) for r in rest),
+                ))
+                return
+            room = [len(orbits) - t for orbits, t in zip(types, taken)]
+            for take in _fillings(self.block, sizes, room):
+                blk = chain(chain(orbits[t:t + n] for orbits, t, n in zip(types, taken, take)))
+                place(
+                    [t + n for t, n in zip(taken, take)],
+                    partition + (tuple(sorted(blk)),),
+                    denom * math.prod(map(fact, take)),
+                )
+
+        place([0] * len(types), (), 1)
+        top = math.prod(fact(len(orbits)) for orbits in types)
+        count = _stable_partition_count(
+            [size for size, orbits in zip(sizes, types) for _ in orbits], self.block, last + 1
+        )
+        return sorted((token, top // denom) for token, denom in found), count
+
+
+def _fillings(room, sizes, most):
+    """The count vectors n, n[i] <= most[i], with sum n[i] * sizes[i] ==
+    room, for nonempty ``sizes``: the last count is what the others leave."""
+    partial = [((), room)]
+    for size, cap in zip(sizes[:-1], most):
+        partial = [
+            (head + (n,), left - n * size)
+            for head, left in partial for n in range(min(cap, left // size) + 1)
+        ]
+    size, cap = sizes[-1], most[-1]
+    return [
+        head + (left // size,)
+        for head, left in partial if left % size == 0 and left // size <= cap
+    ]
+
+
+def _stable_partition_count(sizes, block, blocks):
+    """How many ordered partitions into ``blocks`` blocks of ``block``
+    points are unions of orbits of the given ``sizes``.
+
+    A dynamic program places the orbits one at a time.  A state is the
+    sorted tuple of the blocks' fill levels, and its count is the number of
+    placements that fill the blocks, in any one fixed order, to those
+    levels (the same for every order).  An orbit of size s put into a block
+    at level v leads to the state with one v raised to v + s; each block at
+    level v + s there could have been that block."""
+    states = {(0,) * blocks: 1}
+    for s in sizes:
+        step = {}
+        for levels, ways in states.items():
+            for v in set(levels):
+                if v + s <= block:
+                    i = levels.index(v)
+                    new = tuple(sorted(levels[:i] + (v + s,) + levels[i + 1:]))
+                    step[new] = step.get(new, 0) + ways * new.count(v + s)
+        states = step
+    return states.get((block,) * blocks, 0)
 
 
 def _coset_system(G: PermGroup, H: PermGroup):
@@ -838,15 +923,17 @@ def _lift(system, token, alpha):
     return g, tuple(_conj_images(ginv, s) for s in alpha)
 
 
-def _stable_orbits(system, alpha, gens, order, fixed):
-    """``[(token, orbit size, stabilizer order, g, beta)]`` for the orbits of
-    the centralizer of alpha (``gens``, of ``order`` elements) on the
-    alpha-stable tokens ``fixed``, each led by its least token, with (g, beta)
-    from ``_lift``; the coset model walks them (``orbit_reps``).  A token
-    moved off ``fixed``, a size not dividing ``order`` and sizes not adding
-    up to ``len(fixed)`` are InternalMismatch."""
+def _stable_orbits(system, alpha, order, gens=None):
+    """(``[(token, orbit size, stabilizer order, g, beta)]``, number of
+    alpha-stable tokens) for the orbits of the centralizer of alpha in G, of
+    ``order`` elements, on the alpha-stable tokens, each led by its least
+    token, with (g, beta) from ``_lift``.  The coset model finds them
+    (``centralizer_orbits``): the table walks the generators that ``gens()``
+    gives, the block model reads them off alpha's orbit types.  A token
+    moved off the stable ones, a size not dividing ``order`` and sizes not
+    adding up to the count are InternalMismatch."""
     try:
-        orbits = system.orbit_reps(fixed, alpha, gens)
+        orbits, count = system.centralizer_orbits(alpha, gens)
     except ActionNotClosed as exc:
         raise InternalMismatch("centralizer left the fixed coset set") from exc
     out = []
@@ -854,9 +941,9 @@ def _stable_orbits(system, alpha, gens, order, fixed):
         if order % size:
             raise InternalMismatch("orbit size does not divide the centralizer order")
         out.append((token, size, order // size) + _lift(system, token, alpha))
-    if sum(entry[1] for entry in out) != len(fixed):
+    if sum(entry[1] for entry in out) != count:
         raise InternalMismatch("orbit sizes do not add up to the fixed-coset count")
-    return out
+    return out, count
 
 
 def left_cosets(G: PermGroup, H: PermGroup):
@@ -872,10 +959,6 @@ def fixed_cosets(G: PermGroup, H: PermGroup, perms):
             raise NotInGroup("%r not in G" % s)
     table = _coset_table(G, H)
     return [table.cosets[t] for t in table.fixed([s.images for s in perms])]
-
-
-def _canonical_coset(rep_images, h_images):
-    return min(_compose(rep_images, h) for h in h_images)
 
 
 def coset_orbits(C: PermGroup, cosets):
@@ -894,11 +977,14 @@ def coset_orbits(C: PermGroup, cosets):
     if not cosets:
         return []
     H = cosets[0].subgroup
-    h_images = [h.images for h in H.iter_elements()]
+    # g*h for every h in H, one itemgetter call each; on one point the
+    # getter would give a point, not a tuple, and H is trivial
+    getters = [operator.itemgetter(*h.images) for h in H.iter_elements()] if C.degree > 1 else [tuple]
     pool = {c.rep.images: c for c in cosets}
 
     def act_images(c_images, rep_images):
-        moved = _canonical_coset(_compose(c_images, rep_images), h_images)
+        g = _compose(c_images, rep_images)
+        moved = min([get(g) for get in getters])
         if moved not in pool:
             raise ActionNotClosed("group moves a coset outside the given list")
         return moved

@@ -270,19 +270,21 @@ def test_transfer_stabilizer_identity_independent(s4_setup):
 
 def test_centralizer_leaving_fixed_cosets_is_a_mismatch(s4_setup):
     # a fixed-coset list the centralizer does not preserve is a bug, not bad
-    # input: it surfaces as InternalMismatch (exit 4), not as a domain error
+    # input: it surfaces as InternalMismatch (exit 4), not as a domain error;
+    # here the exhaustive coset table hands its walk one coset of two
     from transchrome.classfun import _build_datum
-    from transchrome.perm import _coset_system
+    from transchrome.perm import _CosetTable
 
     S4, H, lam = s4_setup
     g_table = class_table(S4, lam)
     h_table = class_table(H, lam)
-    system = _coset_system(S4, H)
+    system = _CosetTable(S4, H)
     key = sym_class(["(0 1)(2 3)"], 2, 1, 2)
     fixed = system.fixed(g_table.rep_images(key))
     assert len(fixed) == 2
+    system.fixed = lambda alpha: fixed[:1]
     with pytest.raises(InternalMismatch):
-        _build_datum(g_table, h_table, system, key, fixed[:1])
+        _build_datum(g_table, h_table, system, key)
 
 
 def test_ideal_trivial_rules(s4_setup):
@@ -412,7 +414,7 @@ def _mutated_transfer(monkeypatch, h, cycles, mutate):
     monkeypatch.setattr(h_table, "centralizer_of", mutated)
     system = _coset_system(G, H)
     key = sym_class(cycles, 2, h, 3)
-    return _build_datum(g_table, h_table, system, key, system.fixed(g_table.rep_images(key)))
+    return _build_datum(g_table, h_table, system, key)
 
 
 def test_stabilizer_check_catches_a_dropped_generator(monkeypatch):
@@ -471,6 +473,78 @@ def test_stabilizer_check_catches_a_wrong_order(monkeypatch):
             real(*args[:-2], 2 * stab_order, table_order)
         with pytest.raises(InternalMismatch, match="class table gives"):
             real(*args[:-2], stab_order, 2 * table_order)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the block path listed or walked the stable cosets")
+
+
+@pytest.mark.parametrize("p,k,h", [(2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)])
+def test_transfer_datum_lists_and_walks_no_stable_coset(monkeypatch, p, k, h):
+    # S8 > S4xS4 and S9 > S3^3: with the listing, every walk and the
+    # centralizer's generators refused, transfer_datum still gives the
+    # datum of the induction tables, which list the cosets
+    from transchrome import perm
+    from transchrome.classfun import SymmetricClassTable, induction_tables
+
+    G, H, lam = symmetric_group(p ** k), block_subgroup(p ** (k - 1), p), lam_group(p, h, k)
+    _, data = induction_tables(G, H, lam)
+    monkeypatch.setattr(perm._BlockCosets, "fixed", _refuse)
+    monkeypatch.setattr(perm._CosetTable, "centralizer_orbits", _refuse)
+    monkeypatch.setattr(perm, "_orbit_reps", _refuse)
+    monkeypatch.setattr(SymmetricClassTable, "centralizer_generators", _refuse)
+    for key in class_table(G, lam).classes:
+        assert transfer_datum(G, H, key) == data[key]
+
+
+def _wrong_first_orbit(monkeypatch, count_agrees):
+    """Make the block model report its first orbit p times too large, p = 3
+    for S9 > S3^3; with ``count_agrees`` its count of stable partitions is
+    the sum of the sizes it reports."""
+    from transchrome import perm
+
+    real = perm._BlockCosets.centralizer_orbits
+
+    def wrong(self, alpha, gens=None):
+        orbits, count = real(self, alpha, gens)
+        if orbits:
+            (token, size), rest = orbits[0], orbits[1:]
+            orbits = [(token, 3 * size)] + rest
+            if count_agrees:
+                count += 2 * size
+        return orbits, count
+
+    monkeypatch.setattr(perm._BlockCosets, "centralizer_orbits", wrong)
+
+
+@pytest.mark.parametrize("count_agrees", [False, True])
+def test_a_wrong_orbit_size_is_a_mismatch(monkeypatch, count_agrees):
+    # the count check sees a wrong size; with the count made to agree, the
+    # divisibility check or the stabilizer proof still sees it
+    G, H, lam = symmetric_group(9), block_subgroup(3, 3), lam_group(3, 1, 2)
+    keys = [key for key in class_table(G, lam).classes if transfer_datum(G, H, key).records]
+    assert keys
+    _wrong_first_orbit(monkeypatch, count_agrees)
+    for key in keys:
+        with pytest.raises(InternalMismatch):
+            transfer_datum(G, H, key)
+    # at alpha = e the one orbit has 1680 partitions, 3 * 1680 divides 9!
+    identity = sym_class(["e"], 3, 1, 2)
+    match = "stabilizer has order" if count_agrees else "do not add up"
+    with pytest.raises(InternalMismatch, match=match):
+        transfer_datum(G, H, identity)
+
+
+def test_listed_cosets_must_match_their_count(monkeypatch):
+    # the induction tables list the stable cosets for the plain sum; a list
+    # one short of the count of _build_datum is a mismatch
+    from transchrome import classfun, perm
+
+    real = perm._BlockCosets.fixed
+    monkeypatch.setattr(perm._BlockCosets, "fixed", lambda self, alpha: real(self, alpha)[:-1])
+    G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, 1, 3)
+    with pytest.raises(InternalMismatch, match="stable cosets listed"):
+        classfun._induction_data.__wrapped__((G, lam), (H, lam))
 
 
 def test_stabilizer_check_makes_h_commutation_checks_per_generator(monkeypatch):
@@ -542,9 +616,8 @@ def test_generated_centralizer_is_the_scan_on_every_record(p, k, block, blocks, 
     for key in g_table.classes:
         alpha = g_table.rep_images(key)
         for _, _, stab_order, _, beta in _stable_orbits(
-            system, alpha, g_table.centralizer_generators(key),
-            g_table.centralizer_order(key), system.fixed(alpha),
-        ):
+            system, alpha, g_table.centralizer_order(key)
+        )[0]:
             gens, order = h_table.centralizer_of(beta)
             factors = centralizer_factors(H, [Perm(s) for s in beta])
             scan = {functools.reduce(_compose, c) for c in itertools.product(*factors)}

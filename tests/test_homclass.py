@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import timeit
 
 import pytest
@@ -32,12 +33,17 @@ from transchrome.homclass import (
     realize,
 )
 from transchrome.perm import (
+    INDEX_CAP,
     Perm,
     _BlockCosets,
+    _centralizer_generators,
+    _inverse,
+    _orbits,
     centralizer,
     conjugating_element,
     generate,
     symmetric_group,
+    young_index,
 )
 
 
@@ -421,6 +427,82 @@ def test_partition_cap_refuses_before_any_work(monkeypatch):
         _BlockCosets(16, 2)
     with pytest.raises(ResourceLimit):
         coset_fiber(hc, 1)
+
+
+def walk_block_orbits(degree, fixed, alpha, gens):
+    """Oracle: ``[(least partition, orbit size)]`` for the orbits of <gens>
+    on the alpha-stable partitions ``fixed``, sorted, found by walking them.
+
+    A generator that maps every orbit of alpha onto itself fixes every
+    stable partition and is left out.  A partition moves as its labelling
+    l (the block of each point), which c sends to l o c^-1."""
+
+    def labelling(blocks):
+        label = [0] * degree
+        for j, blk in enumerate(blocks):
+            for x in blk:
+                label[x] = j
+        return tuple(label)
+
+    orbit_of = labelling(_orbits(range(degree), alpha, operator.getitem))
+    movers = [c for c in gens if any(orbit_of[y] != i for y, i in zip(c, orbit_of))]
+    by_label = {labelling(t): t for t in fixed}
+    getters = [operator.itemgetter(*_inverse(c)) for c in movers]
+    orbits = _orbits(by_label, getters, lambda get, label: get(label))
+    return sorted((min(map(by_label.__getitem__, orbit)), len(orbit)) for orbit in orbits)
+
+
+@pytest.mark.parametrize("p,h,k", [(2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3),
+                                   (3, 1, 2), (3, 2, 2), (2, 3, 2)])
+def test_centralizer_orbits_are_the_walk(p, h, k):
+    # the orbits read off the orbit types, led by their least partitions,
+    # and the count of stable partitions, against the walk over the listed
+    # partitions, for every class at every block level under the cap
+    degree = p ** k
+    for m in range(k + 1):
+        if young_index(degree, p ** m) > INDEX_CAP:
+            with pytest.raises(ResourceLimit):
+                _BlockCosets(degree, p ** m)
+            continue
+        system = _BlockCosets(degree, p ** m)
+        for hc in enumerate_hom_classes(p, h, k):
+            alpha = [s.images for s in realize(hc).perms]
+            fixed = system.fixed(alpha)
+            walked = walk_block_orbits(degree, fixed, alpha, _centralizer_generators(alpha, degree))
+            orbits, count = system.centralizer_orbits(alpha)
+            assert orbits == walked
+            assert count == len(fixed)
+
+
+def test_coset_fiber_lists_and_walks_no_stable_partition(monkeypatch):
+    from transchrome import perm
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset_fiber listed or walked the stable partitions")
+
+    levels = [(hc, m) for hc in enumerate_hom_classes(2, 2, 3) for m in range(4)]
+    before = [coset_fiber(hc, m) for hc, m in levels]
+    monkeypatch.setattr(perm._BlockCosets, "fixed", refuse)
+    monkeypatch.setattr(perm, "_orbit_reps", refuse)
+    monkeypatch.setattr(homclass, "_centralizer_generators", refuse)
+    assert [coset_fiber(hc, m) for hc, m in levels] == before
+
+
+def test_stable_partition_count_is_the_listed_count():
+    # orbit sizes that are no p-powers, and blocks some sizes cannot fill
+    from transchrome.perm import _stable_partition_count
+
+    for sizes, block, blocks, count in [([1] * 6, 2, 3, 90), ([3, 1, 1, 1], 3, 2, 2),
+                                        ([2, 2, 1, 1], 3, 2, 4), ([3, 3], 2, 3, 0),
+                                        ([2, 2, 2], 3, 2, 0), ([4], 4, 1, 1)]:
+        # one cycle per orbit, on consecutive points
+        starts = list(itertools.accumulate(sizes, initial=0))
+        alpha = [tuple(
+            i + 1 if i + 1 < end else start
+            for start, end in zip(starts, starts[1:]) for i in range(start, end)
+        )]
+        listed = filter_fixed(enumerate_block_partitions(starts[-1], block), alpha)
+        assert _stable_partition_count(sizes, block, blocks) == len(listed) == count
 
 
 @pytest.mark.parametrize("p,h,k", [(2, 1, 2), (2, 2, 2), (2, 1, 3)])
