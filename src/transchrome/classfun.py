@@ -12,12 +12,15 @@ H-class of each orbit and the proof of its stabilizer.  A Young subgroup
 H = Sym(b)^c is never enumerated: its class table is read blockwise off one
 table of Sym(b), its cosets are ordered block partitions whose
 centralizer orbits are read off the orbit types of alpha (a transfer datum
-lists no stable coset; only the plain induction table does, and checks
-their number against the datum's count), and C_H(beta) is
-given by generators W, read blockwise off the orbits of beta, with the
-order of their stabilizer chain (each table's ``centralizer_of``).  Each
-coset stabilizer is proved from W: |W| generator checks and two order
-comparisons (see ``_verify_stabilizer``).
+lists no stable coset; only the plain induction table does, checks their
+number against the datum's count and classifies each partition block by
+block, by the factor keys of alpha on its blocks), and each orbit record's
+H-class and C_H(beta) come from one pass over the blocks of beta: the
+class, and generators W, read blockwise off the orbits of beta, with the
+order of their stabilizer chain (each table's ``class_and_centralizer``).
+Each coset stabilizer is proved from W: |W| generator checks, each asking
+the coset model whether it fixes the coset, and two order comparisons
+(see ``_verify_stabilizer``).
 
 The codomain of the underlying character theory is modelled by one rational
 scalar per class; the transfer along an inclusion of centralizers acts as
@@ -45,6 +48,7 @@ import itertools
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -70,6 +74,7 @@ from .perm import (
     Perm,
     PermGroup,
     YoungSubgroup,
+    _BlockCosets,
     _centralizer_generators,
     _chain_generators,
     _commute_images,
@@ -95,6 +100,11 @@ class _ClassTable:
     def position(self):
         """Class key -> its index in ``classes``."""
         return {key: i for i, key in enumerate(self.classes)}
+
+    def class_and_centralizer(self, beta):
+        """(the class key of the image tuple beta, W, |<W>|): W generators
+        of its centralizer, and their chain order, from ``centralizer_of``."""
+        return (self.key_of_images(beta),) + self.centralizer_of(beta)
 
 
 class SymmetricClassTable(_ClassTable):
@@ -214,9 +224,9 @@ class ProductClassTable(GenericClassTable):
             )
         self.group, self.lam, self.degree = group, lam, group.degree
         self.factor = GenericClassTable(symmetric_group(group.block_size), lam)
-        # block action -> (its centralizer generators in Sym(b), chain order);
-        # the keys are entries of ``factor._lookup``
-        self._block_centralizers = {}
+        # block action -> (its factor key, its centralizer generators in
+        # Sym(b), their chain order); the keys are entries of ``factor._lookup``
+        self._block_entries = {}
         self._cent_orders = {
             self._join(parts): math.prod(map(self.factor.centralizer_order, parts))
             for parts in itertools.product(self.factor.classes, repeat=group.blocks)
@@ -242,24 +252,51 @@ class ProductClassTable(GenericClassTable):
         # a block image outside the block is no Sym(b) tuple: NotInGroup
         return self._join([self.factor.key_of_images(local) for _, local in self._blocks(imgs)])
 
-    def centralizer_of(self, beta):
-        """(W, |<W>|) for C_H(beta), block by block: each block's action gets
-        the generators of its centralizer in Sym(b), read off its orbits and
-        kept where they enlarge their stabilizer chain, and the chain's
-        order, once per distinct block action.
-        W embeds them at their blocks; generators on disjoint blocks
-        generate the direct product, so |<W>| is the product of the orders."""
+    def class_and_centralizer(self, beta):
+        """(H-class, W, |<W>|) of beta in one pass over its blocks.  Each
+        distinct block action gets, once, its factor key, the generators of
+        its centralizer in Sym(b), read off its orbits and kept where they
+        enlarge their stabilizer chain, and the chain's order.  The factor
+        keys join into the H-class; W embeds the generators at their
+        blocks, and generators on disjoint blocks generate the direct
+        product, so |<W>| is the product of the orders."""
         b, degree = self.group.block_size, self.degree
         ident = tuple(range(degree))
-        gens, order = [], 1
+        parts, gens, order = [], [], 1
         for lo, local in self._blocks(beta):
-            entry = self._block_centralizers.get(local)
+            entry = self._block_entries.get(local)
             if entry is None:
-                entry = _chain_generators(b, _centralizer_generators(local, b))
-                self._block_centralizers[local] = entry
-            gens.extend(ident[:lo] + tuple(lo + v for v in t) + ident[lo + b:] for t in entry[0])
-            order *= entry[1]
-        return gens, order
+                entry = (self.factor.key_of_images(local),) + _chain_generators(
+                    b, _centralizer_generators(local, b)
+                )
+                self._block_entries[local] = entry
+            part, local_gens, local_order = entry
+            parts.append(part)
+            gens.extend(ident[:lo] + tuple(lo + v for v in t) + ident[lo + b:] for t in local_gens)
+            order *= local_order
+        return self._join(parts), gens, order
+
+    def partition_counts(self, alpha, partitions):
+        """H-class -> how many of the ``partitions`` lift alpha into it, in
+        the order of the first partition of each class.
+
+        A partition is a block coset token: g sends base block j onto its
+        block j, in sorted order, and each block is alpha-stable.  So
+        beta = g^-1 alpha g acts on base block j as alpha acts on block j,
+        relabelled in the block's sorted order, and beta's class is the
+        join of the factor keys of those local actions.  The key of each
+        distinct block is found once; each distinct tuple of keys is joined
+        once."""
+        keys = {}  # block -> the factor key of alpha there
+        for blk in set(itertools.chain.from_iterable(partitions)):
+            # a point sent out of the block gives no Sym(b) tuple: NotInGroup
+            where = {x: i for i, x in enumerate(blk)}.get
+            keys[blk] = self.factor.key_of_images(
+                tuple(tuple(where(s[x]) for x in blk) for s in alpha)
+            )
+        key_of = keys.__getitem__
+        counts = Counter(tuple(map(key_of, partition)) for partition in partitions)
+        return {self._join(parts): m for parts, m in counts.items()}
 
 
 @lru_cache(maxsize=None)
@@ -490,9 +527,9 @@ def _build_datum(g_table, h_table, system, alpha_key) -> TransferDatum:
         system, alpha, cent_order, lambda: g_table.centralizer_generators(alpha_key)
     )
     for token, size, stab_order, g, beta in orbits:
-        h_key = h_table.key_of_images(beta)
+        h_key, gens, gens_order = h_table.class_and_centralizer(beta)
         _verify_stabilizer(
-            system, token, g, alpha, *h_table.centralizer_of(beta), stab_order,
+            system, token, g, alpha, gens, gens_order, stab_order,
             h_table.centralizer_order(h_key),
         )
         records.append(OrbitRecord(
@@ -513,7 +550,8 @@ def _verify_stabilizer(system, token, g, alpha, gens, gens_order, stab_order, ta
     ``gens`` are the image tuples W that the H class table gives for
     C_H(beta), beta = g^{-1} alpha g, and ``gens_order`` is |<W>| from their
     ``perm.StabilizerChain``.  Every generator, conjugated by g, is checked
-    to commute with alpha and to fix the coset; the stabilizer is a
+    to commute with alpha and to fix the coset (the coset model's
+    ``fixes``); the stabilizer is a
     subgroup, so it contains g <W> g^{-1}.  Then |<W>| is checked to be
     ``stab_order`` (orbit-stabilizer), so containment plus count gives
     equality, with |W| generator checks.  It is also checked to be
@@ -528,7 +566,7 @@ def _verify_stabilizer(system, token, g, alpha, gens, gens_order, stab_order, ta
         conj = _conj_images(g, c)
         if not all(_commute_images(conj, s) for s in alpha):
             raise InternalMismatch("claimed stabilizer element is not in the centralizer")
-        if system.act(conj, token) != token:
+        if not system.fixes(conj, token):
             raise InternalMismatch("claimed stabilizer element moves the coset")
     if gens_order != stab_order:
         raise InternalMismatch(
@@ -577,7 +615,10 @@ def _induction_data(g_table_key, h_table_key) -> _Induction:
 
     The plain table lists every alpha-stable coset gH (``fixed``),
     classifies each on its own, by the H-class of g^{-1} alpha g, and keeps
-    (H-class, multiplicity) pairs.  The orbit records come from
+    (H-class, multiplicity) pairs.  A block partition is classified block by
+    block, by the product table (``ProductClassTable.partition_counts``);
+    any other coset is lifted to g^{-1} alpha g and keyed whole.  The orbit
+    records come from
     ``_build_datum``, which does not list the cosets of a Young subgroup;
     their count must be the length of the list.  The orbit/lift bijection
     says the records carry distinct H-classes and that the cosets lifting
@@ -591,14 +632,15 @@ def _induction_data(g_table_key, h_table_key) -> _Induction:
     g_table = class_table(G, lam)
     h_table = class_table(H, lam)
     position = h_table.position
+    blockwise = isinstance(system, _BlockCosets) and isinstance(h_table, ProductClassTable)
     plain, data, plain_rows, grouped_rows = {}, {}, [], []
     for alpha_key in g_table.classes:
         alpha = g_table.rep_images(alpha_key)
         fixed = system.fixed(alpha)
-        counts = {}
-        for token in fixed:
-            h_key = h_table.key_of_images(_lift(system, token, alpha)[1])
-            counts[h_key] = counts.get(h_key, 0) + 1
+        if blockwise:
+            counts = h_table.partition_counts(alpha, fixed)
+        else:
+            counts = Counter(h_table.key_of_images(_lift(system, token, alpha)[1]) for token in fixed)
         datum = _build_datum(g_table, h_table, system, alpha_key)
         if len(fixed) != datum.fixed_count:
             raise InternalMismatch(

@@ -343,8 +343,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, default=None, help="block exponent (default k-1)")
-    sp.add_argument("--class-id", help="canonical class identifier")
-    sp.add_argument("--alpha", help="semicolon-separated cycle notation, e.g. '(0 1);(2 3)'")
+    which = sp.add_mutually_exclusive_group()
+    which.add_argument("--class-id", help="canonical class identifier")
+    which.add_argument("--alpha", help="semicolon-separated cycle notation, e.g. '(0 1);(2 3)'")
     add_common(sp)
     sp.set_defaults(func=_cmd_transfer)
 

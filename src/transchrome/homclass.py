@@ -308,15 +308,16 @@ def _power_tables(perms, modulus):
     return tables
 
 
-def _stabilizer(lam: Ambient, tables, base):
-    """The set of packed elements of lam that fix the point ``base``.
+def _stabilizer(tables, basis, base):
+    """The set of packed elements of lam that fix the point ``base``;
+    ``basis`` is lam's ``_basis``.
 
     Walked coordinate by coordinate: ``reached`` maps each point to the
     packed prefixes c_0 e_0 + ... + c_i e_i (0 <= c_j < p^k, so no field
     overflows) that move base there, so every element costs one add, not
     one table lookup per coordinate."""
     reached = {base: [0]}
-    for table, unit in zip(tables, _basis(lam)):
+    for table, unit in zip(tables, basis):
         step = {}
         for x, prefixes in reached.items():
             for c, row in enumerate(table):
@@ -334,9 +335,10 @@ def classify(t: CommutingTuple, lam: Ambient) -> HomClass:
     _check_ambient_cap(lam)
     tables = _power_tables(t.perms, lam.modulus)
     imgs = [s.images for s in t.perms]
+    basis = _basis(lam)
     counts = {}
     for base, _ in _orbit_reps(range(t.degree), imgs, operator.getitem):
-        kernel = AbSubgroup._of_keys(lam, _stabilizer(lam, tables, base))
+        kernel = AbSubgroup._of_keys(lam, _stabilizer(tables, basis, base))
         counts[kernel] = counts.get(kernel, 0) + 1
     orbit_types = tuple(sorted(counts.items(), key=lambda kv: _kernel_key(kv[0])))
     return HomClass(lam, orbit_types)

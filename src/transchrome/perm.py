@@ -690,11 +690,11 @@ class Coset:
 
 
 # ---------------------------------------------------------------------------
-# coset models: a token per left coset gH, with ``act(c, token)`` the token of
-# c*gH (c an image tuple), ``fixed(alpha)`` the sorted tokens that every image
-# tuple in alpha fixes, ``centralizer_orbits(alpha, gens)`` the (least token,
-# size) of each orbit of the centralizer of alpha in G on them and their
-# number, and ``rep_images(token)`` the lex-minimal g
+# coset models: a token per left coset gH, with ``fixes(c, token)`` whether
+# c*gH is gH (c an image tuple), ``fixed(alpha)`` the sorted tokens that every
+# image tuple in alpha fixes, ``centralizer_orbits(alpha, gens)`` the (least
+# token, size) of each orbit of the centralizer of alpha in G on them and
+# their number, and ``rep_images(token)`` the lex-minimal g
 
 INDEX_CAP = 10 ** 5
 
@@ -736,18 +736,27 @@ class _CosetTable:
         self.cosets = tuple(cosets)
         self._reps = tuple(c.rep.images for c in cosets)
         self._index = index
+        # c -> c*g for the representative g of each token, one itemgetter
+        # call each; on one point the getter would give a point, not a tuple
+        self._times_rep = (
+            tuple(operator.itemgetter(*g) for g in self._reps) if G.degree > 1 else (tuple,)
+        )
 
     def rep_images(self, token):
         return self._reps[token]
 
     def act(self, c_images, token):
-        return self._index[_compose(c_images, self._reps[token])]
+        """The token of c*gH, for the walk of ``centralizer_orbits``."""
+        return self._index[self._times_rep[token](c_images)]
+
+    def fixes(self, c_images, token):
+        return self.act(c_images, token) == token
 
     def fixed(self, alpha_images):
         index = self._index
         return [
-            t for t, g in enumerate(self._reps)
-            if all(index[_compose(s, g)] == t for s in alpha_images)
+            t for t, times_g in enumerate(self._times_rep)
+            if all(index[times_g(s)] == t for s in alpha_images)
         ]
 
     def centralizer_orbits(self, alpha_images, gens):
@@ -773,8 +782,10 @@ class _BlockCosets:
         self.block = block
 
     @staticmethod
-    def act(images, partition):
-        return tuple(tuple(sorted(images[x] for x in blk)) for blk in partition)
+    def fixes(images, partition):
+        """Whether images maps each block of the partition into itself;
+        no block is sorted."""
+        return all(set(blk).issuperset(map(images.__getitem__, blk)) for blk in partition)
 
     @staticmethod
     def rep_images(token):

@@ -405,13 +405,14 @@ def _mutated_transfer(monkeypatch, h, cycles, mutate):
 
     G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, h, 3)
     g_table, h_table = class_table(G, lam), class_table(H, lam)
-    real = h_table.centralizer_of
+    real = h_table.class_and_centralizer
 
     def mutated(beta):
-        gens = mutate(list(real(beta)[0]), beta)
-        return gens, StabilizerChain(H.degree, gens).order
+        h_key, gens, _ = real(beta)
+        gens = mutate(list(gens), beta)
+        return h_key, gens, StabilizerChain(H.degree, gens).order
 
-    monkeypatch.setattr(h_table, "centralizer_of", mutated)
+    monkeypatch.setattr(h_table, "class_and_centralizer", mutated)
     system = _coset_system(G, H)
     key = sym_class(cycles, 2, h, 3)
     return _build_datum(g_table, h_table, system, key)
@@ -433,6 +434,18 @@ def test_stabilizer_check_catches_an_element_moving_the_coset(monkeypatch):
 
     def replace(gens, beta):
         gens[-1] = swap
+        return gens
+
+    with pytest.raises(InternalMismatch, match="moves the coset"):
+        _mutated_transfer(monkeypatch, 1, ["e"], replace)
+
+
+def test_stabilizer_check_catches_a_point_leaving_its_block(monkeypatch):
+    # at alpha = e the one record's coset is the base partition: the
+    # transposition (3 4) commutes with alpha and sends one point of each
+    # block into the other
+    def replace(gens, beta):
+        gens[-1] = (0, 1, 2, 4, 3, 5, 6, 7)
         return gens
 
     with pytest.raises(InternalMismatch, match="moves the coset"):
@@ -563,14 +576,14 @@ def test_stabilizer_check_makes_h_commutation_checks_per_generator(monkeypatch):
     for h in (1, 2):
         lam = lam_group(2, h, 3)
         h_table = class_table(H, lam)
-        real_of = h_table.centralizer_of
+        real_of = h_table.class_and_centralizer
 
         def of(beta):
-            gens, order = real_of(beta)
+            h_key, gens, order = real_of(beta)
             sizes.append(len(gens))
-            return gens, order
+            return h_key, gens, order
 
-        monkeypatch.setattr(h_table, "centralizer_of", of)
+        monkeypatch.setattr(h_table, "class_and_centralizer", of)
         monkeypatch.setattr(classfun, "_commute_images", commute)
         for key in class_table(S8, lam).classes:
             sizes.clear()
@@ -606,7 +619,8 @@ def _closure(gens, degree):
 @pytest.mark.parametrize("h", [1, 2])
 def test_generated_centralizer_is_the_scan_on_every_record(p, k, block, blocks, h):
     # S8 > S4xS4 and S9 > S3^3: on every orbit record <W> is the scanned
-    # C_H(beta) as a set, and the chain order is its size
+    # C_H(beta) as a set, the chain order is its size, and the class read
+    # in the same block pass is beta's
     from transchrome.perm import _compose, _coset_system, _stable_orbits, centralizer_factors
 
     G, H, lam = symmetric_group(p ** k), block_subgroup(block, blocks), lam_group(p, h, k)
@@ -618,7 +632,8 @@ def test_generated_centralizer_is_the_scan_on_every_record(p, k, block, blocks, 
         for _, _, stab_order, _, beta in _stable_orbits(
             system, alpha, g_table.centralizer_order(key)
         )[0]:
-            gens, order = h_table.centralizer_of(beta)
+            h_key, gens, order = h_table.class_and_centralizer(beta)
+            assert h_key == h_table.key_of_images(beta)
             factors = centralizer_factors(H, [Perm(s) for s in beta])
             scan = {functools.reduce(_compose, c) for c in itertools.product(*factors)}
             assert _closure(gens, H.degree) == scan
@@ -713,6 +728,80 @@ def test_plain_table_keeps_one_pair_per_h_class(degree, block, blocks, p, h, k, 
         keys = [key for key, _ in pairs]
         assert len(set(keys)) == len(keys)
         assert sum(m for _, m in pairs) == data[alpha_key].fixed_count
+
+
+def _d8():
+    """The dihedral group of order 8 that contains Sym(2)^2 on {0,1},{2,3}."""
+    return generate(4, [Perm.from_cycles("(0 1)", 4), Perm.from_cycles("(0 2)(1 3)", 4)])
+
+
+# (G, H, (p, h, k)): the acceptance pairs; the Young pairs at m = 0 and
+# m = k; a Young H in a group that is not symmetric, over the coset table
+_ORACLE_PAIRS = {
+    "S4>S2^2-h1": (lambda: symmetric_group(4), lambda: block_subgroup(2, 2), (2, 1, 2)),
+    "S4>S2^2-h2": (lambda: symmetric_group(4), lambda: block_subgroup(2, 2), (2, 2, 2)),
+    "S8>S4^2-h1": (lambda: symmetric_group(8), lambda: block_subgroup(4, 2), (2, 1, 3)),
+    "S8>S4^2-h2": (lambda: symmetric_group(8), lambda: block_subgroup(4, 2), (2, 2, 3)),
+    "S9>S3^3-h1": (lambda: symmetric_group(9), lambda: block_subgroup(3, 3), (3, 1, 2)),
+    "S9>S3^3-h2": (lambda: symmetric_group(9), lambda: block_subgroup(3, 3), (3, 2, 2)),
+    "S4>S1^4-m0": (lambda: symmetric_group(4), lambda: block_subgroup(1, 4), (2, 2, 2)),
+    "S8>S1^8-m0": (lambda: symmetric_group(8), lambda: block_subgroup(1, 8), (2, 1, 3)),
+    "S9>S9-mk": (lambda: symmetric_group(9), lambda: block_subgroup(9, 1), (3, 1, 2)),
+    "S4>S4-mk": (lambda: symmetric_group(4), lambda: block_subgroup(4, 1), (2, 2, 2)),
+    "D8>S2^2": (_d8, lambda: block_subgroup(2, 2), (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_PAIRS))
+def test_induction_tables_match_the_lift_and_key_oracle(name):
+    # the plain pairs, in order, are those of lifting each listed stable
+    # coset to g^-1 alpha g and keying it whole; each record's class is the
+    # key of its beta, and its datum is transfer_datum's
+    from transchrome import classfun
+
+    make_g, make_h, (p, h, k) = _ORACLE_PAIRS[name]
+    G, H, lam = make_g(), make_h(), lam_group(p, h, k)
+    plain, data = classfun.induction_tables(G, H, lam)
+    h_table = class_table(H, lam)
+    keys = _coset_keys(G, H, lam)
+    assert list(plain) == list(keys) == list(data)
+    for alpha_key, h_keys in keys.items():
+        counts = {}
+        for h_key in h_keys:
+            counts[h_key] = counts.get(h_key, 0) + 1
+        assert plain[alpha_key] == tuple(counts.items())
+        alpha = [Perm(s) for s in class_table(G, lam).rep_images(alpha_key)]
+        for rec in data[alpha_key].records:
+            g = rec.coset_rep
+            beta = tuple((g.inverse() * s * g).images for s in alpha)
+            assert rec.h_key == h_table.key_of_images(beta)
+        assert classfun.transfer_datum(G, H, alpha, lam) == data[alpha_key]
+
+
+def test_a_mutated_block_key_is_a_multiplicity_mismatch(monkeypatch):
+    # S8 > S4xS4: the plain table keys each block of each listed partition
+    # by the factor table.  One block action keyed as the identity's class
+    # moves its cosets to another H-class; the orbit records keep the block
+    # entries of the first build, so only the multiplicity check sees it
+    from transchrome import classfun
+
+    G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, 1, 3)
+    classfun.induction_tables(G, H, lam)
+    factor = class_table(H, lam).factor
+    real = factor.key_of_images
+    identity = real((tuple(range(4)),))
+    mutated = []
+
+    def key_of_images(local):
+        key = real(local)
+        if not mutated and key != identity:
+            mutated.append(local)
+        return identity if local in mutated else key
+
+    monkeypatch.setattr(factor, "key_of_images", key_of_images)
+    with pytest.raises(InternalMismatch, match="coset multiplicities differ"):
+        classfun._induction_data.__wrapped__((G, lam), (H, lam))
+    assert len(mutated) == 1
 
 
 def test_coefficient_check_catches_swapped_orbit_classes(monkeypatch):

@@ -60,6 +60,10 @@ GOLDEN = [
                          "--chi", os.path.join(FIXTURES, "chi_p2_h2_k3.json"))),
     # a p-typical law at its default x-degree, D = 82, which no digest covers
     ("fgl_p3_n2_k1", ("fgl", "--p", "3", "--n", "2", "--k", "1")),
+    # the acceptance matrix, whose criteria 3 and 4 run the induction tables
+    ("reproduce_seed0", ("reproduce", "--seed", "0")),
+    ("reproduce_seed1", ("reproduce", "--seed", "1")),
+    ("reproduce_seed7", ("reproduce", "--seed", "7")),
 ]
 
 
@@ -244,6 +248,19 @@ def test_fgl_height2(capsys):
 def test_exit_code_usage(capsys):
     assert run_cli(capsys, "homs", "--p", "2", "--h", "1")[0] == 1
     assert run_cli(capsys, "nonsense")[0] == 1
+
+
+def test_transfer_refuses_both_class_id_and_alpha(capsys):
+    # one class per request: naming it twice is a usage error, not a
+    # silent choice of one of the two
+    class_id = "p2.k2.h1:[(U<1>:idx1,m2),(U<2>:idx2,m1)]"
+    code, out, err = run_cli(capsys, "transfer", "--p", "2", "--h", "1", "--k", "2",
+                             "--class-id", class_id, "--alpha", "(0 1)(2 3)")
+    assert code == 1
+    assert out == ""
+    assert "not allowed with argument" in err
+    for flag, value in (("--class-id", class_id), ("--alpha", "(0 1)(2 3)")):
+        assert run_cli(capsys, "transfer", "--p", "2", "--h", "1", "--k", "2", flag, value)[0] == 0
 
 
 def test_exit_code_domain(capsys):

@@ -18,6 +18,7 @@ from transchrome.perm import (
     PermGroup,
     StabilizerChain,
     YoungSubgroup,
+    _BlockCosets,
     _compose,
     block_subgroup,
     centralizer,
@@ -540,3 +541,16 @@ def test_transfer_datum_never_builds_the_young_subgroup(multi_block_elements_ref
         for key in class_table(S8, lam).classes:
             datum = transfer_datum(S8, H, key)
             assert sum(rec.index for rec in datum.records) == datum.fixed_count
+
+
+@pytest.mark.parametrize("degree,block", [(4, 1), (4, 2), (6, 2), (6, 3)])
+def test_block_fixes_is_the_sorted_image_partition(degree, block):
+    # ``fixes`` reads each block's point set; the oracle sorts the image of
+    # each block, the partition of c*gH, and compares: they agree on every
+    # element and every ordered partition
+    system = _BlockCosets(degree, block)
+    tokens = system.fixed((tuple(range(degree)),))
+    for c in itertools.permutations(range(degree)):
+        for token in tokens:
+            moved = tuple(tuple(sorted(c[x] for x in blk)) for blk in token)
+            assert system.fixes(c, token) == (moved == token)
