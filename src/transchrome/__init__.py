@@ -55,16 +55,11 @@ _EXPORTS = {
         "verify_triangle",
     ),
     "perm": (
-        "Coset",
         "Perm",
         "PermGroup",
         "block_subgroup",
         "centralizer",
-        "conjugating_element",
-        "coset_orbits",
-        "fixed_cosets",
         "generate",
-        "left_cosets",
         "symmetric_group",
     ),
 }

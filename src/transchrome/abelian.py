@@ -254,16 +254,6 @@ class AbSubgroup:
     def __repr__(self):
         return "AbSubgroup(order=%d, gens=%s)" % (self.order, self.generators())
 
-    def is_closed(self) -> bool:
-        eset = set(self.elements)
-        for x in eset:
-            if self.ambient.neg(x) not in eset:
-                return False
-            for y in eset:
-                if self.ambient.add(x, y) not in eset:
-                    return False
-        return True
-
     def generators(self):
         """Deterministic generating list: greedily take minimal new elements.
         The walk runs on the first call; later calls read its list."""

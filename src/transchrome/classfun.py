@@ -81,9 +81,10 @@ from .perm import (
     _commuting_tuples,
     _conj_images,
     _coset_system,
+    _factor_generators,
     _lift,
     _stable_orbits,
-    centralizer,
+    centralizer_factors,
     symmetric_group,
 )
 
@@ -197,7 +198,10 @@ class GenericClassTable(_ClassTable):
         return self._cent_orders[key]
 
     def centralizer_generators(self, key):
-        return [g.images for g in centralizer(self.group, [Perm(s) for s in key]).generators]
+        """Greedy generators of the scanned centralizer of the tuple ``key``,
+        as ``perm.centralizer`` carries them, without forming its elements."""
+        factors = centralizer_factors(self.group, map(Perm, key))
+        return _factor_generators(self.degree, factors)
 
     def centralizer_of(self, beta):
         """(W, |<W>|): generators of the scanned centralizer of the image

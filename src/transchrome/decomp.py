@@ -13,7 +13,6 @@ disagreement is a hard error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import abelian, classfun, homclass
@@ -242,45 +241,6 @@ def report_to_dict(report: DecompositionReport) -> dict:
             for r in report.records
         ],
     }
-
-
-def report_from_dict(data: dict) -> DecompositionReport:
-    p, n, t, k = data["p"], data["n"], data["t"], data["k"]
-    h = n - t
-    lam = homclass.lam_group(p, h, k)
-    classes = {hc.class_id(): hc for hc in homclass.enumerate_hom_classes(p, h, k)}
-    records = []
-    for comp in data["components"]:
-        hc = classes[comp["class_id"]]
-        L = AbSubgroup.span(lam, [tuple(g) for g in comp["L"]["generators"]])
-        if L.order != comp["L"]["order"]:
-            raise ValueError("inconsistent dual image in report")
-        records.append(
-            ComponentRecord(
-                hom_class=hc,
-                isotypic=comp["isotypic"],
-                m=comp["m"],
-                dual_image=L,
-                ideal_trivial=comp["ideal_trivial"],
-                fiber_rank=comp["fiber_rank"],
-                centralizer_order=comp["centralizer_order"],
-            )
-        )
-    return DecompositionReport(
-        p=p, n=n, t=t, k=k,
-        records=tuple(records),
-        total_degree=data["degree"],
-        rank_sum=data["rank_sum"],
-        convention=data.get("convention", CONVENTION),
-    )
-
-
-def report_to_json(report: DecompositionReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> DecompositionReport:
-    return report_from_dict(json.loads(text))
 
 
 def render_table(report: DecompositionReport) -> str:

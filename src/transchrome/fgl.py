@@ -87,12 +87,6 @@ class PolyRing:
         c %= self.mod
         return {self.zero_exp: c} if c else {}
 
-    def param(self, i):
-        if not 1 <= i <= self.r:
-            raise BadParameters("no parameter u_%d in this ring" % i)
-        exp = tuple(1 if j == i - 1 else 0 for j in range(self.r))
-        return {exp: 1} if self.b > 1 else {}
-
     def add(self, f, g):
         out = dict(f)
         for e, c in g.items():
@@ -660,11 +654,6 @@ def prepare_p_series(ctx: FGLContext, k: int):
     g = n_series(ctx, ctx.p ** k)
     f, u = weierstrass_prep(ctx, g, d)
     return g, f, u
-
-
-def torsion_rank(ctx: FGLContext, k: int) -> int:
-    """Degree of the prepared [p^k]-series; the p^k-torsion rank p^{kn}."""
-    return prepare_p_series(ctx, k)[1].degree()
 
 
 def residue_series(ctx: FGLContext, s: Series) -> dict:

@@ -45,18 +45,18 @@ from .errors import (
 from .perm import (
     Perm,
     _BlockCosets,
-    _centralizer_generators,
-    _commuting_tuples,
     _compose,
     _orbit_reps,
     _stable_orbits,
-    symmetric_group,
 )
 
 LAMBDA_ORDER_CAP = 10 ** 4
 DEGREE_CAP = 16
 # Hom classes enumerated per request; (2, 2, 4) has 4929, (2, 3, 4) 984 771.
 HOM_CLASS_CAP = 10 ** 4
+# Elements of the orbit kernels listed per request; (2, 6, 2) lists
+# 2.86 * 10^6, (2, 12, 1) 8.39 * 10^6.
+KERNEL_ELEMENT_CAP = 3 * 10 ** 6
 
 
 def lam_group(p: int, h: int, k: int) -> Ambient:
@@ -163,17 +163,6 @@ def _check_orders(perms, p, k):
             )
 
 
-def make_tuple(perms, lam: Ambient) -> CommutingTuple:
-    perms = tuple(perms)
-    if not perms:
-        raise BadParameters("empty tuple")
-    if len(perms) != lam.h:
-        raise BadParameters("tuple length %d != rank %d" % (len(perms), lam.h))
-    t = CommutingTuple(perms[0].degree, perms)
-    _check_orders(perms, lam.p, lam.k)
-    return t
-
-
 def _kernel_subgroups(lam: Ambient, max_index: int):
     """Subgroups of lam whose index is a p-power dividing max_index, sorted
     by ``_kernel_key``.
@@ -214,8 +203,11 @@ def enumerate_hom_classes(p: int, h: int, k: int):
     """All classes of actions of (Z/p^k)^h on p^k points, canonically sorted.
 
     Refused (ResourceLimit) before any enumeration when ``hom_class_count``
-    exceeds HOM_CLASS_CAP; the number enumerated must equal that count
-    (InternalMismatch otherwise).
+    exceeds HOM_CLASS_CAP, or when the orbit kernels would list more than
+    KERNEL_ELEMENT_CAP elements: a_j kernels of index p^j, a_j =
+    ``count_sublattices(h, p, j)``, each of p^(kh - j) elements, for
+    j <= k.  The number enumerated must equal the count (InternalMismatch
+    otherwise).
     """
     check_prime(p)
     if h < 1 or k < 0:
@@ -229,6 +221,12 @@ def enumerate_hom_classes(p: int, h: int, k: int):
         raise ResourceLimit(
             "%d hom classes at (p, h, k) = (%d, %d, %d) exceed cap %d"
             % (count, p, h, k, HOM_CLASS_CAP)
+        )
+    listed = sum(count_sublattices(h, p, j) * p ** (k * h - j) for j in range(k + 1))
+    if listed > KERNEL_ELEMENT_CAP:
+        raise ResourceLimit(
+            "%d orbit-kernel elements at (p, h, k) = (%d, %d, %d) exceed cap %d"
+            % (listed, p, h, k, KERNEL_ELEMENT_CAP)
         )
     lam = lam_group(p, h, k)
     degree = p ** k
@@ -352,17 +350,6 @@ def centralizer_order(hc: HomClass) -> int:
     return total
 
 
-def centralizer_generators(hc: HomClass):
-    """Generators of the centralizer of realize(hc) in Sym(points), read off
-    its orbits by ``perm._centralizer_generators``: per orbit type lam/U,
-    (lam/U) wr Sym(mult), the translations of one orbit copy plus a swap
-    and a cycle of the copies.  Cross-checked against exhaustive
-    centralizer computation in the tests.
-    """
-    imgs = [s.images for s in realize(hc).perms]
-    return [Perm(g) for g in _centralizer_generators(imgs, hc.points)]
-
-
 def minimal_level(hc: HomClass) -> int:
     """Smallest m such that the action splits into invariant blocks of size p^m.
 
@@ -440,15 +427,3 @@ def coset_fiber(hc: HomClass, m: int):
         )
         for token, size, stab_order, g, beta in orbits
     ]
-
-
-def commuting_tuple_count(degree: int, p: int, k: int, h: int) -> int:
-    """Direct exhaustion: number of h-tuples of pairwise-commuting
-    permutations of p-power order dividing p^k in Sym(degree)."""
-    cap = p ** k
-    pool = [
-        s.images
-        for s in symmetric_group(degree).iter_elements()
-        if cap % s.order() == 0
-    ]
-    return sum(1 for _ in _commuting_tuples(pool, h))

@@ -32,12 +32,10 @@ partition, and ``_stable_partition_count`` counts the stable partitions
 apart, from the orbit sizes alone.
 
 ``_orbits`` is the one orbit walk for a group given by generators acting on
-a finite set, and ``_orbit_reps`` its (minimum, size) view.  Here
-``coset_orbits``, the table's centralizer orbits, alpha's point orbits
-and the orbit packing of ``_BlockCosets.fixed`` go through it, and so do
-the point orbits of ``homclass.classify``.  ``coset_orbits`` keeps the
-walk's steps and reads each orbit's stabilizer off their Schreier
-generators.
+a finite set, and ``_orbit_reps`` its (minimum, size) view.  Here the
+table's centralizer orbits, alpha's point orbits and the orbit packing of
+``_BlockCosets.fixed`` go through it, and so do the point orbits of
+``homclass.classify``.
 
 Points are 0-based throughout; the transposition of the first two points
 prints as ``(0 1)``.
@@ -224,10 +222,6 @@ class Perm:
             exponent >>= 1
         return result
 
-    def conjugate(self, g: "Perm") -> "Perm":
-        """g * self * g^{-1}."""
-        return g * self * g.inverse()
-
     def order(self) -> int:
         n = 1
         for cyc in self._cycle_lists():
@@ -410,13 +404,13 @@ def symmetric_group(degree: int) -> YoungSubgroup:
     return YoungSubgroup(degree, 1)
 
 
-def generate(degree: int, gens, max_elements=None) -> PermGroup:
+def generate(degree: int, gens) -> PermGroup:
     """Close a generating set under composition; deterministic sorted output."""
     gens = tuple(gens)
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatch("generator degree %d != %d" % (g.degree, degree))
-    cap = max_elements if max_elements is not None else max_group_elements()
+    cap = max_group_elements()
     ident = Perm.identity(degree)
     seen = {ident.images: ident}
     frontier = [ident]
@@ -645,48 +639,21 @@ def centralizer_factors(ambient: PermGroup, perms):
     return [[g for g in scan if all(_commute_images(g, s) for s in imgs)]]
 
 
+def _factor_generators(degree, factors):
+    """Generators, as image tuples, of the product of ``centralizer_factors``:
+    each factor's, chosen greedily in lex order, an element kept when the
+    ``StabilizerChain`` of the ones kept before does not contain it."""
+    return [c for factor in factors for c in _chain_generators(degree, factor, len(factor))[0]]
+
+
 def centralizer(ambient: PermGroup, perms) -> PermGroup:
     """All elements of ``ambient`` commuting with every permutation in
-    ``perms``: the product of ``centralizer_factors``.  Its generators are
-    those of the factors, each factor's chosen greedily in lex order: an
-    element is kept when the ``StabilizerChain`` of the ones kept before
-    does not contain it."""
+    ``perms``: the product of ``centralizer_factors``, carrying the
+    generators of ``_factor_generators``."""
     factors = centralizer_factors(ambient, perms)
-    gens = [
-        Perm(c) for factor in factors
-        for c in _chain_generators(ambient.degree, factor, len(factor))[0]
-    ]
+    gens = map(Perm, _factor_generators(ambient.degree, factors))
     out = (reduce(_compose, combo) for combo in itertools.product(*factors))
     return PermGroup(ambient.degree, map(Perm, out), generators=gens)
-
-
-class Coset:
-    """A left coset gH, identified by its lexicographically minimal element."""
-
-    __slots__ = ("rep", "subgroup")
-
-    def __init__(self, rep: Perm, subgroup: PermGroup):
-        self.rep = rep
-        self.subgroup = subgroup
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Coset)
-            and self.rep == other.rep
-            and self.subgroup == other.subgroup
-        )
-
-    def __lt__(self, other):
-        return self.rep < other.rep
-
-    def __hash__(self):
-        return hash((self.rep, self.subgroup.order))
-
-    def __contains__(self, perm: Perm) -> bool:
-        return (self.rep.inverse() * perm) in self.subgroup
-
-    def __repr__(self):
-        return "Coset[%s]" % self.rep.cycles()
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +681,8 @@ def young_index(degree: int, block: int) -> int:
 
 
 class _CosetTable:
-    """The exhaustive coset model: token i is ``cosets[i]``, in the order of
-    their lex-minimal representatives; every element of G is indexed."""
+    """The exhaustive coset model: token i is the coset of ``_reps[i]``, the
+    lex-minimal representatives in order; every element of G is indexed."""
 
     def __init__(self, G: PermGroup, H: PermGroup):
         if not H.is_subgroup_of(G):
@@ -724,17 +691,16 @@ class _CosetTable:
             raise ResourceLimit("coset table over %d elements exceeds cap" % G.order)
         h_imgs = [h.images for h in H.iter_elements()]
         index = {}
-        cosets = []
+        reps = []
         for g in G.iter_elements():
             gi = g.images
             if gi in index:
                 continue
-            idx = len(cosets)
-            cosets.append(Coset(g, H))
+            idx = len(reps)
+            reps.append(gi)
             for h in h_imgs:
                 index[_compose(gi, h)] = idx
-        self.cosets = tuple(cosets)
-        self._reps = tuple(c.rep.images for c in cosets)
+        self._reps = tuple(reps)
         self._index = index
         # c -> c*g for the representative g of each token, one itemgetter
         # call each; on one point the getter would give a point, not a tuple
@@ -955,105 +921,3 @@ def _stable_orbits(system, alpha, order, gens=None):
     if sum(entry[1] for entry in out) != count:
         raise InternalMismatch("orbit sizes do not add up to the fixed-coset count")
     return out, count
-
-
-def left_cosets(G: PermGroup, H: PermGroup):
-    """The [G:H] left cosets, each with canonical (lex-minimal) representative."""
-    return list(_coset_table(G, H).cosets)
-
-
-def fixed_cosets(G: PermGroup, H: PermGroup, perms):
-    """Cosets gH with s*gH == gH for every s in ``perms``."""
-    perms = list(perms)
-    for s in perms:
-        if s not in G:
-            raise NotInGroup("%r not in G" % s)
-    table = _coset_table(G, H)
-    return [table.cosets[t] for t in table.fixed([s.images for s in perms])]
-
-
-def coset_orbits(C: PermGroup, cosets):
-    """Orbits of C on a coset list by left multiplication.
-
-    Returns ``[(representative coset, stabilizer subgroup)]`` sorted by
-    representative; raises ActionNotClosed if C moves a coset off the list.
-
-    The stabilizer comes from the walk's steps (Schreier's lemma): with u_x
-    in C taking the orbit's first coset gH to x, found along the walk, the
-    elements u_(c x)^-1 c u_x over the steps (x, c, c x) generate it.  Those
-    that enlarge a ``StabilizerChain`` are checked to fix gH and closed;
-    InternalMismatch unless |orbit| * |stabilizer| = |C|.
-    """
-    cosets = list(cosets)
-    if not cosets:
-        return []
-    H = cosets[0].subgroup
-    # g*h for every h in H, one itemgetter call each; on one point the
-    # getter would give a point, not a tuple, and H is trivial
-    getters = [operator.itemgetter(*h.images) for h in H.iter_elements()] if C.degree > 1 else [tuple]
-    pool = {c.rep.images: c for c in cosets}
-
-    def act_images(c_images, rep_images):
-        g = _compose(c_images, rep_images)
-        moved = min([get(g) for get in getters])
-        if moved not in pool:
-            raise ActionNotClosed("group moves a coset outside the given list")
-        return moved
-
-    gens = [g.images for g in C.working_generators()]
-    edges = []
-    walk = _orbits(pool, gens, act_images, edges)
-    ident = tuple(range(C.degree))
-    transversal = {orbit[0]: (ident, orbit[0]) for orbit in walk}  # x -> (u_x, first)
-    schreier = {orbit[0]: [] for orbit in walk}
-    for x, c, y in edges:
-        u_x, first = transversal[x]
-        cu = _compose(c, u_x)
-        if y in transversal:
-            schreier[first].append(_compose(_inverse(transversal[y][0]), cu))
-        else:
-            transversal[y] = (cu, first)
-    orbits = []
-    for orbit in walk:
-        g = pool[orbit[0]].rep.images
-        ginv = _inverse(g)
-        kept = _chain_generators(C.degree, schreier[orbit[0]], C.order // len(orbit))[0]
-        # c fixes gH exactly when g^-1 c g is in H
-        if not all(Perm(_compose(ginv, _compose(c, g))) in H for c in kept):
-            raise InternalMismatch("a Schreier generator moves its coset")
-        stab = generate(C.degree, map(Perm, kept))
-        if len(orbit) * stab.order != C.order:
-            raise InternalMismatch(
-                "orbit of %d cosets and stabilizer of order %d in a group of order %d"
-                % (len(orbit), stab.order, C.order)
-            )
-        orbits.append((pool[orbit[0]], stab))
-    return orbits
-
-
-def conjugating_element(G: PermGroup, a, b):
-    """Some g in G with g*a_i*g^{-1} == b_i for all i, or None; exhaustive."""
-    a = list(a)
-    b = list(b)
-    if len(a) != len(b):
-        raise ValueError("tuples must have equal length")
-    for s in itertools.chain(a, b):
-        if s not in G:
-            raise NotInGroup("%r not in G" % s)
-    a_imgs = [s.images for s in a]
-    b_imgs = [s.images for s in b]
-    n = G.degree
-    for g in G.iter_elements():
-        gi = g.images
-        ok = True
-        for s, t in zip(a_imgs, b_imgs):
-            # g*s == t*g avoids computing an explicit inverse
-            for i in range(n):
-                if gi[s[i]] != t[gi[i]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return g
-    return None

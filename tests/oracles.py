@@ -1,0 +1,267 @@
+"""Test-side oracles: exhaustive or second derivations of what the library
+computes from structure, and helpers that only the tests use.
+
+Nothing in ``transchrome`` imports this module.  Each name here once lived
+in the layer named by its section; the tests compare the production path
+against it.
+"""
+
+import itertools
+import json
+import operator
+
+from transchrome import perm
+from transchrome.abelian import AbSubgroup
+from transchrome.decomp import CONVENTION, ComponentRecord, DecompositionReport, report_to_dict
+from transchrome.errors import (
+    ActionNotClosed,
+    BadParameters,
+    InternalMismatch,
+    NotInGroup,
+)
+from transchrome.fgl import prepare_p_series
+from transchrome.homclass import (
+    CommutingTuple,
+    _check_orders,
+    enumerate_hom_classes,
+    lam_group,
+    realize,
+)
+from transchrome.perm import (
+    Perm,
+    PermGroup,
+    _commuting_tuples,
+    _compose,
+    _inverse,
+    _orbits,
+    generate,
+    symmetric_group,
+)
+
+# -- perm: cosets as objects, their orbits and stabilizers, conjugacy search --
+
+
+class Coset:
+    """A left coset gH, identified by its lexicographically minimal element."""
+
+    __slots__ = ("rep", "subgroup")
+
+    def __init__(self, rep: Perm, subgroup: PermGroup):
+        self.rep = rep
+        self.subgroup = subgroup
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Coset)
+            and self.rep == other.rep
+            and self.subgroup == other.subgroup
+        )
+
+    def __lt__(self, other):
+        return self.rep < other.rep
+
+    def __hash__(self):
+        return hash((self.rep, self.subgroup.order))
+
+    def __contains__(self, g: Perm) -> bool:
+        return (self.rep.inverse() * g) in self.subgroup
+
+    def __repr__(self):
+        return "Coset[%s]" % self.rep.cycles()
+
+
+def left_cosets(G: PermGroup, H: PermGroup):
+    """The [G:H] left cosets of the exhaustive coset table, each with its
+    canonical (lex-minimal) representative, in the table's token order."""
+    return [Coset(Perm(rep), H) for rep in perm._coset_table(G, H)._reps]
+
+
+def fixed_cosets(G: PermGroup, H: PermGroup, perms):
+    """Cosets gH with s*gH == gH for every s in ``perms``."""
+    perms = list(perms)
+    for s in perms:
+        if s not in G:
+            raise NotInGroup("%r not in G" % s)
+    table = perm._coset_table(G, H)
+    return [Coset(Perm(table.rep_images(t)), H) for t in table.fixed([s.images for s in perms])]
+
+
+def coset_orbits(C: PermGroup, cosets):
+    """Orbits of C on a coset list by left multiplication.
+
+    Returns ``[(representative coset, stabilizer subgroup)]`` sorted by
+    representative; raises ActionNotClosed if C moves a coset off the list.
+
+    The stabilizer comes from the walk's steps (Schreier's lemma): with u_x
+    in C taking the orbit's first coset gH to x, found along the walk, the
+    elements u_(c x)^-1 c u_x over the steps (x, c, c x) generate it.  Those
+    that enlarge a ``StabilizerChain`` (``perm._chain_generators``) are
+    checked to fix gH and closed; InternalMismatch unless
+    |orbit| * |stabilizer| = |C|.
+    """
+    cosets = list(cosets)
+    if not cosets:
+        return []
+    H = cosets[0].subgroup
+    # g*h for every h in H, one itemgetter call each; on one point the
+    # getter would give a point, not a tuple, and H is trivial
+    getters = [operator.itemgetter(*h.images) for h in H.iter_elements()] if C.degree > 1 else [tuple]
+    pool = {c.rep.images: c for c in cosets}
+
+    def act_images(c_images, rep_images):
+        g = _compose(c_images, rep_images)
+        moved = min([get(g) for get in getters])
+        if moved not in pool:
+            raise ActionNotClosed("group moves a coset outside the given list")
+        return moved
+
+    gens = [g.images for g in C.working_generators()]
+    edges = []
+    walk = _orbits(pool, gens, act_images, edges)
+    ident = tuple(range(C.degree))
+    transversal = {orbit[0]: (ident, orbit[0]) for orbit in walk}  # x -> (u_x, first)
+    schreier = {orbit[0]: [] for orbit in walk}
+    for x, c, y in edges:
+        u_x, first = transversal[x]
+        cu = _compose(c, u_x)
+        if y in transversal:
+            schreier[first].append(_compose(_inverse(transversal[y][0]), cu))
+        else:
+            transversal[y] = (cu, first)
+    orbits = []
+    for orbit in walk:
+        g = pool[orbit[0]].rep.images
+        ginv = _inverse(g)
+        kept = perm._chain_generators(C.degree, schreier[orbit[0]], C.order // len(orbit))[0]
+        # c fixes gH exactly when g^-1 c g is in H
+        if not all(Perm(_compose(ginv, _compose(c, g))) in H for c in kept):
+            raise InternalMismatch("a Schreier generator moves its coset")
+        stab = generate(C.degree, map(Perm, kept))
+        if len(orbit) * stab.order != C.order:
+            raise InternalMismatch(
+                "orbit of %d cosets and stabilizer of order %d in a group of order %d"
+                % (len(orbit), stab.order, C.order)
+            )
+        orbits.append((pool[orbit[0]], stab))
+    return orbits
+
+
+def conjugating_element(G: PermGroup, a, b):
+    """Some g in G with g*a_i*g^{-1} == b_i for all i, or None; exhaustive."""
+    a = list(a)
+    b = list(b)
+    if len(a) != len(b):
+        raise ValueError("tuples must have equal length")
+    for s in itertools.chain(a, b):
+        if s not in G:
+            raise NotInGroup("%r not in G" % s)
+    a_imgs = [s.images for s in a]
+    b_imgs = [s.images for s in b]
+    n = G.degree
+    for g in G.iter_elements():
+        gi = g.images
+        # g*s == t*g avoids computing an explicit inverse
+        if all(gi[s[i]] == t[gi[i]] for s, t in zip(a_imgs, b_imgs) for i in range(n)):
+            return g
+    return None
+
+
+# -- homclass: checked tuples, centralizer generators as Perms, tuple counts --
+
+
+def make_tuple(perms, lam) -> CommutingTuple:
+    """A commuting tuple of rank lam.h whose entries have orders dividing
+    p^k; BadParameters, NotCommuting or OrderNotPPower otherwise."""
+    perms = tuple(perms)
+    if not perms:
+        raise BadParameters("empty tuple")
+    if len(perms) != lam.h:
+        raise BadParameters("tuple length %d != rank %d" % (len(perms), lam.h))
+    t = CommutingTuple(perms[0].degree, perms)
+    _check_orders(perms, lam.p, lam.k)
+    return t
+
+
+def centralizer_generators(hc):
+    """Generators of the centralizer of realize(hc) in Sym(points), read off
+    its orbits by ``perm._centralizer_generators``, as Perms."""
+    imgs = [s.images for s in realize(hc).perms]
+    return [Perm(g) for g in perm._centralizer_generators(imgs, hc.points)]
+
+
+def commuting_tuple_count(degree: int, p: int, k: int, h: int) -> int:
+    """Direct exhaustion: number of h-tuples of pairwise-commuting
+    permutations of p-power order dividing p^k in Sym(degree)."""
+    cap = p ** k
+    pool = [
+        s.images
+        for s in symmetric_group(degree).iter_elements()
+        if cap % s.order() == 0
+    ]
+    return sum(1 for _ in _commuting_tuples(pool, h))
+
+
+# -- abelian --
+
+
+def is_closed(sub: AbSubgroup) -> bool:
+    """Whether the element set of ``sub`` is closed under negation and sums."""
+    amb = sub.ambient
+    eset = set(sub.elements)
+    return all(amb.neg(x) in eset and all(amb.add(x, y) in eset for y in eset) for x in eset)
+
+
+# -- decomp: reading a report back --
+
+
+def report_from_dict(data: dict) -> DecompositionReport:
+    p, n, t, k = data["p"], data["n"], data["t"], data["k"]
+    lam = lam_group(p, n - t, k)
+    classes = {hc.class_id(): hc for hc in enumerate_hom_classes(p, n - t, k)}
+    records = []
+    for comp in data["components"]:
+        L = AbSubgroup.span(lam, [tuple(g) for g in comp["L"]["generators"]])
+        if L.order != comp["L"]["order"]:
+            raise ValueError("inconsistent dual image in report")
+        records.append(
+            ComponentRecord(
+                hom_class=classes[comp["class_id"]],
+                isotypic=comp["isotypic"],
+                m=comp["m"],
+                dual_image=L,
+                ideal_trivial=comp["ideal_trivial"],
+                fiber_rank=comp["fiber_rank"],
+                centralizer_order=comp["centralizer_order"],
+            )
+        )
+    return DecompositionReport(
+        p=p, n=n, t=t, k=k,
+        records=tuple(records),
+        total_degree=data["degree"],
+        rank_sum=data["rank_sum"],
+        convention=data.get("convention", CONVENTION),
+    )
+
+
+def report_to_json(report: DecompositionReport) -> str:
+    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+
+
+def report_from_json(text: str) -> DecompositionReport:
+    return report_from_dict(json.loads(text))
+
+
+# -- fgl --
+
+
+def param(ring, i):
+    """The parameter u_i of a ``PolyRing``, 1 <= i <= ring.r."""
+    if not 1 <= i <= ring.r:
+        raise BadParameters("no parameter u_%d in this ring" % i)
+    exp = tuple(1 if j == i - 1 else 0 for j in range(ring.r))
+    return {exp: 1} if ring.b > 1 else {}
+
+
+def torsion_rank(ctx, k: int) -> int:
+    """Degree of the prepared [p^k]-series; the p^k-torsion rank p^{kn}."""
+    return prepare_p_series(ctx, k)[1].degree()

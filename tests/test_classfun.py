@@ -27,16 +27,16 @@ from transchrome.classfun import (
     verify_mainthm_instance,
 )
 from transchrome.errors import InternalMismatch, NotInGroup, NotSubgroup, ResourceLimit
-from transchrome.homclass import classify, lam_group, make_tuple
+from transchrome.homclass import classify, lam_group
 from transchrome.perm import (
     Perm,
     block_subgroup,
     centralizer,
-    coset_orbits,
-    fixed_cosets,
     generate,
     symmetric_group,
 )
+
+from oracles import coset_orbits, fixed_cosets, make_tuple
 
 
 def P(text, degree):

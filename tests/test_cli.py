@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from transchrome import decomp
 from transchrome.cli import main
 
+from oracles import report_from_dict
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -104,7 +106,7 @@ def test_decompose_json_round_trips(capsys):
     assert data["degree"] == 7
     assert data["triangle_ok"] is True
     data.pop("triangle_ok")
-    report = decomp.report_from_dict(data)
+    report = report_from_dict(data)
     assert decomp.report_to_dict(report) == data
 
 
@@ -301,6 +303,11 @@ def test_huge_parameters_exit_3_before_work(capsys):
         ("homs", "--p", "2", "--h", "3", "--k", "4"),
         ("transfer", "--p", "2", "--h", "3", "--k", "4", "--m", "1", "--alpha", "e;e;e"),
         ("induce", "--p", "2", "--h", "3", "--k", "4", "--chi", "unused.json"),
+        # 8.39 * 10^6, 7.18 * 10^6 and 3.36 * 10^7 orbit-kernel elements
+        # would be listed first
+        ("homs", "--p", "2", "--h", "12", "--k", "1"),
+        ("homs", "--p", "3", "--h", "8", "--k", "1"),
+        ("transfer", "--p", "2", "--h", "13", "--k", "1", "--m", "0", "--alpha", ";".join("e" * 13)),
     ]:
         code, _, err = run_cli(capsys, *argv, "--json")
         assert code == 3, argv
@@ -416,10 +423,10 @@ PACKAGE_NAMES = {
                  "induce_grouped", "inner_product", "restrict", "transfer_datum",
                  "verify_mainthm_instance"],
     "decomp": ["DecompositionReport", "decompose", "fiber_rank", "verify_triangle"],
-    "perm": ["Coset", "Perm", "PermGroup", "block_subgroup", "centralizer",
-             "conjugating_element", "coset_orbits", "fixed_cosets", "generate", "left_cosets",
-             "symmetric_group"],
+    "perm": ["Perm", "PermGroup", "block_subgroup", "centralizer", "generate", "symmetric_group"],
 }
+# test-only names, now in tests/oracles.py
+NOT_EXPORTED = ["Coset", "conjugating_element", "coset_orbits", "fixed_cosets", "left_cosets"]
 
 
 def test_package_names_resolve_to_their_layer_objects():
@@ -433,14 +440,45 @@ def test_package_names_resolve_to_their_layer_objects():
             assert getattr(transchrome, name) is getattr(layer, name)
             assert name in dir(transchrome)
     assert transchrome.__version__ == "0.1.0"
-    with pytest.raises(AttributeError):
-        transchrome.no_such_name
+    for name in ["no_such_name"] + NOT_EXPORTED:
+        with pytest.raises(AttributeError):
+            getattr(transchrome, name)
     # the CLI's old alias of classfun.class_table resolves on use
     from transchrome import classfun, cli
 
     assert cli.class_table is classfun.class_table
     with pytest.raises(AttributeError):
         cli.no_such_name
+
+
+def test_every_public_library_name_is_used_or_exported():
+    # a public module-level function or class that no other top-level
+    # statement of the library names, and that the package does not export,
+    # runs only in the tests: it belongs in tests/oracles.py.  An import
+    # alone is not a use.  Names are matched, not objects, so an attribute
+    # or method of the same name counts as one
+    import ast
+    import pathlib
+
+    import transchrome
+
+    package = pathlib.Path(transchrome.__file__).parent
+    statements = []  # (module, top-level statement, the names it mentions)
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            mentioned = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            mentioned |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            statements.append((path.stem, stmt, mentioned))
+    exported = {name for names in transchrome._EXPORTS.values() for name in names}
+    unused = [
+        "%s.%s" % (module, stmt.name)
+        for module, stmt, _ in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in exported
+        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+    ]
+    assert unused == []
 
 
 # -- in-process CLI fuzz: every argv gets an exit code, never a traceback --

