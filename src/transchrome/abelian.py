@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .checks import check_prime
+from .checks import check_prime, power_exceeds
 from .errors import BadParameters, InternalMismatch, ResourceLimit
 
 AMBIENT_CAP = 10 ** 4
@@ -83,28 +83,9 @@ class Ambient:
         mask = (1 << F) - 1
         return tuple(key >> s & mask for s in range(F * (self.h - 1), -1, -F))
 
-    def zero(self):
-        return (0,) * self.h
-
-    def add(self, x, y):
-        q = self.modulus
-        return tuple((a + b) % q for a, b in zip(x, y))
-
-    def neg(self, x):
-        q = self.modulus
-        return tuple((-a) % q for a in x)
-
-    def scale(self, c, x):
-        q = self.modulus
-        return tuple((c * a) % q for a in x)
-
     def pairing(self, x, y) -> int:
         """sum(x_i * y_i) mod p^k."""
         return sum(a * b for a, b in zip(x, y)) % self.modulus
-
-    def elements(self):
-        """Every element as an h-tuple, in ascending order."""
-        return tuple(map(self._unpack, _ambient_elements(self)))
 
     def element_order(self, x) -> int:
         q = self.modulus
@@ -114,10 +95,13 @@ class Ambient:
 
 
 def _check_ambient_cap(ambient: Ambient):
-    if ambient.order > AMBIENT_CAP:
-        raise ResourceLimit(
-            "ambient group of order %d exceeds cap %d" % (ambient.order, AMBIENT_CAP)
-        )
+    """ResourceLimit when (Z/p^k)^h has more than AMBIENT_CAP elements;
+    p^(kh) is never formed for a large kh.  Every ambient group listed
+    here, in ``homclass`` or in ``decomp`` is checked by this one helper
+    before its elements are."""
+    p, k, h = ambient.p, ambient.k, ambient.h
+    if power_exceeds(p, k * h, AMBIENT_CAP):
+        raise ResourceLimit("ambient group (Z/%d^%d)^%d exceeds cap %d" % (p, k, h, AMBIENT_CAP))
 
 
 def _valuation(a: int, p: int) -> int:

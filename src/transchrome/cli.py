@@ -267,7 +267,7 @@ def _series_terms(ctx, series):
 
 def _cmd_fgl(args):
     if args.law == "multiplicative":
-        D = args.deg or 8
+        D = 8 if args.deg is None else args.deg
         fgl.check_work(args.p, 1, args.k, args.prec_p, 1, D, args.law)
         ctx = fgl.multiplicative_context(args.p, a=args.prec_p, D=D)
     else:

@@ -21,8 +21,6 @@ from .checks import check_prime, power_exceeds
 from .errors import BadParameters, InternalMismatch, ResourceLimit
 from .perm import block_subgroup, symmetric_group
 
-FIBER_AMBIENT_CAP = 10 ** 4
-
 CONVENTION = "geometric-point-count"
 
 
@@ -69,10 +67,10 @@ def fiber_ranks(p: int, n: int, t: int, k: int) -> dict:
     if not 0 <= t < n:
         raise BadParameters("need 0 <= t < n")
     check_prime(p)
-    if power_exceeds(p, k * n, FIBER_AMBIENT_CAP):
-        raise ResourceLimit("split model (Z/%d^%d)^%d exceeds cap" % (p, k, n))
+    split = Ambient(p, k, n)
+    abelian._check_ambient_cap(split)
     ranks = {}
-    for sub in abelian.subgroups_of_ambient(Ambient(p, k, n), order=p ** k):
+    for sub in abelian.subgroups_of_ambient(split, order=p ** k):
         proj = tuple(sorted({vec[t:] for vec in sub.elements}))
         ranks[proj] = ranks.get(proj, 0) + 1
     return ranks

@@ -7,14 +7,16 @@ contract and under nothing stronger.
 
 Every series is in one variable x: one flat dict from an int key to a
 coefficient mod p^a, the key packing the x-exponent above the parameter
-monomial u.  Every product, whether of two series, a Horner step of
-``_compose``, a Newton step of ``series_inverse``, a step of ``_reversion``
-or a pass of ``weierstrass_prep``, goes through one kernel,
-``_accumulate``: it checks the x- and u-degree room before adding two keys,
-so the packed exponents never carry, and it reduces mod p^a once per
-product.  ``PolyRing`` does the scalar work (the scaled logarithm,
-inverting a constant term, printing), and a series decodes into its
-dict-of-dict view on demand.
+monomial u.  A coefficient in (Z/p^a)[u] is a series of x-degree 0.  Every
+product goes through one kernel, ``_accumulate``: a product of two series,
+a Horner step of ``_compose``, a step of the scaled logarithm's recursion
+or of ``_reversion``, a Newton step of ``series_inverse`` (its inverse of
+the constant term in u included) and a pass of ``weierstrass_prep``.  The
+kernel checks the x- and u-degree room before adding two keys, so the
+packed exponents never carry, and it reduces mod p^a once per product.
+``PolyRing`` only lays out the coefficient ring: its parameters, packing
+and printing.  A series decodes into its dict-of-dict view on demand;
+arithmetic on that view is a test oracle, not production code.
 
 A law is held by what its [m]-series needs, never as a two-variable
 series.  The p-typical law keeps its scaled logarithm g(x) = f(px)/p, which
@@ -52,10 +54,11 @@ from .errors import (
 
 
 class PolyRing:
-    """(Z/p^a)[u_1..u_r] truncated below total degree b; elements are dicts
-    mapping exponent tuples to nonzero ints mod p^a.  A series packs each
-    monomial into one int below M = b^r, its exponents as base-b digits,
-    u_1's the lowest (``pack``)."""
+    """The layout of (Z/p^a)[u_1..u_r] truncated below total degree b: a
+    coefficient is a dict from exponent tuples to nonzero ints mod p^a, and
+    a series packs each monomial into one int below M = b^r, its exponents
+    as base-b digits, u_1's the lowest (``pack``).  The ring does no
+    arithmetic; every product is a series product."""
 
     def __init__(self, p, a, b, nparams):
         check_prime(p)
@@ -77,54 +80,6 @@ class PolyRing:
     def __hash__(self):
         return hash(("PolyRing", self.p, self.a, self.b, self.r))
 
-    def zero(self):
-        return {}
-
-    def one(self):
-        return {self.zero_exp: 1}
-
-    def const(self, c):
-        c %= self.mod
-        return {self.zero_exp: c} if c else {}
-
-    def add(self, f, g):
-        out = dict(f)
-        for e, c in g.items():
-            v = (out.get(e, 0) + c) % self.mod
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return out
-
-    def neg(self, f):
-        return {e: self.mod - c for e, c in f.items()}
-
-    def mul(self, f, g):
-        out = {}
-        b = self.b
-        for e1, c1 in f.items():
-            d1 = sum(e1)
-            for e2, c2 in g.items():
-                if d1 + sum(e2) >= b:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = (out.get(e, 0) + c1 * c2) % self.mod
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return out
-
-    def scale(self, c, f):
-        c %= self.mod
-        out = {}
-        for e, v in f.items():
-            w = (c * v) % self.mod
-            if w:
-                out[e] = w
-        return out
-
     def pack(self, e) -> int:
         u = 0
         for d in reversed(e):
@@ -137,32 +92,6 @@ class PolyRing:
             u, d = divmod(u, self.b)
             e.append(d)
         return tuple(e)
-
-    def residue(self, f) -> int:
-        """Image in the residue field: kill the parameters, reduce mod p."""
-        return f.get(self.zero_exp, 0) % self.p
-
-    def is_unit(self, f) -> bool:
-        return self.residue(f) != 0
-
-    def inv(self, f):
-        """Inverse of a unit: invert the constant, then a geometric series in
-        the topologically nilpotent remainder."""
-        if not self.is_unit(f):
-            raise BadParameters("cannot invert a non-unit")
-        c0 = f.get(self.zero_exp, 0)
-        c0_inv = pow(c0, -1, self.mod)
-        # f = c0 (1 - w) with w in the maximal ideal
-        w = self.scale(-c0_inv, f)
-        w = self.add(w, self.one())
-        out = self.one()
-        power = self.one()
-        for _ in range(self.a + self.b):
-            power = self.mul(power, w)
-            if not power:
-                break
-            out = self.add(out, power)
-        return self.scale(c0_inv, out)
 
     def monomial_str(self, e) -> str:
         parts = []
@@ -274,7 +203,7 @@ class Series:
         return out
 
     def coeff(self, e):
-        return self.coeffs.get(e, self.ring.zero())
+        return self.coeffs.get(e, {})
 
     def add(self, other):
         mod = self.ring.mod
@@ -361,19 +290,25 @@ def _product(f, g, limit):
 
 def series_inverse(s: Series) -> Series:
     """Multiplicative inverse of a series with unit constant term, by
-    Newton's iteration t <- t + t*(1 - s*t): each pass doubles the
-    x-precision of the inverse of the constant term."""
+    Newton's iteration t <- t + t*(1 - s*t).  From the inverse of the
+    constant term mod p^a, passes at x-limit 1 invert s(0) in u: the error
+    1 - s(0)*t has u-degree >= 1 and each pass squares it, so
+    bit_length(b) passes clear u-degree b.  Then each pass doubles the
+    x-precision."""
     ring, D = s.ring, s.D
-    c0 = s.coeff(0)
-    if not ring.is_unit(c0):
+    c0 = s.terms.get(0, 0)
+    if c0 % ring.p == 0:
         raise BadParameters("series has non-unit constant term")
-    one = Series(ring, D, {0: ring.one()})
-    t = Series(ring, D, {0: ring.inv(c0)})
+    one = s._like({0: 1})
+    t = s._like({0: pow(c0, -1, ring.mod)})
+    limits = [1] * ring.b.bit_length()
     precision = 1
     while precision < D:
         precision = min(2 * precision, D)
-        error = one.sub(_product(s, t, precision))
-        t = t.add(_product(t, error, precision))
+        limits.append(precision)
+    for limit in limits:
+        error = one.sub(_product(s, t, limit))
+        t = t.add(_product(t, error, limit))
     return t
 
 
@@ -425,24 +360,29 @@ def _scaled_log(p, n, ring, D):
     logarithm f = sum lambda_i x^{p^i}, with mu_i = p^i lambda_i from
     mu_i = sum_{0<j<=i} p^{j-1} mu_{i-j} v_j^{p^{i-j}}, v_n = 1, v_j = u_j
     below n and zero above.  No step divides, and p^i - 1 >= i, so every
-    coefficient is integral."""
-    mus = [ring.one()]
-    i = 1
+    coefficient is integral.
+
+    Each mu_i is a series of x-degree 0, and each term of the recursion and
+    of g is one product with a monomial: u_j^e, with coefficient p^{j-1},
+    has the key e*b^{j-1}, and the kernel drops the terms past the u-degree
+    room."""
+    zero = Series.zero(ring, D)
+    mus = [zero._like({0: 1})]
+    g = defaultdict(int)
+    i = 0
     while p ** i < D:
-        acc = ring.zero()
-        for j in range(1, min(i, n) + 1):
-            e = p ** (i - j)
-            if j == n:
-                power = ring.one()
-            elif e < ring.b:
-                power = {tuple(e if t == j - 1 else 0 for t in range(ring.r)): 1}
-            else:
-                continue
-            acc = ring.add(acc, ring.scale(p ** (j - 1), ring.mul(mus[i - j], power)))
-        mus.append(acc)
+        if i:
+            mu = defaultdict(int)
+            for j in range(1, min(i, n) + 1):
+                e = p ** (i - j)
+                if j < n and e >= ring.b:
+                    continue
+                key = 0 if j == n else e * ring.b ** (j - 1)
+                _accumulate(mu, mus[i - j], zero._like({key: p ** (j - 1)}), 1)
+            mus.append(zero._reduced(mu))
+        _accumulate(g, mus[i], zero._like({p ** i * ring.M: p ** (p ** i - 1 - i)}), D)
         i += 1
-    coeffs = {p ** i: ring.scale(p ** (p ** i - 1 - i), mu) for i, mu in enumerate(mus)}
-    return Series(ring, D, coeffs)
+    return zero._reduced(g)
 
 
 def _reversion(log: Series) -> Series:
@@ -451,7 +391,7 @@ def _reversion(log: Series) -> Series:
     With S = sum_{m<d} e_m log^m, the x^d coefficient of exp(log(x)) = x
     gives e_d = -[x^d] S for d >= 2, since log^d starts with x^d."""
     ring, D, M = log.ring, log.D, log.ring.M
-    if log.coeff(1) != ring.one():
+    if log.terms.get(M) != 1 or any(M < key < 2 * M for key in log.terms):
         raise BadParameters("logarithm must start with x")
     exp = {M: 1}
     S = power = log
@@ -570,7 +510,7 @@ def n_series(ctx: FGLContext, m: int) -> Series:
         raise BadParameters("need m >= 0")
     ring, D, p = ctx.ring, ctx.D, ctx.p
     if ctx.log is None:
-        return Series(ring, D, {e: ring.const(math.comb(m, e)) for e in range(1, D)})
+        return Series.zero(ring, D)._reduced({e * ring.M: math.comb(m, e) for e in range(1, D)})
     g = ctx.log
     G = _compose(ctx.exp, g._reduced({key: m * c for key, c in g.terms.items()}))
     terms = {}
@@ -616,7 +556,7 @@ def weierstrass_prep(ctx: FGLContext, g: Series, d: int):
 
     g_low, g_high = _split_at(g, d)
     ginv_high = series_inverse(g_high)
-    x_d = Series(ring, D, {d: ring.one()})
+    x_d = Series._of(ring, D, {d * ring.M: 1})
     q = Series.zero(ring, D)
     cur = x_d
     for _ in range(ring.a + ring.b + 2):

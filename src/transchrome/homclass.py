@@ -50,7 +50,6 @@ from .perm import (
     _stable_orbits,
 )
 
-LAMBDA_ORDER_CAP = 10 ** 4
 DEGREE_CAP = 16
 # Hom classes enumerated per request; (2, 2, 4) has 4929, (2, 3, 4) 984 771.
 HOM_CLASS_CAP = 10 ** 4
@@ -214,8 +213,8 @@ def enumerate_hom_classes(p: int, h: int, k: int):
         raise BadParameters("need h >= 1 and k >= 0")
     if power_exceeds(p, k, DEGREE_CAP):
         raise ResourceLimit("degree %d^%d exceeds cap %d" % (p, k, DEGREE_CAP))
-    if power_exceeds(p, k * h, LAMBDA_ORDER_CAP):
-        raise ResourceLimit("source group order exceeds cap")
+    lam = lam_group(p, h, k)
+    _check_ambient_cap(lam)
     count = hom_class_count(p, h, k)
     if count > HOM_CLASS_CAP:
         raise ResourceLimit(
@@ -228,7 +227,6 @@ def enumerate_hom_classes(p: int, h: int, k: int):
             "%d orbit-kernel elements at (p, h, k) = (%d, %d, %d) exceed cap %d"
             % (listed, p, h, k, KERNEL_ELEMENT_CAP)
         )
-    lam = lam_group(p, h, k)
     degree = p ** k
     kernels = _kernel_subgroups(lam, degree)
     sizes = [s.index for s in kernels]

@@ -11,7 +11,7 @@ import json
 import operator
 
 from transchrome import perm
-from transchrome.abelian import AbSubgroup
+from transchrome.abelian import AbSubgroup, _ambient_elements
 from transchrome.decomp import CONVENTION, ComponentRecord, DecompositionReport, report_to_dict
 from transchrome.errors import (
     ActionNotClosed,
@@ -19,7 +19,7 @@ from transchrome.errors import (
     InternalMismatch,
     NotInGroup,
 )
-from transchrome.fgl import prepare_p_series
+from transchrome.fgl import PolyRing, prepare_p_series
 from transchrome.homclass import (
     CommutingTuple,
     _check_orders,
@@ -201,14 +201,41 @@ def commuting_tuple_count(degree: int, p: int, k: int, h: int) -> int:
     return sum(1 for _ in _commuting_tuples(pool, h))
 
 
-# -- abelian --
+# -- abelian: tuple arithmetic in an ambient group, closure --
+
+
+def ambient_zero(amb):
+    return (0,) * amb.h
+
+
+def ambient_add(amb, x, y):
+    q = amb.modulus
+    return tuple((a + b) % q for a, b in zip(x, y))
+
+
+def ambient_neg(amb, x):
+    q = amb.modulus
+    return tuple((-a) % q for a in x)
+
+
+def ambient_scale(amb, c, x):
+    q = amb.modulus
+    return tuple((c * a) % q for a in x)
+
+
+def ambient_elements(amb):
+    """Every element of an ``Ambient`` as an h-tuple, in ascending order."""
+    return tuple(map(amb._unpack, _ambient_elements(amb)))
 
 
 def is_closed(sub: AbSubgroup) -> bool:
     """Whether the element set of ``sub`` is closed under negation and sums."""
     amb = sub.ambient
     eset = set(sub.elements)
-    return all(amb.neg(x) in eset and all(amb.add(x, y) in eset for y in eset) for x in eset)
+    return all(
+        ambient_neg(amb, x) in eset and all(ambient_add(amb, x, y) in eset for y in eset)
+        for x in eset
+    )
 
 
 # -- decomp: reading a report back --
@@ -251,7 +278,93 @@ def report_from_json(text: str) -> DecompositionReport:
     return report_from_dict(json.loads(text))
 
 
-# -- fgl --
+# -- fgl: dict arithmetic on coefficients, the modular twin of the tests' QPolyRing --
+
+
+class ModPolyRing(PolyRing):
+    """A ``PolyRing`` with arithmetic on its dict coefficients: (Z/p^a)[u]
+    truncated below u-degree b, one tuple-keyed dict per element.  It
+    compares and hashes as the plain ring of its layout, so a series over
+    either is the same series."""
+
+    @classmethod
+    def of(cls, ring):
+        """The arithmetic ring of a ring's layout."""
+        return ring if isinstance(ring, cls) else cls(ring.p, ring.a, ring.b, ring.r)
+
+    def zero(self):
+        return {}
+
+    def one(self):
+        return {self.zero_exp: 1}
+
+    def const(self, c):
+        c %= self.mod
+        return {self.zero_exp: c} if c else {}
+
+    def add(self, f, g):
+        out = dict(f)
+        for e, c in g.items():
+            v = (out.get(e, 0) + c) % self.mod
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+        return out
+
+    def neg(self, f):
+        return {e: self.mod - c for e, c in f.items()}
+
+    def mul(self, f, g):
+        out = {}
+        b = self.b
+        for e1, c1 in f.items():
+            d1 = sum(e1)
+            for e2, c2 in g.items():
+                if d1 + sum(e2) >= b:
+                    continue
+                e = tuple(x + y for x, y in zip(e1, e2))
+                v = (out.get(e, 0) + c1 * c2) % self.mod
+                if v:
+                    out[e] = v
+                else:
+                    out.pop(e, None)
+        return out
+
+    def scale(self, c, f):
+        c %= self.mod
+        out = {}
+        for e, v in f.items():
+            w = (c * v) % self.mod
+            if w:
+                out[e] = w
+        return out
+
+    def residue(self, f) -> int:
+        """Image in the residue field: kill the parameters, reduce mod p."""
+        return f.get(self.zero_exp, 0) % self.p
+
+    def is_unit(self, f) -> bool:
+        return self.residue(f) != 0
+
+    def inv(self, f):
+        """Inverse of a unit: invert the constant, then a geometric series in
+        the topologically nilpotent remainder."""
+        if not self.is_unit(f):
+            raise BadParameters("cannot invert a non-unit")
+        c0 = f.get(self.zero_exp, 0)
+        c0_inv = pow(c0, -1, self.mod)
+        # f = c0 (1 - w) with w in the maximal ideal
+        w = self.scale(-c0_inv, f)
+        w = self.add(w, self.one())
+        out = self.one()
+        power = self.one()
+        for _ in range(self.a + self.b):
+            power = self.mul(power, w)
+            if not power:
+                break
+            out = self.add(out, power)
+        return self.scale(c0_inv, out)
 
 
 def param(ring, i):

@@ -16,12 +16,18 @@ from transchrome.abelian import (
 )
 from transchrome.errors import BadParameters, InternalMismatch, NotPrime, ResourceLimit
 
-from oracles import is_closed
+from oracles import (
+    ambient_add,
+    ambient_elements,
+    ambient_scale,
+    ambient_zero,
+    is_closed,
+)
 
 
 def brute_force_subgroups(ambient, order):
     """Oracle: closures of all generating pairs/triples, deduplicated."""
-    elems = ambient.elements()
+    elems = ambient_elements(ambient)
     found = set()
     for r in range(1, 4):
         for gens in itertools.combinations(elems, r):
@@ -40,8 +46,8 @@ def span_extension_levels(ambient):
         found = {}
         for sub in levels[-1]:
             candidates = [
-                x for x in ambient.elements()
-                if x not in sub and ambient.scale(p, x) in sub
+                x for x in ambient_elements(ambient)
+                if x not in sub and ambient_scale(ambient, p, x) in sub
             ]
             covered = set()
             for x in candidates:
@@ -56,14 +62,14 @@ def span_extension_levels(ambient):
 
 def old_span(ambient, gens):
     """Oracle: additive closure, extending by the multiples of each generator."""
-    members = {ambient.zero()}
+    members = {ambient_zero(ambient)}
     for g in gens:
         shifts = []
         cur = tuple(v % ambient.modulus for v in g)
         while cur not in members:
             shifts.append(cur)
-            cur = ambient.add(cur, g)
-        members = members | {ambient.add(s, m) for s in shifts for m in members}
+            cur = ambient_add(ambient, cur, g)
+        members = members | {ambient_add(ambient, s, m) for s in shifts for m in members}
     return members
 
 
@@ -71,7 +77,7 @@ def respan_generators(sub):
     """Oracle: the greedy generators, re-spanning the list from scratch after
     every pick."""
     gens = []
-    span = {sub.ambient.zero()}
+    span = {ambient_zero(sub.ambient)}
     for x in sub.elements:
         if x in span:
             continue
@@ -171,7 +177,9 @@ def scan_annihilator(sub):
     """Oracle: every ambient element tested against every generator."""
     amb = sub.ambient
     gens = sub.generators()
-    return AbSubgroup(amb, [y for y in amb.elements() if all(amb.pairing(x, y) == 0 for x in gens)])
+    return AbSubgroup(
+        amb, [y for y in ambient_elements(amb) if all(amb.pairing(x, y) == 0 for x in gens)]
+    )
 
 
 @pytest.mark.parametrize("p,k,h", [
@@ -297,9 +305,11 @@ def test_monotone_consistency_in_exponent():
 def test_pairing_is_bilinear(params, data):
     p, k, h = params
     amb = Ambient(p, k, h)
-    pick = st.sampled_from(amb.elements())
+    pick = st.sampled_from(ambient_elements(amb))
     x, y, z = data.draw(pick), data.draw(pick), data.draw(pick)
-    assert amb.pairing(amb.add(x, y), z) == (amb.pairing(x, z) + amb.pairing(y, z)) % amb.modulus
+    assert amb.pairing(ambient_add(amb, x, y), z) == (
+        amb.pairing(x, z) + amb.pairing(y, z)
+    ) % amb.modulus
     assert amb.pairing(x, y) == amb.pairing(y, x)
 
 
@@ -377,7 +387,7 @@ def test_packed_add_matches_tuple_add_on_every_pair(p, k, h):
     tuples = [amb._unpack(key) for key in keys]
     for y, key in zip(tuples, keys):
         assert [amb._unpack(s) for s in abelian._translate(amb, keys, key)] == [
-            amb.add(x, y) for x in tuples
+            ambient_add(amb, x, y) for x in tuples
         ]
 
 
@@ -411,6 +421,21 @@ def test_span_refuses_a_generator_that_is_no_element(gen):
     # equal a length-2 element of the span
     with pytest.raises(BadParameters):
         _within(5, AbSubgroup.span, Ambient(2, 2, 2), [gen])
+
+
+def test_ambient_cap_reads_the_exponent_not_the_order(monkeypatch):
+    # (Z/2)^(10^12) is refused from k*h alone: 2^(10^12) is never formed
+    def formed(self):
+        raise AssertionError("the ambient order was formed")
+
+    monkeypatch.setattr(Ambient, "order", property(formed))
+    huge = Ambient(2, 1, 10 ** 12)
+    with pytest.raises(ResourceLimit):
+        abelian.subgroups_of_ambient(huge)
+    with pytest.raises(ResourceLimit):
+        AbSubgroup.full(huge)
+    with pytest.raises(ResourceLimit):
+        annihilator(AbSubgroup.trivial(huge))
 
 
 def test_span_refuses_above_the_cap_before_closing(monkeypatch):

@@ -62,6 +62,10 @@ GOLDEN = [
                          "--chi", os.path.join(FIXTURES, "chi_p2_h2_k3.json"))),
     # a p-typical law at its default x-degree, D = 82, which no digest covers
     ("fgl_p3_n2_k1", ("fgl", "--p", "3", "--n", "2", "--k", "1")),
+    # two parameters with u-degree room 3: the scaled logarithm drops its
+    # u_j^(2^(i-j)) terms past the room, the unit inverse runs at b = 3
+    ("fgl_p2_n3_k1_d33_u3", ("fgl", "--p", "2", "--n", "3", "--k", "1", "--deg", "33",
+                             "--prec-u", "3")),
     # the acceptance matrix, whose criteria 3 and 4 run the induction tables
     ("reproduce_seed0", ("reproduce", "--seed", "0")),
     ("reproduce_seed1", ("reproduce", "--seed", "1")),
@@ -275,6 +279,11 @@ def test_exit_code_domain(capsys):
     code, _, err = run_cli(capsys, "fgl", "--p", "2", "--n", "1", "--k", "12")
     assert code == 2
     assert "D > p^{kn}" in err
+    # an explicit --deg 0 is refused as given, never replaced by the default
+    for law in (("--law", "multiplicative"), ("--n", "2")):
+        code, out, err = run_cli(capsys, "fgl", "--p", "2", *law, "--deg", "0")
+        assert code == 2 and out == ""
+        assert "need D >= p" in err
 
 
 def test_exit_code_resource(capsys):

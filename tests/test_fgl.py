@@ -32,7 +32,7 @@ from transchrome.fgl import (
     weierstrass_prep,
 )
 
-from oracles import param, torsion_rank
+from oracles import ModPolyRing, param, torsion_rank
 
 
 # -- the dict-of-dict series: the oracle for the packed product kernel --
@@ -43,7 +43,7 @@ class DictSeries:
     coefficients indexed by exponent tuples of total degree < D, each a
     ring element, with one ``ring.mul`` per pair of terms.  It works over
     any ring with ``add``, ``neg``, ``mul``, ``zero`` and ``one``: the
-    modular ``PolyRing`` and the rational ``QPolyRing``."""
+    modular ``ModPolyRing`` and the rational ``QPolyRing``."""
 
     def __init__(self, ring, nvars, D, coeffs):
         self.ring = ring
@@ -211,7 +211,7 @@ class QPolyRing:
         c = Fraction(c)
         return {e: c * v for e, v in f.items()} if c else {}
 
-    def reduce(self, f, target: PolyRing):
+    def reduce(self, f, target):
         out = {}
         for e, c in f.items():
             if c.denominator % target.p == 0:
@@ -256,6 +256,7 @@ def multiplicative_log(D):
 
 
 def reduce_series(s, ring):
+    ring = ModPolyRing.of(ring)
     return DictSeries(ring, s.nvars, s.D, {e: s.ring.reduce(c, ring) for e, c in s.coeffs.items()})
 
 
@@ -266,7 +267,7 @@ def packed(s):
 
 def as_dict(s):
     """The one-variable oracle series of a production series."""
-    return DictSeries(s.ring, 1, s.D, {(e,): c for e, c in s.coeffs.items()})
+    return DictSeries(ModPolyRing.of(s.ring), 1, s.D, {(e,): c for e, c in s.coeffs.items()})
 
 
 def law_from_log(log, ring):
@@ -331,7 +332,7 @@ def times_log_sum(g, H, D):
 def full_plane_G(p, n, a, b, D):
     """G = g^{-1}(g(x) + g(y)) mod p^(a+D-2) by Horner over dict-of-dict
     polynomials, forming (i, j) and (j, i) separately."""
-    wide = PolyRing(p, a + D - 2, b, n - 1)
+    wide = ModPolyRing(p, a + D - 2, b, n - 1)
     g = fgl._scaled_log(p, n, wide, D)
     exp = _reversion(g)
     H = {}
@@ -344,7 +345,7 @@ def full_plane_G(p, n, a, b, D):
 @functools.lru_cache(maxsize=None)
 def full_plane_law(p, n, a, b, D):
     """The p-typical law F(x, y) = G(px, py)/p: F_d = G_d / p^(d-1)."""
-    ring = PolyRing(p, a, b, n - 1)
+    ring = ModPolyRing(p, a, b, n - 1)
     reduced = {}
     for e, c in full_plane_G(p, n, a, b, D).items():
         shift = p ** (sum(e) - 1)
@@ -356,7 +357,7 @@ def full_plane_law(p, n, a, b, D):
 def law_of(ctx):
     """The two-variable oracle law of a context: x + y + xy, or the
     full-plane p-typical law."""
-    ring, D = ctx.ring, ctx.D
+    ring, D = ModPolyRing.of(ctx.ring), ctx.D
     if ctx.log is None:
         one = ring.one()
         return DictSeries(ring, 2, D, {(1, 0): one, (0, 1): one, (1, 1): one})
@@ -372,7 +373,7 @@ def law_sum(law, s, t):
     rows = defaultdict(list)
     for (i, j), c in law.coeffs.items():
         rows[i].append((j, Series(ring, D, {0: c})))
-    powers = [Series(ring, D, {0: ring.one()})]
+    powers = [Series(ring, D, {0: law.ring.one()})]
     H = Series.zero(ring, D)
     for i in range(max(rows, default=0), -1, -1):
         out = defaultdict(int)
@@ -480,7 +481,7 @@ def rings(draw):
     a = draw(st.integers(min_value=1, max_value=4))
     b = draw(st.sampled_from([1, 2, 8]))
     n = draw(st.integers(min_value=1, max_value=3))
-    return PolyRing(p, a, b, n - 1)
+    return ModPolyRing(p, a, b, n - 1)
 
 
 @st.composite
@@ -539,9 +540,20 @@ def test_packed_compose_matches_dict_oracle(data):
     (2, 2, 4, 8, 17), (3, 2, 3, 6, 10), (5, 1, 4, 8, 30), (2, 3, 2, 2, 12),
 ])
 def test_reversion_matches_dict_oracle(p, n, a, b, D):
-    ring = PolyRing(p, a + D - 2, b, n - 1)
+    ring = ModPolyRing(p, a + D - 2, b, n - 1)
     g = fgl._scaled_log(p, n, ring, D)
     assert as_dict(_reversion(g)).coeffs == dict_reversion(as_dict(g)).coeffs
+
+
+def test_reversion_requires_a_log_starting_with_x():
+    # the x coefficient must be exactly 1: not 3, not 1 + u1, not missing
+    ring = PolyRing(2, 4, 3, 1)
+    log = {1: {(0,): 1}, 2: {(1,): 1}, 3: {(0,): 5}}
+    exp = _reversion(Series(ring, 6, log))
+    assert _compose(exp, Series(ring, 6, log)) == Series(ring, 6, {1: {(0,): 1}})
+    for head in ({(0,): 3}, {(0,): 1, (1,): 1}, {}):
+        with pytest.raises(BadParameters):
+            _reversion(Series(ring, 6, {**log, 1: head}))
 
 
 @pytest.fixture(scope="module")
@@ -632,7 +644,8 @@ def test_broken_scaled_log_fails_the_divisibility_check(monkeypatch, capsys):
 
     def broken(p, n, ring, D):
         coeffs = scaled_log(p, n, ring, D).coeffs
-        coeffs[p] = ring.add(coeffs[p], ring.one())
+        arith = ModPolyRing.of(ring)
+        coeffs[p] = arith.add(coeffs[p], arith.one())
         return Series(ring, D, coeffs)
 
     monkeypatch.setattr(fgl, "_scaled_log", broken)
@@ -654,7 +667,8 @@ def test_broken_scaled_log_fails_at_every_head_degree(monkeypatch, p, n, k, D):
     for q in sorted({p, p * p, p ** n}):
         def broken(p, n, ring, D, q=q):
             coeffs = scaled_log(p, n, ring, D).coeffs
-            coeffs[q] = ring.add(coeffs.get(q, {}), ring.one())
+            arith = ModPolyRing.of(ring)
+            coeffs[q] = arith.add(coeffs.get(q, {}), arith.one())
             return Series(ring, D, coeffs)
 
         monkeypatch.setattr(fgl, "_scaled_log", broken)
@@ -665,7 +679,7 @@ def test_broken_scaled_log_fails_at_every_head_degree(monkeypatch, p, n, k, D):
 def test_n_series_basics(mult, height2):
     for ctx in (mult, height2):
         assert n_series(ctx, 0).coeffs == {}
-        assert n_series(ctx, 1) == Series(ctx.ring, ctx.D, {1: ctx.ring.one()})
+        assert n_series(ctx, 1) == Series(ctx.ring, ctx.D, {1: ModPolyRing.of(ctx.ring).one()})
 
 
 def test_n_series_addition_property(mult, height2):
@@ -723,7 +737,7 @@ def test_rational_log_round_trip(height2):
     qring = log.ring
     assert log.coeffs[(1,)] == qring.one()
     assert log.coeffs[(2,)] == {(1,): Fraction(1, 2)}  # u1 / 2
-    ring = height2.ring
+    ring = ModPolyRing.of(height2.ring)
     g = fgl._scaled_log(2, 2, ring, height2.D)
     assert g.coeffs[1] == ring.one()
     assert g.coeffs[2] == param(ring, 1)
@@ -742,7 +756,7 @@ def test_integrality_of_reduced_laws(height2, height2_p3):
 
 def test_series_equality_respects_truncation(mult):
     # equal coefficients claim equality only below the same x-degree
-    x8 = Series(mult.ring, mult.D, {1: mult.ring.one()})
+    x8 = Series(mult.ring, mult.D, {1: ModPolyRing.of(mult.ring).one()})
     x5 = Series(mult.ring, 5, x8.coeffs)
     assert x5.coeffs == x8.coeffs
     assert x5 != x8
@@ -779,11 +793,12 @@ def test_weierstrass_prep_height2(height2):
     assert f.mul(u) == s2
     assert coeff_int(f, 4) == 1
     # non-leading coefficients vanish in the residue field
+    ring = ModPolyRing.of(height2.ring)
     for e in range(4):
-        assert height2.ring.residue(f.coeff(e)) == 0
+        assert ring.residue(f.coeff(e)) == 0
     # the unit really is invertible
     uinv = series_inverse(u)
-    one = Series(height2.ring, height2.D, {0: height2.ring.one()})
+    one = Series(ring, height2.D, {0: ring.one()})
     assert u.mul(uinv) == one
 
 
@@ -793,7 +808,7 @@ def test_weierstrass_prep_on_random_distinguished_series(data):
     # random series that are unit * x^d modulo (p): division must always
     # produce a verified factorization (the operation is self-checking)
     ctx = multiplicative_context(2, a=4, D=8)
-    ring = ctx.ring
+    ring = ModPolyRing.of(ctx.ring)
     d = data.draw(st.integers(min_value=1, max_value=3))
     coeffs = {}
     for e in range(ctx.D):
@@ -818,7 +833,7 @@ def test_weierstrass_prep_on_random_distinguished_series(data):
 def test_weierstrass_prep_random_series_with_parameters(height2, data):
     # distinguishedness over (Z/2^4)[u1]: low coefficients even or multiples
     # of u1, the degree-d coefficient an odd unit
-    ring = height2.ring
+    ring = ModPolyRing.of(height2.ring)
     d = data.draw(st.integers(min_value=1, max_value=4))
     coeffs = {}
     for e in range(0, 9):
@@ -838,7 +853,7 @@ def test_weierstrass_prep_random_series_with_parameters(height2, data):
 
 
 def test_weierstrass_prep_rejects_non_distinguished(mult):
-    ring = mult.ring
+    ring = ModPolyRing.of(mult.ring)
     not_dist = Series(ring, mult.D, {1: ring.one()})
     with pytest.raises(NotWeierstrass):
         weierstrass_prep(mult, not_dist, 2)
@@ -924,7 +939,7 @@ def test_build_guards():
 
 
 def test_series_inverse_round_trip():
-    ring = PolyRing(2, 4, 3, 1)
+    ring = ModPolyRing(2, 4, 3, 1)
     one = ring.one()
     u1 = param(ring, 1)
     s = Series(ring, 8, {0: ring.add(one, u1), 1: ring.const(3), 3: u1})
@@ -933,17 +948,31 @@ def test_series_inverse_round_trip():
     assert s.mul(sinv) == identity
 
 
-def test_poly_ring_inverse():
-    ring = PolyRing(3, 3, 4, 1)
-    f = ring.add(ring.const(2), param(ring, 1))
-    finv = ring.inv(f)
-    assert ring.mul(f, finv) == ring.one()
-    with pytest.raises(BadParameters):
-        ring.inv(param(ring, 1))
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+def test_series_inverse_inverts_a_constant_term_with_parameters(b):
+    # the constant term 2 + u1 + 3*u2 + u1*u2^2 + u1^3 is inverted in u by
+    # passes at x-limit 1, as many as b has bits; each u-degree room 1..5
+    # is checked against the oracle ring's geometric-series inverse, at
+    # D = 1, where no x-doubling follows, and at D = 6
+    ring = ModPolyRing(3, 3, b, 2)
+    c0 = {(0, 0): 2, (1, 0): 1, (0, 1): 3, (1, 2): 1, (3, 0): 1}
+    inverse = ring.inv(ring.scale(1, {u: c for u, c in c0.items() if sum(u) < b}))
+    for D in (1, 6):
+        s = Series(ring, D, {0: c0, 1: {(0, 1): 4}, 2: ring.const(7)})
+        sinv = series_inverse(s)
+        assert s.mul(sinv) == Series(ring, D, {0: ring.one()})
+        assert sinv.coeff(0) == inverse
+
+
+def test_series_inverse_refuses_a_non_unit_constant_term():
+    ring = ModPolyRing(3, 3, 4, 1)
+    for const in (param(ring, 1), ring.add(ring.const(3), param(ring, 1)), {}):
+        with pytest.raises(BadParameters):
+            series_inverse(Series(ring, 6, {0: const, 1: ring.one()}))
 
 
 def test_compose_requires_no_constant_term(mult):
-    ring = mult.ring
+    ring = ModPolyRing.of(mult.ring)
     const = Series(ring, mult.D, {0: ring.one()})
     with pytest.raises(BadParameters):
         _compose(n_series(mult, 2), const)
