@@ -45,11 +45,13 @@ class Ambient:
         if self.k < 0 or self.h < 1:
             raise BadParameters("need k >= 0 and h >= 1")
 
-    @property
+    # p^k and p^(kh) are computed on first read and kept; equality and the
+    # hash stay on (p, k, h)
+    @cached_property
     def modulus(self) -> int:
         return self.p ** self.k
 
-    @property
+    @cached_property
     def order(self) -> int:
         return self.modulus ** self.h
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import abelian, classfun, decomp, fgl, homclass
 from .abelian import Ambient
+from .checks import power_exceeds
 from .classfun import GenClassFunction, class_table
 from .errors import TranschromeError
 from .perm import Perm, block_subgroup, centralizer, generate, symmetric_group
@@ -284,7 +285,7 @@ def criterion_11_counting_oracle(seed=DEFAULT_SEED):
     for p in (2, 3, 5, 7, 11, 13):
         for h in range(1, 5):
             m = 0
-            while p ** (m * h) <= abelian.AMBIENT_CAP:
+            while not power_exceeds(p, m * h, abelian.AMBIENT_CAP):
                 formula = abelian.count_sublattices(h, p, m)
                 brute = len(abelian.enumerate_subgroups(h, p, m, p ** m))
                 checked += 1

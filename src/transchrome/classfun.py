@@ -64,7 +64,6 @@ from .errors import (
     ResourceLimit,
 )
 from .homclass import (
-    CommutingTuple,
     HomClass,
     classify,
     enumerate_hom_classes,
@@ -123,8 +122,7 @@ class SymmetricClassTable(_ClassTable):
         self._reps = {}
 
     def key_of_images(self, imgs):
-        perms = tuple(Perm(t) for t in imgs)
-        return classify(CommutingTuple(self.degree, perms), self.lam)
+        return classify(imgs, self.lam, self.degree)
 
     def rep_images(self, key: HomClass):
         reps = self._reps.get(key)

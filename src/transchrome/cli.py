@@ -16,7 +16,7 @@ import importlib.util
 import json
 import sys
 
-from .checks import ENV_MAX_ELEMENTS, max_group_elements
+from .checks import ENV_MAX_ELEMENTS, max_group_elements, power_exceeds
 from .errors import (
     BadParameters,
     DomainError,
@@ -235,7 +235,7 @@ def _cmd_induce(args):
 def _cmd_count_sub(args):
     formula = abelian.count_sublattices(args.h, args.p, args.m)
     brute = None
-    if args.p ** (args.m * args.h) <= abelian.AMBIENT_CAP:
+    if not power_exceeds(args.p, args.m * args.h, abelian.AMBIENT_CAP):
         brute = len(abelian.enumerate_subgroups(args.h, args.p, args.m, args.p ** args.m))
     payload = {
         "h": args.h,

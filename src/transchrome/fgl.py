@@ -119,43 +119,23 @@ class Series:
     Its terms are one flat dict ``terms`` from an int key to a nonzero int
     mod p^a.  The key packs the x-exponent above the parameter monomial u,
     itself packed base b (``PolyRing.pack``): x^e times u is e*M + u, with
-    M = ring.M.  ``coeffs``, ``coeff`` and ``term_list`` decode the terms on
-    demand.  Every product goes through one kernel, ``_accumulate``.
+    M = ring.M.  ``coeffs`` and ``term_list`` decode the terms on demand.
+    Every product goes through one kernel, ``_accumulate``.
     """
 
     __slots__ = ("ring", "D", "terms", "_graded", "_tables")
 
-    def __init__(self, ring, D, coeffs):
-        """The series of {x-exponent: {u-exponent tuple: int}}; terms of
-        x-degree >= D or u-degree >= b are dropped, coefficients reduced
-        mod p^a."""
-        terms = {}
-        mod, M = ring.mod, ring.M
-        for e, poly in coeffs.items():
-            if e >= D:
-                continue
-            for ue, c in poly.items():
-                c %= mod
-                if c and sum(ue) < ring.b:
-                    terms[e * M + ring.pack(ue)] = c
-        self._set(ring, D, terms)
-
-    def _set(self, ring, D, terms):
+    def __init__(self, ring, D, terms):
+        """The series of packed terms, already reduced mod p^a and nonzero,
+        of x-degree below D and u-degree below b."""
         self.ring = ring
         self.D = D
         self.terms = terms
         self._graded = None
         self._tables = {}
 
-    @classmethod
-    def _of(cls, ring, D, terms):
-        """The series of packed terms that are already reduced and nonzero."""
-        out = cls.__new__(cls)
-        out._set(ring, D, terms)
-        return out
-
     def _like(self, terms):
-        return Series._of(self.ring, self.D, terms)
+        return Series(self.ring, self.D, terms)
 
     def _reduced(self, out):
         """A series like this one over the terms of ``out`` reduced mod p^a."""
@@ -164,7 +144,7 @@ class Series:
 
     @classmethod
     def zero(cls, ring, D):
-        return cls._of(ring, D, {})
+        return cls(ring, D, {})
 
     def _by_degree(self):
         """(x-degree, u-degree, key, c) of every term, sorted; decoded once."""
@@ -201,9 +181,6 @@ class Series:
             e, u = divmod(key, M)
             out.setdefault(e, {})[unpack(u)] = c
         return out
-
-    def coeff(self, e):
-        return self.coeffs.get(e, {})
 
     def add(self, other):
         mod = self.ring.mod
@@ -524,7 +501,7 @@ def n_series(ctx: FGLContext, m: int) -> Series:
         v = c // shift % ring.mod
         if v:
             terms[key] = v
-    return Series._of(ring, D, terms)
+    return Series(ring, D, terms)
 
 
 def _split_at(s: Series, d: int):
@@ -556,7 +533,7 @@ def weierstrass_prep(ctx: FGLContext, g: Series, d: int):
 
     g_low, g_high = _split_at(g, d)
     ginv_high = series_inverse(g_high)
-    x_d = Series._of(ring, D, {d * ring.M: 1})
+    x_d = Series(ring, D, {d * ring.M: 1})
     q = Series.zero(ring, D)
     cur = x_d
     for _ in range(ring.a + ring.b + 2):

@@ -9,11 +9,22 @@ used by the component decomposition: centralizer structure, minimal block
 level, diagonal factorization, dual image, and the fixed-coset fibration
 over block subgroups.
 
+``classify`` reads each orbit's kernel K off the orbit's shape: the
+generators' image tuples on the orbit, relabelled in the breadth-first
+order in which ``perm._orbits`` lists it from its minimum.  L is abelian,
+so a translation of L/K commutes with the action and the walk labels L/K
+alike from every base point: the shape depends on K alone, and K is the
+stabilizer of its point 0.  ``_orbit_kernel`` finds that stabilizer by
+walking L over the shape's power tables and is memoized with at most
+1024 entries, one per (L, kernel), so L is walked once per kernel, not
+once per orbit.  The per-orbit walk is the tests' oracle
+(``classify_by_walk`` in ``tests/oracles.py``).
+
 The fibration reads the centralizer orbits of the cosets of a Young
 subgroup Sym(b)^c from ``perm`` (``_BlockCosets`` and ``_stable_orbits``),
 off the orbit types of the action, without listing the stable partitions
 or taking the centralizer's generators, and adds only the blockwise
-classes of each orbit; point orbits go through ``perm._orbit_reps``.
+classes of each orbit.
 """
 
 from __future__ import annotations
@@ -45,8 +56,11 @@ from .errors import (
 from .perm import (
     Perm,
     _BlockCosets,
+    _commute_images,
     _compose,
-    _orbit_reps,
+    _orbits,
+    _order,
+    _permutation,
     _stable_orbits,
 )
 
@@ -144,18 +158,25 @@ class CommutingTuple:
     perms: tuple
 
     def __post_init__(self):
-        for s in self.perms:
-            if s.degree != self.degree:
-                raise BadParameters("permutation degree mismatch")
-        for a, b in itertools.combinations(self.perms, 2):
-            if a * b != b * a:
-                raise NotCommuting("tuple entries do not commute")
+        _check_commuting([s.images for s in self.perms], self.degree)
 
 
-def _check_orders(perms, p, k):
+def _check_commuting(imgs, degree):
+    """BadParameters unless each image tuple moves ``degree`` points,
+    NotCommuting unless they commute pairwise."""
+    for s in imgs:
+        if len(s) != degree:
+            raise BadParameters("permutation degree mismatch")
+    for a, b in itertools.combinations(imgs, 2):
+        if not _commute_images(a, b):
+            raise NotCommuting("tuple entries do not commute")
+
+
+def _check_orders(imgs, p, k):
+    """OrderNotPPower unless every image tuple has order dividing p^k."""
     cap = p ** k
-    for s in perms:
-        d = s.order()
+    for s in imgs:
+        d = _order(s)
         if cap % d:
             raise OrderNotPPower(
                 "element order %d does not divide %d^%d" % (d, p, k)
@@ -294,12 +315,12 @@ def realize(hc: HomClass) -> CommutingTuple:
     return CommutingTuple(degree, perms)
 
 
-def _power_tables(perms, modulus):
+def _power_tables(imgs, modulus):
     tables = []
-    for s in perms:
-        powers = [tuple(range(s.degree))]
+    for s in imgs:
+        powers = [tuple(range(len(s)))]
         for _ in range(modulus - 1):
-            powers.append(_compose(s.images, powers[-1]))
+            powers.append(_compose(s, powers[-1]))
         tables.append(powers)
     return tables
 
@@ -323,18 +344,41 @@ def _stabilizer(tables, basis, base):
     return set(reached[base])
 
 
-def classify(t: CommutingTuple, lam: Ambient) -> HomClass:
-    """The class invariant of a commuting tuple: orbit kernels with multiplicity."""
-    if len(t.perms) != lam.h:
-        raise BadParameters("tuple length %d != rank %d" % (len(t.perms), lam.h))
-    _check_orders(t.perms, lam.p, lam.k)
+# one entry per (lam, orbit kernel): 26 at (2, 2, 3), 18 at (3, 2, 2)
+@lru_cache(maxsize=1024)
+def _orbit_kernel(lam: Ambient, shape) -> AbSubgroup:
+    """The kernel K of a transitive orbit lam/K from its shape: the image
+    tuples of the generators on the orbit relabelled 0, 1, ... in the order
+    of its breadth-first walk.  K is the stabilizer of point 0, found by
+    walking all of lam over the shape's power tables."""
+    tables = _power_tables(shape, lam.modulus)
+    return AbSubgroup._of_keys(lam, _stabilizer(tables, _basis(lam), 0))
+
+
+def classify(t, lam: Ambient, degree=None) -> HomClass:
+    """The class invariant of a commuting tuple: orbit kernels with multiplicity.
+
+    ``t`` is a CommutingTuple, or the image tuples of one on ``degree``
+    points (by default the first's), checked as Perm and CommutingTuple
+    check theirs without building either.  Each orbit's kernel is read off
+    its shape, the generators' images on the orbit relabelled in the order
+    ``_orbits`` lists it (``_orbit_kernel``)."""
+    if isinstance(t, CommutingTuple):
+        imgs = tuple(s.images for s in t.perms)
+    else:
+        imgs = tuple(map(_permutation, t))
+        _check_commuting(imgs, len(imgs[0]) if degree is None and imgs else degree)
+    if len(imgs) != lam.h:
+        raise BadParameters("tuple length %d != rank %d" % (len(imgs), lam.h))
+    _check_orders(imgs, lam.p, lam.k)
     _check_ambient_cap(lam)
-    tables = _power_tables(t.perms, lam.modulus)
-    imgs = [s.images for s in t.perms]
-    basis = _basis(lam)
+    where = {}
     counts = {}
-    for base, _ in _orbit_reps(range(t.degree), imgs, operator.getitem):
-        kernel = AbSubgroup._of_keys(lam, _stabilizer(tables, basis, base))
+    for orbit in _orbits(range(len(imgs[0])), imgs, operator.getitem):
+        for i, x in enumerate(orbit):
+            where[x] = i
+        shape = tuple([tuple([where[s[x]] for x in orbit]) for s in imgs])
+        kernel = _orbit_kernel(lam, shape)
         counts[kernel] = counts.get(kernel, 0) + 1
     orbit_types = tuple(sorted(counts.items(), key=lambda kv: _kernel_key(kv[0])))
     return HomClass(lam, orbit_types)

@@ -141,6 +141,35 @@ def _orbits(points, gens, act, edges=None):
     return out
 
 
+def _permutation(images):
+    """The tuple of ``images``; ValueError unless it lists a permutation of
+    0..len-1."""
+    images = tuple(images)
+    n = len(images)
+    seen = [False] * n
+    for v in images:
+        if not isinstance(v, int) or not 0 <= v < n or seen[v]:
+            raise ValueError("images do not describe a permutation: %r" % (images,))
+        seen[v] = True
+    return images
+
+
+def _order(images) -> int:
+    """The order of a permutation given by its image tuple: the lcm of its
+    cycle lengths."""
+    n, seen = 1, [False] * len(images)
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        n = math.lcm(n, length)
+    return n
+
+
 def _orbit_reps(points, gens, act):
     """``[(min point, orbit size)]`` for the orbits of ``_orbits``."""
     return [(orbit[0], len(orbit)) for orbit in _orbits(points, gens, act)]
@@ -152,14 +181,7 @@ class Perm:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
-        n = len(images)
-        seen = [False] * n
-        for v in images:
-            if not isinstance(v, int) or not 0 <= v < n or seen[v]:
-                raise ValueError("images do not describe a permutation: %r" % (images,))
-            seen[v] = True
-        self.images = images
+        self.images = _permutation(images)
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -223,10 +245,7 @@ class Perm:
         return result
 
     def order(self) -> int:
-        n = 1
-        for cyc in self._cycle_lists():
-            n = math.lcm(n, len(cyc))
-        return n
+        return _order(self.images)
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))

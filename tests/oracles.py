@@ -11,7 +11,7 @@ import json
 import operator
 
 from transchrome import perm
-from transchrome.abelian import AbSubgroup, _ambient_elements
+from transchrome.abelian import AbSubgroup, _ambient_elements, _check_ambient_cap
 from transchrome.decomp import CONVENTION, ComponentRecord, DecompositionReport, report_to_dict
 from transchrome.errors import (
     ActionNotClosed,
@@ -19,10 +19,15 @@ from transchrome.errors import (
     InternalMismatch,
     NotInGroup,
 )
-from transchrome.fgl import PolyRing, prepare_p_series
+from transchrome.fgl import PolyRing, Series, prepare_p_series
 from transchrome.homclass import (
     CommutingTuple,
+    HomClass,
+    _basis,
     _check_orders,
+    _kernel_key,
+    _power_tables,
+    _stabilizer,
     enumerate_hom_classes,
     lam_group,
     realize,
@@ -166,7 +171,7 @@ def conjugating_element(G: PermGroup, a, b):
     return None
 
 
-# -- homclass: checked tuples, centralizer generators as Perms, tuple counts --
+# -- homclass: checked tuples, the per-orbit kernel walk, centralizers as Perms, tuple counts --
 
 
 def make_tuple(perms, lam) -> CommutingTuple:
@@ -178,8 +183,27 @@ def make_tuple(perms, lam) -> CommutingTuple:
     if len(perms) != lam.h:
         raise BadParameters("tuple length %d != rank %d" % (len(perms), lam.h))
     t = CommutingTuple(perms[0].degree, perms)
-    _check_orders(perms, lam.p, lam.k)
+    _check_orders([s.images for s in perms], lam.p, lam.k)
     return t
+
+
+def classify_by_walk(t: CommutingTuple, lam) -> HomClass:
+    """The class invariant of a commuting tuple with every orbit's kernel
+    found by walking all of lam: the stabilizer of the orbit's minimum,
+    read off power tables of the whole tuple, once per orbit."""
+    imgs = [s.images for s in t.perms]
+    if len(imgs) != lam.h:
+        raise BadParameters("tuple length %d != rank %d" % (len(imgs), lam.h))
+    _check_orders(imgs, lam.p, lam.k)
+    _check_ambient_cap(lam)
+    tables = _power_tables(imgs, lam.modulus)
+    basis = _basis(lam)
+    counts = {}
+    for orbit in _orbits(range(t.degree), imgs, operator.getitem):
+        kernel = AbSubgroup._of_keys(lam, _stabilizer(tables, basis, orbit[0]))
+        counts[kernel] = counts.get(kernel, 0) + 1
+    orbit_types = tuple(sorted(counts.items(), key=lambda kv: _kernel_key(kv[0])))
+    return HomClass(lam, orbit_types)
 
 
 def centralizer_generators(hc):
@@ -365,6 +389,27 @@ class ModPolyRing(PolyRing):
                 break
             out = self.add(out, power)
         return self.scale(c0_inv, out)
+
+
+def series_of(ring, D, coeffs) -> Series:
+    """The series of {x-exponent: {u-exponent tuple: int}}; terms of
+    x-degree >= D or u-degree >= b are dropped, coefficients reduced
+    mod p^a."""
+    terms = {}
+    mod, M = ring.mod, ring.M
+    for e, poly in coeffs.items():
+        if e >= D:
+            continue
+        for ue, c in poly.items():
+            c %= mod
+            if c and sum(ue) < ring.b:
+                terms[e * M + ring.pack(ue)] = c
+    return Series(ring, D, terms)
+
+
+def coeff(series, e):
+    """The x^e coefficient of a series, as {u-exponent tuple: c}."""
+    return series.coeffs.get(e, {})
 
 
 def param(ring, i):

@@ -41,6 +41,10 @@ GOLDEN = [
                            "--class-id", "p3.k2.h1:[(U<1>:idx1,m3),(U<3>:idx3,m2)]")),
     ("transfer_p2_h2_k2_m1", ("transfer", "--p", "2", "--h", "2", "--k", "2",
                               "--m", "1", "--alpha", "(0 1);(2 3)")),
+    # classified through the symmetric class table: three orbit types of
+    # different kernels
+    ("transfer_p2_h2_k3_alpha", ("transfer", "--p", "2", "--h", "2", "--k", "3",
+                                 "--alpha", "(0 1 2 3)(4 5);(0 2)(1 3)(6 7)")),
     ("decompose_p2_n2_t1_k2", ("decompose", "--p", "2", "--n", "2", "--t", "1",
                                "--k", "2")),
     ("decompose_p2_n3_t1_k3", ("decompose", "--p", "2", "--n", "3", "--t", "1",
@@ -232,6 +236,16 @@ def test_count_sub_large_rank_answers_from_closed_form(capsys):
     data = json.loads(out)
     assert data["bruteforce"] is None and data["match"] is None
     assert data["count"] == _q_binomial(69, 39, 2)
+
+
+def test_count_sub_near_the_size_cap_skips_the_brute_force(capsys):
+    # h (h + m) bit_length(p) = 315 * 316 * 2, just under COUNT_SIZE_CAP; the
+    # brute-force decision on (Z/2)^315 goes through checks.power_exceeds
+    code, out, _ = run_cli(capsys, "count-sub", "--h", "315", "--p", "2", "--m", "1", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["bruteforce"] is None and data["match"] is None
+    assert data["count"] == 2 ** 315 - 1
 
 
 def test_fgl_subcommand(capsys):

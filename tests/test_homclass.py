@@ -4,9 +4,10 @@ import operator
 import timeit
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from transchrome import homclass
-from transchrome.abelian import AbSubgroup, _subgroup_levels
+from transchrome import classfun, homclass
+from transchrome.abelian import AbSubgroup, _subgroup_levels, sub_leq_count
 from transchrome.errors import (
     BadParameters,
     InternalMismatch,
@@ -16,6 +17,8 @@ from transchrome.errors import (
     ResourceLimit,
 )
 from transchrome.homclass import (
+    HOM_CLASS_CAP,
+    CommutingTuple,
     HomClass,
     centralizer_order,
     classify,
@@ -44,6 +47,7 @@ from transchrome.perm import (
 
 from oracles import (
     centralizer_generators,
+    classify_by_walk,
     commuting_tuple_count,
     conjugating_element,
     coset_orbits,
@@ -607,3 +611,168 @@ def test_equal_hom_classes_built_apart_hash_equal():
         again = classify(realize(a), a.lam)
         assert again == a and hash(again) == hash(a)
     assert len(set(first) | set(second)) == len(first)
+
+
+# (p, h, k) with p^(kh) <= 10^4; enumerate_hom_classes refuses (2, 3, 4)
+# (984 771 classes), so its classes are drawn here from its kernels
+CLASSIFY_LAMS = [(2, 1, 4), (2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 3, 3), (2, 3, 4),
+                 (3, 1, 2), (3, 2, 2), (3, 3, 2), (5, 2, 1), (7, 3, 1), (11, 2, 1), (2, 7, 1)]
+
+
+def test_the_drawn_lams_include_one_past_the_class_cap():
+    assert hom_class_count(2, 3, 4) > HOM_CLASS_CAP
+    with pytest.raises(ResourceLimit):
+        enumerate_hom_classes(2, 3, 4)
+
+
+def _random_class(lam, rng):
+    """A class of lam on p^k points: orbits lam/K with K drawn from the
+    kernels of index at most the points left."""
+    kernels = homclass._kernel_subgroups(lam, lam.p ** lam.k)
+    remaining, counts = lam.p ** lam.k, {}
+    while remaining:
+        kernel = rng.choice([K for K in kernels if K.index <= remaining])
+        counts[kernel] = counts.get(kernel, 0) + 1
+        remaining -= kernel.index
+    return HomClass(lam, tuple(sorted(counts.items(), key=lambda kv: homclass._kernel_key(kv[0]))))
+
+
+def _conjugate(imgs, rng):
+    """c s c^-1 for each image tuple s, c a random permutation."""
+    n = len(imgs[0])
+    c = rng.sample(range(n), n)
+    out = []
+    for s in imgs:
+        conj = [0] * n
+        for i, x in enumerate(s):
+            conj[c[i]] = c[x]
+        out.append(tuple(conj))
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CLASSIFY_LAMS), st.randoms(use_true_random=False))
+def test_classify_by_shape_is_the_walk(case, rng):
+    lam = lam_group(*case)
+    hc = _random_class(lam, rng)
+    alpha = _conjugate([s.images for s in realize(hc).perms], rng)
+    t = CommutingTuple(len(alpha[0]), tuple(map(Perm, alpha)))
+    assert classify(t, lam) == classify_by_walk(t, lam) == hc
+    assert classify(alpha, lam) == hc
+    # two classes side by side on 2 p^k points
+    other = [s.images for s in realize(_random_class(lam, rng)).perms]
+    n = len(alpha[0])
+    doubled = _conjugate([a + tuple(n + v for v in b) for a, b in zip(alpha, other)], rng)
+    t = CommutingTuple(2 * n, tuple(map(Perm, doubled)))
+    assert classify(t, lam) == classify_by_walk(t, lam)
+    assert classify(t, lam).points == 2 * n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (3, 2, 2)]),
+       st.randoms(use_true_random=False), st.data())
+def test_classify_by_shape_is_the_walk_on_fiber_blocks(case, rng, data):
+    # coset_fiber classifies the blocks of p^m points of g^-1 alpha g
+    lam = lam_group(*case)
+    hc = _random_class(lam, rng)
+    # Sym(9) over Sym(1)^9 has 9! cosets, past INDEX_CAP
+    m = data.draw(st.integers(int(lam.p ** lam.k > 8), lam.k))
+    block = lam.p ** m
+    alpha = realize(hc).perms
+    for orbit in coset_fiber(hc, m):
+        g = orbit.coset_rep
+        beta = [(~g * s * g).images for s in alpha]
+        for j, got in enumerate(orbit.block_classes):
+            base = j * block
+            local = CommutingTuple(block, tuple(
+                Perm(v - base for v in s[base:base + block]) for s in beta
+            ))
+            assert got == classify_by_walk(local, lam)
+
+
+def test_the_orbit_kernel_memo_holds_one_entry_per_kernel():
+    memo = homclass._orbit_kernel
+    assert memo.cache_info().maxsize == 1024
+    # lam = (Z/2)^h on two points: one tuple per kernel, 2^h of them, so
+    # h = 1..10 asks for 2046 entries, past the bound
+    for h in range(1, 11):
+        lam = lam_group(2, h, 1)
+        for mask in range(2 ** h):
+            imgs = tuple((1, 0) if mask >> i & 1 else (0, 1) for i in range(h))
+            got = classify(imgs, lam)
+            if mask % 97 == 0:
+                t = CommutingTuple(2, tuple(map(Perm, imgs)))
+                assert got == classify_by_walk(t, lam)
+            assert memo.cache_info().currsize <= memo.cache_info().maxsize
+    assert memo.cache_info().currsize == memo.cache_info().maxsize
+    memo.cache_clear()
+    classes = enumerate_hom_classes(2, 2, 3)
+    for hc in classes:
+        assert classify(realize(hc), hc.lam) == hc
+    assert memo.cache_info().currsize == sub_leq_count(2, 2, 3) == 26
+    rng = __import__("random").Random(3)
+    for hc in classes:
+        assert classify(_conjugate([s.images for s in realize(hc).perms], rng), hc.lam) == hc
+    assert memo.cache_info().currsize == 26
+
+
+def test_a_memo_hit_walks_nothing_over_lam(monkeypatch):
+    classes = enumerate_hom_classes(3, 2, 2)
+    for hc in classes:
+        classify(realize(hc), hc.lam)
+
+    def refuse(*args):
+        raise AssertionError("walked lam on a memo hit")
+
+    monkeypatch.setattr(homclass, "_power_tables", refuse)
+    monkeypatch.setattr(homclass, "_stabilizer", refuse)
+    rng = __import__("random").Random(5)
+    for hc in classes:
+        assert classify(_conjugate([s.images for s in realize(hc).perms], rng), hc.lam) == hc
+
+
+def _old_key_of_images(table, imgs):
+    """What the symmetric class table answered before it skipped Perm and
+    CommutingTuple: the checked Perms, classified by the walk."""
+    perms = tuple(Perm(t) for t in imgs)
+    return classify_by_walk(CommutingTuple(table.degree, perms), table.lam)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the type is compared, not the message
+        return type(exc)
+
+
+# mostly permutations of the table's four points, some of them commuting,
+# one of order 3; then other degrees, non-permutations and a bool image
+_FOUR = st.sampled_from([(1, 0, 3, 2), (1, 2, 3, 0), (1, 0, 2, 3), (2, 3, 0, 1),
+                         (1, 2, 0, 3), (0, 1, 2, 3), (0, 1, 3, 2)])
+_IMAGE = st.one_of(
+    _FOUR, _FOUR, _FOUR, st.permutations(range(4)),
+    st.integers(3, 5).flatmap(lambda n: st.permutations(range(n))),
+    st.lists(st.integers(-1, 4), min_size=3, max_size=5),
+    st.just((0, True, 2, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_IMAGE, min_size=0, max_size=3))
+def test_key_of_images_checks_as_perm_and_commuting_tuple_did(imgs):
+    table = classfun.class_table(symmetric_group(4), lam_group(2, 2, 2))
+    imgs = tuple(tuple(s) for s in imgs)
+    assert _outcome(table.key_of_images, imgs) == _outcome(_old_key_of_images, table, imgs)
+
+
+@pytest.mark.parametrize("imgs,error", [
+    (((1, 1, 2, 3), (0, 1, 2, 3)), ValueError),
+    (((1, 0, 2), (0, 1, 2)), BadParameters),
+    (((1, 0, 2, 3), (0, 2, 1, 3)), NotCommuting),
+    (((1, 0, 2, 3),), BadParameters),
+    (((1, 2, 0, 3), (0, 1, 2, 3)), OrderNotPPower),
+])
+def test_key_of_images_refusals(imgs, error):
+    table = classfun.class_table(symmetric_group(4), lam_group(2, 2, 2))
+    with pytest.raises(error):
+        table.key_of_images(imgs)
