@@ -20,10 +20,9 @@ oracle for the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .checks import check_prime, power_exceeds
+from .checks import Record, check_prime, digit_limit, power_exceeds
 from .errors import BadParameters, InternalMismatch, ResourceLimit
 
 AMBIENT_CAP = 10 ** 4
@@ -31,19 +30,26 @@ AMBIENT_CAP = 10 ** 4
 COUNT_SIZE_CAP = 2 * 10 ** 5
 
 
-@dataclass(frozen=True)
-class Ambient:
+class Ambient(Record):
     """The group (Z/p^k)^h.  Elements are h-tuples of ints mod p^k to
     callers; the subgroup code packs each into one int (``_pack``)."""
 
-    p: int
-    k: int
-    h: int
+    _fields = ("p", "k", "h")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.k < 0 or self.h < 1:
+    def __init__(self, p: int, k: int, h: int):
+        check_prime(p)
+        if k < 0 or h < 1:
             raise BadParameters("need k >= 0 and h >= 1")
+        self._set_fields(p, k, h)
+
+    # written out: every cache keyed by an ambient hashes it
+    def __eq__(self, other):
+        if other.__class__ is Ambient:
+            return (self.p, self.k, self.h) == (other.p, other.k, other.h)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.k, self.h))
 
     # p^k and p^(kh) are computed on first read and kept; equality and the
     # hash stay on (p, k, h)
@@ -151,7 +157,7 @@ class AbSubgroup:
     """A subgroup of an Ambient, canonically the sorted tuple of its packed
     elements; ``elements`` is its tuple view, decoded on first use."""
 
-    __slots__ = ("ambient", "_keys", "_kset", "_elements", "_gens", "_hash")
+    __slots__ = ("ambient", "_keys", "_kset", "_elements", "_gens", "_ann", "_hash")
 
     def __init__(self, ambient: Ambient, elements):
         """The subgroup with these elements, h-tuples with coordinates in
@@ -162,7 +168,7 @@ class AbSubgroup:
         self.ambient = ambient
         self._kset = members
         self._keys = tuple(sorted(members))
-        self._elements = self._gens = self._hash = None
+        self._elements = self._gens = self._ann = self._hash = None
         if 0 not in members:
             raise ValueError("subgroup must contain zero")
 
@@ -259,8 +265,10 @@ class AbSubgroup:
 
     def intersection(self, other: "AbSubgroup") -> "AbSubgroup":
         return AbSubgroup._of_keys(self.ambient, self._kset & other._kset)
+
     def annihilator(self) -> "AbSubgroup":
-        """{y : <x, y> = 0 mod p^k for all x in self}, by a diagonal solve.
+        """{y : <x, y> = 0 mod p^k for all x in self}, by a diagonal solve
+        on the first call; later calls return the subgroup it found.
 
         The annihilator is the solution module of R y = 0 mod p^k, R the
         rows of the greedy generators.  Z/p^k is local, so an entry of least
@@ -271,11 +279,16 @@ class AbSubgroup:
         for each pivot and V e_j for each column without one: O(h^3) ring
         operations, then the span of the output.
 
-        Checked on every call (InternalMismatch): each solution generator
+        Checked when solved (InternalMismatch): each solution generator
         pairs to 0 with each row, and |ann| * |self| = |ambient|.  The
         standard pairing is perfect, so |ann(self)| = |ambient| / |self|,
         and a subgroup of ann(self) of that order is all of it.
         """
+        if self._ann is None:
+            self._ann = self._solve_annihilator()
+        return self._ann
+
+    def _solve_annihilator(self) -> "AbSubgroup":
         amb = self.ambient
         _check_ambient_cap(amb)
         p, q, h = amb.p, amb.modulus, amb.h
@@ -409,7 +422,13 @@ def count_sublattices(h: int, p: int, m: int) -> int:
     The dynamic program takes O(h m) big-int operations on numbers of up to
     h m log2(p) bits, and the Gaussian product h exact divisions of numbers
     of up to (m + h) log2(p) bits, so h (h + m) bit_length(p) is capped at
-    COUNT_SIZE_CAP (ResourceLimit) before any of that work.
+    COUNT_SIZE_CAP (ResourceLimit) before any of that work.  A count that
+    could not be printed is refused too (ResourceLimit): the count lies in
+    [p^((h-1)m), 3.47 p^((h-1)m)), the product of 1/(1 - p^-i) over i >= 1
+    being below 3.47.  When p^((h-1)m) already has more decimal digits than
+    the integer-string limit, so has the count, and it is refused before
+    the work; a count within one digit of the limit is checked once
+    computed.
     """
     check_prime(p)
     if h < 1 or m < 0:
@@ -419,6 +438,9 @@ def count_sublattices(h: int, p: int, m: int) -> int:
         raise ResourceLimit(
             "count size h(h+m)log2(p) = %d exceeds cap %d" % (size, COUNT_SIZE_CAP)
         )
+    limit = digit_limit()
+    if _digits_above(p ** ((h - 1) * m), limit):
+        _refuse_digits(h, p, m, limit)
     gauss = _gaussian_binomial(m + h - 1, h - 1, p)
     echelon = _echelon_count(h, p, m)
     if gauss != echelon:
@@ -426,7 +448,22 @@ def count_sublattices(h: int, p: int, m: int) -> int:
             "Gaussian binomial %d != echelon count %d for (h, p, m) = (%d, %d, %d)"
             % (gauss, echelon, h, p, m)
         )
+    if _digits_above(gauss, limit):
+        _refuse_digits(h, p, m, limit)
     return gauss
+
+
+def _digits_above(n: int, limit: int) -> bool:
+    """n >= 10^limit for n >= 0; 10^limit is formed only for an n of more
+    than 3 * limit bits, as 2^(3 * limit) < 10^limit."""
+    return n.bit_length() > 3 * limit and n >= 10 ** limit
+
+
+def _refuse_digits(h, p, m, limit):
+    raise ResourceLimit(
+        "the count at (h, p, m) = (%d, %d, %d) has more than %d digits, the "
+        "integer-string limit" % (h, p, m, limit)
+    )
 
 
 def _gaussian_binomial(n: int, k: int, q: int) -> int:

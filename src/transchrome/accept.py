@@ -8,11 +8,10 @@ all checks are exact, and the randomized ones are seeded.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import abelian, classfun, decomp, fgl, homclass
 from .abelian import Ambient
-from .checks import power_exceeds
+from .checks import Record, power_exceeds
 from .classfun import GenClassFunction, class_table
 from .errors import TranschromeError
 from .perm import Perm, block_subgroup, centralizer, generate, symmetric_group
@@ -37,12 +36,17 @@ _COMPONENT_COUNT_CASES = (
 _DEGREE_CASES = ((2, 2, 1, 1), (2, 2, 1, 2), (3, 2, 1, 1), (2, 3, 1, 1), (2, 3, 2, 1))
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    detail: str
+class CriterionResult(Record):
+    """One row of the acceptance matrix; unlike the other records, its
+    fields may be reassigned, and it has no hash."""
+
+    __slots__ = _fields = ("number", "name", "ok", "detail")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, number: int, name: str, ok: bool, detail: str):
+        self._set_fields(number, name, ok, detail)
 
 
 def _fmt(ok):

@@ -47,16 +47,14 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul, sub
-from typing import NamedTuple
 
 from . import homclass as hc_mod
 from .abelian import Ambient
+from .checks import Record, digit_limit
 from .errors import (
     InternalMismatch,
     NotInGroup,
@@ -313,11 +311,6 @@ def class_table(group: PermGroup, lam: Ambient):
     return GenericClassTable(group, lam)
 
 
-def _digit_limit() -> int:
-    """The interpreter's integer-string limit, its default when unlimited."""
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-
-
 def _fraction(value) -> Fraction:
     """``value`` as a Fraction.  A decimal string whose exponent is above
     the interpreter's integer-string limit is refused before parsing:
@@ -329,7 +322,7 @@ def _fraction(value) -> Fraction:
         found = _EXPONENT.search(value)
         if found:
             digits = found.group(1).replace("_", "").lstrip("0")
-            limit = _digit_limit()
+            limit = digit_limit()
             if len(digits) > len(str(limit)) or int(digits or 0) > limit:
                 raise ResourceLimit(
                     "decimal exponent in %.40r is above the %d-digit integer limit"
@@ -343,7 +336,7 @@ def _check_digits(table, nums, den):
     lowest terms, a numerator or denominator with more decimal digits than
     the integer-string limit.  ``nums`` are the numerators in the order of
     ``table.classes``; the message names the first such class."""
-    limit = _digit_limit()
+    limit = digit_limit()
     bits = 3 * limit  # 2**(3*limit) < 10**limit: shorter ints always print
     if den.bit_length() <= bits and max(map(int.bit_length, nums), default=0) <= bits:
         return
@@ -480,22 +473,21 @@ def inner_product(a: GenClassFunction, b: GenClassFunction) -> Fraction:
 # transfer data
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Record):
     """One centralizer orbit of alpha-stable cosets."""
 
-    coset_rep: Perm
-    h_key: object
-    stabilizer_order: int
-    index: int  # [C_G(im alpha) : stabilizer] = orbit size
+    # index: [C_G(im alpha) : stabilizer] = orbit size
+    __slots__ = _fields = ("coset_rep", "h_key", "stabilizer_order", "index")
+
+    def __init__(self, coset_rep: Perm, h_key, stabilizer_order: int, index: int):
+        self._set_fields(coset_rep, h_key, stabilizer_order, index)
 
 
-@dataclass(frozen=True)
-class TransferDatum:
-    alpha_key: object
-    fixed_count: int
-    centralizer_order: int
-    records: tuple
+class TransferDatum(Record):
+    __slots__ = _fields = ("alpha_key", "fixed_count", "centralizer_order", "records")
+
+    def __init__(self, alpha_key, fixed_count: int, centralizer_order: int, records: tuple):
+        self._set_fields(alpha_key, fixed_count, centralizer_order, records)
 
     def is_empty(self) -> bool:
         return not self.records
@@ -582,32 +574,32 @@ def _verify_stabilizer(system, token, g, alpha, gens, gens_order, stab_order, ta
         )
 
 
-class _Rows(NamedTuple):
-    """Sparse rows, one per G-class: row i pairs the H-class positions
+class _Rows:
+    """Sparse rows, one per G-class, from per-row lists of (position,
+    coefficient) pairs: row i pairs the H-class positions
     ``positions[starts[i]:ends[i]]`` (in the order of the H table's
     ``classes``) with the coefficients ``coeffs[starts[i]:ends[i]]``."""
 
-    positions: tuple
-    coeffs: tuple
-    starts: tuple
-    ends: tuple
+    __slots__ = ("positions", "coeffs", "starts", "ends")
+
+    def __init__(self, rows):
+        ends = tuple(itertools.accumulate(map(len, rows)))
+        pairs = itertools.chain.from_iterable(rows)
+        self.positions, self.coeffs = tuple(zip(*pairs)) or ((), ())
+        self.starts, self.ends = (0,) + ends[:-1], ends
 
 
-def _rows(rows) -> _Rows:
-    """``_Rows`` from per-row lists of (position, coefficient) pairs."""
-    ends = tuple(itertools.accumulate(map(len, rows)))
-    positions, coeffs = tuple(zip(*itertools.chain.from_iterable(rows))) or ((), ())
-    return _Rows(positions, coeffs, (0,) + ends[:-1], ends)
-
-
-class _Induction(NamedTuple):
+class _Induction:
     """The induction data of one pair H <= G at one lam."""
 
-    plain: dict  # G-class -> ((H-class, multiplicity), ...)
-    data: dict  # G-class -> TransferDatum
-    g_table: object
-    plain_rows: _Rows  # the pairs of ``plain``
-    grouped_rows: _Rows  # (H-class, index) of each orbit record
+    __slots__ = ("plain", "data", "g_table", "plain_rows", "grouped_rows")
+
+    def __init__(self, plain: dict, data: dict, g_table, plain_rows: _Rows, grouped_rows: _Rows):
+        self.plain = plain  # G-class -> ((H-class, multiplicity), ...)
+        self.data = data  # G-class -> TransferDatum
+        self.g_table = g_table
+        self.plain_rows = plain_rows  # the pairs of ``plain``
+        self.grouped_rows = grouped_rows  # (H-class, index) of each orbit record
 
 
 @lru_cache(maxsize=None)
@@ -658,7 +650,7 @@ def _induction_data(g_table_key, h_table_key) -> _Induction:
         data[alpha_key] = datum
         plain_rows.append([(position[h_key], m) for h_key, m in counts.items()])
         grouped_rows.append([(position[rec.h_key], rec.index) for rec in datum.records])
-    return _Induction(plain, data, g_table, _rows(plain_rows), _rows(grouped_rows))
+    return _Induction(plain, data, g_table, _Rows(plain_rows), _Rows(grouped_rows))
 
 
 def induction_tables(G: PermGroup, H: PermGroup, lam: Ambient):

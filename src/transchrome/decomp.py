@@ -13,42 +13,41 @@ disagreement is a hard error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import abelian, classfun, homclass
 from .abelian import Ambient, AbSubgroup
-from .checks import check_prime, power_exceeds
+from .checks import Record, check_prime, power_exceeds
 from .errors import BadParameters, InternalMismatch, ResourceLimit
 from .perm import block_subgroup, symmetric_group
 
 CONVENTION = "geometric-point-count"
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
-    hom_class: homclass.HomClass
-    isotypic: bool
-    m: int
-    dual_image: AbSubgroup
-    ideal_trivial: bool
-    fiber_rank: object  # int for surviving components, None otherwise
-    centralizer_order: int
+class ComponentRecord(Record):
+    __slots__ = _fields = (
+        "hom_class", "isotypic", "m", "dual_image", "ideal_trivial", "fiber_rank",
+        "centralizer_order",
+    )
+
+    def __init__(self, hom_class: homclass.HomClass, isotypic: bool, m: int,
+                 dual_image: AbSubgroup, ideal_trivial: bool, fiber_rank,
+                 centralizer_order: int):
+        # fiber_rank: an int for surviving components, None otherwise
+        self._set_fields(hom_class, isotypic, m, dual_image, ideal_trivial, fiber_rank,
+                         centralizer_order)
 
     @property
     def class_id(self) -> str:
         return self.hom_class.class_id()
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    p: int
-    n: int
-    t: int
-    k: int
-    records: tuple
-    total_degree: int
-    rank_sum: int
-    convention: str = CONVENTION
+class DecompositionReport(Record):
+    __slots__ = _fields = (
+        "p", "n", "t", "k", "records", "total_degree", "rank_sum", "convention",
+    )
+
+    def __init__(self, p: int, n: int, t: int, k: int, records: tuple, total_degree: int,
+                 rank_sum: int, convention: str = CONVENTION):
+        self._set_fields(p, n, t, k, records, total_degree, rank_sum, convention)
 
     @property
     def nontrivial(self):

@@ -57,8 +57,8 @@ class PolyRing:
     """The layout of (Z/p^a)[u_1..u_r] truncated below total degree b: a
     coefficient is a dict from exponent tuples to nonzero ints mod p^a, and
     a series packs each monomial into one int below M = b^r, its exponents
-    as base-b digits, u_1's the lowest (``pack``).  The ring does no
-    arithmetic; every product is a series product."""
+    as base-b digits, u_1's the lowest (``unpack`` decodes one).  The ring
+    does no arithmetic; every product is a series product."""
 
     def __init__(self, p, a, b, nparams):
         check_prime(p)
@@ -69,7 +69,6 @@ class PolyRing:
         self.b = b
         self.r = nparams
         self.mod = p ** a
-        self.zero_exp = (0,) * nparams
         self.M = b ** nparams
 
     def __eq__(self, other):
@@ -79,12 +78,6 @@ class PolyRing:
 
     def __hash__(self):
         return hash(("PolyRing", self.p, self.a, self.b, self.r))
-
-    def pack(self, e) -> int:
-        u = 0
-        for d in reversed(e):
-            u = u * self.b + d
-        return u
 
     def unpack(self, u):
         e = []
@@ -118,7 +111,7 @@ class Series:
 
     Its terms are one flat dict ``terms`` from an int key to a nonzero int
     mod p^a.  The key packs the x-exponent above the parameter monomial u,
-    itself packed base b (``PolyRing.pack``): x^e times u is e*M + u, with
+    itself packed base b (``PolyRing.unpack``): x^e times u is e*M + u, with
     M = ring.M.  ``coeffs`` and ``term_list`` decode the terms on demand.
     Every product goes through one kernel, ``_accumulate``.
     """

@@ -32,8 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .abelian import (
     Ambient,
@@ -45,7 +44,7 @@ from .abelian import (
     _valuation,
     count_sublattices,
 )
-from .checks import check_prime, power_exceeds
+from .checks import Record, check_prime, power_exceeds
 from .errors import (
     BadParameters,
     InternalMismatch,
@@ -88,33 +87,49 @@ def _basis(lam: Ambient):
     return [lam._pack(tuple(int(j == i) for j in range(lam.h)), reduce=True) for i in range(lam.h)]
 
 
-@dataclass(frozen=True)
-class HomClass:
+class HomClass(Record):
     """Conjugacy-class invariant of an action of lam on finitely many points.
 
     ``orbit_types`` is the canonically sorted tuple of (kernel, multiplicity)
     pairs: the action has ``multiplicity`` orbits isomorphic to lam/kernel.
     """
 
-    lam: Ambient
-    orbit_types: tuple
+    __slots__ = ("lam", "orbit_types", "_hash")
+    _fields = ("lam", "orbit_types")
 
-    def __post_init__(self):
+    def __init__(self, lam: Ambient, orbit_types: tuple):
         seen = set()
-        for kernel, mult in self.orbit_types:
+        for kernel, mult in orbit_types:
             if mult < 1:
                 raise BadParameters("orbit multiplicity must be positive")
-            if kernel.ambient != self.lam:
+            if kernel.ambient != lam:
                 raise BadParameters("kernel lives in the wrong ambient group")
             if kernel in seen:
                 raise BadParameters("duplicate kernel in orbit types")
             seen.add(kernel)
             index = kernel.index
-            if self.lam.order % index:
+            if lam.order % index:
                 raise BadParameters("orbit size must divide the source order")
-        expected = tuple(sorted(self.orbit_types, key=lambda t: _kernel_key(t[0])))
-        if expected != self.orbit_types:
+        expected = tuple(sorted(orbit_types, key=lambda t: _kernel_key(t[0])))
+        if expected != orbit_types:
             raise BadParameters("orbit types are not canonically sorted")
+        self._init(lam, orbit_types)
+
+    @classmethod
+    def _of(cls, lam: Ambient, orbit_types: tuple) -> "HomClass":
+        """Trusted constructor, without the checks of ``__init__``:
+        ``orbit_types`` pair distinct kernels of lam with positive
+        multiplicities and are sorted by ``_kernel_key``, as ``classify``
+        and ``enumerate_hom_classes`` build them."""
+        hc = object.__new__(cls)
+        hc._init(lam, orbit_types)
+        return hc
+
+    def _init(self, lam, orbit_types):
+        _set = object.__setattr__
+        _set(self, "lam", lam)
+        _set(self, "orbit_types", orbit_types)
+        _set(self, "_hash", None)
 
     @property
     def points(self) -> int:
@@ -138,27 +153,32 @@ class HomClass:
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 
-    @cached_property
-    def _hash(self):
-        return hash((self.lam, self.orbit_types))
+    # written out: class tables key their dicts by hom classes
+    def __eq__(self, other):
+        if other.__class__ is HomClass:
+            return (self.lam, self.orbit_types) == (other.lam, other.orbit_types)
+        return NotImplemented
 
     def __hash__(self):
         # the fields' hash, computed on first use and kept
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.lam, self.orbit_types))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return "HomClass(%s)" % self.class_id()
 
 
-@dataclass(frozen=True)
-class CommutingTuple:
+class CommutingTuple(Record):
     """h pairwise-commuting permutations, each of p-power order dividing p^k."""
 
-    degree: int
-    perms: tuple
+    __slots__ = _fields = ("degree", "perms")
 
-    def __post_init__(self):
-        _check_commuting([s.images for s in self.perms], self.degree)
+    def __init__(self, degree: int, perms: tuple):
+        _check_commuting([s.images for s in perms], degree)
+        self._set_fields(degree, perms)
 
 
 def _check_commuting(imgs, degree):
@@ -256,7 +276,7 @@ def enumerate_hom_classes(p: int, h: int, k: int):
 
     def extend(start, remaining, chosen):
         if remaining == 0:
-            classes.append(HomClass(lam, tuple(chosen)))
+            classes.append(HomClass._of(lam, tuple(chosen)))
             return
         for i in range(start, len(kernels)):
             size = sizes[i]
@@ -381,7 +401,7 @@ def classify(t, lam: Ambient, degree=None) -> HomClass:
         kernel = _orbit_kernel(lam, shape)
         counts[kernel] = counts.get(kernel, 0) + 1
     orbit_types = tuple(sorted(counts.items(), key=lambda kv: _kernel_key(kv[0])))
-    return HomClass(lam, orbit_types)
+    return HomClass._of(lam, orbit_types)
 
 
 def centralizer_order(hc: HomClass) -> int:
@@ -424,19 +444,38 @@ def dual_image(hc: HomClass) -> AbSubgroup:
     The image of the action is lam/ker; under the self-duality of lam given
     by the standard pairing, its character group embeds as the annihilator
     of ker, so |dual_image| = [lam : ker].
+
+    ker is the intersection of the orbit kernels K_i, and the annihilator
+    of an intersection is the sum of the annihilators, so the dual image is
+    the span of the kernels' duals: each kernel's annihilator is solved
+    once and kept on it, and none is solved for ker.  Checked on every call
+    (InternalMismatch): the span lies in ann(ker), of order [lam : ker] as
+    the pairing is perfect, so it is all of it exactly when
+    |span| * |ker| = |lam|.
     """
-    return kernel_of_action(hc).annihilator()
+    lam = hc.lam
+    span = AbSubgroup.span(lam, [
+        g for kernel, _ in hc.orbit_types for g in kernel.annihilator().generators()
+    ])
+    kernel = kernel_of_action(hc)
+    if span.order * kernel.order != lam.order:
+        raise InternalMismatch(
+            "span of the kernel duals has order %d, the action kernel %d, lam %d"
+            % (span.order, kernel.order, lam.order)
+        )
+    return span
 
 
-@dataclass(frozen=True)
-class FiberOrbit:
+class FiberOrbit(Record):
     """One centralizer orbit of alpha-stable ordered block partitions."""
 
-    partition: tuple
-    coset_rep: Perm
-    block_classes: tuple
-    orbit_size: int
-    stabilizer_order: int
+    __slots__ = _fields = (
+        "partition", "coset_rep", "block_classes", "orbit_size", "stabilizer_order",
+    )
+
+    def __init__(self, partition: tuple, coset_rep: Perm, block_classes: tuple,
+                 orbit_size: int, stabilizer_order: int):
+        self._set_fields(partition, coset_rep, block_classes, orbit_size, stabilizer_order)
 
 
 def coset_fiber(hc: HomClass, m: int):

@@ -305,6 +305,21 @@ def report_from_json(text: str) -> DecompositionReport:
 # -- fgl: dict arithmetic on coefficients, the modular twin of the tests' QPolyRing --
 
 
+def pack(ring, e) -> int:
+    """The packed int of a u-exponent tuple over a ``PolyRing``: its
+    exponents as base-b digits, u_1's the lowest (``PolyRing.unpack``
+    inverts it)."""
+    u = 0
+    for d in reversed(e):
+        u = u * ring.b + d
+    return u
+
+
+def zero_exp(ring):
+    """The u-exponent tuple of the constant monomial 1."""
+    return (0,) * ring.r
+
+
 class ModPolyRing(PolyRing):
     """A ``PolyRing`` with arithmetic on its dict coefficients: (Z/p^a)[u]
     truncated below u-degree b, one tuple-keyed dict per element.  It
@@ -320,11 +335,11 @@ class ModPolyRing(PolyRing):
         return {}
 
     def one(self):
-        return {self.zero_exp: 1}
+        return {zero_exp(self): 1}
 
     def const(self, c):
         c %= self.mod
-        return {self.zero_exp: c} if c else {}
+        return {zero_exp(self): c} if c else {}
 
     def add(self, f, g):
         out = dict(f)
@@ -366,7 +381,7 @@ class ModPolyRing(PolyRing):
 
     def residue(self, f) -> int:
         """Image in the residue field: kill the parameters, reduce mod p."""
-        return f.get(self.zero_exp, 0) % self.p
+        return f.get(zero_exp(self), 0) % self.p
 
     def is_unit(self, f) -> bool:
         return self.residue(f) != 0
@@ -376,7 +391,7 @@ class ModPolyRing(PolyRing):
         the topologically nilpotent remainder."""
         if not self.is_unit(f):
             raise BadParameters("cannot invert a non-unit")
-        c0 = f.get(self.zero_exp, 0)
+        c0 = f.get(zero_exp(self), 0)
         c0_inv = pow(c0, -1, self.mod)
         # f = c0 (1 - w) with w in the maximal ideal
         w = self.scale(-c0_inv, f)
@@ -403,7 +418,7 @@ def series_of(ring, D, coeffs) -> Series:
         for ue, c in poly.items():
             c %= mod
             if c and sum(ue) < ring.b:
-                terms[e * M + ring.pack(ue)] = c
+                terms[e * M + pack(ring, ue)] = c
     return Series(ring, D, terms)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import json
@@ -818,11 +817,12 @@ def test_coefficient_check_catches_swapped_orbit_classes(monkeypatch):
         for i, j in itertools.combinations(range(len(recs)), 2):
             if recs[i].index != recs[j].index and not swaps:
                 swaps.append((i, j))
-                recs[i], recs[j] = (
-                    dataclasses.replace(recs[i], h_key=recs[j].h_key),
-                    dataclasses.replace(recs[j], h_key=recs[i].h_key),
+                a, b = recs[i], recs[j]
+                recs[i] = classfun.OrbitRecord(a.coset_rep, b.h_key, a.stabilizer_order, a.index)
+                recs[j] = classfun.OrbitRecord(b.coset_rep, a.h_key, b.stabilizer_order, b.index)
+                return classfun.TransferDatum(
+                    datum.alpha_key, datum.fixed_count, datum.centralizer_order, tuple(recs)
                 )
-                return dataclasses.replace(datum, records=tuple(recs))
         return datum
 
     monkeypatch.setattr(classfun, "_build_datum", swapped)

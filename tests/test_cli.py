@@ -248,6 +248,42 @@ def test_count_sub_near_the_size_cap_skips_the_brute_force(capsys):
     assert data["count"] == 2 ** 315 - 1
 
 
+@pytest.fixture
+def digit_limit_4300():
+    """The interpreter's default integer-string limit, restored after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_count_sub_refuses_a_count_it_could_not_print(monkeypatch, capsys, digit_limit_4300):
+    # the count is at least 2^((h-1)m) = 2^59700, of 17 972 digits: refused
+    # before the Gaussian binomial, not at printing
+    from transchrome import abelian
+
+    def no_work(*args):
+        raise AssertionError("the count was computed")
+
+    monkeypatch.setattr(abelian, "_gaussian_binomial", no_work)
+    code, out, err = run_cli(capsys, "count-sub", "--h", "200", "--p", "2", "--m", "300", "--json")
+    assert code == 3 and out == ""
+    assert "more than 4300 digits, the integer-string limit" in err
+
+
+def test_count_sub_at_the_digit_limit(capsys, digit_limit_4300):
+    # at h = 2 the count is 2^(m+1) - 1: 4300 digits at m = 14283, which
+    # prints; 4301 at m = 14284, where 2^m still has 4300 digits, so the
+    # count is refused once computed
+    code, out, _ = run_cli(capsys, "count-sub", "--h", "2", "--p", "2", "--m", "14283", "--json")
+    assert code == 0
+    count = json.loads(out)["count"]
+    assert count == 2 ** 14284 - 1 and len(str(count)) == 4300
+    code, out, err = run_cli(capsys, "count-sub", "--h", "2", "--p", "2", "--m", "14284", "--json")
+    assert code == 3 and out == ""
+    assert "more than 4300 digits" in err
+
+
 def test_fgl_subcommand(capsys):
     code, out, _ = run_cli(capsys, "fgl", "--p", "2", "--law", "multiplicative",
                            "--k", "2", "--json")
@@ -434,6 +470,34 @@ def test_importing_the_cli_runs_no_layer_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "['fgl']"]
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (("decompose", "--p", "2", "--n", "3", "--t", "1", "--k", "3"), None),
+    (("count-sub", "--h", "4", "--p", "2", "--m", "3"), ["abelian"]),
+    (("reproduce", "--seed", "1"), None),
+])
+def test_cold_requests_load_neither_dataclasses_nor_inspect(argv, layers):
+    # the records are plain classes: dataclasses would load inspect, ast,
+    # dis and tokenize, and compile each record's methods at import
+    code = (
+        "import os, sys, types\n"
+        "before = set(sys.modules)\n"
+        "import transchrome.cli\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "assert transchrome.cli.main(%r) == 0\n"
+        "loaded = sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))\n"
+        "ran = [n for n in %r if type(sys.modules.get('transchrome.' + n)) is types.ModuleType]\n"
+        "print(loaded, ran, file=sys.__stdout__)\n"
+    ) % (list(argv) + ["--json"], LAYERS)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("[] "), proc.stdout
+    if layers is not None:
+        assert proc.stdout.strip() == "[] %r" % (layers,)
 
 
 PACKAGE_NAMES = {

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import signal
 
 import pytest
@@ -293,3 +295,43 @@ def test_report_with_a_wrong_length_generator_is_refused():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+
+def test_records_are_frozen_values():
+    # plain classes, not generated dataclasses: the dataclass repr text,
+    # equality and hash on the fields, no assignment or deletion, pickling
+    from transchrome import accept, classfun, homclass
+    from transchrome.perm import block_subgroup, symmetric_group
+
+    report = decomp.decompose(2, 2, 1, 2)
+    hc = enumerate_hom_classes(2, 1, 2)[1]
+    datum = classfun.transfer_datum(symmetric_group(4), block_subgroup(2, 2), hc)
+    fiber = homclass.coset_fiber(hc, 1)[0]
+    assert repr(hc.lam) == "Ambient(p=2, k=2, h=1)"
+    assert repr(datum.records[0]) == (
+        "OrbitRecord(coset_rep=Perm[e], h_key=((0, 1, 3, 2),), stabilizer_order=4, index=1)"
+    )
+    assert repr(fiber).startswith("FiberOrbit(partition=((0, 1), (2, 3)), coset_rep=Perm[e], ")
+    assert repr(report).startswith(
+        "DecompositionReport(p=2, n=2, t=1, k=2, records=(ComponentRecord(hom_class=HomClass("
+    )
+    assert repr(report).endswith(", total_degree=7, rank_sum=7, convention='%s')" % decomp.CONVENTION)
+    records = [hc.lam, hc, homclass.realize(hc), fiber, datum, datum.records[0],
+               report.records[0], report]
+    for rec in records:
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        assert copy.copy(rec) == rec and hash(copy.copy(rec)) == hash(rec)
+        for name in rec._fields:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError, match="cannot delete field"):
+                delattr(rec, name)
+    assert hash(hc.lam) == hash((2, 2, 1))
+    assert hash(datum) == hash((datum.alpha_key, datum.fixed_count, datum.centralizer_order,
+                                datum.records))
+    # the acceptance rows stay mutable and unhashable
+    row = accept.CriterionResult(1, "name", True, "detail")
+    row.ok = False
+    assert row == accept.CriterionResult(1, "name", False, "detail")
+    with pytest.raises(TypeError):
+        hash(row)

@@ -32,7 +32,7 @@ from transchrome.fgl import (
     weierstrass_prep,
 )
 
-from oracles import ModPolyRing, coeff, param, series_of, torsion_rank
+from oracles import ModPolyRing, coeff, param, series_of, torsion_rank, zero_exp
 
 
 # -- the dict-of-dict series: the oracle for the packed product kernel --
@@ -574,7 +574,7 @@ def height2_p3():
 def coeff_int(series, e):
     ring = series.ring
     poly = coeff(series, e)
-    return poly.get(ring.zero_exp, 0)
+    return poly.get(zero_exp(ring), 0)
 
 
 def test_multiplicative_two_series(mult):

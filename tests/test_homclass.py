@@ -280,6 +280,74 @@ def test_dual_image_level_equality_needs_isotypic_reading():
     assert dual_image(hc).order == 2 ** minimal_level(hc)
 
 
+# the lams of the dual-image identity ann(meet K_i) = sum ann(K_i)
+DUAL_IMAGE_LAMS = [(2, 2, 3), (3, 2, 2), (2, 3, 2), (2, 1, 3), (3, 1, 2), (3, 3, 1)]
+
+
+@pytest.mark.parametrize("p,h,k", DUAL_IMAGE_LAMS)
+def test_dual_image_is_the_annihilator_of_the_action_kernel(p, h, k):
+    # the span of the kernels' duals against the annihilator solved on the
+    # action kernel itself: the same subgroup, with the same generators
+    for hc in enumerate_hom_classes(p, h, k):
+        got, want = dual_image(hc), kernel_of_action(hc).annihilator()
+        assert got == want and got.generators() == want.generators()
+
+
+def test_dual_images_solve_each_kernel_once(monkeypatch):
+    solved = []
+    real = AbSubgroup._solve_annihilator
+
+    def solve(self):
+        solved.append(self)
+        return real(self)
+
+    monkeypatch.setattr(AbSubgroup, "_solve_annihilator", solve)
+    classes = enumerate_hom_classes.__wrapped__(2, 2, 3)  # kernels no call has solved
+    kernels = {id(kernel): kernel for hc in classes for kernel, _ in hc.orbit_types}
+    solved.clear()
+    for hc in classes:
+        dual_image(hc)
+    assert len(kernels) == sub_leq_count(2, 2, 3) == 26
+    assert sorted(map(id, solved)) == sorted(kernels)
+    for hc in classes:
+        dual_image(hc)
+    assert len(solved) == 26
+
+
+def test_dual_image_checks_the_order_of_the_span(monkeypatch):
+    hc = class_of(["(0 1 2 3)"], 2, 1, 2)
+    monkeypatch.setattr(AbSubgroup, "annihilator", lambda self: AbSubgroup.trivial(self.ambient))
+    with pytest.raises(InternalMismatch, match="kernel duals"):
+        dual_image(hc)
+
+
+@pytest.mark.parametrize("p,h,k", [(2, 2, 2), (2, 2, 3), (3, 2, 2)])
+def test_trusted_hom_classes_are_the_checked_ones(p, h, k):
+    # enumerate_hom_classes and classify build through HomClass._of
+    for hc in enumerate_hom_classes(p, h, k):
+        checked = HomClass(hc.lam, hc.orbit_types)
+        assert checked == hc and hash(checked) == hash(hc) and repr(checked) == repr(hc)
+        assert classify(realize(hc), hc.lam) == checked
+
+
+def test_the_public_hom_class_constructor_keeps_every_check():
+    from transchrome.homclass import _kernel_subgroups
+
+    lam = lam_group(2, 2, 2)
+    first, second = _kernel_subgroups(lam, 4)[:2]
+    foreign = _kernel_subgroups(lam_group(2, 2, 1), 2)[0]
+    for orbit_types, message in [
+        (((second, 1), (first, 1)), "not canonically sorted"),
+        (((first, 1), (first, 1)), "duplicate kernel"),
+        (((foreign, 1),), "wrong ambient"),
+        (((first, 1), (foreign, 1)), "wrong ambient"),
+        (((first, 0),), "multiplicity must be positive"),
+    ]:
+        with pytest.raises(BadParameters, match=message):
+            HomClass(lam, orbit_types)
+    assert HomClass(lam, ((first, 1), (second, 2))).points == 1 + 2 * second.index
+
+
 def test_coset_fiber_examples():
     transposition = class_of(["(0 1)"], 2, 1, 2)
     orbits = coset_fiber(transposition, 1)
