@@ -32,7 +32,9 @@ numerators in the order of its table's ``classes``.  Each table maps a
 class key to its position once (``position``); that map is read only
 where a key comes in (``chi[key]``, ``indicator``, ``restrict``), and a
 ``Fraction`` is built only where a value leaves the object (``chi[key]``,
-``values``, ``items``, ``to_json_dict``).  Induction sums along sparse
+``values``, ``items``, ``to_json_dict``) or comes in as text, and
+``fractions`` is imported only there, so a request that reads or prints
+no value never loads it.  Induction sums along sparse
 rows of (H-class position, coefficient), one row per G-class, built once
 per (G, H, lam) with the transfer data: the plain rows from the coset
 multiplicities, the grouped rows from the orbit indices.  So induction,
@@ -48,7 +50,6 @@ import itertools
 import math
 import re
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul, sub
 
@@ -316,6 +317,7 @@ def _fraction(value) -> Fraction:
     the interpreter's integer-string limit is refused before parsing:
     ``Fraction`` would build 10**exponent, which takes minutes, and the
     value could not be printed back."""
+    from fractions import Fraction
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
@@ -415,6 +417,7 @@ class GenClassFunction:
         return cls._over(table, [n * (den // d) for n, d in draws], den)
 
     def __getitem__(self, key) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.nums[self.table.position[key]], self.den)
 
     @property
@@ -431,6 +434,7 @@ class GenClassFunction:
         return all(n * other_den == m * den for n, m in zip(self.nums, other.nums))
 
     def items(self):
+        from fractions import Fraction
         den = self.den
         return [(key, Fraction(n, den)) for key, n in zip(self.table.classes, self.nums)]
 
@@ -461,6 +465,7 @@ def inner_product(a: GenClassFunction, b: GenClassFunction) -> Fraction:
     """Sum over classes of a*b / centralizer order; reciprocity holds exactly
     for this normalization.  The terms are summed as integers over
     a.den * b.den * L, L the lcm of the centralizer orders."""
+    from fractions import Fraction
     if a.table is not b.table:
         raise ValueError("class functions live on different tables")
     orders = [a.table.centralizer_order(key) for key in a.table.classes]

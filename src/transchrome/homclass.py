@@ -9,16 +9,19 @@ used by the component decomposition: centralizer structure, minimal block
 level, diagonal factorization, dual image, and the fixed-coset fibration
 over block subgroups.
 
-``classify`` reads each orbit's kernel K off the orbit's shape: the
+Every orbit is read by its shape (``perm._orbit_shapes``): the
 generators' image tuples on the orbit, relabelled in the breadth-first
-order in which ``perm._orbits`` lists it from its minimum.  L is abelian,
-so a translation of L/K commutes with the action and the walk labels L/K
-alike from every base point: the shape depends on K alone, and K is the
-stabilizer of its point 0.  ``_orbit_kernel`` finds that stabilizer by
-walking L over the shape's power tables and is memoized with at most
-1024 entries, one per (L, kernel), so L is walked once per kernel, not
-once per orbit.  The per-orbit walk is the tests' oracle
-(``classify_by_walk`` in ``tests/oracles.py``).
+order in which the walk lists it from its minimum.  L is abelian, so a
+translation of L/K commutes with the action and the walk labels L/K alike
+from every base point: the shape depends on K alone, and K is the
+stabilizer of its point 0.  ``_orbit_kernel`` takes that stabilizer from
+the walk itself, as the span of its Schreier elements, with the index
+checked against the orbit length; ``realize`` goes the other way, from K
+to the generators' action on lam/K (``_orbit_action``).  Both are memoized
+with at most 1024 entries, one per (L, kernel), so an orbit costs a lookup
+once its kernel is known.  The walk of all of L over power tables, once
+per orbit, is the tests' oracle (``classify_by_walk`` in
+``tests/oracles.py``).
 
 The fibration reads the centralizer orbits of the cosets of a Young
 subgroup Sym(b)^c from ``perm`` (``_BlockCosets`` and ``_stable_orbits``),
@@ -37,7 +40,6 @@ from functools import lru_cache
 from .abelian import (
     Ambient,
     AbSubgroup,
-    _ambient_elements,
     _check_ambient_cap,
     _subgroup_levels,
     _translate,
@@ -56,8 +58,7 @@ from .perm import (
     Perm,
     _BlockCosets,
     _commute_images,
-    _compose,
-    _orbits,
+    _orbit_shapes,
     _order,
     _permutation,
     _stable_orbits,
@@ -297,71 +298,43 @@ def enumerate_hom_classes(p: int, h: int, k: int):
     return tuple(classes)
 
 
-@lru_cache(maxsize=None)
-def _coset_layout(kernel: AbSubgroup):
-    """Cosets of the kernel in canonical order, on packed elements:
-    (reps, element -> coset idx)."""
-    lam = kernel.ambient
-    lookup = {}
-    reps = []
-    for x in _ambient_elements(lam):
-        if x in lookup:
-            continue
-        lookup.update(dict.fromkeys(_translate(lam, kernel._keys, x), len(reps)))
-        reps.append(x)
-    return tuple(reps), lookup
+# one entry per (lam, orbit kernel), as for ``_orbit_kernel``
+@lru_cache(maxsize=1024)
+def _orbit_action(kernel: AbSubgroup):
+    """The generators' image tuples on lam/kernel, its cosets numbered in
+    canonical order, by least element.  The cosets are walked from the
+    kernel, each known by its least element: one translate of the kernel
+    per coset and generator, and no table over lam."""
+    lam, keys = kernel.ambient, kernel._keys
+    basis = _basis(lam)
+    images, todo = {}, [0]  # least element -> least elements of its images
+    while todo:
+        x = todo.pop()
+        if x not in images:
+            images[x] = [min(_translate(lam, keys, y)) for y in _translate(lam, basis, x)]
+            todo.extend(images[x])
+    rank = {x: r for r, x in enumerate(sorted(images))}
+    return tuple(zip(*([rank[y] for y in images[x]] for x in sorted(images))))
 
 
 def realize(hc: HomClass) -> CommutingTuple:
     """Concrete commuting permutations with classify(realize(hc)) == hc.
 
     Points are labelled orbit by orbit in canonical class order, each orbit
-    being the coset space lam/kernel with generator i acting by translation.
+    being the coset space lam/kernel with generator i acting by translation
+    (``_orbit_action``).
     """
     lam = hc.lam
-    degree = hc.points
-    images = [list(range(degree)) for _ in range(lam.h)]
+    images = [[] for _ in range(lam.h)]
     offset = 0
-    basis = _basis(lam)
     for kernel, mult in hc.orbit_types:
-        reps, lookup = _coset_layout(kernel)
-        size = len(reps)
+        action = _orbit_action(kernel)
         for _ in range(mult):
-            for i, e in enumerate(basis):
-                for local, target in enumerate(_translate(lam, reps, e)):
-                    images[i][offset + local] = offset + lookup[target]
-            offset += size
+            for img, s in zip(images, action):
+                img.extend([offset + v for v in s])
+            offset += kernel.index
     perms = tuple(Perm(img) for img in images)
-    return CommutingTuple(degree, perms)
-
-
-def _power_tables(imgs, modulus):
-    tables = []
-    for s in imgs:
-        powers = [tuple(range(len(s)))]
-        for _ in range(modulus - 1):
-            powers.append(_compose(s, powers[-1]))
-        tables.append(powers)
-    return tables
-
-
-def _stabilizer(tables, basis, base):
-    """The set of packed elements of lam that fix the point ``base``;
-    ``basis`` is lam's ``_basis``.
-
-    Walked coordinate by coordinate: ``reached`` maps each point to the
-    packed prefixes c_0 e_0 + ... + c_i e_i (0 <= c_j < p^k, so no field
-    overflows) that move base there, so every element costs one add, not
-    one table lookup per coordinate."""
-    reached = {base: [0]}
-    for table, unit in zip(tables, basis):
-        step = {}
-        for x, prefixes in reached.items():
-            for c, row in enumerate(table):
-                shift = c * unit
-                step.setdefault(row[x], []).extend([key + shift for key in prefixes])
-        reached = step
-    return set(reached[base])
+    return CommutingTuple(offset, perms)
 
 
 # one entry per (lam, orbit kernel): 26 at (2, 2, 3), 18 at (3, 2, 2)
@@ -369,10 +342,32 @@ def _stabilizer(tables, basis, base):
 def _orbit_kernel(lam: Ambient, shape) -> AbSubgroup:
     """The kernel K of a transitive orbit lam/K from its shape: the image
     tuples of the generators on the orbit relabelled 0, 1, ... in the order
-    of its breadth-first walk.  K is the stabilizer of point 0, found by
-    walking all of lam over the shape's power tables."""
-    tables = _power_tables(shape, lam.modulus)
-    return AbSubgroup._of_keys(lam, _stabilizer(tables, _basis(lam), 0))
+    of its breadth-first walk (``perm._orbit_shapes``).
+
+    K is the stabilizer of point 0.  One pass over the positions builds the
+    walk's transversal: t_0 = 0, and t_y = t_x + e_i at the step of
+    generator i from x that first reaches y.  By Schreier's lemma K is the
+    span (``AbSubgroup.span``) of t_x + e_i - t_y over every step.  Each of
+    them fixes point 0, so the span lies in K, and it is all of K exactly
+    when its index is the orbit length (checked: InternalMismatch)."""
+    size = len(shape[0])
+    units = [tuple(int(j == i) for j in range(lam.h)) for i in range(lam.h)]
+    walk = [(0,) * lam.h] + [None] * (size - 1)
+    schreier = []
+    for x in range(size):
+        for s, unit in zip(shape, units):
+            step, y = tuple(map(operator.add, walk[x], unit)), s[x]
+            if walk[y] is None:
+                walk[y] = step
+            else:
+                schreier.append(tuple(map(operator.sub, step, walk[y])))
+    kernel = AbSubgroup.span(lam, schreier)
+    if kernel.index != size:
+        raise InternalMismatch(
+            "Schreier elements span a subgroup of index %d on an orbit of %d points"
+            % (kernel.index, size)
+        )
+    return kernel
 
 
 def classify(t, lam: Ambient, degree=None) -> HomClass:
@@ -382,7 +377,7 @@ def classify(t, lam: Ambient, degree=None) -> HomClass:
     points (by default the first's), checked as Perm and CommutingTuple
     check theirs without building either.  Each orbit's kernel is read off
     its shape, the generators' images on the orbit relabelled in the order
-    ``_orbits`` lists it (``_orbit_kernel``)."""
+    of its walk (``perm._orbit_shapes`` and ``_orbit_kernel``)."""
     if isinstance(t, CommutingTuple):
         imgs = tuple(s.images for s in t.perms)
     else:
@@ -392,12 +387,8 @@ def classify(t, lam: Ambient, degree=None) -> HomClass:
         raise BadParameters("tuple length %d != rank %d" % (len(imgs), lam.h))
     _check_orders(imgs, lam.p, lam.k)
     _check_ambient_cap(lam)
-    where = {}
     counts = {}
-    for orbit in _orbits(range(len(imgs[0])), imgs, operator.getitem):
-        for i, x in enumerate(orbit):
-            where[x] = i
-        shape = tuple([tuple([where[s[x]] for x in orbit]) for s in imgs])
+    for _, shape in _orbit_shapes(imgs, len(imgs[0])):
         kernel = _orbit_kernel(lam, shape)
         counts[kernel] = counts.get(kernel, 0) + 1
     orbit_types = tuple(sorted(counts.items(), key=lambda kv: _kernel_key(kv[0])))

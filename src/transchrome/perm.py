@@ -24,18 +24,20 @@ exhaustive ``_coset_table``, the block model's test oracle, for any other
 pair.  ``_stable_orbits`` gives the centralizer orbits of the alpha-stable
 cosets, and their number, for ``classfun`` and ``homclass`` alike.  The
 table lists the stable cosets and walks the centralizer's generators over
-them.  The block model lists nothing: alpha's orbits grouped by
-isomorphism type (``_orbit_types``, shared with
-``_centralizer_generators``) give one orbit per count matrix, how many
-orbits of each type each block takes, with its size and its least
-partition, and ``_stable_partition_count`` counts the stable partitions
-apart, from the orbit sizes alone.
+them.  The block model lists nothing: alpha's orbits grouped by type
+(``_orbit_types``, shared with ``_centralizer_generators``) give one orbit
+per count matrix, how many orbits of each type each block takes, with its
+size and its least partition, and ``_stable_partition_count`` counts the
+stable partitions apart, from the orbit sizes alone.
 
 ``_orbits`` is the one orbit walk for a group given by generators acting on
 a finite set, and ``_orbit_reps`` its (minimum, size) view.  Here the
-table's centralizer orbits, alpha's point orbits and the orbit packing of
-``_BlockCosets.fixed`` go through it, and so do the point orbits of
-``homclass.classify``.
+table's centralizer orbits and the orbit packing of ``_BlockCosets.fixed``
+go through it, and so does ``_orbit_shapes``, the one reading of the
+orbits of image tuples: each orbit with its shape, the generators' images
+on it relabelled by position in the walk.  Orbits of one shape are one
+type, matched position by position (``_orbit_types``), and
+``homclass.classify`` reads each orbit's kernel off its shape.
 
 Points are 0-based throughout; the transposition of the first two points
 prints as ``(0 1)``.
@@ -105,14 +107,14 @@ def _commuting_tuples(pool, h):
     yield from rec([])
 
 
-def _orbits(points, gens, act, edges=None):
+def _orbits(points, gens, act):
     """Orbits of the group generated by ``gens`` on ``points``.
 
     ``act(g, x)`` is the image of point x under generator g.  Returns member
-    lists, each led by its minimum, sorted by it; raises ActionNotClosed if
-    a generator moves a point off ``points``.  With a list ``edges``, every
-    step (x, g, act(g, x)) is appended to it in the order of the walk: the
-    x of a step leads its orbit or is the image of an earlier step.
+    lists, each led by its minimum, sorted by it, and each in the
+    breadth-first order of its walk: a point is listed when it is first
+    reached, from the earliest listed point, by the earliest generator.
+    Raises ActionNotClosed if a generator moves a point off ``points``.
     """
     pool = set(points)
     seen = set()
@@ -128,8 +130,6 @@ def _orbits(points, gens, act, edges=None):
             for x in frontier:
                 for g in gens:
                     y = act(g, x)
-                    if edges is not None:
-                        edges.append((x, g, y))
                     if y not in seen:
                         if y not in pool:
                             raise ActionNotClosed("group moves a point outside the given set")
@@ -541,42 +541,36 @@ def _chain_generators(degree, candidates, size=0):
     return gens, chain.order
 
 
-def _isomorphism(first, base, imgs):
-    """The map of A-sets from the orbit ``first`` of A = <imgs> onto the
-    orbit of ``base`` that sends first[0] to base, or None when the orbits
-    are not isomorphic (the map does not extend along imgs)."""
-    phi = {first[0]: base}
-    frontier = [first[0]]
-    while frontier:
-        x = frontier.pop()
-        for s in imgs:
-            x1, y1 = s[x], s[phi[x]]
-            known = phi.get(x1)
-            if known is None:
-                phi[x1] = y1
-                frontier.append(x1)
-            elif known != y1:
-                return None
-    return phi
+def _orbit_shapes(imgs, degree):
+    """``[(orbit, shape)]`` for the orbits of A = <imgs> on {0, ..., degree-1}
+    in the order and the breadth-first order of ``_orbits``: the shape is
+    the generators' image tuples on the orbit, each point relabelled by its
+    position there.
+
+    The walk from an orbit's minimum depends on the action alone, so two
+    orbits have one shape exactly when the map that matches them position
+    by position is a map of A-sets: the shape is the orbit's isomorphism
+    type with its minimum as base point."""
+    where = [0] * degree
+    out = []
+    for orbit in _orbits(range(degree), imgs, operator.getitem):
+        for i, x in enumerate(orbit):
+            where[x] = i
+        out.append((orbit, tuple([tuple([where[s[x]] for x in orbit]) for s in imgs])))
+    return out
 
 
 def _orbit_types(imgs, degree):
-    """The orbits of A = <imgs> on {0, ..., degree-1}, grouped by their
-    isomorphism type as A-sets: per type, the list of (orbit, A-set map
-    from the type's first orbit onto it).  Orbits are led by their minima
-    and come in the order of them, within a type and across the types'
-    first orbits."""
-    types = []
-    for orbit in _orbits(range(degree), imgs, operator.getitem):
-        for copies in types:
-            first = copies[0][0]
-            phi = len(first) == len(orbit) and _isomorphism(first, orbit[0], imgs)
-            if phi:
-                copies.append((orbit, phi))
-                break
-        else:
-            types.append([(orbit, dict(zip(orbit, orbit)))])
-    return types
+    """The orbits of A = <imgs> on {0, ..., degree-1} grouped by shape
+    (``_orbit_shapes``): per type, its orbits, matched position by position
+    by the maps of A-sets from the first onto each.  Orbits come in the
+    order of their minima, within a type and across the types' first
+    orbits.  For commuting ``imgs`` the shape holds the orbit's stabilizer,
+    which is the whole isomorphism type of a transitive abelian A-set."""
+    types = {}
+    for orbit, shape in _orbit_shapes(imgs, degree):
+        types.setdefault(shape, []).append(orbit)
+    return list(types.values())
 
 
 def _centralizer_generators(imgs, degree):
@@ -588,27 +582,27 @@ def _centralizer_generators(imgs, degree):
     the copies of O (a transitive abelian group is its own centralizer).
     Per type (``_orbit_types``): each generator restricted to the first
     copy, where it moves it; a swap of the first two copies; and, from
-    three copies on, a cycle of all of them.  Nothing here checks that
+    three copies on, a cycle of all of them, each moving the points of a
+    copy to the same positions of the next.  Nothing here checks that
     ``imgs`` commute: whoever relies on these generators checks the group
     they generate."""
     gens = []
     for copies in _orbit_types(imgs, degree):
-        first = copies[0][0]
-        maps = [phi for _, phi in copies]
+        first = copies[0]
         for s in imgs:
             if any(s[x] != x for x in first):
                 g = list(range(degree))
                 for x in first:
                     g[x] = s[x]
                 gens.append(tuple(g))
-        shuffles = [maps[:2]] if len(maps) >= 2 else []
-        if len(maps) >= 3:
-            shuffles.append(maps)
+        shuffles = [copies[:2]] if len(copies) >= 2 else []
+        if len(copies) >= 3:
+            shuffles.append(copies)
         for shuffled in shuffles:
             g = list(range(degree))
-            for x in first:
-                for j, phi in enumerate(shuffled):
-                    g[phi[x]] = shuffled[(j + 1) % len(shuffled)][x]
+            for src, dst in zip(shuffled, shuffled[1:] + shuffled[:1]):
+                for x, y in zip(src, dst):
+                    g[x] = y
             gens.append(tuple(g))
     return gens
 
@@ -799,9 +793,8 @@ class _BlockCosets:
                 by_size.setdefault(len(orbit), []).append(i)
             sizes = sorted(by_size)
             room = self.block - len(lead)
-            for take in itertools.product(*(range(len(by_size[d]) + 1) for d in sizes)):
-                if sum(a * d for a, d in zip(take, sizes)) != room:
-                    continue
+            # the rest spans two blocks or more, so ``others`` is not empty
+            for take in _fillings(room, sizes, [len(by_size[d]) for d in sizes]):
                 groups = [itertools.combinations(by_size[d], a) for d, a in zip(sizes, take)]
                 for choice in itertools.product(*groups):
                     chosen = set().union(*choice)
@@ -828,7 +821,7 @@ class _BlockCosets:
         choices for a block differ is the minimum of an orbit only one of
         them takes.  The count of stable partitions comes from the orbit
         sizes alone (``_stable_partition_count``)."""
-        types = [[orbit for orbit, _ in copies] for copies in _orbit_types(alpha_images, self.degree)]
+        types = _orbit_types(alpha_images, self.degree)
         sizes = [len(orbits[0]) for orbits in types]
         last = self.degree // self.block - 1
         fact = math.factorial

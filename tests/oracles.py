@@ -11,7 +11,7 @@ import json
 import operator
 
 from transchrome import perm
-from transchrome.abelian import AbSubgroup, _ambient_elements, _check_ambient_cap
+from transchrome.abelian import AbSubgroup, _ambient_elements, _check_ambient_cap, _translate
 from transchrome.decomp import CONVENTION, ComponentRecord, DecompositionReport, report_to_dict
 from transchrome.errors import (
     ActionNotClosed,
@@ -26,8 +26,6 @@ from transchrome.homclass import (
     _basis,
     _check_orders,
     _kernel_key,
-    _power_tables,
-    _stabilizer,
     enumerate_hom_classes,
     lam_group,
     realize,
@@ -43,7 +41,7 @@ from transchrome.perm import (
     symmetric_group,
 )
 
-# -- perm: cosets as objects, their orbits and stabilizers, conjugacy search --
+# -- perm: cosets as objects, their orbits and stabilizers, pairwise orbit isomorphism, conjugacy search --
 
 
 class Coset:
@@ -121,8 +119,10 @@ def coset_orbits(C: PermGroup, cosets):
         return moved
 
     gens = [g.images for g in C.working_generators()]
-    edges = []
-    walk = _orbits(pool, gens, act_images, edges)
+    walk = _orbits(pool, gens, act_images)
+    # the walk's steps in its order: the x of a step leads its orbit or is
+    # the image of an earlier step
+    edges = [(x, c, act_images(c, x)) for orbit in walk for x in orbit for c in gens]
     ident = tuple(range(C.degree))
     transversal = {orbit[0]: (ident, orbit[0]) for orbit in walk}  # x -> (u_x, first)
     schreier = {orbit[0]: [] for orbit in walk}
@@ -151,6 +151,43 @@ def coset_orbits(C: PermGroup, cosets):
     return orbits
 
 
+def isomorphism(first, base, imgs):
+    """The map of A-sets from the orbit ``first`` of A = <imgs> onto the
+    orbit of ``base`` that sends first[0] to base, or None when the orbits
+    are not isomorphic (the map does not extend along imgs), built depth
+    first: the reference for the grouping by shape in ``perm._orbit_types``."""
+    phi = {first[0]: base}
+    frontier = [first[0]]
+    while frontier:
+        x = frontier.pop()
+        for s in imgs:
+            x1, y1 = s[x], s[phi[x]]
+            known = phi.get(x1)
+            if known is None:
+                phi[x1] = y1
+                frontier.append(x1)
+            elif known != y1:
+                return None
+    return phi
+
+
+def orbit_types_by_isomorphism(imgs, degree):
+    """The orbits of <imgs> grouped by testing each against the first orbit
+    of every type found so far with ``isomorphism``: per type, the list of
+    (orbit, map from the type's first orbit onto it)."""
+    types = []
+    for orbit in _orbits(range(degree), imgs, operator.getitem):
+        for copies in types:
+            first = copies[0][0]
+            phi = len(first) == len(orbit) and isomorphism(first, orbit[0], imgs)
+            if phi:
+                copies.append((orbit, phi))
+                break
+        else:
+            types.append([(orbit, dict(zip(orbit, orbit)))])
+    return types
+
+
 def conjugating_element(G: PermGroup, a, b):
     """Some g in G with g*a_i*g^{-1} == b_i for all i, or None; exhaustive."""
     a = list(a)
@@ -171,7 +208,7 @@ def conjugating_element(G: PermGroup, a, b):
     return None
 
 
-# -- homclass: checked tuples, the per-orbit kernel walk, centralizers as Perms, tuple counts --
+# -- homclass: checked tuples, the walk over lam, the table realize, centralizers as Perms, tuple counts --
 
 
 def make_tuple(perms, lam) -> CommutingTuple:
@@ -187,6 +224,76 @@ def make_tuple(perms, lam) -> CommutingTuple:
     return t
 
 
+def power_tables(imgs, modulus):
+    """Per image tuple s, its powers s^0, ..., s^(modulus - 1)."""
+    tables = []
+    for s in imgs:
+        powers = [tuple(range(len(s)))]
+        for _ in range(modulus - 1):
+            powers.append(_compose(s, powers[-1]))
+        tables.append(powers)
+    return tables
+
+
+def stabilizer(tables, basis, base):
+    """The set of packed elements of lam that fix the point ``base``;
+    ``basis`` is lam's ``_basis``.
+
+    Walked coordinate by coordinate: ``reached`` maps each point to the
+    packed prefixes c_0 e_0 + ... + c_i e_i (0 <= c_j < p^k, so no field
+    overflows) that move base there, so every element costs one add, not
+    one table lookup per coordinate."""
+    reached = {base: [0]}
+    for table, unit in zip(tables, basis):
+        step = {}
+        for x, prefixes in reached.items():
+            for c, row in enumerate(table):
+                shift = c * unit
+                step.setdefault(row[x], []).extend([key + shift for key in prefixes])
+        reached = step
+    return set(reached[base])
+
+
+def kernel_by_walk(lam, shape) -> AbSubgroup:
+    """The kernel of a transitive orbit from its shape, as the stabilizer
+    of point 0 found by walking all of lam over the shape's power tables."""
+    return AbSubgroup._of_keys(lam, stabilizer(power_tables(shape, lam.modulus), _basis(lam), 0))
+
+
+def coset_layout(kernel: AbSubgroup):
+    """Cosets of the kernel in canonical order, on packed elements:
+    (reps, element -> coset idx), from one pass over all of lam."""
+    lam = kernel.ambient
+    lookup = {}
+    reps = []
+    for x in _ambient_elements(lam):
+        if x in lookup:
+            continue
+        lookup.update(dict.fromkeys(_translate(lam, kernel._keys, x), len(reps)))
+        reps.append(x)
+    return tuple(reps), lookup
+
+
+def realize_by_layout(hc: HomClass) -> CommutingTuple:
+    """``realize`` from a table of every element of lam: each orbit is the
+    coset space lam/kernel, generator i translating its canonical coset
+    representatives and looking the sums up."""
+    lam = hc.lam
+    degree = hc.points
+    images = [list(range(degree)) for _ in range(lam.h)]
+    offset = 0
+    basis = _basis(lam)
+    for kernel, mult in hc.orbit_types:
+        reps, lookup = coset_layout(kernel)
+        size = len(reps)
+        for _ in range(mult):
+            for i, e in enumerate(basis):
+                for local, target in enumerate(_translate(lam, reps, e)):
+                    images[i][offset + local] = offset + lookup[target]
+            offset += size
+    return CommutingTuple(degree, tuple(Perm(img) for img in images))
+
+
 def classify_by_walk(t: CommutingTuple, lam) -> HomClass:
     """The class invariant of a commuting tuple with every orbit's kernel
     found by walking all of lam: the stabilizer of the orbit's minimum,
@@ -196,11 +303,11 @@ def classify_by_walk(t: CommutingTuple, lam) -> HomClass:
         raise BadParameters("tuple length %d != rank %d" % (len(imgs), lam.h))
     _check_orders(imgs, lam.p, lam.k)
     _check_ambient_cap(lam)
-    tables = _power_tables(imgs, lam.modulus)
+    tables = power_tables(imgs, lam.modulus)
     basis = _basis(lam)
     counts = {}
     for orbit in _orbits(range(t.degree), imgs, operator.getitem):
-        kernel = AbSubgroup._of_keys(lam, _stabilizer(tables, basis, orbit[0]))
+        kernel = AbSubgroup._of_keys(lam, stabilizer(tables, basis, orbit[0]))
         counts[kernel] = counts.get(kernel, 0) + 1
     orbit_types = tuple(sorted(counts.items(), key=lambda kv: _kernel_key(kv[0])))
     return HomClass(lam, orbit_types)

@@ -500,6 +500,32 @@ def test_cold_requests_load_neither_dataclasses_nor_inspect(argv, layers):
         assert proc.stdout.strip() == "[] %r" % (layers,)
 
 
+@pytest.mark.parametrize("argv,loads", [
+    (("decompose", "--p", "2", "--n", "3", "--t", "1", "--k", "3"), False),
+    (("decompose", "--p", "3", "--n", "3", "--t", "1", "--k", "2"), False),
+    (("transfer", "--p", "2", "--h", "2", "--k", "3", "--alpha", "(0 1 2 3)(4 5);(0 2)(1 3)(6 7)"),
+     False),
+    (("transfer", "--p", "3", "--h", "1", "--k", "2", "--m", "2", "--alpha", "e"), False),
+    (("reproduce", "--seed", "1"), True),
+])
+def test_only_requests_that_build_a_fraction_load_fractions(argv, loads):
+    # a decompose or transfer request builds no Fraction, so it does not
+    # load fractions, decimal and numbers; the acceptance matrix builds some
+    code = (
+        "import os, sys\n"
+        "import transchrome.cli\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "assert transchrome.cli.main(%r) == 0\n"
+        "print('fractions' in sys.modules, file=sys.__stdout__)\n"
+    ) % (list(argv) + ["--json"],)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loads)
+
+
 PACKAGE_NAMES = {
     "abelian": ["Ambient", "AbSubgroup", "annihilator", "count_sublattices",
                 "enumerate_subgroups", "sub_leq_count"],

@@ -38,6 +38,8 @@ from transchrome.perm import (
     _BlockCosets,
     _centralizer_generators,
     _inverse,
+    _orbit_shapes,
+    _orbit_types,
     _orbits,
     centralizer,
     generate,
@@ -52,7 +54,10 @@ from oracles import (
     conjugating_element,
     coset_orbits,
     fixed_cosets,
+    kernel_by_walk,
     make_tuple,
+    orbit_types_by_isomorphism,
+    realize_by_layout,
 )
 
 
@@ -162,12 +167,12 @@ def test_classify_rejects_bad_tuples():
 
 
 def test_classify_caps_the_source_group_before_work(monkeypatch):
-    # (Z/2^40)^1 is far above the ambient cap: refused before the 2^40
-    # power tables are built
-    def refuse(perms, modulus):
-        raise AssertionError("built power tables up to %d" % modulus)
+    # (Z/2^40)^1 is far above the ambient cap: refused before any orbit
+    # kernel is looked for
+    def refuse(lam, shape):
+        raise AssertionError("looked for an orbit kernel in %r" % (lam,))
 
-    monkeypatch.setattr(homclass, "_power_tables", refuse)
+    monkeypatch.setattr(homclass, "_orbit_kernel", refuse)
     lam = lam_group(2, 1, 40)
     with pytest.raises(ResourceLimit):
         classify(make_tuple([P("(0 1)", 2)], lam), lam)
@@ -759,8 +764,8 @@ def test_classify_by_shape_is_the_walk_on_fiber_blocks(case, rng, data):
 
 
 def test_the_orbit_kernel_memo_holds_one_entry_per_kernel():
-    memo = homclass._orbit_kernel
-    assert memo.cache_info().maxsize == 1024
+    memo, action = homclass._orbit_kernel, homclass._orbit_action
+    assert memo.cache_info().maxsize == action.cache_info().maxsize == 1024
     # lam = (Z/2)^h on two points: one tuple per kernel, 2^h of them, so
     # h = 1..10 asks for 2046 entries, past the bound
     for h in range(1, 11):
@@ -771,8 +776,11 @@ def test_the_orbit_kernel_memo_holds_one_entry_per_kernel():
             if mask % 97 == 0:
                 t = CommutingTuple(2, tuple(map(Perm, imgs)))
                 assert got == classify_by_walk(t, lam)
+            assert realize(got).perms == tuple(map(Perm, imgs))
             assert memo.cache_info().currsize <= memo.cache_info().maxsize
+            assert action.cache_info().currsize <= action.cache_info().maxsize
     assert memo.cache_info().currsize == memo.cache_info().maxsize
+    assert action.cache_info().currsize == action.cache_info().maxsize
     memo.cache_clear()
     classes = enumerate_hom_classes(2, 2, 3)
     for hc in classes:
@@ -790,13 +798,84 @@ def test_a_memo_hit_walks_nothing_over_lam(monkeypatch):
         classify(realize(hc), hc.lam)
 
     def refuse(*args):
-        raise AssertionError("walked lam on a memo hit")
+        raise AssertionError("spanned a kernel on a memo hit")
 
-    monkeypatch.setattr(homclass, "_power_tables", refuse)
-    monkeypatch.setattr(homclass, "_stabilizer", refuse)
+    monkeypatch.setattr(AbSubgroup, "span", refuse)
     rng = __import__("random").Random(5)
     for hc in classes:
         assert classify(_conjugate([s.images for s in realize(hc).perms], rng), hc.lam) == hc
+
+
+def test_the_orbit_kernel_is_the_walk_over_lam_on_every_shape():
+    # every kernel of index at most p^k, as one orbit of realize: its shape
+    # gives the kernel back, as the walk of all of lam finds it
+    for case in CLASSIFY_LAMS:
+        lam = lam_group(*case)
+        for kernel in homclass._kernel_subgroups(lam, lam.p ** lam.k):
+            imgs = [s.images for s in realize(HomClass(lam, ((kernel, 1),))).perms]
+            (_, shape), = _orbit_shapes(imgs, kernel.index)
+            assert homclass._orbit_kernel.__wrapped__(lam, shape) == kernel_by_walk(lam, shape) == kernel
+
+
+def test_a_span_short_of_a_schreier_element_is_a_mismatch(monkeypatch):
+    # on a fixed point every unit vector is a Schreier element, and on two
+    # points of (Z/2)^2 swapped by e_0 the kernel is spanned by e_1 alone
+    real = AbSubgroup.span.__func__
+
+    def short(cls, ambient, gens):
+        return real(cls, ambient, [g for g in gens if g != gens[-1]])
+
+    for lam, shape in [(lam_group(2, 2, 1), ((0,), (0,))), (lam_group(3, 1, 2), ((0,),)),
+                       (lam_group(2, 2, 1), ((1, 0), (0, 1)))]:
+        assert homclass._orbit_kernel.__wrapped__(lam, shape) == kernel_by_walk(lam, shape)
+        monkeypatch.setattr(AbSubgroup, "span", classmethod(short))
+        with pytest.raises(InternalMismatch, match="Schreier"):
+            homclass._orbit_kernel.__wrapped__(lam, shape)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p,h,k", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (2, 1, 4)])
+def test_realize_is_the_table_layout(p, h, k):
+    homclass._orbit_action.cache_clear()
+    for hc in enumerate_hom_classes(p, h, k):
+        assert realize(hc) == realize_by_layout(hc)
+
+
+def _intertwined(imgs, copies):
+    """Whether matching each orbit with the first of its type position by
+    position commutes with every generator."""
+    first = copies[0]
+    for orbit in copies:
+        phi = dict(zip(first, orbit))
+        if any(phi[s[x]] != s[phi[x]] for s in imgs for x in first):
+            return False
+    return True
+
+
+_ANY_TUPLE = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _ANY_TUPLE,
+    st.tuples(st.sampled_from([(2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (3, 2, 2)]),
+              st.randoms(use_true_random=False)).map(
+        lambda drawn: list(_conjugate(
+            [s.images for s in realize(_random_class(lam_group(*drawn[0]), drawn[1])).perms],
+            drawn[1],
+        ))
+    ),
+))
+def test_orbit_types_group_as_the_pairwise_isomorphism_test(imgs):
+    degree = len(imgs[0])
+    types = _orbit_types(imgs, degree)
+    paired = orbit_types_by_isomorphism(imgs, degree)
+    assert types == [[orbit for orbit, _ in copies] for copies in paired]
+    for copies, pairs in zip(types, paired):
+        assert [dict(zip(copies[0], orbit)) for orbit in copies] == [phi for _, phi in pairs]
+        assert _intertwined(imgs, copies)
 
 
 def _old_key_of_images(table, imgs):
