@@ -8,7 +8,7 @@ reduces every field mod p^K at once (``_translate``).  At desk scale the
 ambient group never exceeds 10^4 elements, so a subgroup's sorted packed
 element list is its canonical form; its tuples, generators and id are
 decoded on first use.  Spans, greedy generators and the subgroup lattice
-share one closure step, the cyclic extension ``_extend``; a subgroup's
+close through one routine, the cyclic extension ``_extend``; a subgroup's
 greedy generators are walked once and kept.  The annihilator is not
 searched for: it is solved from the generator rows brought to diagonal form
 over the local ring Z/p^K (Smith normal form up to units), and only its
@@ -144,12 +144,14 @@ def _translate(ambient: Ambient, members, x):
 def _extend(ambient: Ambient, members, x):
     """The packed elements of S + <x>, S the subgroup with packed element
     set ``members``: the union of the cosets S + i*x, up to the first i*x
-    already in S."""
+    already in S.  Each next multiple is one int add and one mask."""
+    _, q, w, K, ones = ambient._layout
     out = set(members)
     shift = x
     while shift not in members:
         out.update(_translate(ambient, members, shift))
-        shift = _translate(ambient, (shift,), x)[0]
+        shift += x
+        shift -= ((shift + K) >> w & ones) * q
     return out
 
 
@@ -164,19 +166,20 @@ class AbSubgroup:
         0..p^k-1 (BadParameters otherwise)."""
         self._init(ambient, {ambient._pack(x) for x in elements})
 
-    def _init(self, ambient: Ambient, members: set):
+    def _init(self, ambient: Ambient, members: set, keys=None):
         self.ambient = ambient
         self._kset = members
-        self._keys = tuple(sorted(members))
+        self._keys = tuple(sorted(members)) if keys is None else keys
         self._elements = self._gens = self._ann = self._hash = None
         if 0 not in members:
             raise ValueError("subgroup must contain zero")
 
     @classmethod
-    def _of_keys(cls, ambient: Ambient, members: set) -> "AbSubgroup":
-        """The subgroup with this set of packed elements, kept as given."""
+    def _of_keys(cls, ambient: Ambient, members: set, keys=None) -> "AbSubgroup":
+        """The subgroup with this set of packed elements, kept as given, and
+        ``keys`` its sorted tuple when the caller has it already."""
         sub = cls.__new__(cls)
-        sub._init(ambient, members)
+        sub._init(ambient, members, keys)
         return sub
 
     @classmethod
@@ -195,7 +198,8 @@ class AbSubgroup:
             )
         members = {0}
         for x in keys:
-            members = _extend(ambient, members, x)
+            if x not in members:
+                members = _extend(ambient, members, x)
         return cls._of_keys(ambient, members)
 
     @classmethod
@@ -343,50 +347,56 @@ def annihilator(subgroup: AbSubgroup) -> AbSubgroup:
 
 def _subgroup_levels(ambient: Ambient, top: int):
     """Levels 0..top of the subgroup lattice: level m lists the order-p^m
-    subgroups, canonically sorted.  Nothing is kept between calls.
+    subgroups, sorted by their packed element tuples.  Nothing is kept
+    between calls.
 
     Level m+1 subgroups are obtained from level-m ones by adjoining an
     element x with p*x in the subgroup (every maximal chain realizes this),
-    deduplicating by element list.  The candidates for a subgroup S are read
-    off the fibres of multiplication by p, ``preimage[y] = [x : p*x = y]``,
-    built once per call coordinate by coordinate from the fibres of one
-    coordinate: they are the x outside S in the fibres over the elements of
-    S, so no level rescans the ambient group.  Because p*x lies in S, the
-    extension S + <x> built by ``_extend`` is the union of the p cosets
-    S + i*x for i < p.  Candidates are taken in ascending order and every
-    element of a freshly built extension is marked as covered, so each
-    extension is built at most p-1 times per maximal subgroup.  Levels
-    above k*h are empty and are not listed.
+    deduplicating by sorted element tuple: the new subgroup keeps that
+    tuple and the member set found first, and a level is sorted by its key
+    tuples.  The x with p*x = y exist only for y in p*A, A the ambient
+    group, and they are x0 + t for the p^h points t of the p-torsion, where
+    x0 = y/p field by field (``roots``, one entry per y in p*A, built once
+    per call).  Every field of x0 is below p^(k-1) and every field of t a
+    multiple of p^(k-1) below p^k, so x0 + t is a plain int add with no
+    carry and no reduction.  Because p*x lies in S, the extension S + <x>
+    built by ``_extend`` is the union of the p cosets S + i*x for i < p.
+    Every element of a freshly built extension is marked as covered, and a
+    covered x would build the same extension again, so the order of the
+    candidates changes no output.  Levels above k*h are empty and are not
+    listed.
     """
     _check_ambient_cap(ambient)
-    p = ambient.p
-    F, q = ambient._layout[:2]
+    p, k, h = ambient.p, ambient.k, ambient.h
     levels = [(AbSubgroup.trivial(ambient),)]
-    top = min(top, ambient.k * ambient.h)
-    digit_fibres = {}
-    for d in range(q):
-        digit_fibres.setdefault(p * d % q, []).append(d)
-    preimage = {0: [0]}
-    for _ in range(ambient.h):
-        preimage = {
-            y << F | e: [x << F | d for x in xs for d in ds]
-            for y, xs in preimage.items() for e, ds in digit_fibres.items()
-        }
+    top = min(top, k * h)
+    if top == 0:
+        return levels
+    F = ambient._layout[0]
+    lows, torsion = [0], [0]
+    for _ in range(h):
+        lows = [x << F | d for x in lows for d in range(p ** (k - 1))]
+        torsion = [t << F | d * p ** (k - 1) for t in torsion for d in range(p)]
+    roots = {p * x: x for x in lows}
     while len(levels) <= top:
         found = {}
         for sub in levels[-1]:
             members = sub._kset
-            candidates = sorted(
-                x for y in sub._keys for x in preimage.get(y, ()) if x not in members
-            )
             covered = set()
-            for x in candidates:
-                if x in covered:
+            for y in sub._keys:
+                x0 = roots.get(y)
+                if x0 is None:
                     continue
-                bigger = AbSubgroup._of_keys(ambient, _extend(ambient, members, x))
-                found.setdefault(bigger._keys, bigger)
-                covered |= bigger._kset
-        levels.append(tuple(sorted(found.values())))
+                for t in torsion:
+                    x = x0 + t
+                    if x in covered or x in members:
+                        continue
+                    bigger = _extend(ambient, members, x)
+                    covered |= bigger
+                    found.setdefault(tuple(sorted(bigger)), bigger)
+        levels.append(tuple(
+            AbSubgroup._of_keys(ambient, found[keys], keys) for keys in sorted(found)
+        ))
     return levels
 
 

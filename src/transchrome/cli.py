@@ -137,21 +137,21 @@ def _cmd_decompose(args):
 
 
 def _resolve_class(args, lam):
+    """The class named by --class-id, else the one of --alpha; the caller
+    has checked that one of the two is given."""
     table = classfun.class_table(perm.symmetric_group(lam.p ** lam.k), lam)
     if args.class_id:
         for key in table.classes:
             if table.class_id(key) == args.class_id:
                 return key
         raise DomainError("unknown class id %r" % args.class_id)
-    if args.alpha:
-        degree = lam.p ** lam.k
-        perms = tuple(
-            perm.Perm.from_cycles(part.strip(), degree) for part in args.alpha.split(";")
-        )
-        if len(perms) != lam.h:
-            raise DomainError("--alpha needs %d component(s)" % lam.h)
-        return table.key_of_images(tuple(p.images for p in perms))
-    raise DomainError("need --class-id or --alpha")
+    degree = lam.p ** lam.k
+    perms = tuple(
+        perm.Perm.from_cycles(part.strip(), degree) for part in args.alpha.split(";")
+    )
+    if len(perms) != lam.h:
+        raise DomainError("--alpha needs %d component(s)" % lam.h)
+    return table.key_of_images(tuple(p.images for p in perms))
 
 
 def _young_pair(args):
@@ -168,6 +168,9 @@ def _young_pair(args):
 
 
 def _cmd_transfer(args):
+    # refused before _young_pair lists the hom classes
+    if not (args.class_id or args.alpha):
+        raise DomainError("need --class-id or --alpha")
     lam, m, G, H = _young_pair(args)
     key = _resolve_class(args, lam)
     datum = classfun.transfer_datum(G, H, key)

@@ -4,7 +4,7 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transchrome import abelian, checks
+from transchrome import abelian, accept, checks
 from transchrome.abelian import (
     Ambient,
     AbSubgroup,
@@ -37,26 +37,29 @@ def brute_force_subgroups(ambient, order):
     return found
 
 
-def span_extension_levels(ambient):
-    """Oracle: the lattice levels built by re-spanning generators plus one
-    element, scanning the whole ambient group for candidates."""
+def span_extension_levels(ambient, top=None):
+    """Oracle: the lattice levels 0..top (default k*h) built by re-spanning
+    generators plus one element, scanning the whole ambient group for
+    candidates."""
     p = ambient.p
+    top = ambient.k * ambient.h if top is None else min(top, ambient.k * ambient.h)
+    multiples = [
+        (ambient._pack(x), x, ambient_scale(ambient, p, x)) for x in ambient_elements(ambient)
+    ]
     levels = [(AbSubgroup.trivial(ambient),)]
-    for _ in range(ambient.k * ambient.h):
+    for _ in range(top):
         found = {}
         for sub in levels[-1]:
-            candidates = [
-                x for x in ambient_elements(ambient)
-                if x not in sub and ambient_scale(ambient, p, x) in sub
-            ]
+            members = set(sub.elements)
+            candidates = [(key, x) for key, x, px in multiples if px in members and x not in members]
             covered = set()
-            for x in candidates:
-                if x in covered:
+            for key, x in candidates:
+                if key in covered:
                     continue
                 bigger = AbSubgroup.span(ambient, list(sub.generators()) + [x])
-                found.setdefault(bigger.elements, bigger)
-                covered.update(bigger.elements)
-        levels.append(tuple(sorted(found.values())))
+                found.setdefault(bigger, bigger)
+                covered |= bigger._kset
+        levels.append(tuple(sorted(found)))
     return levels
 
 
@@ -102,7 +105,7 @@ def composition_count(h, p, m):
     return sum(p ** sum(i * a for i, a in enumerate(comp)) for comp in compositions(m, h))
 
 
-@pytest.mark.parametrize("p,k,h", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 1), (2, 1, 2)])
+@pytest.mark.parametrize("p,k,h", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 1), (2, 1, 2), (2, 0, 3)])
 def test_lattice_levels_match_closure_oracle(p, k, h):
     amb = Ambient(p, k, h)
     for m in range(k * h + 1):
@@ -111,10 +114,40 @@ def test_lattice_levels_match_closure_oracle(p, k, h):
         assert [s.elements for s in level] == sorted(s.elements for s in level)
 
 
-@pytest.mark.parametrize("p,k,h", [(2, 3, 2), (5, 1, 2)])
+@pytest.mark.parametrize("p,k,h", [
+    (2, 3, 2), (5, 1, 2),
+    # the trivial group, an odd prime at h = 4, long cyclic chains
+    (2, 0, 3), (3, 1, 4), (2, 13, 1), (3, 8, 1),
+])
 def test_lattice_levels_match_span_extension(p, k, h):
     amb = Ambient(p, k, h)
     assert abelian._subgroup_levels(amb, k * h) == span_extension_levels(amb)
+
+
+# (7, 1, 4) to level 2 only: its full walk takes seconds
+@pytest.mark.parametrize("p,k,h,top", [(7, 1, 4, 2), (2, 3, 4, 2), (3, 2, 3, 3), (2, 13, 1, 5)])
+def test_lattice_levels_to_a_top_below_kh_match_span_extension(p, k, h, top):
+    amb = Ambient(p, k, h)
+    levels = abelian._subgroup_levels(amb, top)
+    assert len(levels) == top + 1
+    assert levels == span_extension_levels(amb, top)
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2), (7, 1)])
+def test_a_deep_walk_lists_the_subgroups_of_each_smaller_ambient(p, h):
+    # criterion 11 walks (Z/p^M)^h once: its level m must be the order-p^m
+    # subgroups of (Z/p^m)^h, carried into the p^m-torsion by p^(M-m)
+    M = accept._walk_exponent(p, h)
+    levels = abelian._subgroup_levels(Ambient(p, M, h), M)
+    assert len(levels) == M + 1
+    for m, level in enumerate(levels):
+        scale = p ** (M - m)
+        small = {
+            frozenset(tuple(scale * v for v in x) for x in sub.elements)
+            for sub in enumerate_subgroups(h, p, m, p ** m)
+        }
+        assert {frozenset(sub.elements) for sub in level} == small
+        assert len(small) == len(level)
 
 
 def test_enumerate_subgroups_z4_squared():
@@ -319,6 +352,25 @@ def test_span_is_minimal_closure():
     assert sub.order == 4
     assert (2, 0) in sub
     assert sub.generators() == [(1, 2)]
+
+
+def test_span_extends_only_by_generators_outside_the_span(monkeypatch):
+    # <(1, 2)> in (Z/8)^2 holds (2, 4), (3, 6) and (4, 0); <(1, 2), (1, 0)>
+    # holds every (a, even b), [5, 10] reduced to (5, 2) included
+    amb = Ambient(2, 3, 2)
+    gens = [(1, 2), (1, 2), (2, 4), (0, 0), (3, 6), (4, 0), (1, 0), (7, 0), (0, 6), [5, 10]]
+    extended = []
+    extend = abelian._extend
+
+    def counting(ambient, members, x):
+        extended.append(ambient._unpack(x))
+        return extend(ambient, members, x)
+
+    monkeypatch.setattr(abelian, "_extend", counting)
+    sub = AbSubgroup.span(amb, gens)
+    assert set(sub.elements) == old_span(amb, gens)
+    assert sub.order == 32
+    assert extended == [(1, 2), (1, 0)]
 
 
 @pytest.mark.parametrize("p,k,h", [(2, 2, 2), (2, 1, 3), (2, 3, 2), (3, 2, 2)])

@@ -70,6 +70,8 @@ GOLDEN = [
     # u_j^(2^(i-j)) terms past the room, the unit inverse runs at b = 3
     ("fgl_p2_n3_k1_d33_u3", ("fgl", "--p", "2", "--n", "3", "--k", "1", "--deg", "33",
                              "--prec-u", "3")),
+    # the brute-force lattice of (Z/8)^4 to level 3 against the closed form
+    ("count_sub_h4_p2_m3", ("count-sub", "--h", "4", "--p", "2", "--m", "3")),
     # the acceptance matrix, whose criteria 3 and 4 run the induction tables
     ("reproduce_seed0", ("reproduce", "--seed", "0")),
     ("reproduce_seed1", ("reproduce", "--seed", "1")),
@@ -372,6 +374,21 @@ def test_huge_parameters_exit_3_before_work(capsys):
         assert code == 3, argv
         assert "resource limit" in err
     assert time.perf_counter() - start < 5
+
+
+def test_transfer_without_a_class_exits_2_before_listing_classes(monkeypatch, capsys):
+    # listing the 4747 hom classes of (2, 6, 2) takes seconds: a request
+    # naming no class is refused before it
+    from transchrome import homclass
+
+    def refuse(*args):
+        raise AssertionError("listed the hom classes of %s" % (args,))
+
+    monkeypatch.setattr(homclass, "enumerate_hom_classes", refuse)
+    code, out, err = run_cli(capsys, "transfer", "--p", "2", "--h", "6", "--k", "2", "--m", "1")
+    assert code == 2
+    assert out == ""
+    assert "need --class-id or --alpha" in err
 
 
 def test_transfer_checks_caps_before_building_groups(monkeypatch, capsys):
