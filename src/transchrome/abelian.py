@@ -20,7 +20,7 @@ oracle for the other.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .checks import Record, check_prime, digit_limit, power_exceeds
 from .errors import BadParameters, InternalMismatch, ResourceLimit
@@ -123,17 +123,6 @@ def _valuation(a: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
-def _ambient_elements(ambient: Ambient):
-    """Every packed element, in ascending order."""
-    _check_ambient_cap(ambient)
-    F, q = ambient._layout[:2]
-    keys = [0]
-    for _ in range(ambient.h):
-        keys = [x << F | d for x in keys for d in range(q)]
-    return tuple(keys)
-
-
 def _translate(ambient: Ambient, members, x):
     """The packed elements s + x for s in ``members``: one int add per
     element, then every field at least p^k loses p^k at once."""
@@ -205,10 +194,6 @@ class AbSubgroup:
     @classmethod
     def trivial(cls, ambient: Ambient) -> "AbSubgroup":
         return cls._of_keys(ambient, {0})
-
-    @classmethod
-    def full(cls, ambient: Ambient) -> "AbSubgroup":
-        return cls._of_keys(ambient, set(_ambient_elements(ambient)))
 
     @property
     def elements(self):

@@ -62,17 +62,24 @@ def fiber_ranks(p: int, n: int, t: int, k: int) -> dict:
     n-t, is projected onto the etale part exactly once; the count under a
     subgroup L's sorted element tuple is the number of subgroups projecting
     exactly onto L.
+
+    A packed element's field width depends on p^k alone and the etale
+    coordinates are its low n-t fields, so one mask projects it: the masked
+    ints are packed elements of (Z/p^k)^{n-t}, which sort as their tuples
+    do.  Only the distinct projections are decoded.
     """
     if not 0 <= t < n:
         raise BadParameters("need 0 <= t < n")
     check_prime(p)
     split = Ambient(p, k, n)
     abelian._check_ambient_cap(split)
-    ranks = {}
+    etale = Ambient(p, k, n - t)
+    mask = (1 << etale._layout[0] * (n - t)) - 1
+    counts = {}
     for sub in abelian.subgroups_of_ambient(split, order=p ** k):
-        proj = tuple(sorted({vec[t:] for vec in sub.elements}))
-        ranks[proj] = ranks.get(proj, 0) + 1
-    return ranks
+        proj = tuple(sorted({key & mask for key in sub._keys}))
+        counts[proj] = counts.get(proj, 0) + 1
+    return {tuple(map(etale._unpack, proj)): count for proj, count in counts.items()}
 
 
 def fiber_rank(L: AbSubgroup, p: int, n: int, t: int, k: int) -> int:

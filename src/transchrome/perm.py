@@ -24,11 +24,15 @@ exhaustive ``_coset_table``, the block model's test oracle, for any other
 pair.  ``_stable_orbits`` gives the centralizer orbits of the alpha-stable
 cosets, and their number, for ``classfun`` and ``homclass`` alike.  The
 table lists the stable cosets and walks the centralizer's generators over
-them.  The block model lists nothing: alpha's orbits grouped by type
-(``_orbit_types``, shared with ``_centralizer_generators``) give one orbit
-per count matrix, how many orbits of each type each block takes, with its
-size and its least partition, and ``_stable_partition_count`` counts the
-stable partitions apart, from the orbit sizes alone.
+them.  The block model lists nothing: alpha's layout, its orbits grouped
+by type (``_orbit_types``, shared with ``_centralizer_generators``) as
+sorted point tuples, gives one orbit per count matrix, how many orbits of
+each type each block takes, with its size and its least partition, and
+``_stable_partition_count`` counts the stable partitions apart, from the
+orbit sizes alone.  That reading depends on the degree, the block size and
+the layout alone, and classes share layouts, so ``_layout_orbits`` keeps it
+per layout in a bounded memo; the layout is found on every call, and
+``_stable_orbits`` checks the reading on every call, hit or miss.
 
 ``_orbits`` is the one orbit walk for a group given by generators acting on
 a finite set, and ``_orbit_reps`` its (minimum, size) view.  Here the
@@ -776,17 +780,19 @@ class _BlockCosets:
         The orbits are packed into unordered blocks, each led by the orbit of
         the least unplaced point; every ordering of a packing is one stable
         partition.  With orbits of p-power size every partial packing
-        completes, so the work is proportional to the output."""
+        completes, so the work is proportional to the output.  The packings
+        grow on an explicit stack, so a call leaves no reference cycle."""
         orbits = _orbits(range(self.degree), alpha_images, operator.getitem)
         if max(len(o) for o in orbits) > self.block:
             return []
         last = self.degree // self.block - 1
         packings = []
-
-        def pack(rest, acc):
+        stack = [(orbits, ())]  # (orbits not yet placed, blocks so far)
+        while stack:
+            rest, acc = stack.pop()
             if len(acc) == last:  # the rest is the last block
                 packings.append(acc + (tuple(sorted(itertools.chain(*rest))),))
-                return
+                continue
             lead, others = rest[0], rest[1:]
             by_size = {}
             for i, orbit in enumerate(others):
@@ -800,57 +806,74 @@ class _BlockCosets:
                     chosen = set().union(*choice)
                     blk = itertools.chain(lead, *(others[i] for i in chosen))
                     left = [o for i, o in enumerate(others) if i not in chosen]
-                    pack(left, acc + (tuple(sorted(blk)),))
-
-        pack(orbits, ())
+                    stack.append((left, acc + (tuple(sorted(blk)),)))
         return sorted(itertools.chain.from_iterable(map(itertools.permutations, packings)))
 
     def centralizer_orbits(self, alpha_images, gens=None):
         """(``[(least partition, orbit size)]`` sorted, number of stable
-        partitions) for the centralizer C of alpha in Sym(degree), read off
-        the orbit types of alpha; ``gens`` is not used.
+        partitions) for the centralizer of alpha in Sym(degree), read off
+        alpha's layout; ``gens`` is not used.
 
-        C is the product over the isomorphism types i of alpha-orbit of
-        (A|O_i) wr Sym(m_i), m_i the orbits of type i.  Its translations
-        map every orbit onto itself, so they fix every stable partition, and
-        Sym(m_i) permutes the orbits of type i.  So an orbit of C is a count
-        matrix n: block j takes n[j][i] orbits of type i, filling it, and
-        the orbit has prod_i m_i! / prod_(j,i) n[j][i]! partitions.  It is
-        led by the partition whose blocks, in turn, take per type the
-        remaining orbits of least minimum: the least point where two
-        choices for a block differ is the minimum of an orbit only one of
-        them takes.  The count of stable partitions comes from the orbit
-        sizes alone (``_stable_partition_count``)."""
-        types = _orbit_types(alpha_images, self.degree)
-        sizes = [len(orbits[0]) for orbits in types]
-        last = self.degree // self.block - 1
-        fact = math.factorial
-        chain = itertools.chain.from_iterable
-        found = []  # (least partition, prod of n[j][i]!)
-
-        def place(taken, partition, denom):
-            if len(partition) == last:  # the rest is the last block
-                rest = [orbits[t:] for orbits, t in zip(types, taken)]
-                found.append((
-                    partition + (tuple(sorted(chain(chain(rest)))),),
-                    denom * math.prod(fact(len(r)) for r in rest),
-                ))
-                return
-            room = [len(orbits) - t for orbits, t in zip(types, taken)]
-            for take in _fillings(self.block, sizes, room):
-                blk = chain(chain(orbits[t:t + n] for orbits, t, n in zip(types, taken, take)))
-                place(
-                    [t + n for t, n in zip(taken, take)],
-                    partition + (tuple(sorted(blk)),),
-                    denom * math.prod(map(fact, take)),
-                )
-
-        place([0] * len(types), (), 1)
-        top = math.prod(fact(len(orbits)) for orbits in types)
-        count = _stable_partition_count(
-            [size for size, orbits in zip(sizes, types) for _ in orbits], self.block, last + 1
+        The layout is alpha's orbits grouped by type (``_orbit_types``),
+        each orbit as its sorted points.  The reading depends on nothing
+        else, and many classes share a layout, so ``_layout_orbits`` reads
+        each layout once and keeps it; the orbit types are found on every
+        call."""
+        layout = tuple(
+            tuple(tuple(sorted(orbit)) for orbit in copies)
+            for copies in _orbit_types(alpha_images, self.degree)
         )
-        return sorted((token, top // denom) for token, denom in found), count
+        orbits, count = _layout_orbits(self.degree, self.block, layout)
+        return list(orbits), count
+
+
+@lru_cache(maxsize=1024)
+def _layout_orbits(degree, block, layout):
+    """(``((least partition, orbit size), ...)`` sorted, number of stable
+    partitions) for the centralizer C in Sym(degree) of a commuting tuple
+    alpha whose orbits, grouped by type, are ``layout``: per type, its
+    orbits as sorted point tuples, in the order of their minima.
+
+    C is the product over the isomorphism types i of alpha-orbit of
+    (A|O_i) wr Sym(m_i), m_i the orbits of type i.  Its translations map
+    every orbit onto itself, so they fix every stable partition into blocks
+    of ``block`` points, and Sym(m_i) permutes the orbits of type i.  So an
+    orbit of C is a count matrix n: block j takes n[j][i] orbits of type i,
+    filling it, and the orbit has prod_i m_i! / prod_(j,i) n[j][i]!
+    partitions.  It is led by the partition whose blocks, in turn, take per
+    type the remaining orbits of least minimum: the least point where two
+    choices for a block differ is the minimum of an orbit only one of them
+    takes.  The count matrices grow on an explicit stack, so a miss leaves
+    no reference cycle.  The count of stable partitions comes from the
+    orbit sizes alone (``_stable_partition_count``)."""
+    sizes = [len(orbits[0]) for orbits in layout]
+    last = degree // block - 1
+    fact = math.factorial
+    chain = itertools.chain.from_iterable
+    found = []  # (least partition, prod of n[j][i]!)
+    stack = [((0,) * len(layout), (), 1)]  # (orbits taken per type, blocks, denominator)
+    while stack:
+        taken, partition, denom = stack.pop()
+        if len(partition) == last:  # the rest is the last block
+            rest = [orbits[t:] for orbits, t in zip(layout, taken)]
+            found.append((
+                partition + (tuple(sorted(chain(chain(rest)))),),
+                denom * math.prod(fact(len(r)) for r in rest),
+            ))
+            continue
+        room = [len(orbits) - t for orbits, t in zip(layout, taken)]
+        for take in _fillings(block, sizes, room):
+            blk = chain(chain(orbits[t:t + n] for orbits, t, n in zip(layout, taken, take)))
+            stack.append((
+                tuple(t + n for t, n in zip(taken, take)),
+                partition + (tuple(sorted(blk)),),
+                denom * math.prod(map(fact, take)),
+            ))
+    top = math.prod(fact(len(orbits)) for orbits in layout)
+    count = _stable_partition_count(
+        [size for size, orbits in zip(sizes, layout) for _ in orbits], block, last + 1
+    )
+    return tuple(sorted((token, top // denom) for token, denom in found)), count
 
 
 def _fillings(room, sizes, most):

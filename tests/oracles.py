@@ -11,7 +11,7 @@ import json
 import operator
 
 from transchrome import perm
-from transchrome.abelian import AbSubgroup, _ambient_elements, _check_ambient_cap, _translate
+from transchrome.abelian import AbSubgroup, _check_ambient_cap, _translate
 from transchrome.decomp import CONVENTION, ComponentRecord, DecompositionReport, report_to_dict
 from transchrome.errors import (
     ActionNotClosed,
@@ -266,7 +266,7 @@ def coset_layout(kernel: AbSubgroup):
     lam = kernel.ambient
     lookup = {}
     reps = []
-    for x in _ambient_elements(lam):
+    for x in ambient_keys(lam):
         if x in lookup:
             continue
         lookup.update(dict.fromkeys(_translate(lam, kernel._keys, x), len(reps)))
@@ -354,9 +354,25 @@ def ambient_scale(amb, c, x):
     return tuple((c * a) % q for a in x)
 
 
+def ambient_keys(amb):
+    """Every packed element of an ``Ambient``, in ascending order, after
+    its cap check."""
+    _check_ambient_cap(amb)
+    F, q = amb._layout[:2]
+    keys = [0]
+    for _ in range(amb.h):
+        keys = [x << F | d for x in keys for d in range(q)]
+    return tuple(keys)
+
+
 def ambient_elements(amb):
     """Every element of an ``Ambient`` as an h-tuple, in ascending order."""
-    return tuple(map(amb._unpack, _ambient_elements(amb)))
+    return tuple(map(amb._unpack, ambient_keys(amb)))
+
+
+def full_subgroup(amb) -> AbSubgroup:
+    """The whole ``Ambient`` as a subgroup, listed."""
+    return AbSubgroup._of_keys(amb, set(ambient_keys(amb)))
 
 
 def is_closed(sub: AbSubgroup) -> bool:

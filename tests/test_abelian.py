@@ -19,8 +19,10 @@ from transchrome.errors import BadParameters, InternalMismatch, NotPrime, Resour
 from oracles import (
     ambient_add,
     ambient_elements,
+    ambient_keys,
     ambient_scale,
     ambient_zero,
+    full_subgroup,
     is_closed,
 )
 
@@ -187,7 +189,7 @@ def test_enumerate_subgroups_refuses_an_order_that_is_no_power_of_p(order):
 
 def test_annihilator_examples():
     amb = Ambient(2, 2, 2)
-    full = AbSubgroup.full(amb)
+    full = full_subgroup(amb)
     triv = AbSubgroup.trivial(amb)
     assert annihilator(full) == triv
     assert annihilator(triv) == full
@@ -226,15 +228,31 @@ def test_annihilator_matches_element_scan(p, k, h):
 
 
 def test_annihilator_never_lists_the_ambient_group(monkeypatch):
+    # a solve that lists lam either tests every element of it against the
+    # generators, pairing each with one at least, or builds it as a span:
+    # the diagonal solve pairs only its h solutions with the h rows, and
+    # spans nothing larger than the subgroup or its annihilator
     amb = Ambient(3, 2, 3)
     subs = subgroups_of_ambient(amb, 27)
+    real_pairing, real_extend = Ambient.pairing, abelian._extend
+    pairings = []
 
-    def refuse(ambient):
-        raise AssertionError("listed the elements of %r" % (ambient,))
+    def counted_pairing(self, x, y):
+        pairings.append(None)
+        return real_pairing(self, x, y)
 
-    monkeypatch.setattr(abelian, "_ambient_elements", refuse)
+    def bounded_extend(ambient, members, x):
+        out = real_extend(ambient, members, x)
+        if len(out) >= ambient.order:
+            raise AssertionError("spanned all of %r" % (ambient,))
+        return out
+
+    monkeypatch.setattr(Ambient, "pairing", counted_pairing)
+    monkeypatch.setattr(abelian, "_extend", bounded_extend)
     for sub in subs:
+        del pairings[:]
         assert sub.annihilator().order == amb.order // sub.order
+        assert len(pairings) <= amb.h * amb.h
 
 
 def test_annihilator_checks_its_solution(monkeypatch):
@@ -424,7 +442,7 @@ PACKED_AMBIENTS = [(3, 2, 2), (2, 3, 2), (5, 1, 2), (3, 3, 1), (2, 1, 4), (2, 0,
 def test_packed_elements_round_trip_in_tuple_order(p, k, h):
     amb = Ambient(p, k, h)
     tuples = list(itertools.product(range(amb.modulus), repeat=h))
-    keys = abelian._ambient_elements(amb)
+    keys = ambient_keys(amb)
     assert [amb._pack(x) for x in tuples] == list(keys)
     assert [amb._unpack(key) for key in keys] == tuples
     # int order is tuple order, on any subset
@@ -435,7 +453,7 @@ def test_packed_elements_round_trip_in_tuple_order(p, k, h):
 @pytest.mark.parametrize("p,k,h", PACKED_AMBIENTS)
 def test_packed_add_matches_tuple_add_on_every_pair(p, k, h):
     amb = Ambient(p, k, h)
-    keys = abelian._ambient_elements(amb)
+    keys = ambient_keys(amb)
     tuples = [amb._unpack(key) for key in keys]
     for y, key in zip(tuples, keys):
         assert [amb._unpack(s) for s in abelian._translate(amb, keys, key)] == [
@@ -485,7 +503,7 @@ def test_ambient_cap_reads_the_exponent_not_the_order(monkeypatch):
     with pytest.raises(ResourceLimit):
         abelian.subgroups_of_ambient(huge)
     with pytest.raises(ResourceLimit):
-        AbSubgroup.full(huge)
+        full_subgroup(huge)
     with pytest.raises(ResourceLimit):
         annihilator(AbSubgroup.trivial(huge))
 
@@ -524,7 +542,7 @@ def test_constructor_refuses_coordinates_out_of_range():
 
 
 def test_membership_of_a_non_element_is_false():
-    full = AbSubgroup.full(Ambient(2, 2, 2))
+    full = full_subgroup(Ambient(2, 2, 2))
     assert (3, 3) in full
     for x in [(0, 16), (4, 0), (0, -1), (0, 0, 0), (0,), (), "ab", None]:
         assert x not in full

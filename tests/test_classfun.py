@@ -509,6 +509,51 @@ def test_transfer_datum_lists_and_walks_no_stable_coset(monkeypatch, p, k, h):
         assert transfer_datum(G, H, key) == data[key]
 
 
+def transfer_data_lines(p, h, k):
+    """(datum lines, fiber lines) at (p, h, k): one JSON line per class of
+    Sym(p^k) for its transfer datum along Sym(p^(k-1))^p, then one per
+    block level under the index cap and class for its ``coset_fiber``."""
+    from transchrome.homclass import coset_fiber, enumerate_hom_classes
+    from transchrome.perm import INDEX_CAP, young_index
+
+    G, H, lam = symmetric_group(p ** k), block_subgroup(p ** (k - 1), p), lam_group(p, h, k)
+    g_table, h_table = class_table(G, lam), class_table(H, lam)
+    data = [
+        json.dumps([g_table.class_id(key), datum.fixed_count, datum.centralizer_order, [
+            [rec.coset_rep.cycles(), h_table.class_id(rec.h_key), rec.stabilizer_order, rec.index]
+            for rec in datum.records
+        ]])
+        for datum, key in ((transfer_datum(G, H, key), key) for key in g_table.classes)
+    ]
+    fibers = [
+        json.dumps([m, hc.class_id(), [
+            [orbit.partition, orbit.coset_rep.cycles(),
+             [c.class_id() for c in orbit.block_classes],
+             orbit.orbit_size, orbit.stabilizer_order]
+            for orbit in coset_fiber(hc, m)
+        ]])
+        for m in range(k + 1) if young_index(p ** k, p ** m) <= INDEX_CAP
+        for hc in enumerate_hom_classes(p, h, k)
+    ]
+    return data, fibers
+
+
+@pytest.mark.parametrize("p,h,k", [(2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3),
+                                   (3, 1, 2), (3, 2, 2), (2, 3, 2)])
+def test_transfer_data_match_the_recorded_digests(p, h, k):
+    # the digests were recorded before centralizer orbits were read once per
+    # layout; every datum and fiber must read as it did then
+    import hashlib
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "transfer_data_digests.json")
+    with open(path) as fh:
+        want = json.load(fh)["instances"]["%d,%d,%d" % (p, h, k)]
+    data, fibers = transfer_data_lines(p, h, k)
+    assert hashlib.sha256("\n".join(data).encode()).hexdigest() == want["transfer_datum"]
+    assert hashlib.sha256("\n".join(fibers).encode()).hexdigest() == want["coset_fiber"]
+
+
 def _wrong_first_orbit(monkeypatch, count_agrees):
     """Make the block model report its first orbit p times too large, p = 3
     for S9 > S3^3; with ``count_agrees`` its count of stable partitions is

@@ -18,7 +18,7 @@ from transchrome.abelian import (
 from transchrome.errors import BadParameters, ResourceLimit
 from transchrome.homclass import enumerate_hom_classes, lam_group
 
-from oracles import report_from_json, report_to_json
+from oracles import full_subgroup, report_from_json, report_to_json
 
 
 def by_label_order(report):
@@ -66,7 +66,7 @@ def test_decompose_rejects_bad_parameters():
 
 def test_fiber_rank_examples():
     lam = lam_group(2, 1, 2)
-    full = AbSubgroup.full(lam)
+    full = full_subgroup(lam)
     triv = AbSubgroup.trivial(lam)
     half = AbSubgroup.span(lam, [(2,)])
     assert decomp.fiber_rank(full, 2, 2, 1, 2) == 4  # p^{kt}
@@ -113,6 +113,28 @@ def test_fiber_ranks_match_per_label_scan(p, n, t, k):
     for L in labels:
         assert ranks.get(L.elements, 0) == per_label_rank(L, p, n, t, k)
     assert sum(ranks.values()) == count_sublattices(n, p, k)
+
+
+@pytest.mark.parametrize("p,n,t,k", [(2, 3, 1, 3), (3, 3, 1, 2), (2, 3, 0, 2), (2, 4, 1, 2)])
+def test_fiber_ranks_project_packed_keys_as_the_decoded_elements(p, n, t, k):
+    # the masked packed keys give the dict that slicing every decoded
+    # element gave, and no subgroup of the split model is decoded
+    subs = subgroups_of_ambient(Ambient(p, k, n), order=p ** k)
+    want = {}
+    for sub in subs:
+        proj = tuple(sorted({vec[t:] for vec in sub.elements}))
+        want[proj] = want.get(proj, 0) + 1
+    decoded = []
+    real = AbSubgroup.elements
+
+    def counted(sub):
+        decoded.append(sub)
+        return real.fget(sub)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(AbSubgroup, "elements", property(counted))
+        assert decomp.fiber_ranks(p, n, t, k) == want
+    assert decoded == []
 
 
 def test_decompose_projects_the_split_model_once(monkeypatch):
@@ -197,7 +219,7 @@ def test_verify_triangle_fault_injection():
 def test_verify_triangle_detects_bad_labelling():
     report = decomp.decompose(2, 2, 1, 1)
     lam = lam_group(2, 1, 1)
-    full = AbSubgroup.full(lam)
+    full = full_subgroup(lam)
     bad_records = tuple(
         decomp.ComponentRecord(
             hom_class=rec.hom_class,

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import operator
@@ -54,6 +55,7 @@ from oracles import (
     conjugating_element,
     coset_orbits,
     fixed_cosets,
+    full_subgroup,
     kernel_by_walk,
     make_tuple,
     orbit_types_by_isomorphism,
@@ -263,7 +265,7 @@ def test_is_isotypic_examples():
 def test_dual_image_examples():
     lam = lam_group(2, 1, 2)
     assert dual_image(class_of(["e"], 2, 1, 2)) == AbSubgroup.trivial(lam)
-    assert dual_image(class_of(["(0 1 2 3)"], 2, 1, 2)) == AbSubgroup.full(lam)
+    assert dual_image(class_of(["(0 1 2 3)"], 2, 1, 2)) == full_subgroup(lam)
     half = dual_image(class_of(["(0 1)(2 3)"], 2, 1, 2))
     assert half.elements == ((0,), (2,))
 
@@ -554,6 +556,122 @@ def test_centralizer_orbits_are_the_walk(p, h, k):
             orbits, count = system.centralizer_orbits(alpha)
             assert orbits == walked
             assert count == len(fixed)
+
+
+# -- the layout memo: one reading of the centralizer orbits per orbit layout --
+
+RELABEL_CASES = [
+    (p, h, k, m)
+    for p, h, k in [(2, 1, 3), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
+    for m in range(k + 1)
+    if young_index(p ** k, p ** m) <= INDEX_CAP
+]
+
+
+@functools.lru_cache(maxsize=None)
+def realized_alphas(p, h, k):
+    return [tuple(s.images for s in realize(hc).perms) for hc in enumerate_hom_classes(p, h, k)]
+
+
+def layout_of(alpha, degree):
+    """The orbits of <alpha> grouped by shape, as sets: what the layout
+    memo keys on, found without its sorted tuples."""
+    types = {}
+    for orbit, shape in _orbit_shapes(alpha, degree):
+        types.setdefault(shape, set()).add(frozenset(orbit))
+    return frozenset(map(frozenset, types.values()))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_layout_memo_reads_relabelled_classes_as_the_walk(data):
+    # a realized class relabelled by a random permutation has orbits off
+    # realize's intervals; its memoized reading, read twice, equals the
+    # unmemoized one and the walk over its listed stable partitions
+    from transchrome import perm
+
+    p, h, k, m = data.draw(st.sampled_from(RELABEL_CASES))
+    degree, block = p ** k, p ** m
+    alpha = data.draw(st.sampled_from(realized_alphas(p, h, k)))
+    sigma = data.draw(st.permutations(range(degree)))
+    relabelled = [perm._conj_images(tuple(sigma), s) for s in alpha]
+    system = _BlockCosets(degree, block)
+    memo = system.centralizer_orbits(relabelled)
+    assert system.centralizer_orbits(relabelled) == memo
+    layout = tuple(
+        tuple(tuple(sorted(orbit)) for orbit in copies)
+        for copies in _orbit_types(relabelled, degree)
+    )
+    orbits, count = perm._layout_orbits.__wrapped__(degree, block, layout)
+    assert memo == (list(orbits), count)
+    fixed = system.fixed(relabelled)
+    gens = _centralizer_generators(relabelled, degree)
+    assert memo == (walk_block_orbits(degree, fixed, relabelled, gens), len(fixed))
+
+
+def test_layout_memo_holds_one_entry_per_layout():
+    # every transfer datum of S8 > S4xS4 at (2,2,3) and S9 > S3^3 at
+    # (3,2,2): one miss per distinct layout, and no more entries
+    from transchrome import perm
+    from transchrome.perm import block_subgroup
+
+    perm._layout_orbits.cache_clear()
+    layouts = set()
+    for p, h, k in [(2, 2, 3), (3, 2, 2)]:
+        G, H, lam = symmetric_group(p ** k), block_subgroup(p ** (k - 1), p), lam_group(p, h, k)
+        table = classfun.class_table(G, lam)
+        for key in table.classes:
+            classfun.transfer_datum(G, H, key)
+            layouts.add((p ** k, p ** (k - 1), layout_of(table.rep_images(key), p ** k)))
+            info = perm._layout_orbits.cache_info()
+            assert info.currsize == info.misses == len(layouts) <= info.maxsize
+    assert len(layouts) == 22 + 9
+    assert perm._layout_orbits.cache_info().hits == 148 + 48 - len(layouts)
+
+
+def test_a_layout_memo_hit_fills_and_counts_nothing(monkeypatch):
+    from transchrome import perm
+    from transchrome.perm import block_subgroup
+
+    def refuse(*args):
+        raise AssertionError("a memo hit read the layout again")
+
+    cases = []
+    for p, h, k in [(2, 2, 3), (3, 2, 2)]:
+        system = _BlockCosets(p ** k, p ** (k - 1))
+        cases += [(system, alpha) for alpha in realized_alphas(p, h, k)]
+    before = [system.centralizer_orbits(alpha) for system, alpha in cases]
+    G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, 2, 3)
+    keys = classfun.class_table(G, lam).classes
+    data = [classfun.transfer_datum(G, H, key) for key in keys]
+    monkeypatch.setattr(perm, "_fillings", refuse)
+    monkeypatch.setattr(perm, "_stable_partition_count", refuse)
+    assert [system.centralizer_orbits(alpha) for system, alpha in cases] == before
+    assert [classfun.transfer_datum(G, H, key) for key in keys] == data
+
+
+def test_block_model_calls_leave_no_reference_cycle():
+    # the listing and the orbit reading grow on explicit stacks: with the
+    # cyclic collector off, nothing they leave needs it
+    import gc
+
+    from transchrome import perm
+
+    cases = []
+    for p, h, k in [(2, 2, 3), (3, 2, 2)]:
+        for m in range(1, k + 1):
+            system = _BlockCosets(p ** k, p ** m)
+            cases += [(system, alpha) for alpha in realized_alphas(p, h, k)]
+    perm._layout_orbits.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for system, alpha in cases:
+            system.fixed(alpha)
+            system.centralizer_orbits(alpha)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_coset_fiber_lists_and_walks_no_stable_partition(monkeypatch):
