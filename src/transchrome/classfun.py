@@ -14,13 +14,15 @@ table of Sym(b), its cosets are ordered block partitions whose
 centralizer orbits are read off the orbit types of alpha (a transfer datum
 lists no stable coset; only the plain induction table does, checks their
 number against the datum's count and classifies each partition block by
-block, by the factor keys of alpha on its blocks), and each orbit record's
-H-class and C_H(beta) come from one pass over the blocks of beta: the
-class, and generators W, read blockwise off the orbits of beta, with the
-order of their stabilizer chain (each table's ``class_and_centralizer``).
-Each coset stabilizer is proved from W: |W| generator checks, each asking
-the coset model whether it fixes the coset, and two order comparisons
-(see ``_verify_stabilizer``).
+block, by the factor keys of alpha on its blocks).  Each class table
+answers one centralizer question, ``centralizer_of(beta)``: generators W
+of C(beta) and the order of their stabilizer chain.  The symmetric table
+reads W off the orbits of beta, the product table off the orbits of beta
+on each block, in the one pass over the blocks that also gives beta's
+class (``class_and_centralizer``), and the exhaustive table from one scan
+of its group.  Each coset stabilizer is proved from W: |W| generator
+checks, each asking the coset model whether it fixes the coset, and two
+order comparisons (see ``_verify_stabilizer``).
 
 The codomain of the underlying character theory is modelled by one rational
 scalar per class; the transfer along an inclusion of centralizers acts as
@@ -74,15 +76,14 @@ from .perm import (
     YoungSubgroup,
     _BlockCosets,
     _centralizer_generators,
+    _centralizer_scan,
     _chain_generators,
     _commute_images,
     _commuting_tuples,
     _conj_images,
     _coset_system,
-    _factor_generators,
     _lift,
     _stable_orbits,
-    centralizer_factors,
     symmetric_group,
 )
 
@@ -132,9 +133,6 @@ class SymmetricClassTable(_ClassTable):
 
     def centralizer_order(self, key: HomClass) -> int:
         return hc_mod.centralizer_order(key)
-
-    def centralizer_generators(self, key: HomClass):
-        return _centralizer_generators(self.rep_images(key), self.degree)
 
     def centralizer_of(self, beta):
         """(W, |<W>|): generators of C_Sym(p^k)(beta), read off the orbits of
@@ -194,16 +192,13 @@ class GenericClassTable(_ClassTable):
     def centralizer_order(self, key) -> int:
         return self._cent_orders[key]
 
-    def centralizer_generators(self, key):
-        """Greedy generators of the scanned centralizer of the tuple ``key``,
-        as ``perm.centralizer`` carries them, without forming its elements."""
-        factors = centralizer_factors(self.group, map(Perm, key))
-        return _factor_generators(self.degree, factors)
-
     def centralizer_of(self, beta):
-        """(W, |<W>|): generators of the scanned centralizer of the image
-        tuple beta in the group, and the order of their stabilizer chain."""
-        return _chain_generators(self.degree, self.centralizer_generators(beta))
+        """(W, |<W>|): the elements of one scan of the group for those
+        commuting with the image tuple beta that enlarge the stabilizer
+        chain of those kept before them, as ``perm.centralizer`` carries
+        them, and the chain's order."""
+        scan = _centralizer_scan(self.group.iter_elements(), beta)
+        return _chain_generators(self.degree, scan, len(scan))
 
     def class_id(self, key) -> str:
         return ";".join(Perm(s).cycles() for s in key)
@@ -253,14 +248,14 @@ class ProductClassTable(GenericClassTable):
         # a block image outside the block is no Sym(b) tuple: NotInGroup
         return self._join([self.factor.key_of_images(local) for _, local in self._blocks(imgs)])
 
-    def class_and_centralizer(self, beta):
-        """(H-class, W, |<W>|) of beta in one pass over its blocks.  Each
-        distinct block action gets, once, its factor key, the generators of
-        its centralizer in Sym(b), read off its orbits and kept where they
-        enlarge their stabilizer chain, and the chain's order.  The factor
-        keys join into the H-class; W embeds the generators at their
-        blocks, and generators on disjoint blocks generate the direct
-        product, so |<W>| is the product of the orders."""
+    def _block_pass(self, beta):
+        """(factor keys, W, |<W>|) of beta in one pass over its blocks.
+        Each distinct block action gets, once, its factor key, the
+        generators of its centralizer in Sym(b), read off its orbits and
+        kept where they enlarge their stabilizer chain, and the chain's
+        order.  W embeds the generators at their blocks, and generators on
+        disjoint blocks generate the direct product, so |<W>| is the
+        product of the orders."""
         b, degree = self.group.block_size, self.degree
         ident = tuple(range(degree))
         parts, gens, order = [], [], 1
@@ -275,7 +270,17 @@ class ProductClassTable(GenericClassTable):
             parts.append(part)
             gens.extend(ident[:lo] + tuple(lo + v for v in t) + ident[lo + b:] for t in local_gens)
             order *= local_order
+        return parts, gens, order
+
+    def class_and_centralizer(self, beta):
+        """(H-class, W, |<W>|) of beta from one block pass: the factor keys
+        join into the H-class."""
+        parts, gens, order = self._block_pass(beta)
         return self._join(parts), gens, order
+
+    def centralizer_of(self, beta):
+        """(W, |<W>|) for C_H(beta), from the block pass."""
+        return self._block_pass(beta)[1:]
 
     def partition_counts(self, alpha, partitions):
         """H-class -> how many of the ``partitions`` lift alpha into it, in
@@ -517,13 +522,13 @@ class TransferDatum(Record):
 def _build_datum(g_table, h_table, system, alpha_key) -> TransferDatum:
     """Orbit records for one class: the orbits of ``perm._stable_orbits``
     on the alpha-stable cosets, each with its H-class and a verified
-    stabilizer.  Only the exhaustive coset table asks for the centralizer's
-    generators, to walk them."""
+    stabilizer.  Only the exhaustive coset table asks for generators of
+    C_G(alpha), to walk them; the orbits do not depend on which."""
     alpha = g_table.rep_images(alpha_key)
     cent_order = g_table.centralizer_order(alpha_key)
     records = []
     orbits, fixed_count = _stable_orbits(
-        system, alpha, cent_order, lambda: g_table.centralizer_generators(alpha_key)
+        system, alpha, cent_order, lambda: g_table.centralizer_of(alpha)[0]
     )
     for token, size, stab_order, g, beta in orbits:
         h_key, gens, gens_order = h_table.class_and_centralizer(beta)

@@ -274,21 +274,19 @@ def enumerate_hom_classes(p: int, h: int, k: int):
     sizes = [s.index for s in kernels]
 
     classes = []
-
-    def extend(start, remaining, chosen):
+    # (next kernel, points left, (kernel, multiplicity) pairs so far); the
+    # extensions of each state are pushed last first, so the states pop in
+    # the order of a depth-first walk, and a call leaves no reference cycle
+    stack = [(0, degree, ())]
+    while stack:
+        start, remaining, chosen = stack.pop()
         if remaining == 0:
-            classes.append(HomClass._of(lam, tuple(chosen)))
-            return
-        for i in range(start, len(kernels)):
-            size = sizes[i]
-            if size > remaining:
-                continue
-            for mult in range(1, remaining // size + 1):
-                chosen.append((kernels[i], mult))
-                extend(i + 1, remaining - mult * size, chosen)
-                chosen.pop()
-
-    extend(0, degree, [])
+            classes.append(HomClass._of(lam, chosen))
+            continue
+        for i in range(len(kernels) - 1, start - 1, -1):
+            size, kernel = sizes[i], kernels[i]
+            for mult in range(remaining // size, 0, -1):
+                stack.append((i + 1, remaining - mult * size, chosen + ((kernel, mult),)))
     if len(classes) != count:
         raise InternalMismatch(
             "enumerated %d hom classes, the generating function gives %d"

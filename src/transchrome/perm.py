@@ -9,13 +9,15 @@ in this package act on at most nine points, where brute force is simple,
 deterministic and directly checkable against independent counts.
 
 A group given only by generators is measured by ``StabilizerChain``, a
-deterministic Schreier-Sims chain: its order, and membership by sifting.
+deterministic Schreier-Sims chain, the one closure routine here: its
+order, membership by sifting and, for ``generate``, its elements, listed
+only once the order is within the element cap.
 ``_centralizer_generators`` reads generators of the centralizer of a
 commuting tuple in Sym(n) off the tuple's orbits, so the stabilizer proof
 in ``classfun`` checks a few generators and one chain order instead of
-scanning the centralizer.  ``centralizer_factors`` and ``centralizer``
-still scan, for the explicit groups and as the tests' oracle; a
-``centralizer`` carries greedy generators.  There is no backtrack search.
+scanning the centralizer.  ``centralizer`` scans the ambient group once
+and carries greedy generators of the scan: criterion 2's explicit check
+and the tests' oracle.  There is no backtrack search.
 
 The cosets of H <= G are modelled here and only here: ``_coset_system``
 checks the subgroup and the index cap, then picks ordered block partitions
@@ -36,8 +38,9 @@ per layout in a bounded memo; the layout is found on every call, and
 
 ``_orbits`` is the one orbit walk for a group given by generators acting on
 a finite set, and ``_orbit_reps`` its (minimum, size) view.  Here the
-table's centralizer orbits and the orbit packing of ``_BlockCosets.fixed``
-go through it, and so does ``_orbit_shapes``, the one reading of the
+cycles that ``Perm.cycles`` prints, the table's centralizer orbits and the
+orbit packing of ``_BlockCosets.fixed`` go through it, and so does
+``_orbit_shapes``, the one reading of the
 orbits of image tuples: each orbit with its shape, the generators' images
 on it relabelled by position in the walk.  Orbits of one shape are one
 type, matched position by position (``_orbit_types``), and
@@ -53,7 +56,7 @@ import itertools
 import math
 import operator
 import re
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .checks import max_group_elements
 from .errors import (
@@ -96,19 +99,19 @@ def _commute_images(a, b):
 
 
 def _commuting_tuples(pool, h):
-    """All h-tuples from pool with pairwise-commuting entries, in lex order."""
-
-    def rec(chosen):
+    """All h-tuples from pool with pairwise-commuting entries, in the lex
+    order of their positions in pool.  The partial tuples grow on an
+    explicit stack, each one's extensions pushed last first, so a call
+    leaves no reference cycle."""
+    stack = [()]
+    while stack:
+        chosen = stack.pop()
         if len(chosen) == h:
-            yield tuple(chosen)
-            return
-        for s in pool:
-            if all(_commute_images(s, c) for c in chosen):
-                chosen.append(s)
-                yield from rec(chosen)
-                chosen.pop()
-
-    yield from rec([])
+            yield chosen
+            continue
+        stack.extend([
+            chosen + (s,) for s in reversed(pool) if all(_commute_images(s, c) for c in chosen)
+        ])
 
 
 def _orbits(points, gens, act):
@@ -202,6 +205,7 @@ class Perm:
         cycles = re.findall(r"\(([^()]*)\)", body)
         if not cycles or re.sub(r"\([^()]*\)|\s", "", body):
             raise ValueError("cannot parse cycle notation: %r" % text)
+        placed = set()
         for cyc in cycles:
             pts = [int(tok) for tok in cyc.split()]
             if len(set(pts)) != len(pts):
@@ -209,6 +213,9 @@ class Perm:
             for p in pts:
                 if not 0 <= p < degree:
                     raise ValueError("point %d out of range for degree %d" % (p, degree))
+                if p in placed:
+                    raise ValueError("point %d appears in two cycles of %r" % (p, text))
+                placed.add(p)
             for i, p in enumerate(pts):
                 images[p] = pts[(i + 1) % len(pts)]
         return cls(images)
@@ -254,28 +261,15 @@ class Perm:
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))
 
-    def _cycle_lists(self):
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            nxt = self.images[start]
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt] = True
-                nxt = self.images[nxt]
-            if len(cyc) > 1:
-                out.append(cyc)
-        return out
-
     def cycles(self) -> str:
-        cycs = self._cycle_lists()
+        """Cycle notation: the orbits of <self> (``_orbits``), each walked
+        from its minimum, by minimum, without fixed points; ``"e"`` for the
+        identity."""
+        orbits = _orbits(range(self.degree), (self.images,), operator.getitem)
+        cycs = [c for c in orbits if len(c) > 1]
         if not cycs:
             return "e"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -428,30 +422,19 @@ def symmetric_group(degree: int) -> YoungSubgroup:
 
 
 def generate(degree: int, gens) -> PermGroup:
-    """Close a generating set under composition; deterministic sorted output."""
+    """The group generated by ``gens``, listed; deterministic sorted output.
+
+    Its ``StabilizerChain`` gives the order first, so a group above the
+    element cap is refused before any element is listed."""
     gens = tuple(gens)
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatch("generator degree %d != %d" % (g.degree, degree))
     cap = max_group_elements()
-    ident = Perm.identity(degree)
-    seen = {ident.images: ident}
-    frontier = [ident]
-    gen_perms = [g for g in gens] + [g.inverse() for g in gens]
-    while frontier:
-        new_frontier = []
-        for h in frontier:
-            for g in gen_perms:
-                prod = g * h
-                if prod.images not in seen:
-                    seen[prod.images] = prod
-                    new_frontier.append(prod)
-                    if len(seen) > cap:
-                        raise ResourceLimit(
-                            "closure exceeds cap of %d elements" % cap
-                        )
-        frontier = new_frontier
-    return PermGroup(degree, seen.values(), generators=gens)
+    chain = StabilizerChain(degree, [g.images for g in gens])
+    if chain.order > cap:
+        raise ResourceLimit("closure exceeds cap of %d elements" % cap)
+    return PermGroup(degree, map(Perm, chain.elements()), generators=gens)
 
 
 class StabilizerChain:
@@ -484,6 +467,14 @@ class StabilizerChain:
 
     def __contains__(self, images) -> bool:
         return self._sift(tuple(images), 0) == self._ident
+
+    def elements(self):
+        """Every element, as image tuples: each is u_0 u_1 ... u_m for one
+        transversal element u_i per level, and each product once."""
+        out = [self._ident]
+        for _, _, trans in reversed(self._levels):
+            out = [_compose(u, g) for u, _ in trans.values() for g in out]
+        return out
 
     def add(self, g) -> bool:
         """Extend the group by the image tuple g; False if g was a member."""
@@ -623,54 +614,25 @@ def block_subgroup(block_size: int, blocks: int) -> YoungSubgroup:
     return YoungSubgroup(block_size, blocks)
 
 
-def centralizer_factors(ambient: PermGroup, perms):
-    """The centralizer of ``perms`` in ``ambient`` as direct factors with
-    disjoint supports: a list of factors, each a list of image tuples, whose
-    product is the centralizer.  No ``Perm`` or ``PermGroup`` is built.
-
-    Inside a Young subgroup of several blocks the permutations act blockwise,
-    so there is one factor per block, the elements of Sym(block) (fixing
-    every other point) that commute with the permutations there: c * b!
-    candidates are scanned instead of (b!)^c.  Every other group is one
-    factor, the scan of the whole group.
-    """
-    perms = list(perms)
-    for s in perms:
-        if s not in ambient:
-            raise NotInGroup("%r is not in the ambient group" % s)
-    imgs = [s.images for s in perms]
-    if isinstance(ambient, YoungSubgroup) and ambient.blocks > 1:
-        b = ambient.block_size
-        ident = tuple(range(ambient.degree))
-        factors = []
-        for lo in range(0, ambient.degree, b):
-            hi = lo + b
-            factors.append([
-                ident[:lo] + t + ident[hi:]
-                for t in itertools.permutations(range(lo, hi))
-                # the permutations preserve the block, so t is checked there
-                if all(t[s[i] - lo] == s[t[i - lo]] for s in imgs for i in range(lo, hi))
-            ])
-        return factors
-    scan = (g.images for g in ambient.iter_elements())
-    return [[g for g in scan if all(_commute_images(g, s) for s in imgs)]]
-
-
-def _factor_generators(degree, factors):
-    """Generators, as image tuples, of the product of ``centralizer_factors``:
-    each factor's, chosen greedily in lex order, an element kept when the
-    ``StabilizerChain`` of the ones kept before does not contain it."""
-    return [c for factor in factors for c in _chain_generators(degree, factor, len(factor))[0]]
+def _centralizer_scan(elements, imgs):
+    """The image tuples among the Perms ``elements`` that commute with
+    every image tuple in ``imgs``, in the order given."""
+    return [g.images for g in elements if all(_commute_images(g.images, s) for s in imgs)]
 
 
 def centralizer(ambient: PermGroup, perms) -> PermGroup:
     """All elements of ``ambient`` commuting with every permutation in
-    ``perms``: the product of ``centralizer_factors``, carrying the
-    generators of ``_factor_generators``."""
-    factors = centralizer_factors(ambient, perms)
-    gens = map(Perm, _factor_generators(ambient.degree, factors))
-    out = (reduce(_compose, combo) for combo in itertools.product(*factors))
-    return PermGroup(ambient.degree, map(Perm, out), generators=gens)
+    ``perms``, by one scan of ``ambient``, carrying greedy generators: the
+    scanned elements, in lex order, that enlarge the ``StabilizerChain`` of
+    those kept before them.  Criterion 2's explicit check and the tests'
+    oracle; no transfer computation asks for it."""
+    perms = list(perms)
+    for s in perms:
+        if s not in ambient:
+            raise NotInGroup("%r is not in the ambient group" % s)
+    scan = _centralizer_scan(ambient.iter_elements(), [s.images for s in perms])
+    gens = _chain_generators(ambient.degree, scan, len(scan))[0]
+    return PermGroup(ambient.degree, map(Perm, scan), generators=map(Perm, gens))
 
 
 # ---------------------------------------------------------------------------

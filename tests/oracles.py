@@ -13,11 +13,14 @@ import operator
 from transchrome import perm
 from transchrome.abelian import AbSubgroup, _check_ambient_cap, _translate
 from transchrome.decomp import CONVENTION, ComponentRecord, DecompositionReport, report_to_dict
+from transchrome.checks import max_group_elements
 from transchrome.errors import (
     ActionNotClosed,
     BadParameters,
+    DegreeMismatch,
     InternalMismatch,
     NotInGroup,
+    ResourceLimit,
 )
 from transchrome.fgl import PolyRing, Series, prepare_p_series
 from transchrome.homclass import (
@@ -33,13 +36,98 @@ from transchrome.homclass import (
 from transchrome.perm import (
     Perm,
     PermGroup,
+    YoungSubgroup,
+    _commute_images,
     _commuting_tuples,
     _compose,
     _inverse,
     _orbits,
-    generate,
     symmetric_group,
 )
+
+# -- perm: the breadth-first closure, the plain cycle walk, the blockwise centralizer scan --
+
+
+def closure(degree: int, gens) -> PermGroup:
+    """The group generated by ``gens``, closed breadth first under left
+    multiplication by the generators and their inverses; ResourceLimit as
+    soon as it lists more elements than the cap.  The reference for
+    ``perm.StabilizerChain`` and ``perm.generate``."""
+    gens = tuple(gens)
+    for g in gens:
+        if g.degree != degree:
+            raise DegreeMismatch("generator degree %d != %d" % (g.degree, degree))
+    cap = max_group_elements()
+    ident = Perm.identity(degree)
+    seen = {ident.images: ident}
+    frontier = [ident]
+    gen_perms = [g for g in gens] + [g.inverse() for g in gens]
+    while frontier:
+        new_frontier = []
+        for h in frontier:
+            for g in gen_perms:
+                prod = g * h
+                if prod.images not in seen:
+                    seen[prod.images] = prod
+                    new_frontier.append(prod)
+                    if len(seen) > cap:
+                        raise ResourceLimit("closure exceeds cap of %d elements" % cap)
+        frontier = new_frontier
+    return PermGroup(degree, seen.values(), generators=gens)
+
+
+def cycle_lists(images):
+    """The cycles of a permutation of length > 1, each from its least
+    point, by least point: the reference for ``perm.Perm.cycles``."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        nxt = images[start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt] = True
+            nxt = images[nxt]
+        if len(cyc) > 1:
+            out.append(cyc)
+    return out
+
+
+def centralizer_factors(ambient: PermGroup, perms):
+    """The centralizer of ``perms`` in ``ambient`` as direct factors with
+    disjoint supports: a list of factors, each a list of image tuples, whose
+    product is the centralizer.
+
+    Inside a Young subgroup of several blocks the permutations act blockwise,
+    so there is one factor per block, the elements of Sym(block) (fixing
+    every other point) that commute with the permutations there: c * b!
+    candidates are scanned instead of (b!)^c.  Every other group is one
+    factor, the scan of the whole group.
+    """
+    perms = list(perms)
+    for s in perms:
+        if s not in ambient:
+            raise NotInGroup("%r is not in the ambient group" % s)
+    imgs = [s.images for s in perms]
+    if isinstance(ambient, YoungSubgroup) and ambient.blocks > 1:
+        b = ambient.block_size
+        ident = tuple(range(ambient.degree))
+        factors = []
+        for lo in range(0, ambient.degree, b):
+            hi = lo + b
+            factors.append([
+                ident[:lo] + t + ident[hi:]
+                for t in itertools.permutations(range(lo, hi))
+                # the permutations preserve the block, so t is checked there
+                if all(t[s[i] - lo] == s[t[i - lo]] for s in imgs for i in range(lo, hi))
+            ])
+        return factors
+    scan = (g.images for g in ambient.iter_elements())
+    return [[g for g in scan if all(_commute_images(g, s) for s in imgs)]]
+
 
 # -- perm: cosets as objects, their orbits and stabilizers, pairwise orbit isomorphism, conjugacy search --
 
@@ -141,7 +229,7 @@ def coset_orbits(C: PermGroup, cosets):
         # c fixes gH exactly when g^-1 c g is in H
         if not all(Perm(_compose(ginv, _compose(c, g))) in H for c in kept):
             raise InternalMismatch("a Schreier generator moves its coset")
-        stab = generate(C.degree, map(Perm, kept))
+        stab = closure(C.degree, map(Perm, kept))
         if len(orbit) * stab.order != C.order:
             raise InternalMismatch(
                 "orbit of %d cosets and stabilizer of order %d in a group of order %d"

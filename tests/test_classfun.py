@@ -504,9 +504,31 @@ def test_transfer_datum_lists_and_walks_no_stable_coset(monkeypatch, p, k, h):
     monkeypatch.setattr(perm._BlockCosets, "fixed", _refuse)
     monkeypatch.setattr(perm._CosetTable, "centralizer_orbits", _refuse)
     monkeypatch.setattr(perm, "_orbit_reps", _refuse)
-    monkeypatch.setattr(SymmetricClassTable, "centralizer_generators", _refuse)
+    monkeypatch.setattr(SymmetricClassTable, "centralizer_of", _refuse)
     for key in class_table(G, lam).classes:
         assert transfer_datum(G, H, key) == data[key]
+
+
+def pair_data_lines(G, H, lam):
+    """One JSON line per class of G at lam for its transfer datum along H:
+    class id, stable-coset count, centralizer order, and per orbit record
+    its coset representative in cycle notation, H-class id, stabilizer
+    order and index."""
+    from transchrome.homclass import HomClass
+
+    g_table, h_table = class_table(G, lam), class_table(H, lam)
+    alphas = [
+        key if isinstance(key, HomClass) else [Perm(s) for s in key] for key in g_table.classes
+    ]
+    return [
+        json.dumps([g_table.class_id(key), datum.fixed_count, datum.centralizer_order, [
+            [rec.coset_rep.cycles(), h_table.class_id(rec.h_key), rec.stabilizer_order, rec.index]
+            for rec in datum.records
+        ]])
+        for datum, key in (
+            (transfer_datum(G, H, alpha, lam), key) for alpha, key in zip(alphas, g_table.classes)
+        )
+    ]
 
 
 def transfer_data_lines(p, h, k):
@@ -517,14 +539,7 @@ def transfer_data_lines(p, h, k):
     from transchrome.perm import INDEX_CAP, young_index
 
     G, H, lam = symmetric_group(p ** k), block_subgroup(p ** (k - 1), p), lam_group(p, h, k)
-    g_table, h_table = class_table(G, lam), class_table(H, lam)
-    data = [
-        json.dumps([g_table.class_id(key), datum.fixed_count, datum.centralizer_order, [
-            [rec.coset_rep.cycles(), h_table.class_id(rec.h_key), rec.stabilizer_order, rec.index]
-            for rec in datum.records
-        ]])
-        for datum, key in ((transfer_datum(G, H, key), key) for key in g_table.classes)
-    ]
+    data = pair_data_lines(G, H, lam)
     fibers = [
         json.dumps([m, hc.class_id(), [
             [orbit.partition, orbit.coset_rep.cycles(),
@@ -552,6 +567,43 @@ def test_transfer_data_match_the_recorded_digests(p, h, k):
     data, fibers = transfer_data_lines(p, h, k)
     assert hashlib.sha256("\n".join(data).encode()).hexdigest() == want["transfer_datum"]
     assert hashlib.sha256("\n".join(fibers).encode()).hexdigest() == want["coset_fiber"]
+
+
+# pairs whose data go through the exhaustive coset table: the G table's
+# centralizer generators are walked, and every coset representative is
+# printed by ``Perm.cycles``
+DIGEST_PAIRS = {
+    "Sym(4) > Z4": (
+        lambda: (symmetric_group(4), generate(4, [P("(0 1 2 3)", 4)])), [(2, 1, 2), (2, 2, 2)]
+    ),
+    "Sym(3) > A3": (
+        lambda: (symmetric_group(3), generate(3, [P("(0 1 2)", 3)])), [(3, 1, 1), (3, 2, 1)]
+    ),
+    "Sym(2) > 1": (lambda: (symmetric_group(2), generate(2, [])), [(2, 1, 1), (2, 2, 1)]),
+    "Sym(3) > 1": (lambda: (symmetric_group(3), generate(3, [])), [(3, 1, 1), (3, 2, 1)]),
+    "Sym(5) > 1": (lambda: (symmetric_group(5), generate(5, [])), [(5, 1, 1), (5, 2, 1)]),
+    "Sym(4)^2 > Sym(2)^4": (
+        lambda: (block_subgroup(4, 2), block_subgroup(2, 4)), [(2, 1, 2), (2, 2, 2)]
+    ),
+}
+
+
+@pytest.mark.parametrize("pair,p,h,k", [
+    (pair,) + phk for pair, (_, triples) in DIGEST_PAIRS.items() for phk in triples
+])
+def test_pair_transfer_data_match_the_recorded_digests(pair, p, h, k):
+    # the digests were recorded while ``generate`` still closed breadth
+    # first, the exhaustive walk took the centralizer's generators from
+    # ``centralizer_generators`` and ``Perm.cycles`` walked its own cycles
+    import hashlib
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "transfer_data_digests.json")
+    with open(path) as fh:
+        want = json.load(fh)["pairs"]["%s at %d,%d,%d" % (pair, p, h, k)]
+    G, H = DIGEST_PAIRS[pair][0]()
+    lines = pair_data_lines(G, H, lam_group(p, h, k))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want
 
 
 def _wrong_first_orbit(monkeypatch, count_agrees):
@@ -665,7 +717,9 @@ def test_generated_centralizer_is_the_scan_on_every_record(p, k, block, blocks, 
     # S8 > S4xS4 and S9 > S3^3: on every orbit record <W> is the scanned
     # C_H(beta) as a set, the chain order is its size, and the class read
     # in the same block pass is beta's
-    from transchrome.perm import _compose, _coset_system, _stable_orbits, centralizer_factors
+    from transchrome.perm import _compose, _coset_system, _stable_orbits
+
+    from oracles import centralizer_factors
 
     G, H, lam = symmetric_group(p ** k), block_subgroup(block, blocks), lam_group(p, h, k)
     g_table, h_table = class_table(G, lam), class_table(H, lam)

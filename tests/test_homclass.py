@@ -38,6 +38,8 @@ from transchrome.perm import (
     Perm,
     _BlockCosets,
     _centralizer_generators,
+    _commute_images,
+    _commuting_tuples,
     _inverse,
     _orbit_shapes,
     _orbit_types,
@@ -51,6 +53,7 @@ from transchrome.perm import (
 from oracles import (
     centralizer_generators,
     classify_by_walk,
+    closure,
     commuting_tuple_count,
     conjugating_element,
     coset_orbits,
@@ -204,7 +207,7 @@ def test_centralizer_generators_generate_the_centralizer():
         G = symmetric_group(p ** k)
         for hc in enumerate_hom_classes(p, h, k):
             gens = centralizer_generators(hc)
-            closed = generate(p ** k, gens)
+            closed = closure(p ** k, gens)
             assert closed.order == centralizer_order(hc)
             assert closed == centralizer(G, realize(hc).perms)
 
@@ -672,6 +675,39 @@ def test_block_model_calls_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_class_enumerations_leave_no_reference_cycle():
+    # the commuting tuples and the hom classes grow on explicit stacks:
+    # with the cyclic collector off, nothing they leave needs it
+    import gc
+
+    pools = [
+        [s.images for s in symmetric_group(n).iter_elements() if cap % s.order() == 0]
+        for n, cap in [(3, 3), (4, 4), (4, 8)]
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for pool in pools:
+            for h in (1, 2):
+                list(_commuting_tuples(pool, h))
+        for phk in [(2, 2, 2), (3, 1, 2), (2, 1, 3), (3, 2, 1)]:
+            enumerate_hom_classes.__wrapped__(*phk)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("n,cap,h", [(3, 3, 2), (4, 4, 2), (4, 8, 3), (4, 2, 0)])
+def test_commuting_tuples_come_in_lex_order_of_positions(n, cap, h):
+    # ``GenericClassTable.classes`` is their discovery order, and is printed
+    pool = [s.images for s in symmetric_group(n).iter_elements() if cap % s.order() == 0]
+    want = [
+        t for t in itertools.product(pool, repeat=h)
+        if all(_commute_images(a, b) for a, b in itertools.combinations(t, 2))
+    ]
+    assert list(_commuting_tuples(pool, h)) == want
 
 
 def test_coset_fiber_lists_and_walks_no_stable_partition(monkeypatch):

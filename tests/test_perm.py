@@ -22,12 +22,19 @@ from transchrome.perm import (
     _compose,
     block_subgroup,
     centralizer,
-    centralizer_factors,
     generate,
     symmetric_group,
 )
 
-from oracles import conjugating_element, coset_orbits, fixed_cosets, left_cosets
+from oracles import (
+    centralizer_factors,
+    closure,
+    conjugating_element,
+    coset_orbits,
+    cycle_lists,
+    fixed_cosets,
+    left_cosets,
+)
 
 
 def P(text, degree):
@@ -59,11 +66,25 @@ def test_cycle_notation_round_trip(triple):
     assert Perm.from_cycles(a.cycles(), a.degree) == a
 
 
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=9).flatmap(lambda n: st.permutations(range(n))))
+def test_cycles_are_the_cycle_walk(images):
+    # the orbit walk prints the cycles the plain cycle walk finds
+    cycs = cycle_lists(images)
+    want = "".join("(" + " ".join(map(str, c)) + ")" for c in cycs) if cycs else "e"
+    assert Perm(images).cycles() == want
+
+
 def test_perm_validation():
     with pytest.raises(ValueError):
         Perm((0, 0, 1))
     with pytest.raises(DegreeMismatch):
         P("(0 1)", 3) * P("(0 1)", 4)
+    # cycles sharing a point describe no permutation; the message names it
+    with pytest.raises(ValueError, match="point 1 appears in two cycles"):
+        P("(0 1)(1 2)", 4)
+    with pytest.raises(ValueError, match="point 3 appears in two cycles"):
+        P("(0 3)(1 2)(3 4)", 5)
 
 
 def test_perm_order_and_power():
@@ -95,6 +116,17 @@ def test_generate_respects_cap(monkeypatch):
 def test_generate_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         generate(4, [P("(0 1)", 3)])
+
+
+def test_generate_refuses_before_it_lists(monkeypatch):
+    # Sym(10) has 10! > 10^6 elements: the chain's order refuses it, and
+    # no element is listed
+    def refuse(self):
+        raise AssertionError("listed the elements of an over-cap group")
+
+    monkeypatch.setattr(StabilizerChain, "elements", refuse)
+    with pytest.raises(ResourceLimit, match="closure exceeds cap of 1000000 elements"):
+        generate(10, [P("(0 1)", 10), P("(0 1 2 3 4 5 6 7 8 9)", 10)])
 
 
 def test_centralizer_examples():
@@ -466,9 +498,12 @@ def test_stabilizer_chain_matches_the_closure(data):
     # generating sets of degree <= 7
     n = data.draw(st.integers(min_value=1, max_value=7))
     gens = [tuple(g) for g in data.draw(st.lists(st.permutations(range(n)), max_size=4))]
-    closed = {g.images for g in generate(n, [Perm(g) for g in gens])}
+    closed_group = closure(n, [Perm(g) for g in gens])
+    closed = {g.images for g in closed_group}
     chain = StabilizerChain(n, gens)
     assert chain.order == len(closed)
+    assert sorted(chain.elements()) == sorted(closed)
+    assert generate(n, [Perm(g) for g in gens]).elements == closed_group.elements
     probes = [tuple(t) for t in data.draw(st.lists(st.permutations(range(n)), max_size=30))]
     for t in itertools.chain(sorted(closed), probes):
         assert (t in chain) == (t in closed)
@@ -490,7 +525,7 @@ def test_stabilizer_chain_of_large_symmetric_groups():
 
 
 def test_centralizer_carries_generators():
-    # the greedy generators of each factor generate the scanned centralizer
+    # the greedy generators of the scan generate the scanned centralizer
     S4 = symmetric_group(4)
     for H, cycles in [(S4, ["(0 1)(2 3)"]), (S4, ["e"]), (S4, ["(0 1 2 3)"]),
                       (block_subgroup(3, 3), ["(0 1 2)(6 7 8)"]),
@@ -498,7 +533,7 @@ def test_centralizer_carries_generators():
         C = centralizer(H, [P(c, H.degree) for c in cycles])
         assert C.generators
         assert len(C.generators) < C.order
-        closed = {g.images for g in generate(H.degree, C.generators)}
+        closed = {g.images for g in closure(H.degree, C.generators)}
         assert closed == {g.images for g in C}
         assert StabilizerChain(H.degree, [g.images for g in C.generators]).order == C.order
 
