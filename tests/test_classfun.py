@@ -517,18 +517,15 @@ def pair_data_lines(G, H, lam):
     from transchrome.homclass import HomClass
 
     g_table, h_table = class_table(G, lam), class_table(H, lam)
-    alphas = [
-        key if isinstance(key, HomClass) else [Perm(s) for s in key] for key in g_table.classes
-    ]
-    return [
-        json.dumps([g_table.class_id(key), datum.fixed_count, datum.centralizer_order, [
+    lines = []
+    for key in g_table.classes:
+        alpha = key if isinstance(key, HomClass) else [Perm(s) for s in key]
+        datum = transfer_datum(G, H, alpha, lam)
+        lines.append(json.dumps([g_table.class_id(key), datum.fixed_count, datum.centralizer_order, [
             [rec.coset_rep.cycles(), h_table.class_id(rec.h_key), rec.stabilizer_order, rec.index]
             for rec in datum.records
-        ]])
-        for datum, key in (
-            (transfer_datum(G, H, alpha, lam), key) for alpha, key in zip(alphas, g_table.classes)
-        )
-    ]
+        ]]))
+    return lines
 
 
 def transfer_data_lines(p, h, k):

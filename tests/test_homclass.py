@@ -677,15 +677,17 @@ def test_block_model_calls_leave_no_reference_cycle():
         gc.enable()
 
 
+def order_pool(n, cap):
+    """The image tuples of Sym(n) whose order divides cap."""
+    return [s.images for s in symmetric_group(n).iter_elements() if cap % s.order() == 0]
+
+
 def test_class_enumerations_leave_no_reference_cycle():
     # the commuting tuples and the hom classes grow on explicit stacks:
     # with the cyclic collector off, nothing they leave needs it
     import gc
 
-    pools = [
-        [s.images for s in symmetric_group(n).iter_elements() if cap % s.order() == 0]
-        for n, cap in [(3, 3), (4, 4), (4, 8)]
-    ]
+    pools = [order_pool(n, cap) for n, cap in [(3, 3), (4, 4), (4, 8)]]
     gc.collect()
     gc.disable()
     try:
@@ -702,7 +704,7 @@ def test_class_enumerations_leave_no_reference_cycle():
 @pytest.mark.parametrize("n,cap,h", [(3, 3, 2), (4, 4, 2), (4, 8, 3), (4, 2, 0)])
 def test_commuting_tuples_come_in_lex_order_of_positions(n, cap, h):
     # ``GenericClassTable.classes`` is their discovery order, and is printed
-    pool = [s.images for s in symmetric_group(n).iter_elements() if cap % s.order() == 0]
+    pool = order_pool(n, cap)
     want = [
         t for t in itertools.product(pool, repeat=h)
         if all(_commute_images(a, b) for a, b in itertools.combinations(t, 2))
