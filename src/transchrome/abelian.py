@@ -105,8 +105,8 @@ class Ambient(Record):
 def _check_ambient_cap(ambient: Ambient):
     """ResourceLimit when (Z/p^k)^h has more than AMBIENT_CAP elements;
     p^(kh) is never formed for a large kh.  Every ambient group listed
-    here, in ``homclass`` or in ``decomp`` is checked by this one helper
-    before its elements are."""
+    here or in ``homclass``, and ``decomp``'s split model, which is never
+    listed, is checked by this one helper before any work on it."""
     p, k, h = ambient.p, ambient.k, ambient.h
     if power_exceeds(p, k * h, AMBIENT_CAP):
         raise ResourceLimit("ambient group (Z/%d^%d)^%d exceeds cap %d" % (p, k, h, AMBIENT_CAP))
@@ -151,9 +151,21 @@ class AbSubgroup:
     __slots__ = ("ambient", "_keys", "_kset", "_elements", "_gens", "_ann", "_hash")
 
     def __init__(self, ambient: Ambient, elements):
-        """The subgroup with these elements, h-tuples with coordinates in
-        0..p^k-1 (BadParameters otherwise)."""
-        self._init(ambient, {ambient._pack(x) for x in elements})
+        """The subgroup with these elements, h-tuples in 0..p^k-1; BadParameters
+        otherwise or when the set is not closed.  Its closure is built by
+        ``_extend`` only while no larger than the set, and only if every
+        element's order divides the set's size, so a non-subgroup costs at
+        most |set|^2 element adds."""
+        elements = list(elements)
+        members = {ambient._pack(x) for x in elements}
+        span = {0}
+        if all(len(members) % ambient.element_order(x) == 0 for x in elements):
+            for x in members:
+                if x not in span and len(span) < len(members):
+                    span = _extend(ambient, span, x)
+        if span != members:
+            raise BadParameters("not a subgroup of (Z/%d)^%d" % (ambient.modulus, ambient.h))
+        self._init(ambient, members)
 
     def _init(self, ambient: Ambient, members: set, keys=None):
         self.ambient = ambient

@@ -4,7 +4,8 @@ After splitting off an etale part of rank h = n - t, the scheme counting
 order-p^k subgroups decomposes into components indexed by the isotypic
 classes of actions of (Z/p^k)^h, each component labelled by a subgroup
 L <= (Z/p^k)^h (the dual image) and carrying a fiber rank: the number of
-order-p^k subgroups of (Z/p^k)^t + (Z/p^k)^h projecting exactly onto L.
+order-p^k subgroups of (Z/p^k)^t + (Z/p^k)^h projecting exactly onto L, in
+closed form from Goursat's lemma and Birkhoff's count of subgroups by type.
 
 Triviality of each class's transfer ideal is decided twice, through the
 transfer-orbit indices and through the diagonal-factorization test, and a
@@ -54,43 +55,27 @@ class DecompositionReport(Record):
         return [r for r in self.records if not r.ideal_trivial]
 
 
-def fiber_ranks(p: int, n: int, t: int, k: int) -> dict:
-    """Every fiber rank at once: {projection element tuple: count}.
-
-    Each order-p^k subgroup of the split model (Z/p^k)^t + (Z/p^k)^{n-t},
-    the formal part the first t coordinates and the etale part the last
-    n-t, is projected onto the etale part exactly once; the count under a
-    subgroup L's sorted element tuple is the number of subgroups projecting
-    exactly onto L.
-
-    A packed element's field width depends on p^k alone and the etale
-    coordinates are its low n-t fields, so one mask projects it: the masked
-    ints are packed elements of (Z/p^k)^{n-t}, which sort as their tuples
-    do.  Only the distinct projections are decoded.
-    """
-    if not 0 <= t < n:
-        raise BadParameters("need 0 <= t < n")
-    check_prime(p)
-    split = Ambient(p, k, n)
-    abelian._check_ambient_cap(split)
-    etale = Ambient(p, k, n - t)
-    mask = (1 << etale._layout[0] * (n - t)) - 1
-    counts = {}
-    for sub in abelian.subgroups_of_ambient(split, order=p ** k):
-        proj = tuple(sorted({key & mask for key in sub._keys}))
-        counts[proj] = counts.get(proj, 0) + 1
-    return {tuple(map(etale._unpack, proj)): count for proj, count in counts.items()}
-
-
 def fiber_rank(L: AbSubgroup, p: int, n: int, t: int, k: int) -> int:
-    """Order-p^k subgroups of (Z/p^k)^t + (Z/p^k)^{n-t} projecting onto L,
-    read off ``fiber_ranks``."""
-    h = n - t
-    if L.ambient != Ambient(p, k, h):
+    """Order-p^k subgroups of T + E projecting onto L <= E, T = (Z/p^k)^t and
+    E = (Z/p^k)^{n-t}, in closed form.  By Goursat's lemma each is a pair
+    (N, phi): N <= T of order p^(k-l), |L| = p^l, and phi: L -> T/N any
+    homomorphism.  T/N has order p^(kt-k+l) and cyclic factors of order at
+    most p^k, so each of its t factors has order at least p^l >= exp(L), and
+    |Hom(L, T/N)| = |L|^t.  The N are the order-p^(k-l) subgroups of
+    (Q_p/Z_p)^t, [k-l+t-1 choose t-1]_p of them (Birkhoff's count by type,
+    summed over types), so the rank depends on |L| alone.  The split model
+    is never listed, yet one above the ambient cap is refused."""
+    if L.ambient != Ambient(p, k, n - t):
         raise BadParameters("L lives in the wrong ambient group")
     if L.order > p ** k:
         raise BadParameters("label subgroup has order above p^k")
-    return fiber_ranks(p, n, t, k).get(L.elements, 0)
+    if not 0 <= t < n:
+        raise BadParameters("need 0 <= t < n")
+    abelian._check_ambient_cap(Ambient(p, k, n))
+    if t == 0:
+        return int(L.order == p ** k)
+    l = abelian._valuation(L.order, p)
+    return L.order ** t * abelian._gaussian_binomial(k - l + t - 1, t - 1, p)
 
 
 def _validate_params(p, n, t, k):
@@ -109,7 +94,7 @@ def decompose(p: int, n: int, t: int, k: int) -> DecompositionReport:
     """One record per class; triviality cross-validated; ranks attached."""
     _validate_params(p, n, t, k)
     h = n - t
-    ranks = fiber_ranks(p, n, t, k)
+    abelian._check_ambient_cap(Ambient(p, k, n))
     classes = homclass.enumerate_hom_classes(p, h, k)
     G = symmetric_group(p ** k)
     H = block_subgroup(p ** (k - 1), p)
@@ -142,7 +127,7 @@ def decompose(p: int, n: int, t: int, k: int) -> DecompositionReport:
                 m=m,
                 dual_image=L,
                 ideal_trivial=trivial,
-                fiber_rank=None if trivial else ranks.get(L.elements, 0),
+                fiber_rank=None if trivial else fiber_rank(L, p, n, t, k),
                 centralizer_order=homclass.centralizer_order(hc),
             )
         )

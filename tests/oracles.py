@@ -10,10 +10,10 @@ import itertools
 import json
 import operator
 
-from transchrome import perm
-from transchrome.abelian import AbSubgroup, _check_ambient_cap, _translate
+from transchrome import abelian, perm
+from transchrome.abelian import Ambient, AbSubgroup, _check_ambient_cap, _translate
 from transchrome.decomp import CONVENTION, ComponentRecord, DecompositionReport, report_to_dict
-from transchrome.checks import max_group_elements
+from transchrome.checks import check_prime, max_group_elements
 from transchrome.errors import (
     ActionNotClosed,
     BadParameters,
@@ -471,6 +471,37 @@ def is_closed(sub: AbSubgroup) -> bool:
         ambient_neg(amb, x) in eset and all(ambient_add(amb, x, y) in eset for y in eset)
         for x in eset
     )
+
+
+# -- decomp: the split-model listing behind the fiber ranks --
+
+
+def fiber_ranks(p: int, n: int, t: int, k: int) -> dict:
+    """Every fiber rank at once: {projection element tuple: count}.
+
+    Each order-p^k subgroup of the split model (Z/p^k)^t + (Z/p^k)^{n-t},
+    the formal part the first t coordinates and the etale part the last
+    n-t, is projected onto the etale part exactly once; the count under a
+    subgroup L's sorted element tuple is the number of subgroups projecting
+    exactly onto L.
+
+    A packed element's field width depends on p^k alone and the etale
+    coordinates are its low n-t fields, so one mask projects it: the masked
+    ints are packed elements of (Z/p^k)^{n-t}, which sort as their tuples
+    do.  Only the distinct projections are decoded.
+    """
+    if not 0 <= t < n:
+        raise BadParameters("need 0 <= t < n")
+    check_prime(p)
+    split = Ambient(p, k, n)
+    abelian._check_ambient_cap(split)
+    etale = Ambient(p, k, n - t)
+    mask = (1 << etale._layout[0] * (n - t)) - 1
+    counts = {}
+    for sub in abelian.subgroups_of_ambient(split, order=p ** k):
+        proj = tuple(sorted({key & mask for key in sub._keys}))
+        counts[proj] = counts.get(proj, 0) + 1
+    return {tuple(map(etale._unpack, proj)): count for proj, count in counts.items()}
 
 
 # -- decomp: reading a report back --

@@ -541,6 +541,23 @@ def test_constructor_refuses_coordinates_out_of_range():
             AbSubgroup(amb, elements)
 
 
+def test_constructor_refuses_a_set_that_is_not_a_subgroup():
+    # {0, 1} in Z/4 is no subgroup, and its annihilator would fail its own
+    # check; a set must equal its closure
+    amb = Ambient(2, 2, 1)
+    for elements in ([(0,), (1,)], [(1,), (2,), (3,)], [], [(0,), (1,), (2,)]):
+        with pytest.raises(BadParameters, match="not a subgroup"):
+            AbSubgroup(amb, elements)
+    # orders that do not divide the set's size are refused before any closure
+    with pytest.raises(BadParameters, match="not a subgroup"):
+        AbSubgroup(Ambient(10007, 3, 1), [(0,), (1,)])
+    # 31 independent vectors and zero: refused without closing 2^31 elements
+    basis = [tuple(int(i == j) for j in range(40)) for i in range(31)]
+    with pytest.raises(BadParameters, match="not a subgroup"):
+        AbSubgroup(Ambient(2, 1, 40), [(0,) * 40] + basis)
+    assert AbSubgroup(amb, iter([(2,), (0,)])) == AbSubgroup.span(amb, [(2,)])
+
+
 def test_membership_of_a_non_element_is_false():
     full = full_subgroup(Ambient(2, 2, 2))
     assert (3, 3) in full

@@ -51,6 +51,12 @@ GOLDEN = [
                                "--k", "3")),
     ("decompose_p3_n3_t1_k2", ("decompose", "--p", "3", "--n", "3", "--t", "1",
                                "--k", "2")),
+    # formal rank t = 2 and 3, where the Gaussian binomial in the fiber ranks
+    # |L|^t [k - l + t - 1 choose t - 1]_p is not 1
+    ("decompose_p2_n4_t2_k2", ("decompose", "--p", "2", "--n", "4", "--t", "2",
+                               "--k", "2")),
+    ("decompose_p2_n4_t3_k3", ("decompose", "--p", "2", "--n", "4", "--t", "3",
+                               "--k", "3")),
     # Young subgroups served by the product class table: S8 > S4xS4, S9 > S3^3
     ("transfer_p2_h2_k3", ("transfer", "--p", "2", "--h", "2", "--k", "3", "--class-id",
                            "p2.k3.h2:[(U<0.1|1.0>:idx1,m2),(U<0.1|2.0>:idx2,m1),"

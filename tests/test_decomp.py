@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 import pickle
@@ -18,7 +19,7 @@ from transchrome.abelian import (
 from transchrome.errors import BadParameters, ResourceLimit
 from transchrome.homclass import enumerate_hom_classes, lam_group
 
-from oracles import full_subgroup, report_from_json, report_to_json
+from oracles import fiber_ranks, full_subgroup, report_from_json, report_to_json
 
 
 def by_label_order(report):
@@ -107,18 +108,19 @@ def per_label_rank(L, p, n, t, k):
 
 @pytest.mark.parametrize("p,n,t,k", [(2, 2, 1, 2), (2, 3, 1, 1), (2, 3, 2, 1), (3, 2, 1, 1), (2, 2, 0, 2)])
 def test_fiber_ranks_match_per_label_scan(p, n, t, k):
-    ranks = decomp.fiber_ranks(p, n, t, k)
+    ranks = fiber_ranks(p, n, t, k)
     labels = [L for m in range(k + 1) for L in enumerate_subgroups(n - t, p, k, p ** m)]
     assert set(ranks) <= {L.elements for L in labels}
     for L in labels:
         assert ranks.get(L.elements, 0) == per_label_rank(L, p, n, t, k)
+        assert decomp.fiber_rank(L, p, n, t, k) == per_label_rank(L, p, n, t, k)
     assert sum(ranks.values()) == count_sublattices(n, p, k)
 
 
 @pytest.mark.parametrize("p,n,t,k", [(2, 3, 1, 3), (3, 3, 1, 2), (2, 3, 0, 2), (2, 4, 1, 2)])
 def test_fiber_ranks_project_packed_keys_as_the_decoded_elements(p, n, t, k):
-    # the masked packed keys give the dict that slicing every decoded
-    # element gave, and no subgroup of the split model is decoded
+    # the oracle's masked packed keys give the dict that slicing every
+    # decoded element gave, and no subgroup of the split model is decoded
     subs = subgroups_of_ambient(Ambient(p, k, n), order=p ** k)
     want = {}
     for sub in subs:
@@ -133,11 +135,55 @@ def test_fiber_ranks_project_packed_keys_as_the_decoded_elements(p, n, t, k):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(AbSubgroup, "elements", property(counted))
-        assert decomp.fiber_ranks(p, n, t, k) == want
+        assert fiber_ranks(p, n, t, k) == want
     assert decoded == []
 
 
-def test_decompose_projects_the_split_model_once(monkeypatch):
+# every (p, n, t, k) that decompose admits: p^k <= 9, n - t <= 3 and the
+# split model (Z/p^k)^n within the ambient cap
+ADMITTED = [
+    (p, n, t, k)
+    for p in (2, 3, 5, 7) for k in (1, 2, 3) if p ** k <= 9
+    for n in range(1, 16) if p ** (k * n) <= abelian.AMBIENT_CAP
+    for t in range(max(0, n - 3), n)
+]
+
+
+@functools.cache
+def listed(p, n, t, k):
+    """The oracle's ranks and every label of order <= p^k, by listing."""
+    levels = abelian._subgroup_levels(Ambient(p, k, n - t), k)
+    return fiber_ranks(p, n, t, k), [L for level in levels for L in level]
+
+
+def test_fiber_rank_is_the_listing_on_every_admitted_request():
+    assert len(ADMITTED) == 111
+    for p, n, t, k in ADMITTED:
+        ranks, labels = listed(p, n, t, k)
+        assert set(ranks) <= {L.elements for L in labels}
+        for L in labels:
+            assert decomp.fiber_rank(L, p, n, t, k) == ranks.get(L.elements, 0), (p, n, t, k, L)
+
+
+def test_listed_ranks_depend_only_on_the_label_order():
+    # the structure the closed form rests on, checked on the listing alone:
+    # labels of one order have one rank, however their elements' orders
+    # split (cyclic and elementary labels share a level from k = 2 on)
+    mixed = 0
+    for p, n, t, k in ADMITTED:
+        ranks, labels = listed(p, n, t, k)
+        by_order, types = {}, {}
+        for L in labels:
+            by_order.setdefault(L.order, set()).add(ranks.get(L.elements, 0))
+            orders = [L.ambient.element_order(x) for x in L.elements]
+            torsion = tuple(sum(o <= p ** j for o in orders) for j in range(k + 1))
+            types.setdefault(L.order, set()).add(torsion)
+        assert all(len(seen) == 1 for seen in by_order.values()), (p, n, t, k)
+        mixed += any(len(seen) > 1 for seen in types.values())
+    assert mixed
+
+
+def test_decompose_lists_no_subgroup_of_the_split_model(monkeypatch):
     calls = []
     original = abelian.subgroups_of_ambient
 
@@ -148,14 +194,58 @@ def test_decompose_projects_the_split_model_once(monkeypatch):
     monkeypatch.setattr(abelian, "subgroups_of_ambient", counting)
     report = decomp.decompose(2, 3, 1, 2)
     assert len(report.nontrivial) > 1
-    assert calls == [Ambient(2, 2, 3)]
+    assert calls == []
 
 
-def test_fiber_ranks_cap_before_work():
-    with pytest.raises(ResourceLimit):
-        decomp.fiber_ranks(2, 10 ** 9, 10 ** 9 - 1, 1)
+def test_fiber_rank_walks_no_lattice_of_the_split_model(monkeypatch):
+    # one call per label of (2,3,1,3), none of which walks (Z/8)^3
+    p, n, t, k = 2, 3, 1, 3
+    labels = [L for level in abelian._subgroup_levels(Ambient(p, k, n - t), k) for L in level]
+    original = abelian._subgroup_levels
+
+    def refusing(ambient, top):
+        assert ambient != Ambient(p, k, n), "walked the split model"
+        return original(ambient, top)
+
+    monkeypatch.setattr(abelian, "_subgroup_levels", refusing)
+    ranks = [decomp.fiber_rank(L, p, n, t, k) for L in labels]
+    assert len(ranks) == sub_leq_count(n - t, p, k) == 26
+    assert sum(ranks) == count_sublattices(n, p, k)
+
+
+def test_fiber_ranks_cap_before_work(monkeypatch):
+    # fiber_rank and decompose refuse a split model above the ambient cap
+    # before any rank or class is computed
+    def no_work(*args):
+        raise AssertionError("worked past the ambient cap")
+
+    monkeypatch.setattr(abelian, "_gaussian_binomial", no_work)
+    monkeypatch.setattr(decomp.homclass, "enumerate_hom_classes", no_work)
+    lam = lam_group(2, 1, 1)
+    for n in (14, 10 ** 9):
+        with pytest.raises(ResourceLimit, match=r"\(Z/2\^1\)\^%d exceeds cap" % n):
+            decomp.fiber_rank(AbSubgroup.trivial(lam), 2, n, n - 1, 1)
+        with pytest.raises(ResourceLimit, match=r"\(Z/2\^1\)\^%d exceeds cap" % n):
+            decomp.decompose(2, n, n - 1, 1)
     with pytest.raises(BadParameters):
-        decomp.fiber_ranks(2, 2, 2, 1)
+        decomp.fiber_rank(AbSubgroup.trivial(lam), 2, 2, 2, 1)
+    with pytest.raises(BadParameters):
+        decomp.fiber_rank(AbSubgroup.trivial(lam_group(2, 3, 1)), 2, 2, -1, 1)
+
+
+# the largest n per (p, k) whose split model (Z/p^k)^n is within the cap
+FRONTIER = [(2, 1, 13), (2, 2, 6), (2, 3, 4), (3, 1, 8), (3, 2, 4), (5, 1, 5), (7, 1, 4)]
+
+
+@pytest.mark.parametrize("p,k,n", FRONTIER)
+def test_decompose_answers_at_the_ambient_cap_and_refuses_past_it(p, k, n):
+    assert p ** (k * n) <= abelian.AMBIENT_CAP < p ** (k * (n + 1))
+    report = decomp.decompose(p, n, n - 1, k)
+    assert report.rank_sum == count_sublattices(n, p, k)
+    assert decomp.verify_triangle(report)
+    message = r"^ambient group \(Z/%d\^%d\)\^%d exceeds cap 10000$" % (p, k, n + 1)
+    with pytest.raises(ResourceLimit, match=message):
+        decomp.decompose(p, n + 1, n, k)
 
 
 def test_component_counts_match_closed_form():
