@@ -1,22 +1,21 @@
 """Input checks, caps and the record base shared by the layers.
 
 This module imports nothing of the package but ``errors``, so a layer that
-only needs a primality test, a power bound, the group-order cap, the
-integer-string limit or ``Record`` does not load another layer for it.
+only needs a primality test, a power bound, the integer-string limit or
+``Record`` does not load another layer for it.  The caps on work sit with
+the code whose work they bound; the group-order cap, for one, is
+``perm.MAX_ELEMENTS``, checked where group elements are listed.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from operator import attrgetter
 
-from .errors import BadParameters, NotPrime, ResourceLimit
+from .errors import NotPrime, ResourceLimit
 
 # Trial division up to sqrt(PRIME_CAP) takes about 0.1 s.
 PRIME_CAP = 10 ** 12
-DEFAULT_MAX_ELEMENTS = 10 ** 6
-ENV_MAX_ELEMENTS = "TRANSCHROME_MAX_ELEMENTS"
 
 
 def is_prime(p: int) -> bool:
@@ -47,26 +46,6 @@ def power_exceeds(p: int, e: int, cap: int) -> bool:
 def digit_limit() -> int:
     """The interpreter's integer-string limit, its default when unlimited."""
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-
-
-def max_group_elements() -> int:
-    """Group-order cap for closures; override with TRANSCHROME_MAX_ELEMENTS.
-
-    Raises BadParameters when the variable is set but is not a positive
-    integer.
-    """
-    raw = os.environ.get(ENV_MAX_ELEMENTS)
-    if raw is None:
-        return DEFAULT_MAX_ELEMENTS
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise BadParameters(
-            "%s must be a positive integer, got %r" % (ENV_MAX_ELEMENTS, raw)
-        )
-    return value
 
 
 class Record:

@@ -210,16 +210,21 @@ class ProductClassTable(GenericClassTable):
 
     Conjugation acts blockwise, so the lex-minimal conjugate of a tuple is
     the join of its blockwise lex-minimal conjugates: keys, class order, ids
-    and centralizer orders are exactly ``GenericClassTable``'s.
+    and centralizer orders are exactly ``GenericClassTable``'s.  The factor
+    table caps the order of Sym(b); the classes, one per c-tuple of factor
+    classes, are capped by GENERIC_TABLE_CAP before any is built.  The
+    order of H is not capped: nothing here lists H.
     """
 
     def __init__(self, group: YoungSubgroup, lam: Ambient):
-        if group.order > GENERIC_TABLE_CAP:
-            raise ResourceLimit(
-                "group of order %d too large for exhaustive class table" % group.order
-            )
         self.group, self.lam, self.degree = group, lam, group.degree
         self.factor = GenericClassTable(symmetric_group(group.block_size), lam)
+        per_block = len(self.factor.classes)
+        if per_block ** group.blocks > GENERIC_TABLE_CAP:
+            raise ResourceLimit(
+                "%d^%d classes exceed the product class-table cap %d"
+                % (per_block, group.blocks, GENERIC_TABLE_CAP)
+            )
         # block action -> (its factor key, its centralizer generators in
         # Sym(b), their chain order); the keys are entries of ``factor._lookup``
         self._block_entries = {}

@@ -16,9 +16,8 @@ import importlib.util
 import json
 import sys
 
-from .checks import ENV_MAX_ELEMENTS, max_group_elements, power_exceeds
+from .checks import power_exceeds
 from .errors import (
-    BadParameters,
     DomainError,
     IntegralityFailure,
     InternalMismatch,
@@ -138,7 +137,7 @@ def _cmd_decompose(args):
 
 def _resolve_class(args, lam):
     """The class named by --class-id, else the one of --alpha; the caller
-    has checked that one of the two is given."""
+    has checked that one of the two is given, and the arity of --alpha."""
     table = classfun.class_table(perm.symmetric_group(lam.p ** lam.k), lam)
     if args.class_id:
         for key in table.classes:
@@ -149,14 +148,14 @@ def _resolve_class(args, lam):
     perms = tuple(
         perm.Perm.from_cycles(part.strip(), degree) for part in args.alpha.split(";")
     )
-    if len(perms) != lam.h:
-        raise DomainError("--alpha needs %d component(s)" % lam.h)
     return table.key_of_images(tuple(p.images for p in perms))
 
 
 def _young_pair(args):
     """(lam, m, Sym(p^k), its Young subgroup on blocks of p^m), m defaulting
-    to k - 1; the size and index caps are checked before any group is built."""
+    to k - 1.  The hom-class and index caps are checked before any group is
+    built, and the subgroup's class table, with its own caps, is built
+    before the caller reads the table of Sym(p^k)."""
     lam = homclass.lam_group(args.p, args.h, args.k)
     m = args.m if args.m is not None else args.k - 1
     if not 0 <= m <= args.k:
@@ -164,13 +163,17 @@ def _young_pair(args):
     homclass.enumerate_hom_classes(args.p, args.h, args.k)
     degree, block = args.p ** args.k, args.p ** m
     perm.check_index(perm.young_index(degree, block))
-    return lam, m, perm.symmetric_group(degree), perm.block_subgroup(block, degree // block)
+    H = perm.block_subgroup(block, degree // block)
+    classfun.class_table(H, lam)
+    return lam, m, perm.symmetric_group(degree), H
 
 
 def _cmd_transfer(args):
     # refused before _young_pair lists the hom classes
     if not (args.class_id or args.alpha):
         raise DomainError("need --class-id or --alpha")
+    if args.alpha and args.h >= 1 and len(args.alpha.split(";")) != args.h:
+        raise DomainError("--alpha needs %d component(s)" % args.h)
     lam, m, G, H = _young_pair(args)
     key = _resolve_class(args, lam)
     datum = classfun.transfer_datum(G, H, key)
@@ -320,8 +323,7 @@ def _cmd_reproduce(args):
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="transchrome",
-        description="Exact transfer combinatorics on symmetric groups; "
-        "set %s to raise the group-order cap." % ENV_MAX_ELEMENTS,
+        description="Exact transfer combinatorics on symmetric groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -393,11 +395,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        max_group_elements()
-    except BadParameters as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (InternalMismatch, IntegralityFailure) as exc:

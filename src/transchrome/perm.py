@@ -46,6 +46,14 @@ on it relabelled by position in the walk.  Orbits of one shape are one
 type, matched position by position (``_orbit_types``), and
 ``homclass.classify`` reads each orbit's kernel off its shape.
 
+One cap, ``MAX_ELEMENTS``, bounds every listing of group elements, and it
+is checked where a group is listed, before the first element:
+``generate`` checks its chain's order and ``YoungSubgroup.iter_elements``
+the order of its shape.  Building a group lists nothing, so
+``block_subgroup`` and ``symmetric_group`` check nothing; a group given as
+an element list is listed already, so ``centralizer`` and the coset table,
+which list their groups through ``iter_elements``, check nothing either.
+
 Points are 0-based throughout; the transposition of the first two points
 prints as ``(0 1)``.
 """
@@ -58,7 +66,6 @@ import operator
 import re
 from functools import lru_cache
 
-from .checks import max_group_elements
 from .errors import (
     ActionNotClosed,
     BadParameters,
@@ -68,6 +75,10 @@ from .errors import (
     NotSubgroup,
     ResourceLimit,
 )
+
+# the most elements of a group listed at once
+MAX_ELEMENTS = 10 ** 6
+
 
 def _compose(a, b):
     # image tuples: (a*b)(x) = a(b(x))
@@ -161,6 +172,13 @@ def _permutation(images):
     return images
 
 
+def _wrap(images):
+    """The Perm of an image tuple known to be a permutation, unchecked."""
+    p = Perm.__new__(Perm)
+    p.images = images
+    return p
+
+
 def _order(images) -> int:
     """The order of a permutation given by its image tuple: the lcm of its
     cycle lengths."""
@@ -232,14 +250,10 @@ class Perm:
             raise DegreeMismatch(
                 "cannot compose degree %d with degree %d" % (self.degree, other.degree)
             )
-        p = Perm.__new__(Perm)
-        p.images = _compose(self.images, other.images)
-        return p
+        return _wrap(_compose(self.images, other.images))
 
     def inverse(self) -> "Perm":
-        p = Perm.__new__(Perm)
-        p.images = _inverse(self.images)
-        return p
+        return _wrap(_inverse(self.images))
 
     __invert__ = inverse
 
@@ -370,7 +384,8 @@ class YoungSubgroup(PermGroup):
 
     Sym(n) is the one-block case.  Order, generators and membership are read
     off the shape; the elements are enumerated lazily, in lexicographic order
-    (the first block varies slowest), and only when asked for.
+    (the first block varies slowest), and only when asked for: above
+    MAX_ELEMENTS, ``iter_elements`` refuses before the first.
     """
 
     def __init__(self, block_size, blocks):
@@ -397,14 +412,15 @@ class YoungSubgroup(PermGroup):
         return tuple(self.iter_elements())
 
     def iter_elements(self):
+        if self.order > MAX_ELEMENTS:
+            raise ResourceLimit(
+                "Sym(%d)^%d exceeds cap of %d elements" % (self.block_size, self.blocks, MAX_ELEMENTS)
+            )
         b = self.block_size
         factors = [itertools.permutations(range(lo, lo + b)) for lo in range(0, self.degree, b)]
         # one block streams; product() would first list all of Sym(n)
         rows = factors[0] if self.blocks == 1 else (sum(c, ()) for c in itertools.product(*factors))
-        for t in rows:
-            p = Perm.__new__(Perm)
-            p.images = t
-            yield p
+        return map(_wrap, rows)
 
     def __contains__(self, perm: Perm) -> bool:
         b = self.block_size
@@ -430,10 +446,9 @@ def generate(degree: int, gens) -> PermGroup:
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatch("generator degree %d != %d" % (g.degree, degree))
-    cap = max_group_elements()
     chain = StabilizerChain(degree, [g.images for g in gens])
-    if chain.order > cap:
-        raise ResourceLimit("closure exceeds cap of %d elements" % cap)
+    if chain.order > MAX_ELEMENTS:
+        raise ResourceLimit("closure exceeds cap of %d elements" % MAX_ELEMENTS)
     return PermGroup(degree, map(Perm, chain.elements()), generators=gens)
 
 
@@ -606,11 +621,10 @@ def block_subgroup(block_size: int, blocks: int) -> YoungSubgroup:
     """The direct product of symmetric groups on consecutive equal blocks.
 
     ``block_subgroup(2, 2)`` is the subgroup of Sym(4) preserving {0,1} and
-    {2,3} setwise; its order is (block_size!)^blocks, capped like a closure.
+    {2,3} setwise; its order is (block_size!)^blocks.  Building it lists no
+    element, so no order is capped here: its ``iter_elements`` checks the
+    element cap.
     """
-    cap = max_group_elements()
-    if math.factorial(block_size) ** blocks > cap:
-        raise ResourceLimit("block subgroup order exceeds cap of %d elements" % cap)
     return YoungSubgroup(block_size, blocks)
 
 
@@ -666,8 +680,6 @@ class _CosetTable:
     def __init__(self, G: PermGroup, H: PermGroup):
         if not H.is_subgroup_of(G):
             raise NotSubgroup("H is not a subgroup of G")
-        if G.order > max_group_elements():
-            raise ResourceLimit("coset table over %d elements exceeds cap" % G.order)
         h_imgs = [h.images for h in H.iter_elements()]
         index = {}
         reps = []

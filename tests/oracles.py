@@ -13,7 +13,7 @@ import operator
 from transchrome import abelian, perm
 from transchrome.abelian import Ambient, AbSubgroup, _check_ambient_cap, _translate
 from transchrome.decomp import CONVENTION, ComponentRecord, DecompositionReport, report_to_dict
-from transchrome.checks import check_prime, max_group_elements
+from transchrome.checks import check_prime
 from transchrome.errors import (
     ActionNotClosed,
     BadParameters,
@@ -57,7 +57,7 @@ def closure(degree: int, gens) -> PermGroup:
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatch("generator degree %d != %d" % (g.degree, degree))
-    cap = max_group_elements()
+    cap = perm.MAX_ELEMENTS
     ident = Perm.identity(degree)
     seen = {ident.images: ident}
     frontier = [ident]

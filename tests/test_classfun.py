@@ -391,6 +391,56 @@ def test_product_table_matches_generic_table(block, blocks, p, h, k):
         product.key_of_images((tuple(swap),) * h)
 
 
+def test_product_table_caps_its_classes_before_joining(monkeypatch):
+    # Sym(2)^8 has 256 elements, but at (p, h, k) = (2, 3, 4) each block has
+    # 8 classes: 8^8 = 16.8 M joins are refused before the first
+    from transchrome.classfun import ProductClassTable
+
+    def refuse(self, parts):
+        raise AssertionError("joined the classes of an over-cap product table")
+
+    monkeypatch.setattr(ProductClassTable, "_join", refuse)
+    with pytest.raises(ResourceLimit, match="8\\^8 classes exceed the product class-table cap 10000"):
+        class_table(block_subgroup(2, 8), lam_group(2, 3, 4))
+
+
+@pytest.mark.parametrize("p,h,k,m,count", [
+    (2, 3, 3, 1, 4096), (2, 3, 3, 2, 5041), (2, 6, 2, 1, 4096), (3, 3, 2, 1, 2744),
+])
+def test_admitted_product_tables_build_under_the_class_cap(p, h, k, m, count):
+    # the largest product tables that the CLI's caps admit
+    from transchrome.classfun import GENERIC_TABLE_CAP, ProductClassTable
+
+    table = class_table.__wrapped__(block_subgroup(p ** m, p ** (k - m)), lam_group(p, h, k))
+    assert isinstance(table, ProductClassTable)
+    assert len(table.classes) == count <= GENERIC_TABLE_CAP
+
+
+@pytest.mark.parametrize("p,h,k,sample", [(13, 1, 1, None), (11, 2, 1, None),
+                                          (2, 1, 4, None), (2, 2, 4, 40)])
+def test_at_m_equal_k_the_one_coset_is_stable(p, h, k, sample):
+    # H = G has one coset, fixed by every alpha: one orbit of index 1 whose
+    # H-class is alpha's and whose stabilizer is all of C_G(alpha), and
+    # induction from H to G is the identity
+    from transchrome import homclass
+
+    degree = p ** k
+    G, H, lam = symmetric_group(degree), block_subgroup(degree, 1), lam_group(p, h, k)
+    classes = homclass.enumerate_hom_classes(p, h, k)
+    if sample:
+        classes = random.Random(0).sample(classes, sample)
+    for hc in classes:
+        datum = transfer_datum(G, H, hc)
+        assert datum.fixed_count == 1
+        (rec,) = datum.records
+        assert (rec.index, rec.h_key, rec.coset_rep) == (1, hc, Perm.identity(degree))
+        assert rec.stabilizer_order == homclass.centralizer_order(hc)
+    if sample is None:  # induction reads every class
+        chi = GenClassFunction.random(class_table(H, lam), random.Random(1))
+        assert induce(chi, G).to_json_dict() == chi.to_json_dict()
+        assert induce_grouped(chi, G).to_json_dict() == chi.to_json_dict()
+
+
 # -- the stabilizer proof, from generators --
 
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from transchrome import decomp
-from transchrome.cli import main
+from transchrome.cli import build_parser, main
 
 from oracles import report_from_dict
 
@@ -402,6 +402,39 @@ def test_transfer_without_a_class_exits_2_before_listing_classes(monkeypatch, ca
     assert "need --class-id or --alpha" in err
 
 
+def test_transfer_alpha_arity_exits_2_before_listing_classes(monkeypatch, capsys):
+    # a wrong number of --alpha components is refused before the 4747 hom
+    # classes of (2, 6, 2) are listed, and before the caps of (2, 3, 4)
+    from transchrome import homclass
+
+    def refuse(*args):
+        raise AssertionError("listed the hom classes of %s" % (args,))
+
+    monkeypatch.setattr(homclass, "enumerate_hom_classes", refuse)
+    for params, h in (("--p 2 --h 6 --k 2 --m 1", 6), ("--p 2 --h 3 --k 4 --m 1", 3)):
+        code, out, err = run_cli(capsys, "transfer", *params.split(), "--alpha", "e;e")
+        assert (code, out) == (2, ""), params
+        assert "--alpha needs %d component(s)" % h in err
+
+
+def test_transfer_over_the_factor_cap_exits_3_before_reading_g(monkeypatch, capsys):
+    # H = Sym(8)^2: its factor table Sym(8), of 8! > 10^4 elements, refuses
+    # before the table of G = Sym(16) is built
+    from transchrome import classfun
+
+    def refuse(self, lam):
+        raise AssertionError("built the class table of Sym(%d)" % lam.p ** lam.k)
+
+    monkeypatch.setattr(classfun.SymmetricClassTable, "__init__", refuse)
+    for h in ("1", "2"):
+        params = ("--p", "2", "--h", h, "--k", "4", "--m", "3")
+        for argv in (("transfer", *params, "--alpha", ";".join("e" * int(h))),
+                     ("induce", *params, "--chi", "unused.json")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 3, argv
+            assert "group of order 40320 too large for exhaustive class table" in err
+
+
 def test_transfer_checks_caps_before_building_groups(monkeypatch, capsys):
     from transchrome import cli
 
@@ -453,22 +486,14 @@ def test_json_outputs_are_canonical(capsys):
     assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == out1
 
 
-def test_env_var_overrides_group_cap(monkeypatch, capsys):
-    from transchrome.errors import BadParameters
-    from transchrome.perm import Perm, generate, max_group_elements
-
-    monkeypatch.setenv("TRANSCHROME_MAX_ELEMENTS", "10")
-    assert max_group_elements() == 10
-    gens = [Perm.from_cycles("(0 1)", 4), Perm.from_cycles("(0 1 2 3)", 4)]
-    with pytest.raises(Exception):
-        generate(4, gens)
-    for bad in ("not-a-number", "0", "-5"):
-        monkeypatch.setenv("TRANSCHROME_MAX_ELEMENTS", bad)
-        with pytest.raises(BadParameters, match="TRANSCHROME_MAX_ELEMENTS"):
-            max_group_elements()
-        code, _, err = run_cli(capsys, "count-sub", "--h", "1", "--p", "3", "--m", "2")
-        assert code == 1
-        assert "TRANSCHROME_MAX_ELEMENTS" in err
+def test_cli_ignores_the_removed_cap_variable(monkeypatch, capsys):
+    # the group-order cap is a constant: the variable that once set it is
+    # not read, so even a value it refused leaves a request alone
+    monkeypatch.setenv("TRANSCHROME_MAX_ELEMENTS", "0")
+    code, out, _ = run_cli(capsys, "count-sub", "--h", "1", "--p", "3", "--m", "2")
+    assert code == 0
+    assert "= 1" in out
+    assert "TRANSCHROME_MAX_ELEMENTS" not in build_parser().format_help()
 
 
 def test_console_entry_point():
@@ -649,7 +674,7 @@ def test_no_nested_function_of_the_library_names_itself():
 
 # -- in-process CLI fuzz: every argv gets an exit code, never a traceback --
 
-PRIMES = st.sampled_from([-2, 0, 1, 2, 3, 4, 5, 6])
+PRIMES = st.sampled_from([-2, 0, 1, 2, 3, 4, 5, 6, 11])
 EXPONENTS = st.sampled_from([-1, 0, 1, 2, 3, 12, 13])
 SMALL = st.sampled_from([-1, 0, 1, 2])
 ALPHAS = st.sampled_from([

@@ -1,10 +1,12 @@
 import functools
 import itertools
 import math
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transchrome import perm
 from transchrome.errors import (
     ActionNotClosed,
     DegreeMismatch,
@@ -108,8 +110,8 @@ def test_generate_trivial_and_klein():
 
 def test_generate_respects_cap(monkeypatch):
     gens = [P("(0 1)", 5), P("(0 1 2 3 4)", 5)]
-    monkeypatch.setenv("TRANSCHROME_MAX_ELEMENTS", "50")
-    with pytest.raises(ResourceLimit):
+    monkeypatch.setattr(perm, "MAX_ELEMENTS", 50)
+    with pytest.raises(ResourceLimit, match="closure exceeds cap of 50 elements"):
         generate(5, gens)
 
 
@@ -276,8 +278,6 @@ def test_coset_orbit_stabilizers_are_the_element_scan(degree, H, alpha):
 
 
 def test_coset_orbit_stabilizer_of_the_wrong_order_is_a_mismatch(monkeypatch):
-    import transchrome.perm as perm
-
     real = perm._chain_generators
 
     def dropped(*args):
@@ -291,8 +291,6 @@ def test_coset_orbit_stabilizer_of_the_wrong_order_is_a_mismatch(monkeypatch):
 
 
 def test_coset_orbit_generator_moving_its_coset_is_a_mismatch(monkeypatch):
-    import transchrome.perm as perm
-
     real = perm._chain_generators
 
     def with_a_mover(*args):
@@ -458,11 +456,35 @@ def test_young_generators():
         assert generate(H.degree, H.generators).order == H.order
 
 
-def test_block_subgroup_order_cap_before_work():
-    with pytest.raises(ResourceLimit, match="order exceeds cap"):
-        block_subgroup(10, 1)
-    with pytest.raises(ResourceLimit):
-        block_subgroup(4, 5)
+def _refuse_to_list(monkeypatch):
+    """Make every permutation that ``perm`` lists off ``itertools`` an
+    AssertionError, so a listing that the element cap should have refused
+    fails at once instead of running for minutes."""
+    def refuse(*args):
+        raise AssertionError("listed the elements of an over-cap group")
+
+    monkeypatch.setattr(perm, "itertools", types.SimpleNamespace(
+        **{**vars(itertools), "permutations": refuse}
+    ))
+
+
+def test_element_cap_checked_where_a_group_is_listed(monkeypatch):
+    # 10!, 24^5, 11! and 12! are above the cap: the groups build, and every
+    # listing of them is refused before its first element, where the scan
+    # of Sym(11) alone would run for minutes
+    _refuse_to_list(monkeypatch)
+    for b, c, H in ((10, 1, block_subgroup(10, 1)), (4, 5, block_subgroup(4, 5)),
+                    (11, 1, symmetric_group(11)), (12, 1, symmetric_group(12))):
+        assert (H.degree, H.order) == (b * c, math.factorial(b) ** c)
+        message = r"Sym\(%d\)\^%d exceeds cap of 1000000 elements" % (b, c)
+        with pytest.raises(ResourceLimit, match=message):
+            H.elements
+        with pytest.raises(ResourceLimit, match=message):
+            H.iter_elements()
+        with pytest.raises(ResourceLimit, match=message):
+            centralizer(H, [Perm.identity(H.degree)])
+        with pytest.raises(ResourceLimit, match=message):
+            perm._coset_table(H, PermGroup(H.degree, [Perm.identity(H.degree)]))
 
 
 @pytest.mark.parametrize("b,c,p,k", [(2, 2, 2, 2), (4, 2, 2, 3), (3, 3, 3, 2), (1, 4, 2, 2)])
