@@ -15,14 +15,13 @@ centralizer orbits are read off the orbit types of alpha (a transfer datum
 lists no stable coset; only the plain induction table does, checks their
 number against the datum's count and classifies each partition block by
 block, by the factor keys of alpha on its blocks).  Each class table
-answers one centralizer question, ``centralizer_of(beta)``: generators W
-of C(beta) and the order of their stabilizer chain.  The symmetric table
-reads W off the orbits of beta, the product table off the orbits of beta
-on each block, in the one pass over the blocks that also gives beta's
-class (``class_and_centralizer``), and the exhaustive table from one scan
-of its group.  Each coset stabilizer is proved from W: |W| generator
-checks, each asking the coset model whether it fixes the coset, and two
-order comparisons (see ``_verify_stabilizer``).
+answers one question, ``class_and_centralizer(beta)``: beta's class,
+generators W of C(beta) and the order of their stabilizer chain.  The
+symmetric table reads W off the orbits of beta, the product table off the
+orbits of beta on each block, in one pass over the blocks, and the
+exhaustive table from one scan of its group.  Each coset stabilizer is
+proved from W: |W| generator checks, each asking the coset model whether
+it fixes the coset, and two order comparisons (``_verify_stabilizer``).
 
 The codomain of the underlying character theory is modelled by one rational
 scalar per class; the transfer along an inclusion of centralizers acts as
@@ -59,6 +58,7 @@ from . import homclass as hc_mod
 from .abelian import Ambient
 from .checks import Record, digit_limit
 from .errors import (
+    BadParameters,
     InternalMismatch,
     NotInGroup,
     NotSubgroup,
@@ -101,11 +101,6 @@ class _ClassTable:
         """Class key -> its index in ``classes``."""
         return {key: i for i, key in enumerate(self.classes)}
 
-    def class_and_centralizer(self, beta):
-        """(the class key of the image tuple beta, W, |<W>|): W generators
-        of its centralizer, and their chain order, from ``centralizer_of``."""
-        return (self.key_of_images(beta),) + self.centralizer_of(beta)
-
 
 class SymmetricClassTable(_ClassTable):
     """Hom classes into the full symmetric group on p^k points.
@@ -134,11 +129,13 @@ class SymmetricClassTable(_ClassTable):
     def centralizer_order(self, key: HomClass) -> int:
         return hc_mod.centralizer_order(key)
 
-    def centralizer_of(self, beta):
-        """(W, |<W>|): generators of C_Sym(p^k)(beta), read off the orbits of
-        the image tuple beta and kept where they enlarge their stabilizer
-        chain, and the chain's order."""
-        return _chain_generators(self.degree, _centralizer_generators(beta, self.degree))
+    def class_and_centralizer(self, beta):
+        """(class of the image tuple beta, W, |<W>|): W generators of its
+        centralizer read off its orbits, kept where they enlarge their
+        stabilizer chain, and the chain's order."""
+        return (self.key_of_images(beta),) + _chain_generators(
+            self.degree, _centralizer_generators(beta, self.degree)
+        )
 
     def class_id(self, key: HomClass) -> str:
         return key.class_id()
@@ -192,13 +189,14 @@ class GenericClassTable(_ClassTable):
     def centralizer_order(self, key) -> int:
         return self._cent_orders[key]
 
-    def centralizer_of(self, beta):
-        """(W, |<W>|): the elements of one scan of the group for those
-        commuting with the image tuple beta that enlarge the stabilizer
+    def class_and_centralizer(self, beta):
+        """(class of the image tuple beta, W, |<W>|): W the elements of one
+        scan of the group for those commuting with beta that enlarge the
         chain of those kept before them, as ``perm.centralizer`` carries
         them, and the chain's order."""
-        scan = _centralizer_scan(self.group.iter_elements(), beta)
-        return _chain_generators(self.degree, scan, len(scan))
+        key = self.key_of_images(beta)
+        scan = _centralizer_scan((g.images for g in self.group.iter_elements()), beta)
+        return (key,) + _chain_generators(self.degree, scan, len(scan))
 
     def class_id(self, key) -> str:
         return ";".join(Perm(s).cycles() for s in key)
@@ -253,14 +251,14 @@ class ProductClassTable(GenericClassTable):
         # a block image outside the block is no Sym(b) tuple: NotInGroup
         return self._join([self.factor.key_of_images(local) for _, local in self._blocks(imgs)])
 
-    def _block_pass(self, beta):
-        """(factor keys, W, |<W>|) of beta in one pass over its blocks.
-        Each distinct block action gets, once, its factor key, the
-        generators of its centralizer in Sym(b), read off its orbits and
-        kept where they enlarge their stabilizer chain, and the chain's
-        order.  W embeds the generators at their blocks, and generators on
-        disjoint blocks generate the direct product, so |<W>| is the
-        product of the orders."""
+    def class_and_centralizer(self, beta):
+        """(H-class, W, |<W>|) of beta in one pass over its blocks.  Each
+        distinct block action gets, once, its factor key, the generators of
+        its centralizer in Sym(b), read off its orbits and kept where they
+        enlarge their stabilizer chain, and the chain's order.  The factor
+        keys join into the H-class.  W embeds the generators at their
+        blocks, and generators on disjoint blocks generate the direct
+        product, so |<W>| is the product of the orders."""
         b, degree = self.group.block_size, self.degree
         ident = tuple(range(degree))
         parts, gens, order = [], [], 1
@@ -275,17 +273,7 @@ class ProductClassTable(GenericClassTable):
             parts.append(part)
             gens.extend(ident[:lo] + tuple(lo + v for v in t) + ident[lo + b:] for t in local_gens)
             order *= local_order
-        return parts, gens, order
-
-    def class_and_centralizer(self, beta):
-        """(H-class, W, |<W>|) of beta from one block pass: the factor keys
-        join into the H-class."""
-        parts, gens, order = self._block_pass(beta)
         return self._join(parts), gens, order
-
-    def centralizer_of(self, beta):
-        """(W, |<W>|) for C_H(beta), from the block pass."""
-        return self._block_pass(beta)[1:]
 
     def partition_counts(self, alpha, partitions):
         """H-class -> how many of the ``partitions`` lift alpha into it, in
@@ -527,14 +515,11 @@ class TransferDatum(Record):
 def _build_datum(g_table, h_table, system, alpha_key) -> TransferDatum:
     """Orbit records for one class: the orbits of ``perm._stable_orbits``
     on the alpha-stable cosets, each with its H-class and a verified
-    stabilizer.  Only the exhaustive coset table asks for generators of
-    C_G(alpha), to walk them; the orbits do not depend on which."""
+    stabilizer."""
     alpha = g_table.rep_images(alpha_key)
     cent_order = g_table.centralizer_order(alpha_key)
     records = []
-    orbits, fixed_count = _stable_orbits(
-        system, alpha, cent_order, lambda: g_table.centralizer_of(alpha)[0]
-    )
+    orbits, fixed_count = _stable_orbits(system, alpha, cent_order)
     for token, size, stab_order, g, beta in orbits:
         h_key, gens, gens_order = h_table.class_and_centralizer(beta)
         _verify_stabilizer(
@@ -721,8 +706,13 @@ def induce_grouped(chi: GenClassFunction, G: PermGroup) -> GenClassFunction:
 
 def transfer_datum(G: PermGroup, H: PermGroup, alpha, lam: Ambient = None) -> TransferDatum:
     """Orbit records for one class: representatives, conjugated classes,
-    verified stabilizer orders, and indices."""
+    verified stabilizer orders, and indices.  A HomClass alpha carries its
+    lam; a ``lam`` given with it must be that one (BadParameters)."""
     if isinstance(alpha, HomClass):
+        if lam is not None and lam != alpha.lam:
+            raise BadParameters("lam %r differs from the lam %r of the class %s" % (
+                lam, alpha.lam, alpha.class_id()
+            ))
         lam = alpha.lam
     elif lam is None:
         raise ValueError("lam is required when alpha is a permutation tuple")

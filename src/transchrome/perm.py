@@ -3,10 +3,12 @@
 A Young subgroup Sym(b)^c (``YoungSubgroup``; Sym(n) is its one-block
 case) is read by its shape: order, generators, membership and centralizers
 come from the blocks, and its elements are enumerated lazily, only for the
-code that asks for them.  Every other group is an explicit element list and
-every operation on it is an exhaustive enumeration: the ambient groups used
-in this package act on at most nine points, where brute force is simple,
-deterministic and directly checkable against independent counts.
+code that asks for them.  Every other group is an element list, scanned
+exhaustively.  No transfer along a Young subgroup of Sym(n) lists either
+group.  The CLI's requests list elements only for the non-Young pairs of
+acceptance criteria 3 and 8 (S4 > Z4, S3 > A3, Sym(p) > 1, p <= 5), for
+criterion 2's centralizers in S4 and for the factor Sym(b) of each product
+class table, b <= 7 under ``classfun.GENERIC_TABLE_CAP`` (10^4 elements).
 
 A group given only by generators is measured by ``StabilizerChain``, a
 deterministic Schreier-Sims chain, the one closure routine here: its
@@ -16,17 +18,19 @@ only once the order is within the element cap.
 commuting tuple in Sym(n) off the tuple's orbits, so the stabilizer proof
 in ``classfun`` checks a few generators and one chain order instead of
 scanning the centralizer.  ``centralizer`` scans the ambient group once
-and carries greedy generators of the scan: criterion 2's explicit check
-and the tests' oracle.  There is no backtrack search.
+(``_centralizer_scan``, which the coset table and the exhaustive class
+table share) and carries greedy generators of the scan: criterion 2's
+explicit check and the tests' oracle.  There is no backtrack search.
 
 The cosets of H <= G are modelled here and only here: ``_coset_system``
-checks the subgroup and the index cap, then picks ordered block partitions
-(``_BlockCosets``) for a Young subgroup of a symmetric group and the
-exhaustive ``_coset_table``, the block model's test oracle, for any other
-pair.  ``_stable_orbits`` gives the centralizer orbits of the alpha-stable
-cosets, and their number, for ``classfun`` and ``homclass`` alike.  The
-table lists the stable cosets and walks the centralizer's generators over
-them.  The block model lists nothing: alpha's layout, its orbits grouped
+checks the subgroup, then picks ordered block partitions (``_BlockCosets``)
+for a Young subgroup of a symmetric group and the exhaustive
+``_coset_table``, the block model's test oracle, for any other pair; each
+model checks the index cap before it is built.  ``_stable_orbits`` gives
+the centralizer orbits of the alpha-stable cosets, and their number, for
+``classfun`` and ``homclass`` alike.  The table lists the stable cosets and
+walks over them the centralizer's generators from one scan of its index of
+G.  The block model lists nothing: alpha's layout, its orbits grouped
 by type (``_orbit_types``, shared with ``_centralizer_generators``) as
 sorted point tuples, gives one orbit per count matrix, how many orbits of
 each type each block takes, with its size and its least partition, and
@@ -629,9 +633,9 @@ def block_subgroup(block_size: int, blocks: int) -> YoungSubgroup:
 
 
 def _centralizer_scan(elements, imgs):
-    """The image tuples among the Perms ``elements`` that commute with
+    """The image tuples among ``elements``, image tuples, that commute with
     every image tuple in ``imgs``, in the order given."""
-    return [g.images for g in elements if all(_commute_images(g.images, s) for s in imgs)]
+    return [g for g in elements if all(_commute_images(g, s) for s in imgs)]
 
 
 def centralizer(ambient: PermGroup, perms) -> PermGroup:
@@ -644,7 +648,9 @@ def centralizer(ambient: PermGroup, perms) -> PermGroup:
     for s in perms:
         if s not in ambient:
             raise NotInGroup("%r is not in the ambient group" % s)
-    scan = _centralizer_scan(ambient.iter_elements(), [s.images for s in perms])
+    scan = _centralizer_scan(
+        (g.images for g in ambient.iter_elements()), [s.images for s in perms]
+    )
     gens = _chain_generators(ambient.degree, scan, len(scan))[0]
     return PermGroup(ambient.degree, map(Perm, scan), generators=map(Perm, gens))
 
@@ -652,7 +658,7 @@ def centralizer(ambient: PermGroup, perms) -> PermGroup:
 # ---------------------------------------------------------------------------
 # coset models: a token per left coset gH, with ``fixes(c, token)`` whether
 # c*gH is gH (c an image tuple), ``fixed(alpha)`` the sorted tokens that every
-# image tuple in alpha fixes, ``centralizer_orbits(alpha, gens)`` the (least
+# image tuple in alpha fixes, ``centralizer_orbits(alpha)`` the (least
 # token, size) of each orbit of the centralizer of alpha in G on them and
 # their number, and ``rep_images(token)`` the lex-minimal g
 
@@ -680,10 +686,12 @@ class _CosetTable:
     def __init__(self, G: PermGroup, H: PermGroup):
         if not H.is_subgroup_of(G):
             raise NotSubgroup("H is not a subgroup of G")
+        elements = G.iter_elements()  # a Young G above the element cap stops here
+        check_index(G.order // H.order)
         h_imgs = [h.images for h in H.iter_elements()]
         index = {}
         reps = []
-        for g in G.iter_elements():
+        for g in elements:
             gi = g.images
             if gi in index:
                 continue
@@ -691,37 +699,33 @@ class _CosetTable:
             reps.append(gi)
             for h in h_imgs:
                 index[_compose(gi, h)] = idx
+        self.degree = G.degree
         self._reps = tuple(reps)
         self._index = index
-        # c -> c*g for the representative g of each token, one itemgetter
-        # call each; on one point the getter would give a point, not a tuple
-        self._times_rep = (
-            tuple(operator.itemgetter(*g) for g in self._reps) if G.degree > 1 else (tuple,)
-        )
 
     def rep_images(self, token):
         return self._reps[token]
 
     def act(self, c_images, token):
         """The token of c*gH, for the walk of ``centralizer_orbits``."""
-        return self._index[self._times_rep[token](c_images)]
+        return self._index[_compose(c_images, self._reps[token])]
 
     def fixes(self, c_images, token):
         return self.act(c_images, token) == token
 
     def fixed(self, alpha_images):
-        index = self._index
-        return [
-            t for t, times_g in enumerate(self._times_rep)
-            if all(index[times_g(s)] == t for s in alpha_images)
-        ]
+        act = self.act
+        return [t for t in range(len(self._reps)) if all(act(s, t) == t for s in alpha_images)]
 
-    def centralizer_orbits(self, alpha_images, gens):
+    def centralizer_orbits(self, alpha_images):
         """(``[(least token, orbit size)]``, number of stable tokens): the
-        walk of the generators ``gens()`` of the centralizer over the
-        alpha-stable tokens."""
+        walk over the alpha-stable tokens of the centralizer's generators
+        from one scan of the index's keys, every element of G, pruned by
+        ``_chain_generators``; the orbits do not depend on which."""
         fixed = self.fixed(alpha_images)
-        return _orbit_reps(fixed, gens(), self.act), len(fixed)
+        scan = _centralizer_scan(self._index, alpha_images)
+        gens = _chain_generators(self.degree, scan, len(scan))[0]
+        return _orbit_reps(fixed, gens, self.act), len(fixed)
 
 
 # one table per (G, H), built on first use
@@ -783,10 +787,10 @@ class _BlockCosets:
                     stack.append((left, acc + (tuple(sorted(blk)),)))
         return sorted(itertools.chain.from_iterable(map(itertools.permutations, packings)))
 
-    def centralizer_orbits(self, alpha_images, gens=None):
+    def centralizer_orbits(self, alpha_images):
         """(``[(least partition, orbit size)]`` sorted, number of stable
         partitions) for the centralizer of alpha in Sym(degree), read off
-        alpha's layout; ``gens`` is not used.
+        alpha's layout.
 
         The layout is alpha's orbits grouped by type (``_orbit_types``),
         each orbit as its sorted points.  The reading depends on nothing
@@ -890,12 +894,12 @@ def _stable_partition_count(sizes, block, blocks):
 
 
 def _coset_system(G: PermGroup, H: PermGroup):
-    """The coset model of G/H, after the subgroup and index checks: ordered
-    block partitions for a Young subgroup of a symmetric group, the
-    exhaustive table for any other pair."""
+    """The coset model of G/H, after the subgroup check: ordered block
+    partitions for a Young subgroup of a symmetric group, the exhaustive
+    table for any other pair.  Each model checks its own index before it
+    is built."""
     if not H.is_subgroup_of(G):
         raise NotSubgroup("H is not a subgroup of G")
-    check_index(G.order // H.order)
     if G.is_full_symmetric() and isinstance(H, YoungSubgroup):
         return _BlockCosets(G.degree, H.block_size)
     return _coset_table(G, H)
@@ -909,17 +913,18 @@ def _lift(system, token, alpha):
     return g, tuple(_conj_images(ginv, s) for s in alpha)
 
 
-def _stable_orbits(system, alpha, order, gens=None):
+def _stable_orbits(system, alpha, order):
     """(``[(token, orbit size, stabilizer order, g, beta)]``, number of
     alpha-stable tokens) for the orbits of the centralizer of alpha in G, of
     ``order`` elements, on the alpha-stable tokens, each led by its least
     token, with (g, beta) from ``_lift``.  The coset model finds them
-    (``centralizer_orbits``): the table walks the generators that ``gens()``
-    gives, the block model reads them off alpha's orbit types.  A token
-    moved off the stable ones, a size not dividing ``order`` and sizes not
-    adding up to the count are InternalMismatch."""
+    (``centralizer_orbits``) from what it holds: the table walks generators
+    scanned from its index of G, the block model reads the orbits off
+    alpha's orbit types.  A token moved off the stable ones, a size not
+    dividing ``order`` and sizes not adding up to the count are
+    InternalMismatch."""
     try:
-        orbits, count = system.centralizer_orbits(alpha, gens)
+        orbits, count = system.centralizer_orbits(alpha)
     except ActionNotClosed as exc:
         raise InternalMismatch("centralizer left the fixed coset set") from exc
     out = []

@@ -296,6 +296,23 @@ def test_ideal_trivial_rules(s4_setup):
     assert not ideal_trivial(S4, H, sym_class(["(0 1 2 3)"], 2, 1, 2), True)
 
 
+def test_a_lam_that_disagrees_with_a_hom_class_is_refused(s4_setup):
+    # a HomClass carries its lam: at its own p = 2 this ideal is not
+    # trivial, and a lam of p = 3 given beside it is refused, not read for p
+    from transchrome.errors import BadParameters
+
+    S4, H, lam = s4_setup
+    hc = sym_class(["(0 1)(2 3)"], 2, 1, 2)
+    assert hc.class_id() == "p2.k2.h1:[(U<2>:idx2,m2)]"
+    assert not ideal_trivial(S4, H, hc, False)
+    assert not ideal_trivial(S4, H, hc, False, lam_group(2, 1, 2))
+    assert transfer_datum(S4, H, hc, lam) == transfer_datum(S4, H, hc)
+    with pytest.raises(BadParameters, match="differs from the lam"):
+        ideal_trivial(S4, H, hc, False, lam_group(3, 1, 1))
+    with pytest.raises(BadParameters, match="differs from the lam"):
+        transfer_datum(S4, H, hc, lam_group(2, 2, 2))
+
+
 def test_nontrivial_ideal_means_every_index_divisible():
     from transchrome.perm import block_subgroup
     from transchrome.homclass import enumerate_hom_classes
@@ -312,7 +329,10 @@ def test_nontrivial_ideal_means_every_index_divisible():
 def test_block_and_generic_coset_systems_agree(s4_setup):
     # same group given two ways: the partition model and the generic coset
     # table must list the same alpha-stable cosets, in the same order, for
-    # every class, the identity (every coset stable) included
+    # every class, the identity (every coset stable) included; and the
+    # table's own walk of the centralizer, from a scan of its index of G,
+    # must give the orbits and the count that the block model reads off
+    # alpha's orbit types
     from transchrome.perm import _BlockCosets, _coset_table
 
     S4 = s4_setup[0]
@@ -327,6 +347,13 @@ def test_block_and_generic_coset_systems_agree(s4_setup):
                 fixed_b = [blocks.rep_images(t) for t in blocks.fixed(alpha)]
                 fixed_g = [generic.rep_images(t) for t in generic.fixed(alpha)]
                 assert fixed_b == fixed_g
+                (orbits_b, count_b), (orbits_g, count_g) = (
+                    blocks.centralizer_orbits(alpha), generic.centralizer_orbits(alpha)
+                )
+                assert [(blocks.rep_images(t), size) for t, size in orbits_b] == [
+                    (generic.rep_images(t), size) for t, size in orbits_g
+                ]
+                assert count_b == count_g == len(fixed_g)
 
 
 def test_class_function_json_round_trip(s4_setup):
@@ -543,18 +570,19 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("p,k,h", [(2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)])
 def test_transfer_datum_lists_and_walks_no_stable_coset(monkeypatch, p, k, h):
-    # S8 > S4xS4 and S9 > S3^3: with the listing, every walk and the
-    # centralizer's generators refused, transfer_datum still gives the
-    # datum of the induction tables, which list the cosets
-    from transchrome import perm
-    from transchrome.classfun import SymmetricClassTable, induction_tables
+    # S8 > S4xS4 and S9 > S3^3: with the listing, every walk and every
+    # centralizer scan refused, transfer_datum still gives the datum of the
+    # induction tables, which list the cosets
+    from transchrome import classfun, perm
+    from transchrome.classfun import induction_tables
 
     G, H, lam = symmetric_group(p ** k), block_subgroup(p ** (k - 1), p), lam_group(p, h, k)
     _, data = induction_tables(G, H, lam)
     monkeypatch.setattr(perm._BlockCosets, "fixed", _refuse)
     monkeypatch.setattr(perm._CosetTable, "centralizer_orbits", _refuse)
     monkeypatch.setattr(perm, "_orbit_reps", _refuse)
-    monkeypatch.setattr(SymmetricClassTable, "centralizer_of", _refuse)
+    monkeypatch.setattr(perm, "_centralizer_scan", _refuse)
+    monkeypatch.setattr(classfun, "_centralizer_scan", _refuse)
     for key in class_table(G, lam).classes:
         assert transfer_datum(G, H, key) == data[key]
 
@@ -616,9 +644,9 @@ def test_transfer_data_match_the_recorded_digests(p, h, k):
     assert hashlib.sha256("\n".join(fibers).encode()).hexdigest() == want["coset_fiber"]
 
 
-# pairs whose data go through the exhaustive coset table: the G table's
-# centralizer generators are walked, and every coset representative is
-# printed by ``Perm.cycles``
+# pairs whose data go through the exhaustive coset table: it walks the
+# generators that one scan of its index of G gives, and every coset
+# representative is printed by ``Perm.cycles``
 DIGEST_PAIRS = {
     "Sym(4) > Z4": (
         lambda: (symmetric_group(4), generate(4, [P("(0 1 2 3)", 4)])), [(2, 1, 2), (2, 2, 2)]
@@ -653,6 +681,30 @@ def test_pair_transfer_data_match_the_recorded_digests(pair, p, h, k):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want
 
 
+@pytest.mark.parametrize("pair,p,h,k", [
+    ("Sym(4) > Z4", 2, 1, 2), ("Sym(4) > Z4", 2, 2, 2),
+    ("Sym(3) > A3", 3, 1, 1), ("Sym(3) > A3", 3, 2, 1), ("Sym(5) > 1", 5, 1, 1),
+])
+def test_non_young_transfer_data_read_no_orbit_type_generators(monkeypatch, pair, p, h, k):
+    # the exhaustive coset table walks generators it scans from its own
+    # index of G: with the orbit-type reading of centralizer generators
+    # refused, the induction tables answer as before
+    from transchrome import classfun, perm
+    from transchrome.classfun import induction_tables
+
+    G, H = DIGEST_PAIRS[pair][0]()
+    lam = lam_group(p, h, k)
+    plain, data = induction_tables(G, H, lam)
+
+    def refuse(*args):
+        raise AssertionError("a non-Young transfer read orbit-type generators")
+
+    monkeypatch.setattr(perm, "_centralizer_generators", refuse)
+    monkeypatch.setattr(classfun, "_centralizer_generators", refuse)
+    ind = classfun._induction_data.__wrapped__((G, lam), (H, lam))
+    assert (ind.plain, ind.data) == (plain, data)
+
+
 def _wrong_first_orbit(monkeypatch, count_agrees):
     """Make the block model report its first orbit p times too large, p = 3
     for S9 > S3^3; with ``count_agrees`` its count of stable partitions is
@@ -661,8 +713,8 @@ def _wrong_first_orbit(monkeypatch, count_agrees):
 
     real = perm._BlockCosets.centralizer_orbits
 
-    def wrong(self, alpha, gens=None):
-        orbits, count = real(self, alpha, gens)
+    def wrong(self, alpha):
+        orbits, count = real(self, alpha)
         if orbits:
             (token, size), rest = orbits[0], orbits[1:]
             orbits = [(token, 3 * size)] + rest
