@@ -35,14 +35,21 @@ where a key comes in (``chi[key]``, ``indicator``, ``restrict``), and a
 ``Fraction`` is built only where a value leaves the object (``chi[key]``,
 ``values``, ``items``, ``to_json_dict``) or comes in as text, and
 ``fractions`` is imported only there, so a request that reads or prints
-no value never loads it.  Induction sums along sparse
-rows of (H-class position, coefficient), one row per G-class, built once
-per (G, H, lam) with the transfer data: the plain rows from the coset
-multiplicities, the grouped rows from the orbit indices.  So induction,
-restriction, the inner product and equality are list arithmetic on
-integers.  A value or an induced sum too long to print (in lowest terms,
-more digits than the interpreter's integer-string limit) is refused with
-``ResourceLimit``, naming its class, before it is stored.
+no value never loads it.  Induction sums along sparse rows of (H-class
+position, coefficient), one row per G-class, built once per pair on the
+first induction: the plain rows from the coset multiplicities, the
+grouped rows from the orbit indices.  So induction, restriction, the inner
+product and equality are list arithmetic on integers.  A value or an
+induced sum too long to print (in lowest terms, more digits than the
+interpreter's integer-string limit) is refused with ``ResourceLimit``,
+naming its class, before it is stored.
+
+Each transfer datum is proven once per process.  One store per pair
+H <= G at one lam (``_induction_data``, holding the ``INDUCTION_PAIRS``
+most recently used pairs) keeps the coset model, both class tables, each
+datum proven so far and, once an induction asks, the plain table and the
+rows.  ``transfer_datum`` and the induction tables read it; a datum is
+proven in full, with every check, on the first request for its class.
 """
 
 from __future__ import annotations
@@ -589,75 +596,104 @@ class _Rows:
         self.starts, self.ends = (0,) + ends[:-1], ends
 
 
-class _Induction:
-    """The induction data of one pair H <= G at one lam."""
+class _Tables:
+    """The plain table and the rows of one pair H <= G at one lam."""
 
-    __slots__ = ("plain", "data", "g_table", "plain_rows", "grouped_rows")
+    __slots__ = ("plain", "data", "plain_rows", "grouped_rows")
 
-    def __init__(self, plain: dict, data: dict, g_table, plain_rows: _Rows, grouped_rows: _Rows):
+    def __init__(self, plain: dict, data: dict, plain_rows: _Rows, grouped_rows: _Rows):
         self.plain = plain  # G-class -> ((H-class, multiplicity), ...)
-        self.data = data  # G-class -> TransferDatum
-        self.g_table = g_table
+        self.data = data  # G-class -> TransferDatum, in class-table order
         self.plain_rows = plain_rows  # the pairs of ``plain``
         self.grouped_rows = grouped_rows  # (H-class, index) of each orbit record
 
 
-@lru_cache(maxsize=None)
-def _induction_data(g_table_key, h_table_key) -> _Induction:
-    """Per G-class, the plain table, the orbit records and the two rows
-    that ``induce`` and ``induce_grouped`` sum along.
+# the pairs whose data one process keeps; one ``reproduce`` touches 15
+INDUCTION_PAIRS = 32
 
-    The plain table lists every alpha-stable coset gH (``fixed``),
-    classifies each on its own, by the H-class of g^{-1} alpha g, and keeps
-    (H-class, multiplicity) pairs.  A block partition is classified block by
-    block, by the product table (``ProductClassTable.partition_counts``);
-    any other coset is lifted to g^{-1} alpha g and keyed whole.  The orbit
-    records come from
-    ``_build_datum``, which does not list the cosets of a Young subgroup;
-    their count must be the length of the list.  The orbit/lift bijection
-    says the records carry distinct H-classes and that the cosets lifting
-    the class of a record are exactly its orbit, so each plain multiplicity
-    must equal the index of the one record with that class
-    (InternalMismatch otherwise).  Indicator functions span, so this proves
-    induce == induce_grouped for every class function at once.
-    """
-    G, H, lam = g_table_key[0], h_table_key[0], g_table_key[1]
-    system = _coset_system(G, H)  # index cap before any class table
-    g_table = class_table(G, lam)
-    h_table = class_table(H, lam)
-    position = h_table.position
-    blockwise = isinstance(system, _BlockCosets) and isinstance(h_table, ProductClassTable)
-    plain, data, plain_rows, grouped_rows = {}, {}, [], []
-    for alpha_key in g_table.classes:
-        alpha = g_table.rep_images(alpha_key)
-        fixed = system.fixed(alpha)
-        if blockwise:
-            counts = h_table.partition_counts(alpha, fixed)
-        else:
-            counts = Counter(h_table.key_of_images(_lift(system, token, alpha)[1]) for token in fixed)
-        datum = _build_datum(g_table, h_table, system, alpha_key)
-        if len(fixed) != datum.fixed_count:
-            raise InternalMismatch(
-                "%d stable cosets listed, %d counted for %s"
-                % (len(fixed), datum.fixed_count, g_table.class_id(alpha_key))
-            )
-        if counts != {rec.h_key: rec.index for rec in datum.records}:
-            raise InternalMismatch(
-                "coset multiplicities differ from the orbit indices for %s"
-                % g_table.class_id(alpha_key)
-            )
-        plain[alpha_key] = tuple(counts.items())
-        data[alpha_key] = datum
-        plain_rows.append([(position[h_key], m) for h_key, m in counts.items()])
-        grouped_rows.append([(position[rec.h_key], rec.index) for rec in datum.records])
-    return _Induction(plain, data, g_table, _Rows(plain_rows), _Rows(grouped_rows))
+
+class _Induction:
+    """The one place where the transfer data of a pair H <= G at one lam
+    are proven and kept: its coset model, both class tables, each datum
+    proven so far, and the plain table once something sums along it."""
+
+    def __init__(self, G: PermGroup, H: PermGroup, lam: Ambient):
+        self.system = _coset_system(G, H)  # index cap before any class table
+        self.g_table = class_table(G, lam)
+        self.h_table = class_table(H, lam)
+        self._data = {}  # G-class -> TransferDatum
+
+    def datum(self, alpha_key) -> TransferDatum:
+        """The datum of the G-class ``alpha_key``: proven in full by
+        ``_build_datum`` on its first request, then kept."""
+        datum = self._data.get(alpha_key)
+        if datum is None:
+            datum = _build_datum(self.g_table, self.h_table, self.system, alpha_key)
+            self._data[alpha_key] = datum
+        return datum
+
+    @cached_property
+    def tables(self) -> _Tables:
+        """Per G-class, the plain table, the datum and the two rows that
+        ``induce`` and ``induce_grouped`` sum along.
+
+        The plain table lists every alpha-stable coset gH (``fixed``),
+        classifies each on its own, by the H-class of g^{-1} alpha g, and
+        keeps (H-class, multiplicity) pairs.  A block partition is
+        classified block by block, by the product table
+        (``ProductClassTable.partition_counts``); any other coset is lifted
+        to g^{-1} alpha g and keyed whole.  The data come from ``datum``,
+        whose ``_build_datum`` does not list the cosets of a Young subgroup;
+        their count must be the length of the list.  The orbit/lift
+        bijection says the records carry distinct H-classes and that the
+        cosets lifting the class of a record are exactly its orbit, so each
+        plain multiplicity must equal the index of the one record with that
+        class (InternalMismatch otherwise).  Indicator functions span, so
+        this proves induce == induce_grouped for every class function at
+        once.
+        """
+        system, g_table, h_table = self.system, self.g_table, self.h_table
+        position = h_table.position
+        blockwise = isinstance(system, _BlockCosets) and isinstance(h_table, ProductClassTable)
+        plain, data, plain_rows, grouped_rows = {}, {}, [], []
+        for alpha_key in g_table.classes:
+            alpha = g_table.rep_images(alpha_key)
+            fixed = system.fixed(alpha)
+            if blockwise:
+                counts = h_table.partition_counts(alpha, fixed)
+            else:
+                counts = Counter(h_table.key_of_images(_lift(system, token, alpha)[1]) for token in fixed)
+            datum = self.datum(alpha_key)
+            if len(fixed) != datum.fixed_count:
+                raise InternalMismatch(
+                    "%d stable cosets listed, %d counted for %s"
+                    % (len(fixed), datum.fixed_count, g_table.class_id(alpha_key))
+                )
+            if counts != {rec.h_key: rec.index for rec in datum.records}:
+                raise InternalMismatch(
+                    "coset multiplicities differ from the orbit indices for %s"
+                    % g_table.class_id(alpha_key)
+                )
+            plain[alpha_key] = tuple(counts.items())
+            data[alpha_key] = datum
+            plain_rows.append([(position[h_key], m) for h_key, m in counts.items()])
+            grouped_rows.append([(position[rec.h_key], rec.index) for rec in datum.records])
+        self._data = data  # holds every class: the store keeps one dict
+        return _Tables(plain, data, _Rows(plain_rows), _Rows(grouped_rows))
+
+
+@lru_cache(maxsize=INDUCTION_PAIRS)
+def _induction_data(g_table_key, h_table_key) -> _Induction:
+    """The ``_Induction`` of H <= G at lam, for the keys (G, lam) and
+    (H, lam)."""
+    return _Induction(g_table_key[0], h_table_key[0], g_table_key[1])
 
 
 def induction_tables(G: PermGroup, H: PermGroup, lam: Ambient):
     """(plain, data): per G-class, the (H-class, multiplicity) pairs of the
     plain coset sum and the ``TransferDatum``."""
-    ind = _induction_data((G, lam), (H, lam))
-    return ind.plain, ind.data
+    tables = _induction_data((G, lam), (H, lam)).tables
+    return tables.plain, tables.data
 
 
 def restrict(chi: GenClassFunction, H: PermGroup) -> GenClassFunction:
@@ -692,7 +728,7 @@ def induce(chi: GenClassFunction, G: PermGroup) -> GenClassFunction:
     every alpha-stable coset gH, the cosets of one H-class at once."""
     table = chi.table
     ind = _induction_data((G, table.lam), (table.group, table.lam))
-    return _row_sums(chi, ind.g_table, ind.plain_rows)
+    return _row_sums(chi, ind.g_table, ind.tables.plain_rows)
 
 
 def induce_grouped(chi: GenClassFunction, G: PermGroup) -> GenClassFunction:
@@ -701,7 +737,7 @@ def induce_grouped(chi: GenClassFunction, G: PermGroup) -> GenClassFunction:
     ``induce`` pointwise."""
     table = chi.table
     ind = _induction_data((G, table.lam), (table.group, table.lam))
-    return _row_sums(chi, ind.g_table, ind.grouped_rows)
+    return _row_sums(chi, ind.g_table, ind.tables.grouped_rows)
 
 
 def transfer_datum(G: PermGroup, H: PermGroup, alpha, lam: Ambient = None) -> TransferDatum:
@@ -716,22 +752,23 @@ def transfer_datum(G: PermGroup, H: PermGroup, alpha, lam: Ambient = None) -> Tr
         lam = alpha.lam
     elif lam is None:
         raise ValueError("lam is required when alpha is a permutation tuple")
-    system = _coset_system(G, H)  # index cap before any class table
-    g_table = class_table(G, lam)
-    h_table = class_table(H, lam)
+    ind = _induction_data((G, lam), (H, lam))
+    g_table = ind.g_table
     if isinstance(alpha, HomClass) and isinstance(g_table, SymmetricClassTable):
         alpha_key = alpha
     else:
         perms = realize(alpha).perms if isinstance(alpha, HomClass) else alpha
         alpha_key = g_table.key_of_images(tuple(p.images for p in perms))
-    return _build_datum(g_table, h_table, system, alpha_key)
+    return ind.datum(alpha_key)
 
 
 def ideal_trivial(G: PermGroup, H: PermGroup, alpha, t_is_zero: bool, lam: Ambient = None) -> bool:
     """Decide whether the transfer ideal attached to [alpha] is the whole
-    ring; see ``TransferDatum.ideal_trivial``."""
+    ring; see ``TransferDatum.ideal_trivial``.  p is read only once
+    ``transfer_datum`` has checked alpha and lam."""
+    datum = transfer_datum(G, H, alpha, lam)
     p = lam.p if lam is not None else alpha.lam.p
-    return transfer_datum(G, H, alpha, lam).ideal_trivial(p, t_is_zero)
+    return datum.ideal_trivial(p, t_is_zero)
 
 
 def verify_mainthm_instance(G: PermGroup, H: PermGroup, chi: GenClassFunction) -> bool:

@@ -1,14 +1,16 @@
 """Test-side oracles: exhaustive or second derivations of what the library
 computes from structure, and helpers that only the tests use.
 
-Nothing in ``transchrome`` imports this module.  Each name here once lived
-in the layer named by its section; the tests compare the production path
-against it.
+Nothing in ``transchrome`` imports this module.  Each name here sits
+under the layer whose results it checks, and most once lived in that
+layer; the tests compare the production path against it.
 """
 
 import itertools
 import json
+import math
 import operator
+from fractions import Fraction
 
 from transchrome import abelian, perm
 from transchrome.abelian import Ambient, AbSubgroup, _check_ambient_cap, _translate
@@ -418,6 +420,24 @@ def commuting_tuple_count(degree: int, p: int, k: int, h: int) -> int:
         if cap % s.order() == 0
     ]
     return sum(1 for _ in _commuting_tuples(pool, h))
+
+
+def class_equation_sum(p: int, h: int, k: int) -> Fraction:
+    """|Hom(lam, Sym(n))|, n = p^k and lam = (Z/p^k)^h, by the exponential
+    formula: sum_n |Hom(lam, Sym(n))| x^n / n! = exp(sum_U x^[lam:U] / [lam:U])
+    over the subgroups U of finite index.  By duality lam has as many
+    subgroups of index p^j as of order p^j, ``count_sublattices(h, p, j)``
+    for j <= k.  The class equation says this is the sum over the hom
+    classes alpha into Sym(n) of n! / |C(alpha)|; nothing here lists a
+    class.  Exact: exp(f) is expanded by e_m = (1/m) sum_i i f_i e_(m-i)."""
+    n = p ** k
+    f = [Fraction(0)] * (n + 1)
+    for j in range(k + 1):
+        f[p ** j] = Fraction(abelian.count_sublattices(h, p, j), p ** j)
+    e = [Fraction(1)] + [Fraction(0)] * n
+    for m in range(1, n + 1):
+        e[m] = sum(i * f[i] * e[m - i] for i in range(1, m + 1)) / m
+    return math.factorial(n) * e[n]
 
 
 # -- abelian: tuple arithmetic in an ambient group, closure --

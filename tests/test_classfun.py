@@ -35,7 +35,7 @@ from transchrome.perm import (
     symmetric_group,
 )
 
-from oracles import coset_orbits, fixed_cosets, make_tuple
+from oracles import class_equation_sum, coset_orbits, fixed_cosets, make_tuple
 
 
 def P(text, degree):
@@ -552,6 +552,7 @@ def test_stabilizer_check_catches_a_wrong_order(monkeypatch):
     calls = []
     real = classfun._verify_stabilizer
     monkeypatch.setattr(classfun, "_verify_stabilizer", lambda *args: calls.append(args))
+    classfun._induction_data.cache_clear()  # a kept datum would skip the proof
     transfer_datum(symmetric_group(8), block_subgroup(4, 2), sym_class(["(0 1)"], 2, 1, 3))
     assert calls
     for args in calls:
@@ -578,6 +579,7 @@ def test_transfer_datum_lists_and_walks_no_stable_coset(monkeypatch, p, k, h):
 
     G, H, lam = symmetric_group(p ** k), block_subgroup(p ** (k - 1), p), lam_group(p, h, k)
     _, data = induction_tables(G, H, lam)
+    classfun._induction_data.cache_clear()  # transfer_datum proves each class again
     monkeypatch.setattr(perm._BlockCosets, "fixed", _refuse)
     monkeypatch.setattr(perm._CosetTable, "centralizer_orbits", _refuse)
     monkeypatch.setattr(perm, "_orbit_reps", _refuse)
@@ -701,8 +703,8 @@ def test_non_young_transfer_data_read_no_orbit_type_generators(monkeypatch, pair
 
     monkeypatch.setattr(perm, "_centralizer_generators", refuse)
     monkeypatch.setattr(classfun, "_centralizer_generators", refuse)
-    ind = classfun._induction_data.__wrapped__((G, lam), (H, lam))
-    assert (ind.plain, ind.data) == (plain, data)
+    tables = classfun._induction_data.__wrapped__((G, lam), (H, lam)).tables
+    assert (tables.plain, tables.data) == (plain, data)
 
 
 def _wrong_first_orbit(monkeypatch, count_agrees):
@@ -729,10 +731,13 @@ def _wrong_first_orbit(monkeypatch, count_agrees):
 def test_a_wrong_orbit_size_is_a_mismatch(monkeypatch, count_agrees):
     # the count check sees a wrong size; with the count made to agree, the
     # divisibility check or the stabilizer proof still sees it
+    from transchrome import classfun
+
     G, H, lam = symmetric_group(9), block_subgroup(3, 3), lam_group(3, 1, 2)
     keys = [key for key in class_table(G, lam).classes if transfer_datum(G, H, key).records]
     assert keys
     _wrong_first_orbit(monkeypatch, count_agrees)
+    classfun._induction_data.cache_clear()  # a kept datum would skip the fault
     for key in keys:
         with pytest.raises(InternalMismatch):
             transfer_datum(G, H, key)
@@ -752,7 +757,7 @@ def test_listed_cosets_must_match_their_count(monkeypatch):
     monkeypatch.setattr(perm._BlockCosets, "fixed", lambda self, alpha: real(self, alpha)[:-1])
     G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, 1, 3)
     with pytest.raises(InternalMismatch, match="stable cosets listed"):
-        classfun._induction_data.__wrapped__((G, lam), (H, lam))
+        classfun._induction_data.__wrapped__((G, lam), (H, lam)).tables
 
 
 def test_stabilizer_check_makes_h_commutation_checks_per_generator(monkeypatch):
@@ -780,6 +785,7 @@ def test_stabilizer_check_makes_h_commutation_checks_per_generator(monkeypatch):
 
         monkeypatch.setattr(h_table, "class_and_centralizer", of)
         monkeypatch.setattr(classfun, "_commute_images", commute)
+        classfun._induction_data.cache_clear()  # a kept datum would make no check
         for key in class_table(S8, lam).classes:
             sizes.clear()
             checks.clear()
@@ -959,6 +965,7 @@ def test_induction_tables_match_the_lift_and_key_oracle(name):
     make_g, make_h, (p, h, k) = _ORACLE_PAIRS[name]
     G, H, lam = make_g(), make_h(), lam_group(p, h, k)
     plain, data = classfun.induction_tables(G, H, lam)
+    classfun._induction_data.cache_clear()  # transfer_datum proves each class again
     h_table = class_table(H, lam)
     keys = _coset_keys(G, H, lam)
     assert list(plain) == list(keys) == list(data)
@@ -997,7 +1004,7 @@ def test_a_mutated_block_key_is_a_multiplicity_mismatch(monkeypatch):
 
     monkeypatch.setattr(factor, "key_of_images", key_of_images)
     with pytest.raises(InternalMismatch, match="coset multiplicities differ"):
-        classfun._induction_data.__wrapped__((G, lam), (H, lam))
+        classfun._induction_data.__wrapped__((G, lam), (H, lam)).tables
     assert len(mutated) == 1
 
 
@@ -1026,7 +1033,7 @@ def test_coefficient_check_catches_swapped_orbit_classes(monkeypatch):
     monkeypatch.setattr(classfun, "_build_datum", swapped)
     lam = lam_group(2, 1, 3)
     with pytest.raises(InternalMismatch, match="coset multiplicities"):
-        classfun._induction_data.__wrapped__((symmetric_group(8), lam), (block_subgroup(4, 2), lam))
+        classfun._induction_data.__wrapped__((symmetric_group(8), lam), (block_subgroup(4, 2), lam)).tables
     assert swaps
 
 
@@ -1148,6 +1155,7 @@ def test_induction_tables_keep_what_the_warm_benchmark_reads(degree, block, bloc
     tables = classfun.induction_tables(G, H, lam)
     assert type(tables) is tuple and len(tables) == 2
     plain, data = tables
+    classfun._induction_data.cache_clear()  # transfer_datum proves each class again
     g_table = class_table(G, lam)
     assert list(plain) == list(data) == list(g_table.classes)
     for key in g_table.classes:
@@ -1155,6 +1163,174 @@ def test_induction_tables_keep_what_the_warm_benchmark_reads(degree, block, bloc
         assert transfer_datum(G, H, key) == data[key]
     assert hasattr(classfun._induction_data, "cache_info")
     assert callable(classfun.induce) and callable(classfun.induce_grouped)
+
+
+# -- the per-pair store behind transfer_datum and the induction tables --
+
+
+def _counting_build(monkeypatch):
+    """Count the calls of ``_build_datum`` in a list; each runs in full."""
+    from transchrome import classfun
+
+    calls = []
+    real = classfun._build_datum
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(classfun, "_build_datum", counting)
+    return calls
+
+
+def test_transfer_data_after_the_tables_prove_nothing_again(monkeypatch):
+    # the induction tables prove every class of S8 > S4xS4 at (2,2,3);
+    # transfer_datum then reads the datum they keep
+    from transchrome import classfun
+
+    G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, 2, 3)
+    classfun._induction_data.cache_clear()
+    calls = _counting_build(monkeypatch)
+    _, data = classfun.induction_tables(G, H, lam)
+    assert len(calls) == len(data) == 148
+    calls.clear()
+    for key in class_table(G, lam).classes:
+        assert transfer_datum(G, H, key) is data[key]
+    assert calls == []
+
+
+def test_a_cleared_store_proves_a_mutated_orbit_size_again(monkeypatch):
+    # a kept datum is read as it was proven; once the store is emptied the
+    # same request runs the proof and sees the fault
+    from transchrome import classfun
+
+    G, H, lam = symmetric_group(9), block_subgroup(3, 3), lam_group(3, 1, 2)
+    identity = sym_class(["e"], 3, 1, 2)
+    classfun._induction_data.cache_clear()
+    kept = transfer_datum(G, H, identity)
+    _wrong_first_orbit(monkeypatch, False)
+    assert transfer_datum(G, H, identity) is kept
+    classfun._induction_data.cache_clear()
+    with pytest.raises(InternalMismatch, match="do not add up"):
+        transfer_datum(G, H, identity)
+
+
+def test_induction_tables_keep_class_table_order_after_out_of_order_requests():
+    from transchrome import classfun
+
+    G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, 2, 3)
+    classes = class_table(G, lam).classes
+    classfun._induction_data.cache_clear()
+    early = {key: transfer_datum(G, H, key) for key in classes[::-3]}
+    plain, data = classfun.induction_tables(G, H, lam)
+    assert list(plain) == list(data) == list(classes)
+    assert all(data[key] is datum for key, datum in early.items())
+
+
+def _distinct_pairs():
+    """(Sym(p^k), Sym(p^m)^(p^(k-m)), lam) for small (p, h, k), every m whose
+    index is under the cap: 39 distinct pairs, more than the store keeps."""
+    for p, k, hs in [(2, 1, (1, 2, 3, 4)), (3, 1, (1, 2, 3)), (5, 1, (1, 2)),
+                     (2, 2, (1, 2, 3)), (3, 2, (1, 2)), (2, 3, (1, 2))]:
+        for h in hs:
+            lam = lam_group(p, h, k)
+            for m in range(k + 1):
+                if (p, k, m) != (3, 2, 0):  # index 9! is over the cap
+                    yield symmetric_group(p ** k), block_subgroup(p ** m, p ** (k - m)), lam
+
+
+def test_the_store_keeps_at_most_its_bound_of_pairs():
+    from transchrome import classfun
+
+    bound = classfun.INDUCTION_PAIRS
+    pairs = list(_distinct_pairs())[:bound + 1]
+    classfun._induction_data.cache_clear()
+    for G, H, lam in pairs:
+        classfun._induction_data((G, lam), (H, lam))
+    info = classfun._induction_data.cache_info()
+    assert info.maxsize == bound
+    assert info.misses == bound + 1
+    assert info.currsize == bound
+    # the least recently used pair, the first, went
+    G, H, lam = pairs[0]
+    classfun._induction_data((G, lam), (H, lam))
+    assert classfun._induction_data.cache_info().misses == bound + 2
+
+
+def test_one_reproduce_proves_each_datum_once(monkeypatch, capsys):
+    # every pair the acceptance matrix touches fits in the store, so none
+    # is dropped and proven again: 275 proofs, where 347 requests reach them
+    from transchrome import classfun, cli
+
+    classfun._induction_data.cache_clear()
+    calls = _counting_build(monkeypatch)
+    assert cli.main(["reproduce", "--json", "--seed", "1"]) == 0
+    capsys.readouterr()
+    info = classfun._induction_data.cache_info()
+    assert info.currsize == info.misses == 15 < info.maxsize
+    assert len(calls) == 275
+
+
+def test_the_store_holds_bounded_bytes():
+    # every datum of 39 distinct pairs, more than the store keeps: what
+    # stays allocated, the kept pairs and the class tables they built,
+    # stays under 4 MB (1.9 MB measured in a fresh process)
+    import gc
+    import tracemalloc
+
+    from transchrome import classfun
+
+    classfun._induction_data.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for G, H, lam in _distinct_pairs():
+            for key in class_table(G, lam).classes:
+                transfer_datum(G, H, key)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    info = classfun._induction_data.cache_info()
+    assert info.currsize == info.maxsize
+    assert held < 4 * 2 ** 20
+
+
+def test_ideal_trivial_reads_p_after_the_argument_checks(s4_setup):
+    # a permutation tuple needs a lam: ideal_trivial raises what
+    # transfer_datum raises, and reads p from the lam it checked
+    S4, H, lam = s4_setup
+    perms = [P("(0 1)", 4)]
+    for decide in (transfer_datum, lambda *args: ideal_trivial(*args[:3], False)):
+        with pytest.raises(ValueError, match="lam is required"):
+            decide(S4, H, perms)
+    hc = sym_class(["(0 1)"], 2, 1, 2)
+    assert ideal_trivial(S4, H, perms, False, lam) is ideal_trivial(S4, H, hc, False) is True
+    assert ideal_trivial(S4, H, [P("(0 1)(2 3)", 4)], False, lam) is False
+
+
+# -- the class equation, by the exponential formula --
+
+
+def _class_equation_terms(p, h, k):
+    """n! / |C(alpha)| for each class alpha of the table of Sym(n), n = p^k."""
+    n = p ** k
+    table = class_table(symmetric_group(n), lam_group(p, h, k))
+    return [Fraction(math.factorial(n), table.centralizer_order(key)) for key in table.classes]
+
+
+@pytest.mark.parametrize("p,h,k", [(2, 2, 3), (3, 2, 2), (2, 1, 4), (2, 3, 2), (5, 2, 1), (2, 2, 4)])
+def test_centralizer_orders_satisfy_the_class_equation(p, h, k):
+    assert sum(_class_equation_terms(p, h, k)) == class_equation_sum(p, h, k)
+
+
+def test_a_centralizer_order_off_by_p_breaks_the_class_equation():
+    terms = _class_equation_terms(2, 2, 3)
+    assert sum(terms) == class_equation_sum(2, 2, 3)
+    for i in (0, len(terms) // 2, -1):
+        mutated = list(terms)
+        mutated[i] /= 2  # the order at class i multiplied by p
+        assert sum(mutated) != class_equation_sum(2, 2, 3)
 
 
 @pytest.mark.parametrize("text", ["1e100000000", "-2E+100000000", "1e-100000000",

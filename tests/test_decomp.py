@@ -447,3 +447,23 @@ def test_records_are_frozen_values():
     assert row == accept.CriterionResult(1, "name", False, "detail")
     with pytest.raises(TypeError):
         hash(row)
+
+
+def test_a_decompose_grid_at_one_etale_rank_proves_each_class_once(monkeypatch):
+    # (2,3,1,3) and (2,4,2,3) both ask for the 148 transfer data of
+    # S8 > S4xS4 at lam = (2,2,3): the second reads what the first proved
+    from transchrome import classfun
+
+    calls = []
+    real = classfun._build_datum
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    classfun._induction_data.cache_clear()
+    monkeypatch.setattr(classfun, "_build_datum", counting)
+    decomp.decompose(2, 3, 1, 3)
+    assert len(calls) == 148
+    decomp.decompose(2, 4, 2, 3)
+    assert len(calls) == len(set(calls)) == 148

@@ -619,6 +619,7 @@ def test_layout_memo_holds_one_entry_per_layout():
     from transchrome.perm import block_subgroup
 
     perm._layout_orbits.cache_clear()
+    classfun._induction_data.cache_clear()  # a kept datum would read no layout
     layouts = set()
     for p, h, k in [(2, 2, 3), (3, 2, 2)]:
         G, H, lam = symmetric_group(p ** k), block_subgroup(p ** (k - 1), p), lam_group(p, h, k)
@@ -647,6 +648,7 @@ def test_a_layout_memo_hit_fills_and_counts_nothing(monkeypatch):
     G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, 2, 3)
     keys = classfun.class_table(G, lam).classes
     data = [classfun.transfer_datum(G, H, key) for key in keys]
+    classfun._induction_data.cache_clear()  # transfer_datum reads each layout again
     monkeypatch.setattr(perm, "_fillings", refuse)
     monkeypatch.setattr(perm, "_stable_partition_count", refuse)
     assert [system.centralizer_orbits(alpha) for system, alpha in cases] == before

@@ -588,9 +588,11 @@ def test_decompose_never_builds_the_young_subgroup(multi_block_elements_refused)
 
 
 def test_transfer_datum_never_builds_the_young_subgroup(multi_block_elements_refused):
+    from transchrome import classfun
     from transchrome.classfun import class_table, transfer_datum
     from transchrome.homclass import lam_group
 
+    classfun._induction_data.cache_clear()  # a kept datum would build nothing
     S8, H = symmetric_group(8), block_subgroup(4, 2)
     for h in (1, 2):
         lam = lam_group(2, h, 3)
