@@ -16,10 +16,10 @@ lists no stable coset; only the plain induction table does, checks their
 number against the datum's count and classifies each partition block by
 block, by the factor keys of alpha on its blocks).  Each class table
 answers one question, ``class_and_centralizer(beta)``: beta's class,
-generators W of C(beta) and the order of their stabilizer chain.  The
-symmetric table reads W off the orbits of beta, the product table off the
-orbits of beta on each block, in one pass over the blocks, and the
-exhaustive table from one scan of its group.  Each coset stabilizer is
+generators W of C(beta) and |<W>|.  Both Young tables ask
+``perm._centralizer``, with their block size (Sym(n) has one block), which
+reads W off beta's orbit types and proves each type's order once per
+process; the exhaustive table scans its group.  Each coset stabilizer is
 proved from W: |W| generator checks, each asking the coset model whether
 it fixes the coset, and two order comparisons (``_verify_stabilizer``).
 
@@ -82,7 +82,7 @@ from .perm import (
     PermGroup,
     YoungSubgroup,
     _BlockCosets,
-    _centralizer_generators,
+    _centralizer,
     _centralizer_scan,
     _chain_generators,
     _commute_images,
@@ -138,11 +138,8 @@ class SymmetricClassTable(_ClassTable):
 
     def class_and_centralizer(self, beta):
         """(class of the image tuple beta, W, |<W>|): W generators of its
-        centralizer read off its orbits, kept where they enlarge their
-        stabilizer chain, and the chain's order."""
-        return (self.key_of_images(beta),) + _chain_generators(
-            self.degree, _centralizer_generators(beta, self.degree)
-        )
+        centralizer read off its orbit types (``perm._centralizer``)."""
+        return (self.key_of_images(beta),) + _centralizer(beta, self.degree, self.degree)
 
     def class_id(self, key: HomClass) -> str:
         return key.class_id()
@@ -230,9 +227,6 @@ class ProductClassTable(GenericClassTable):
                 "%d^%d classes exceed the product class-table cap %d"
                 % (per_block, group.blocks, GENERIC_TABLE_CAP)
             )
-        # block action -> (its factor key, its centralizer generators in
-        # Sym(b), their chain order); the keys are entries of ``factor._lookup``
-        self._block_entries = {}
         self._cent_orders = {
             self._join(parts): math.prod(map(self.factor.centralizer_order, parts))
             for parts in itertools.product(self.factor.classes, repeat=group.blocks)
@@ -246,41 +240,22 @@ class ProductClassTable(GenericClassTable):
             for i in range(self.lam.h)
         )
 
-    def _blocks(self, imgs):
-        """(lo, the action of imgs on the block lo..lo+b-1 as a Sym(b) tuple)."""
-        b = self.group.block_size
-        for lo in range(0, self.degree, b):
-            yield lo, tuple(tuple(map(lo.__rsub__, s[lo:lo + b])) for s in imgs)
-
     def key_of_images(self, imgs):
         if any(len(s) != self.degree for s in imgs):
             raise NotInGroup("tuple is not an action inside this group")
-        # a block image outside the block is no Sym(b) tuple: NotInGroup
-        return self._join([self.factor.key_of_images(local) for _, local in self._blocks(imgs)])
+        # the factor key of each block's action as a Sym(b) tuple; a block
+        # image outside the block is no Sym(b) tuple: NotInGroup
+        b = self.group.block_size
+        return self._join([
+            self.factor.key_of_images(tuple(tuple(map(lo.__rsub__, s[lo:lo + b])) for s in imgs))
+            for lo in range(0, self.degree, b)
+        ])
 
     def class_and_centralizer(self, beta):
-        """(H-class, W, |<W>|) of beta in one pass over its blocks.  Each
-        distinct block action gets, once, its factor key, the generators of
-        its centralizer in Sym(b), read off its orbits and kept where they
-        enlarge their stabilizer chain, and the chain's order.  The factor
-        keys join into the H-class.  W embeds the generators at their
-        blocks, and generators on disjoint blocks generate the direct
-        product, so |<W>| is the product of the orders."""
-        b, degree = self.group.block_size, self.degree
-        ident = tuple(range(degree))
-        parts, gens, order = [], [], 1
-        for lo, local in self._blocks(beta):
-            entry = self._block_entries.get(local)
-            if entry is None:
-                entry = (self.factor.key_of_images(local),) + _chain_generators(
-                    b, _centralizer_generators(local, b)
-                )
-                self._block_entries[local] = entry
-            part, local_gens, local_order = entry
-            parts.append(part)
-            gens.extend(ident[:lo] + tuple(lo + v for v in t) + ident[lo + b:] for t in local_gens)
-            order *= local_order
-        return self._join(parts), gens, order
+        """(H-class, W, |<W>|) of beta: the join of its blocks' factor keys,
+        and W read off its orbit types block by block
+        (``perm._centralizer``)."""
+        return (self.key_of_images(beta),) + _centralizer(beta, self.degree, self.group.block_size)
 
     def partition_counts(self, alpha, partitions):
         """H-class -> how many of the ``partitions`` lift alpha into it, in
@@ -529,6 +504,7 @@ def _build_datum(g_table, h_table, system, alpha_key) -> TransferDatum:
     orbits, fixed_count = _stable_orbits(system, alpha, cent_order)
     for token, size, stab_order, g, beta in orbits:
         h_key, gens, gens_order = h_table.class_and_centralizer(beta)
+        h_key = h_table.classes[h_table.position[h_key]]  # the table's own key: no copy kept
         _verify_stabilizer(
             system, token, g, alpha, gens, gens_order, stab_order,
             h_table.centralizer_order(h_key),

@@ -14,13 +14,16 @@ A group given only by generators is measured by ``StabilizerChain``, a
 deterministic Schreier-Sims chain, the one closure routine here: its
 order, membership by sifting and, for ``generate``, its elements, listed
 only once the order is within the element cap.
-``_centralizer_generators`` reads generators of the centralizer of a
-commuting tuple in Sym(n) off the tuple's orbits, so the stabilizer proof
-in ``classfun`` checks a few generators and one chain order instead of
-scanning the centralizer.  ``centralizer`` scans the ambient group once
-(``_centralizer_scan``, which the coset table and the exhaustive class
-table share) and carries greedy generators of the scan: criterion 2's
-explicit check and the tests' oracle.  There is no backtrack search.
+``_centralizer`` gives generators W of the centralizer of a commuting
+tuple in a Young subgroup, and |<W>|, so the stabilizer proof in
+``classfun`` checks a few generators and one order instead of scanning
+the centralizer.  It reads W off the tuple's orbit types per block; a
+type's generators and chain order depend only on its shape and copies,
+and ``_type_chain`` keeps them per (shape, copies) in a bounded memo.
+``centralizer`` scans the ambient group once (``_centralizer_scan``,
+which the coset table and the exhaustive class table share) and carries
+greedy generators of the scan: criterion 2's explicit check and the
+tests' oracle.  There is no backtrack search.
 
 The cosets of H <= G are modelled here and only here: ``_coset_system``
 checks the subgroup, then picks ordered block partitions (``_BlockCosets``)
@@ -31,7 +34,7 @@ the centralizer orbits of the alpha-stable cosets, and their number, for
 ``classfun`` and ``homclass`` alike.  The table lists the stable cosets and
 walks over them the centralizer's generators from one scan of its index of
 G.  The block model lists nothing: alpha's layout, its orbits grouped
-by type (``_orbit_types``, shared with ``_centralizer_generators``) as
+by type (``_orbit_types``) as
 sorted point tuples, gives one orbit per count matrix, how many orbits of
 each type each block takes, with its size and its least partition, and
 ``_stable_partition_count`` counts the stable partitions apart, from the
@@ -146,19 +149,14 @@ def _orbits(points, gens, act):
             continue
         seen.add(start)
         members = [start]
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = act(g, x)
-                    if y not in seen:
-                        if y not in pool:
-                            raise ActionNotClosed("group moves a point outside the given set")
-                        seen.add(y)
-                        nxt.append(y)
-            members.extend(nxt)
-            frontier = nxt
+        for x in members:  # a queue: the loop reaches the points it appends
+            for g in gens:
+                y = act(g, x)
+                if y not in seen:
+                    if y not in pool:
+                        raise ActionNotClosed("group moves a point outside the given set")
+                    seen.add(y)
+                    members.append(y)
         out.append(members)
     return out
 
@@ -580,45 +578,66 @@ def _orbit_types(imgs, degree):
     by the maps of A-sets from the first onto each.  Orbits come in the
     order of their minima, within a type and across the types' first
     orbits.  For commuting ``imgs`` the shape holds the orbit's stabilizer,
-    which is the whole isomorphism type of a transitive abelian A-set."""
+    which is the whole isomorphism type of a transitive abelian A-set.  It
+    is the block model's layout; ``_centralizer`` groups shapes per block."""
     types = {}
     for orbit, shape in _orbit_shapes(imgs, degree):
         types.setdefault(shape, []).append(orbit)
     return list(types.values())
 
 
-def _centralizer_generators(imgs, degree):
-    """Generators, as image tuples, of the centralizer in Sym(degree) of
-    the commuting image tuples ``imgs``, read off their orbits.
+@lru_cache(maxsize=1024)
+def _type_chain(shape, m):
+    """(W, |<W>|) for m copies of one orbit type O of a commuting tuple, of
+    shape ``shape`` (``_orbit_shapes``), on the points 0..|O|m-1, copy j on
+    j|O|..(j+1)|O|-1 in the order of its walk: there the centralizer is
+    (A|O) wr Sym(m).  The candidates are each generator on the first copy,
+    where it moves it, the swap of the first two copies and, from three
+    on, the cycle of all of them; W keeps those that enlarge the chain of
+    the ones before (``_chain_generators``), and |<W>| is the order of a
+    chain of W alone, so the order kept is that of the W kept."""
+    size = len(shape[0])
+    ident = tuple(range(size * m))
+    candidates = [t + ident[size:] for t in shape if t != ident[:size]]
+    if m >= 2:
+        candidates.append(ident[size:2 * size] + ident[:size] + ident[2 * size:])
+    if m >= 3:
+        candidates.append(ident[size:] + ident[:size])
+    kept = tuple(_chain_generators(len(ident), candidates)[0])
+    return kept, StabilizerChain(len(ident), kept).order
 
-    The group A they generate is abelian, and its centralizer is the
-    product over the isomorphism types of A-orbit O of (A|O) wr Sym(m), m
-    the copies of O (a transitive abelian group is its own centralizer).
-    Per type (``_orbit_types``): each generator restricted to the first
-    copy, where it moves it; a swap of the first two copies; and, from
-    three copies on, a cycle of all of them, each moving the points of a
-    copy to the same positions of the next.  Nothing here checks that
-    ``imgs`` commute: whoever relies on these generators checks the group
-    they generate."""
-    gens = []
-    for copies in _orbit_types(imgs, degree):
-        first = copies[0]
-        for s in imgs:
-            if any(s[x] != x for x in first):
-                g = list(range(degree))
-                for x in first:
-                    g[x] = s[x]
-                gens.append(tuple(g))
-        shuffles = [copies[:2]] if len(copies) >= 2 else []
-        if len(copies) >= 3:
-            shuffles.append(copies)
-        for shuffled in shuffles:
-            g = list(range(degree))
-            for src, dst in zip(shuffled, shuffled[1:] + shuffled[:1]):
-                for x, y in zip(src, dst):
-                    g[x] = y
+
+def _centralizer(beta, degree, block):
+    """(W, |<W>|) for the centralizer of the commuting image tuples
+    ``beta`` in Sym(block)^(degree/block), beta inside it; block = degree
+    is Sym(degree).  That centralizer is the product, over the blocks and
+    the types of beta-orbit O in each, of (A|O) wr Sym(m), m the copies of
+    O.  One walk of beta's orbits (``_orbit_shapes``) groups them by block
+    and shape; each type relabels the ``_type_chain`` of its (shape, m)
+    onto its orbits, position by position.  Generators on disjoint supports
+    generate the direct product, so |<W>| is the product of the types'
+    orders when the relabellings cover each point once (InternalMismatch
+    otherwise).  Whoever relies on W checks that it centralizes beta."""
+    types = {}
+    for orbit, shape in _orbit_shapes(beta, degree):
+        types.setdefault((orbit[0] // block, shape), []).append(orbit)
+    ident = list(range(degree))
+    gens, order, covered = [], 1, []
+    for (_, shape), copies in types.items():
+        points = list(itertools.chain.from_iterable(copies))
+        covered += points
+        kept, type_order = _type_chain(shape, len(copies))
+        for c in kept:
+            g = ident.copy()
+            for x, v in zip(points, c):
+                g[x] = points[v]
             gens.append(tuple(g))
-    return gens
+        order *= type_order
+    if sorted(covered) != ident:
+        raise InternalMismatch(
+            "the orbit types of beta do not cover its %d points once each" % degree
+        )
+    return gens, order
 
 
 def block_subgroup(block_size: int, blocks: int) -> YoungSubgroup:

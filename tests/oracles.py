@@ -47,7 +47,8 @@ from transchrome.perm import (
     symmetric_group,
 )
 
-# -- perm: the breadth-first closure, the plain cycle walk, the blockwise centralizer scan --
+# -- perm: the breadth-first closure, the plain cycle walk, the blockwise centralizer scan,
+# -- the full-chain centralizer generators --
 
 
 def closure(degree: int, gens) -> PermGroup:
@@ -129,6 +130,57 @@ def centralizer_factors(ambient: PermGroup, perms):
         return factors
     scan = (g.images for g in ambient.iter_elements())
     return [[g for g in scan if all(_commute_images(g, s) for s in imgs)]]
+
+
+def orbit_type_generators(imgs, degree):
+    """Generators, as image tuples, of the centralizer in Sym(degree) of
+    the commuting image tuples ``imgs``, read off their orbits.
+
+    The group A they generate is abelian, and its centralizer is the
+    product over the isomorphism types of A-orbit O of (A|O) wr Sym(m), m
+    the copies of O (a transitive abelian group is its own centralizer).
+    Per type (``perm._orbit_types``): each generator restricted to the
+    first copy, where it moves it; a swap of the first two copies; and,
+    from three copies on, a cycle of all of them, each moving the points
+    of a copy to the same positions of the next.  Nothing here checks that
+    ``imgs`` commute."""
+    gens = []
+    for copies in perm._orbit_types(imgs, degree):
+        first = copies[0]
+        for s in imgs:
+            if any(s[x] != x for x in first):
+                g = list(range(degree))
+                for x in first:
+                    g[x] = s[x]
+                gens.append(tuple(g))
+        shuffles = [copies[:2]] if len(copies) >= 2 else []
+        if len(copies) >= 3:
+            shuffles.append(copies)
+        for shuffled in shuffles:
+            g = list(range(degree))
+            for src, dst in zip(shuffled, shuffled[1:] + shuffled[:1]):
+                for x, y in zip(src, dst):
+                    g[x] = y
+            gens.append(tuple(g))
+    return gens
+
+
+def full_chain_centralizer(beta, degree, block):
+    """(W, |<W>|) for beta in Sym(block)^(degree/block), with one
+    ``StabilizerChain`` over all the points of each block: per block, the
+    ``orbit_type_generators`` of beta there, kept where they enlarge the
+    block's chain (``perm._chain_generators``) and embedded at the block;
+    |<W>| the product of the blocks' chain orders.  Sym(degree) is block =
+    degree, one chain over every point.  The reference for
+    ``perm._centralizer``, which proves each orbit type once."""
+    ident = tuple(range(degree))
+    gens, order = [], 1
+    for lo in range(0, degree, block):
+        local = [tuple(v - lo for v in s[lo:lo + block]) for s in beta]
+        kept, local_order = perm._chain_generators(block, orbit_type_generators(local, block))
+        gens.extend(ident[:lo] + tuple(lo + v for v in t) + ident[lo + block:] for t in kept)
+        order *= local_order
+    return gens, order
 
 
 # -- perm: cosets as objects, their orbits and stabilizers, pairwise orbit isomorphism, conjugacy search --
@@ -405,9 +457,9 @@ def classify_by_walk(t: CommutingTuple, lam) -> HomClass:
 
 def centralizer_generators(hc):
     """Generators of the centralizer of realize(hc) in Sym(points), read off
-    its orbits by ``perm._centralizer_generators``, as Perms."""
+    its orbits by ``orbit_type_generators``, as Perms."""
     imgs = [s.images for s in realize(hc).perms]
-    return [Perm(g) for g in perm._centralizer_generators(imgs, hc.points)]
+    return [Perm(g) for g in orbit_type_generators(imgs, hc.points)]
 
 
 def commuting_tuple_count(degree: int, p: int, k: int, h: int) -> int:

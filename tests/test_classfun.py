@@ -6,6 +6,7 @@ import random
 import re
 import signal
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -701,8 +702,8 @@ def test_non_young_transfer_data_read_no_orbit_type_generators(monkeypatch, pair
     def refuse(*args):
         raise AssertionError("a non-Young transfer read orbit-type generators")
 
-    monkeypatch.setattr(perm, "_centralizer_generators", refuse)
-    monkeypatch.setattr(classfun, "_centralizer_generators", refuse)
+    monkeypatch.setattr(perm, "_centralizer", refuse)
+    monkeypatch.setattr(classfun, "_centralizer", refuse)
     tables = classfun._induction_data.__wrapped__((G, lam), (H, lam)).tables
     assert (tables.plain, tables.data) == (plain, data)
 
@@ -845,6 +846,167 @@ def test_generated_centralizer_is_the_scan_on_every_record(p, k, block, blocks, 
     assert records
 
 
+# -- one centralizer proof for both Young tables: |<W>| once per orbit type --
+
+
+def _young_records(p, h, k):
+    """(degree, block, h_table, beta) for every orbit record of every
+    G-class of Sym(p^k) > Sym(p^m)^(p^(k-m)) at every m whose coset model
+    and H table are admitted under their caps."""
+    from transchrome.perm import _coset_system, _stable_orbits
+
+    degree, lam = p ** k, lam_group(p, h, k)
+    G = symmetric_group(degree)
+    g_table = class_table(G, lam)
+    out = []
+    for m in range(k + 1):
+        H = block_subgroup(p ** m, p ** (k - m))
+        try:
+            system = _coset_system(G, H)
+            h_table = class_table(H, lam)
+        except ResourceLimit:
+            continue
+        for key in g_table.classes:
+            orbits, _ = _stable_orbits(system, g_table.rep_images(key), g_table.centralizer_order(key))
+            out.extend((degree, p ** m, h_table, beta) for *_, beta in orbits)
+    return out
+
+
+@pytest.mark.parametrize("p,h,k,levels", [(2, 2, 3, 4), (3, 2, 2, 2), (2, 1, 4, 1)])
+def test_centralizer_is_the_full_chain_path_on_every_record(p, h, k, levels):
+    # on every record at every admitted m, the orbit-type proof gives the
+    # same W and |<W>| as one chain over all the points of each block, and
+    # both Young tables answer with it
+    from transchrome.perm import _centralizer
+
+    from oracles import full_chain_centralizer
+
+    records = _young_records(p, h, k)
+    assert len({block for _, block, _, _ in records}) == levels
+    for degree, block, h_table, beta in records:
+        want = full_chain_centralizer(beta, degree, block)
+        assert _centralizer(beta, degree, block) == want
+        assert h_table.class_and_centralizer(beta)[1:] == want
+
+
+def test_type_chain_misses_are_the_distinct_orbit_types(monkeypatch):
+    # one chain per distinct (shape, copies) pair, counted here from
+    # ``_orbit_shapes`` per block; every other lookup is a hit
+    from transchrome import perm
+
+    chains = []
+    real = perm._chain_generators
+
+    def counted(*args):
+        chains.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(perm, "_chain_generators", counted)
+    perm._type_chain.cache_clear()
+    distinct, lookups = set(), 0
+    for p, h, k in [(2, 2, 3), (3, 2, 2), (2, 1, 4)]:
+        for degree, block, _, beta in _young_records(p, h, k):
+            types = Counter()
+            for orbit, shape in perm._orbit_shapes(beta, degree):
+                types[orbit[0] // block, shape] += 1
+            distinct.update((shape, m) for (_, shape), m in types.items())
+            lookups += len(types)
+            perm._centralizer(beta, degree, block)
+    info = perm._type_chain.cache_info()
+    assert info.misses == len(chains) == len(distinct) < info.maxsize
+    assert info.hits + info.misses == lookups
+    assert info.currsize == len(distinct)
+
+
+def _classes_with_records(block, blocks):
+    """(G, H, the G-classes of Sym(8) > Sym(block)^blocks at (2,1,3) with
+    an orbit record); the store is then cleared, so each is proven again."""
+    from transchrome import classfun
+
+    G, H, lam = symmetric_group(8), block_subgroup(block, blocks), lam_group(2, 1, 3)
+    keys = [key for key in class_table(G, lam).classes if transfer_datum(G, H, key).records]
+    assert keys
+    classfun._induction_data.cache_clear()
+    return G, H, keys
+
+
+@pytest.mark.parametrize("block,blocks", [(4, 2), (8, 1)])
+def test_a_memoized_type_order_times_p_is_a_mismatch(monkeypatch, block, blocks):
+    from transchrome import perm
+
+    G, H, keys = _classes_with_records(block, blocks)
+    real = perm._type_chain
+
+    def wrong(shape, m):
+        kept, order = real(shape, m)
+        return kept, 2 * order
+
+    monkeypatch.setattr(perm, "_type_chain", wrong)
+    for key in keys:
+        with pytest.raises(InternalMismatch, match="stabilizer has order"):
+            transfer_datum(G, H, key)
+
+
+@pytest.mark.parametrize("block,blocks", [(4, 2), (8, 1)])
+def test_a_dropped_kept_type_generator_is_a_mismatch(monkeypatch, block, blocks):
+    # the pruning hands the memo one generator short; the memo's order is
+    # that of the generators it keeps, so it falls short of the stabilizer
+    from transchrome import perm
+
+    G, H, keys = _classes_with_records(block, blocks)
+    real = perm._chain_generators
+
+    def dropped(*args):
+        gens, order = real(*args)
+        return gens[:-1], order
+
+    monkeypatch.setattr(perm, "_chain_generators", dropped)
+    perm._type_chain.cache_clear()
+    for key in keys:
+        with pytest.raises(InternalMismatch, match="stabilizer has order"):
+            transfer_datum(G, H, key)
+
+
+@pytest.mark.parametrize("block", [4, 8])
+def test_a_type_generator_sent_onto_another_types_point_is_a_mismatch(monkeypatch, block):
+    # beta = (0 1) on 8 points has the types {0, 1} and the fixed points;
+    # the orbit walk is made to list the point 0 in place of the last
+    # fixed point, so a relabelled shuffle of the fixed points sends a
+    # point onto 0, and the cover check refuses the result
+    from transchrome import perm
+
+    beta = (P("(0 1)", 8).images,)
+    want = perm._centralizer(beta, 8, block)
+    real = perm._orbit_shapes
+
+    def misplaced(imgs, degree):
+        out = real(imgs, degree)
+        orbit, shape = out[-1]
+        return out[:-1] + [(orbit[:-1] + [0], shape)]
+
+    monkeypatch.setattr(perm, "_orbit_shapes", misplaced)
+    with pytest.raises(InternalMismatch, match="cover"):
+        perm._centralizer(beta, 8, block)
+    H = block_subgroup(block, 8 // block)
+    with pytest.raises(InternalMismatch, match="cover"):
+        class_table(H, lam_group(2, 1, 3)).class_and_centralizer(beta)
+    monkeypatch.undo()
+    assert perm._centralizer(beta, 8, block) == want
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_records_keep_the_h_tables_own_keys(m):
+    # the store keeps each record's H-class as the very object in the H
+    # table's ``classes``, not a second copy of it
+    G, H, lam = symmetric_group(8), block_subgroup(2 ** m, 2 ** (3 - m)), lam_group(2, 2, 3)
+    own = {id(key) for key in class_table(H, lam).classes}
+    records = [
+        rec for key in class_table(G, lam).classes for rec in transfer_datum(G, H, key).records
+    ]
+    assert records
+    assert all(id(rec.h_key) in own for rec in records)
+
+
 # -- the integer induction kernel --
 
 
@@ -982,16 +1144,10 @@ def test_induction_tables_match_the_lift_and_key_oracle(name):
         assert classfun.transfer_datum(G, H, alpha, lam) == data[alpha_key]
 
 
-def test_a_mutated_block_key_is_a_multiplicity_mismatch(monkeypatch):
-    # S8 > S4xS4: the plain table keys each block of each listed partition
-    # by the factor table.  One block action keyed as the identity's class
-    # moves its cosets to another H-class; the orbit records keep the block
-    # entries of the first build, so only the multiplicity check sees it
-    from transchrome import classfun
-
-    G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, 1, 3)
-    classfun.induction_tables(G, H, lam)
-    factor = class_table(H, lam).factor
+def _block_key_mutant(factor):
+    """(key_of_images, mutated): the factor table's key_of_images, except
+    that the first block action keyed to a class other than the
+    identity's, which ``mutated`` records, is keyed as the identity."""
     real = factor.key_of_images
     identity = real((tuple(range(4)),))
     mutated = []
@@ -1002,8 +1158,46 @@ def test_a_mutated_block_key_is_a_multiplicity_mismatch(monkeypatch):
             mutated.append(local)
         return identity if local in mutated else key
 
-    monkeypatch.setattr(factor, "key_of_images", key_of_images)
+    return key_of_images, mutated
+
+
+def test_a_mutated_block_key_is_a_multiplicity_mismatch(monkeypatch):
+    # S8 > S4xS4: the plain table keys each block of each listed partition
+    # by the factor table (``partition_counts``).  One block action keyed
+    # there as the identity's class moves its cosets to another H-class;
+    # the orbit records are classified without ``partition_counts``, so
+    # only the multiplicity check sees it
+    from transchrome import classfun
+    from transchrome.classfun import ProductClassTable
+
+    G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, 1, 3)
+    factor = class_table(H, lam).factor
+    key_of_images, mutated = _block_key_mutant(factor)
+    real = ProductClassTable.partition_counts
+
+    def partition_counts(self, alpha, partitions):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factor, "key_of_images", key_of_images)
+            return real(self, alpha, partitions)
+
+    monkeypatch.setattr(ProductClassTable, "partition_counts", partition_counts)
     with pytest.raises(InternalMismatch, match="coset multiplicities differ"):
+        classfun._induction_data.__wrapped__((G, lam), (H, lam)).tables
+    assert len(mutated) == 1
+
+
+def test_a_mutated_block_key_in_the_class_table_fails_the_stabilizer_proof(monkeypatch):
+    # the same mutant read by the H table itself: the record of the
+    # mutated block action takes the identity's class, whose centralizer
+    # order is not |<W>|, so the proof raises before any multiplicity is
+    # compared
+    from transchrome import classfun
+
+    G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, 1, 3)
+    factor = class_table(H, lam).factor
+    key_of_images, mutated = _block_key_mutant(factor)
+    monkeypatch.setattr(factor, "key_of_images", key_of_images)
+    with pytest.raises(InternalMismatch, match="class table gives"):
         classfun._induction_data.__wrapped__((G, lam), (H, lam)).tables
     assert len(mutated) == 1
 
@@ -1294,6 +1488,31 @@ def test_the_store_holds_bounded_bytes():
     info = classfun._induction_data.cache_info()
     assert info.currsize == info.maxsize
     assert held < 4 * 2 ** 20
+
+
+def test_forgetting_the_process_stores_clears_both_and_imports_no_layer():
+    # what the teardown after every patched test runs (tests/conftest.py)
+    import os
+    import subprocess
+
+    from transchrome import classfun, perm
+
+    from conftest import forget_process_stores
+
+    classfun._induction_data.cache_clear()  # so the datum below is proven
+    transfer_datum(symmetric_group(8), block_subgroup(4, 2), sym_class(["(0 1)"], 2, 1, 3))
+    assert classfun._induction_data.cache_info().currsize
+    assert perm._type_chain.cache_info().currsize
+    forget_process_stores()
+    assert classfun._induction_data.cache_info().currsize == 0
+    assert perm._type_chain.cache_info().currsize == 0
+    # in a process that loaded no layer it clears nothing and loads none
+    check = (
+        "import sys; from conftest import forget_process_stores; forget_process_stores(); "
+        "loaded = sorted(n for n in sys.modules if n.startswith('transchrome')); "
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", check], cwd=os.path.dirname(__file__), check=True)
 
 
 def test_ideal_trivial_reads_p_after_the_argument_checks(s4_setup):

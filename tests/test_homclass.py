@@ -37,7 +37,6 @@ from transchrome.perm import (
     INDEX_CAP,
     Perm,
     _BlockCosets,
-    _centralizer_generators,
     _commute_images,
     _commuting_tuples,
     _inverse,
@@ -61,6 +60,7 @@ from oracles import (
     full_subgroup,
     kernel_by_walk,
     make_tuple,
+    orbit_type_generators,
     orbit_types_by_isomorphism,
     realize_by_layout,
 )
@@ -555,7 +555,7 @@ def test_centralizer_orbits_are_the_walk(p, h, k):
         for hc in enumerate_hom_classes(p, h, k):
             alpha = [s.images for s in realize(hc).perms]
             fixed = system.fixed(alpha)
-            walked = walk_block_orbits(degree, fixed, alpha, _centralizer_generators(alpha, degree))
+            walked = walk_block_orbits(degree, fixed, alpha, orbit_type_generators(alpha, degree))
             orbits, count = system.centralizer_orbits(alpha)
             assert orbits == walked
             assert count == len(fixed)
@@ -608,7 +608,7 @@ def test_layout_memo_reads_relabelled_classes_as_the_walk(data):
     orbits, count = perm._layout_orbits.__wrapped__(degree, block, layout)
     assert memo == (list(orbits), count)
     fixed = system.fixed(relabelled)
-    gens = _centralizer_generators(relabelled, degree)
+    gens = orbit_type_generators(relabelled, degree)
     assert memo == (walk_block_orbits(degree, fixed, relabelled, gens), len(fixed))
 
 
@@ -724,7 +724,7 @@ def test_coset_fiber_lists_and_walks_no_stable_partition(monkeypatch):
     before = [coset_fiber(hc, m) for hc, m in levels]
     monkeypatch.setattr(perm._BlockCosets, "fixed", refuse)
     monkeypatch.setattr(perm, "_orbit_reps", refuse)
-    monkeypatch.setattr(perm, "_centralizer_generators", refuse)
+    monkeypatch.setattr(perm, "_centralizer", refuse)
     assert [coset_fiber(hc, m) for hc, m in levels] == before
 
 
