@@ -601,10 +601,15 @@ class _Induction:
 
     def datum(self, alpha_key) -> TransferDatum:
         """The datum of the G-class ``alpha_key``: proven in full by
-        ``_build_datum`` on its first request, then kept."""
+        ``_build_datum`` on its first request, then kept under the G
+        table's own key object, as the records keep the H table's."""
         datum = self._data.get(alpha_key)
         if datum is None:
-            datum = _build_datum(self.g_table, self.h_table, self.system, alpha_key)
+            g_table = self.g_table
+            i = g_table.position.get(alpha_key)
+            if i is not None:
+                alpha_key = g_table.classes[i]
+            datum = _build_datum(g_table, self.h_table, self.system, alpha_key)
             self._data[alpha_key] = datum
         return datum
 

@@ -31,8 +31,11 @@ The checks that run in production are that division, the re-multiplication
 f*u = g of every Weierstrass preparation and, at its callers, the prepared
 degree p^{kn}.  The group-law axioms and [m1 + m2] = F([m1], [m2]) are
 identities of the two-variable law, which only the tests build, as oracles.
-``check_work`` bounds a request's predicted work before any series is
-built.
+``check_work`` refuses a request before any series is built if the term
+pairs the kernel is predicted to visit, weighted by integer width, exceed
+``WORK_CAP``.  At the default (a, b, D) = (4, 8, p^{2n} + 1) it admits
+height 1 to p = 23, 2 to p = 5, 3 to p = 3 and 4 at p = 2, each answered
+cold in under 3 s (2 vCPUs), and refuses p = 7 at height 2 (10-13 s).
 """
 
 from __future__ import annotations
@@ -402,31 +405,41 @@ def default_degree(p, n) -> int:
     return p ** (2 * n) + 1
 
 
-# Predicted series-term products one fgl request may cost.  Timed cold
-# (Python 3.11, 2 vCPUs), the requests that were the slowest admitted when
-# the two-variable law was built, fgl --p 2 --n 2 --k 1 --deg 64 (about
-# 0.7 s then), fgl --p 7 --n 1 --k 2 --deg 129 and
-# fgl --p 11 --n 1 --k 2 --deg 154, take 0.07-0.1 s.
-WORK_CAP = 2 * 10 ** 6
+WORK_CAP = 10 ** 7  # weighted pairs, 0.2-0.5 us each: about 5 s cold
+
+
+def _predicted_work(p, n, k, a, b, D, law):
+    """Term pairs ``_accumulate`` visits for the prepared [p^k], weighted by
+    integer width, 1 + (bits/700)^2.  A graded series fills 1/(p-1) of the
+    x-degrees and (p-1)/(p^n-1) of the u-monomials, of u-degree under
+    (D-1)/(p-1).  ``_reversion`` and ``n_series``'s Horner pass multiply by
+    the L-term g, sum_i (D - p^i)^2 / 2 pairs per unit density, mod
+    p^{a+D-2}; ``weierstrass_prep``'s ungraded Newton and a + 2 division
+    passes (one if g_high is 1) run mod p^a.  (1+x)^m - 1 stops at x^m."""
+    d = p ** (k * n)
+    prep = 2 * (b.bit_length() + D.bit_length())  # a pair per product of a Newton pass
+    prep_width = 1 + (a * math.log2(p) / 700) ** 2
+    if law == "multiplicative":
+        return d * (1 + (d / 700) ** 2 * d.bit_length()) + (2 * d + prep) * prep_width
+    rho, share = 1 / (p - 1), (p - 1) / (p ** n - 1)
+    logs = triangle = 0
+    while p ** logs < D:
+        triangle += (D - p ** logs) ** 2
+        logs += 1
+    room = min(b, (D - 1) // (2 * (p - 1)) + 1)
+    horner = rho * math.comb(room + n - 2, n - 1) * share * triangle / 2
+    s, pairs = D - d, math.comb(b + 2 * n - 3, 2 * n - 2) * share * share
+    inverse, passes = (D * D / 6 + s * (D - s / 2), a + 2) if s > 1 and k else (0, 1)
+    division = passes * (s * D - s * s / 2 + (d * D - d * d / 2) / 2)
+    prep += b.bit_length() * pairs + rho * rho * pairs * (inverse + division)
+    return 2 * horner * (1 + ((a + D - 2) * math.log2(p) / 700) ** 2 / logs) + prep * prep_width
 
 
 def check_work(p, n, k, a, b, D=None, law="ptypical"):
     """Raise ResourceLimit if the prepared [p^k]-series of a law is predicted
-    to cost more than WORK_CAP products of series terms.  A law the builders
-    refuse is left to them; a level k that cannot be prepared below D is
-    refused here, before the law is built.
-
-    The model prices a route the code no longer takes: building the
-    two-variable law and composing it O(log m) times for m = p^k.  It is
-    kept as it is, so the same requests are admitted and refused, until it
-    is re-fitted to [m] read off the scaled logarithm, which costs far less.
-    On that route a p-typical law has terms in a share rho = 1/(p-1) of the
-    degrees.  Its
-    build visits L*rho*D^3/3 term pairs (L logarithm terms); each doubling of
-    [m] but the first 4*rho^2*D^3, each added x half that (D^2 per step for
-    x + y + xy, n = b = 1); the preparation up to 2(a+b+2)*rho^2*D^2.  Pairs
-    are weighted by parameter monomials per coefficient and integer width.
-    """
+    to visit more than WORK_CAP weighted term pairs (``_predicted_work``).
+    A law the builders refuse is left to them; a level k that cannot be
+    prepared below D is refused here, before the law is built."""
     check_prime(p)
     if n < 1 or a < 1 or b < 1:
         return
@@ -439,22 +452,7 @@ def check_work(p, n, k, a, b, D=None, law="ptypical"):
     if power_exceeds(p, n, D - 1):
         return
     _check_level(p, n, k, D)
-    m = p ** k
-    doublings, adds = m.bit_length() - 1, bin(m).count("1") - 1
-    steps = 4 * max(doublings - 1, 0) + 2 * adds
-    if law == "multiplicative":
-        rho = 1.0
-        work = steps * D ** 2
-    else:
-        rho = 1 / (p - 1)
-        logs = 0
-        while p ** logs < D:
-            logs += 1
-        work = logs * rho * D ** 3 / 3 + steps * D * (rho * D) ** 2
-    work += 2 * (a + b + 2) * (rho * D) ** 2
-    monomials = math.comb(b + n - 2, n - 1) * (p - 1) / (p ** n - 1)
-    work *= max(1.0, monomials) * (1 + (a + D) * p.bit_length() / 1500)
-    if work > WORK_CAP:
+    if (work := _predicted_work(p, n, k, a, b, D, law)) > WORK_CAP:
         raise ResourceLimit("predicted fgl work %.3g exceeds cap %d" % (work, WORK_CAP))
 
 
@@ -470,17 +468,18 @@ def multiplicative_context(p, a=4, D=8) -> FGLContext:
 def n_series(ctx: FGLContext, m: int) -> Series:
     """[m](x), exact below degree D.
 
-    For the multiplicative law it is (1+x)^m - 1.  For a p-typical law,
-    [m]_G(x) = g^{-1}(m g(x)) = [m]_F(px)/p is one Horner pass over g^{-1}
-    in integers mod p^{a+D-2}, and [m]_F's x^d coefficient is [m]_G's
-    divided by p^{d-1}, leaving a digits.  That division must be exact: a p
-    in the denominator of a coefficient of [m]_F would leave a remainder,
-    and raises ``IntegralityFailure``."""
+    For the multiplicative law it is (1+x)^m - 1, whose m binomials stop at
+    x^m.  For a p-typical law, [m]_G(x) = g^{-1}(m g(x)) = [m]_F(px)/p is
+    one Horner pass over g^{-1} in integers mod p^{a+D-2}, and [m]_F's x^d
+    coefficient is [m]_G's divided by p^{d-1}, leaving a digits.  That
+    division must be exact: a p in the denominator of a coefficient of
+    [m]_F would leave a remainder, and raises ``IntegralityFailure``."""
     if m < 0:
         raise BadParameters("need m >= 0")
     ring, D, p = ctx.ring, ctx.D, ctx.p
     if ctx.log is None:
-        return Series.zero(ring, D)._reduced({e * ring.M: math.comb(m, e) for e in range(1, D)})
+        binomials = {e * ring.M: math.comb(m, e) for e in range(1, min(D, m + 1))}
+        return Series.zero(ring, D)._reduced(binomials)
     g = ctx.log
     G = _compose(ctx.exp, g._reduced({key: m * c for key, c in g.terms.items()}))
     terms = {}

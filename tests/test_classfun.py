@@ -1007,6 +1007,32 @@ def test_records_keep_the_h_tables_own_keys(m):
     assert all(id(rec.h_key) in own for rec in records)
 
 
+
+def test_a_datum_is_kept_under_the_g_tables_own_key():
+    # a permutation tuple is classified into a fresh key, and a HomClass a
+    # caller built is an object of its own: the store and the datum keep
+    # the G table's key object instead, as the records keep the H table's
+    from transchrome import classfun
+    from transchrome.homclass import HomClass
+
+    G, H, lam = symmetric_group(8), block_subgroup(4, 2), lam_group(2, 1, 3)
+    classes = class_table(G, lam).classes
+    own = {id(key) for key in classes}
+    datum = transfer_datum(G, H, [Perm.from_cycles("(0 1)", 8)], lam)
+    assert id(datum.alpha_key) in own
+    key = classes[-1]
+    built = HomClass(key.lam, key.orbit_types)
+    assert built == key and built is not key
+    assert transfer_datum(G, H, built).alpha_key is key
+    store = classfun._induction_data((G, lam), (H, lam))
+    assert all(id(alpha_key) in own for alpha_key in store._data)
+    # a product G table keys a permutation tuple by a joined tuple
+    G2, H2 = block_subgroup(4, 2), block_subgroup(2, 4)
+    own2 = {id(key) for key in class_table(G2, lam).classes}
+    datum = transfer_datum(G2, H2, [Perm.from_cycles("(0 1)(4 5)", 8)], lam)
+    assert id(datum.alpha_key) in own2
+
+
 # -- the integer induction kernel --
 
 

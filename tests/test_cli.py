@@ -72,6 +72,8 @@ GOLDEN = [
                          "--chi", os.path.join(FIXTURES, "chi_p2_h2_k3.json"))),
     # a p-typical law at its default x-degree, D = 82, which no digest covers
     ("fgl_p3_n2_k1", ("fgl", "--p", "3", "--n", "2", "--k", "1")),
+    # height three at its default x-degree, D = 65, with u-degree room 8
+    ("fgl_p2_n3_k1", ("fgl", "--p", "2", "--n", "3", "--k", "1")),
     # two parameters with u-degree room 3: the scaled logarithm drops its
     # u_j^(2^(i-j)) terms past the room, the unit inverse runs at b = 3
     ("fgl_p2_n3_k1_d33_u3", ("fgl", "--p", "2", "--n", "3", "--k", "1", "--deg", "33",
@@ -357,9 +359,9 @@ def test_exit_code_resource(capsys):
 def test_huge_parameters_exit_3_before_work(capsys):
     # trial division of a 19-digit prime, forming p^k, 2^n or p^(kh) for a
     # huge exponent, a count of size h(h+m)log2(p) = 720000, or the p-typical
-    # law at p = 17 and its default degree D = 290, or the hom classes at
-    # (p, h, k) = (2, 3, 4) would run for seconds to minutes before any size
-    # cap
+    # law at p = 7, n = 2 and its default degree D = 2402, or the hom classes
+    # at (p, h, k) = (2, 3, 4) would run for seconds to minutes before any
+    # size cap
     huge_p = "1000000000000000003"
     start = time.perf_counter()
     for argv in [
@@ -370,7 +372,7 @@ def test_huge_parameters_exit_3_before_work(capsys):
         ("decompose", "--p", "2", "--n", "1000000000", "--t", "999999999", "--k", "1"),
         ("homs", "--p", "2", "--h", "1000000000000", "--k", "1"),
         ("count-sub", "--h", "600", "--p", "2", "--m", "600"),
-        ("fgl", "--p", "17", "--n", "1"),
+        ("fgl", "--p", "7", "--n", "2"),
         # 984 771 hom classes would be enumerated first
         ("homs", "--p", "2", "--h", "3", "--k", "4"),
         ("transfer", "--p", "2", "--h", "3", "--k", "4", "--m", "1", "--alpha", "e;e;e"),

@@ -1,6 +1,8 @@
 import functools
+import itertools
 import math
 import sys
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 
@@ -896,6 +898,17 @@ def test_torsion_rank_is_the_prepared_degree(height2_p3):
     (3, 2, 1, 3, 6, 10, "ptypical"),
     # fgl --p 3 --n 2 at its default degree
     (3, 2, 1, 4, 8, None, "ptypical"),
+    # at their default degrees, each in 0.01-2.7 s cold
+    (2, 3, 1, 4, 8, None, "ptypical"),
+    (3, 2, 2, 4, 8, None, "ptypical"),
+    (5, 2, 1, 4, 8, None, "ptypical"),
+    (17, 1, 1, 4, 8, None, "ptypical"),
+    (2, 4, 1, 4, 8, None, "ptypical"),
+    (3, 3, 1, 4, 8, None, "ptypical"),
+    # (1+x)^2 - 1 has two terms: its 10^4 binomials are the work
+    (2, 1, 1, 4, 1, 10 ** 4, "multiplicative"),
+    # 1750 division passes on 2000-bit integers, about 2 s cold
+    (2, 1, 1, 2000, 8, 20, "ptypical"),
 ])
 def test_work_cap_admits_the_documented_requests(p, n, k, a, b, D, law):
     if law == "multiplicative":
@@ -904,18 +917,72 @@ def test_work_cap_admits_the_documented_requests(p, n, k, a, b, D, law):
 
 
 @pytest.mark.parametrize("p,n,k,a,b,D,law", [
-    (17, 1, 1, 4, 8, None, "ptypical"),  # 25 s before the integral build
-    (3, 2, 2, 4, 8, None, "ptypical"),
-    (5, 2, 1, 4, 8, None, "ptypical"),
-    (2, 1, 1, 2000, 8, 20, "ptypical"),  # a wide precision makes every product slow
-    (2, 1, 1, 4, 1, 10 ** 4, "multiplicative"),
+    (7, 2, 1, 4, 8, None, "ptypical"),  # fgl --p 7 --n 2, 10-13 s
+    (2, 5, 1, 4, 8, None, "ptypical"),  # fgl --p 2 --n 5, 53 s
+    (2, 1, 1, 2000, 8, 60, "ptypical"),  # a wide precision over three times the degrees
+    (2, 1, 14, 4, 1, 2 ** 14 + 1, "multiplicative"),  # binomials of 2^14 bits, 46 s
+    (2, 20, 1, 4, 7 * 10 ** 6, 2 ** 20 + 1, "ptypical"),  # about 10^215 u-monomial pairs
     (2, 10 ** 9, 1, 4, 8, None, "ptypical"),  # D = 2^(2*10^9) + 1 is never formed
     (2, 1, 1, 10 ** 400, 8, 9, "ptypical"),
-    (2, 3, 1, 4, 8, None, "ptypical"),  # fgl --p 2 --n 3, until the model is re-fitted
 ])
 def test_work_cap_refuses_before_work(p, n, k, a, b, D, law):
     with pytest.raises(ResourceLimit):
         check_work(p, n, k, a, b, D, law)
+
+
+def _work_grid():
+    """(p, n, k, a, b, D, law) over a small grid: both laws, each level
+    prepared at, twice and three times its degree p^{kn}, a precision wide
+    enough that the division passes do most of the work, and the
+    multiplicative law far past x^{p^k} too."""
+    for p, n, k in itertools.product((2, 3, 5), (1, 2, 3), (1, 2)):
+        d = p ** (k * n)
+        for D in sorted({d + 1, 2 * d + 1, 3 * d}):
+            if D <= 400:
+                for a, b in ((2, 3), (4, 8), (6, 2), (60, 4)):
+                    yield p, n, k, a, b, D, "ptypical"
+        if n == 1:
+            for D, a in itertools.product(sorted({max(d, p) + 1, 3 * d, 400}), (2, 4)):
+                yield p, 1, k, a, 1, D, "multiplicative"
+
+
+def test_predicted_work_is_the_work_the_route_runs(monkeypatch):
+    # the pairs ``_accumulate`` visits, read off the same slice it takes,
+    # plus the multiplicative law's binomials: the prediction that
+    # check_work compares with its cap is within 4x of them either way
+    visited = [0]
+    accumulate, comb = fgl._accumulate, math.comb
+
+    def counting(out, f, g, limit):
+        if len(g.terms) < len(f.terms):
+            f, g = g, f
+        for dx, du, _, _ in f._by_degree():
+            if dx >= limit:
+                break
+            degrees, _ = g._table(f.ring.b - du)
+            visited[0] += bisect_left(degrees, limit - dx)
+        accumulate(out, f, g, limit)
+
+    def counting_comb(m, e):
+        visited[0] += 1
+        return comb(m, e)
+
+    ratios = {}
+    for p, n, k, a, b, D, law in _work_grid():
+        predicted = fgl._predicted_work(p, n, k, a, b, D, law)
+        visited[0] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(fgl, "_accumulate", counting)
+            patch.setattr(math, "comb", counting_comb)
+            if law == "multiplicative":
+                ctx = multiplicative_context(p, a=a, D=D)
+            else:
+                ctx = build_ptypical(p, n, a=a, b=b, D=D)
+            prepare_p_series(ctx, k)
+        ratios[p, n, k, a, b, D, law] = predicted / visited[0]
+    assert len(ratios) > 150
+    off = {req: r for req, r in ratios.items() if not 0.25 <= r <= 4}
+    assert not off
 
 
 @pytest.mark.parametrize("k,error", [(-1, BadParameters), (3, TruncationTooSmall)])
